@@ -39,7 +39,7 @@ from .gromov import (
     MetricError,
     gromov_distance,
 )
-from .heat_kernels import KernelError, kernel_for
+from .heat_kernels import kernel_for
 from .model_spaces import GeometryError, builtin_profile, space_from_json
 from .sde_sim import SimConfig, simulate_halfplane, simulate_radial
 
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except NonConvergedError as e:
         print(f"non-converged: {e}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except (EstimatorError, KernelError, OverflowError) as e:
+    except (EstimatorError, OverflowError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -32,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .model_spaces import (
@@ -227,9 +228,15 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
         qb = math.exp(float(ker.log_q(t, r)) + la)
         return abs(qa - qb)
 
+    def log_ratio(r):
+        return float(ker.log_q(t + tau, r)) - float(ker.log_q(t, r))
+
+    # the integrand has a kink where the two kernels cross; quad needs it as an endpoint
     r_hi = _truncation_radius(space, t + tau)
-    val, _ = quad(integrand, 0.0, r_hi, limit=400)
-    return float(val)
+    cuts = [0.0, r_hi]
+    if log_ratio(0.0) * log_ratio(r_hi) < 0:
+        cuts.insert(1, brentq(log_ratio, 0.0, r_hi))
+    return float(sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:])))
 
 
 def _drift_scale(space: ModelManifold) -> float:

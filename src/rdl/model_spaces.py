@@ -77,6 +77,7 @@ class ProfileFunction:
     p_double_prime: Callable[[np.ndarray], np.ndarray]
     drift: Callable[[np.ndarray], np.ndarray] | None = None
     inv_p_sq: Callable[[np.ndarray], np.ndarray] | None = None
+    k: float | None = None  # curvature parameter of the built-in 'hyperbolic' profile
 
     def __post_init__(self):
         eps = 1e-7
@@ -128,6 +129,7 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
             drift=lambda r: (k / 2.0)
             * (1.0 + 2.0 / np.expm1(np.minimum(2.0 * k * np.asarray(r, dtype=float), 700.0))),
             inv_p_sq=lambda r: (k / np.sinh(np.minimum(k * np.asarray(r, dtype=float), 360.0))) ** 2,
+            k=k,
         )
     if label == "kaimanovich":
         def _inv_p_sq(r):
@@ -495,11 +497,9 @@ class RotSymSurface(ModelManifold):
         return f"rotsym({self.profile.label})"
 
     def to_json_dict(self) -> dict:
-        label = self.profile.label
-        if label.startswith("hyperbolic"):
-            k = float(label.partition("k=")[2].rstrip(")")) if "k=" in label else 1.0
-            return {"kind": "rotsym", "profile": "hyperbolic", "k": k}
-        return {"kind": "rotsym", "profile": label}
+        if self.profile.k is not None:
+            return {"kind": "rotsym", "profile": "hyperbolic", "k": self.profile.k}
+        return {"kind": "rotsym", "profile": self.profile.label}
 
 
 def space_from_json(obj: dict) -> ModelManifold:

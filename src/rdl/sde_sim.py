@@ -9,18 +9,23 @@ dx = y dB1, dy = y dB2):
 Radial SDE on a surface with profile p:
   dr_t = dX_t + f(r_t) dt,  f = p'/(2p),
 with the angular clock tau_t = int_0^t p(r_s)^-2 ds and theta_t = Y_{tau_t}
-for an independent driving motion Y.
+for an independent driving motion Y.  One integrator,
+_simulate_radial_block, advances all paths together and records every
+stride-th step; simulate_radial, radial_terminal and kaimanovich_tail_limit
+differ only in the stride and in whether tau and theta are integrated.
+Increments are drawn _STEP_BLOCK steps at a time, so memory is bounded by
+paths x (_STEP_BLOCK + records), never paths x steps.
 
 Reproducibility: every path owns a counter-based Philox stream keyed by
 (seed, 2*path_index + substream), so results are bit-identical regardless of
-batching or worker count.
+batching, step blocking or worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +49,9 @@ KAIMANOVICH_R_CAP = 200.0
 
 # r beyond which even log-space bookkeeping would degrade; paths must not get here.
 _R_ABORT = 1e100
+
+# Steps of increments drawn at once per path by the radial integrator.
+_STEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -152,121 +160,116 @@ def _h(r: np.ndarray) -> np.ndarray:
     return np.log1p(r * r)
 
 
-def simulate_radial(
-    profile: ProfileFunction,
-    cfg: SimConfig,
-    r0: float,
-    r_cap: float | None = None,
-) -> list[RadialProcess]:
-    """Euler-Maruyama on dr = dX + f(r) dt with reflection at 0.
+@dataclass(frozen=True)
+class _RadialRun:
+    """Output of _simulate_radial_block: recorded arrays are (records, paths)."""
 
-    A trajectory touching r <= 0 is reflected (|r|); the event count is
-    reported.  If r_cap is set, a path that reaches it has its whole state
-    (r, H - t, tau, theta) frozen there and is flagged capped; if any path
-    exceeds the float-safe range the run aborts.
-    """
-    if r0 <= 0:
-        raise ValueError(f"need r0 > 0, got {r0}")
-    n, dt = cfg.n_steps, cfg.dt
-    sqdt = math.sqrt(dt)
-    rec_mask = np.zeros(n + 1, dtype=bool)
-    rec_mask[::cfg.record_stride] = True
-    rec_mask[-1] = True
-    times_all = np.arange(n + 1) * dt
-    out = []
-    for i in range(cfg.n_paths):
-        rng_r = path_rng(cfg.seed, i, substream=0)
-        rng_a = path_rng(cfg.seed, i, substream=1)
-        dX = rng_r.standard_normal(n) * sqdt
-        ang = rng_a.standard_normal(n)
-        r_traj = np.empty(n + 1)
-        hmt = np.empty(n + 1)
-        tau = np.empty(n + 1)
-        theta = np.empty(n + 1)
-        r_traj[0], tau[0], theta[0] = r0, 0.0, 0.0
-        hmt[0] = float(_h(np.asarray(r0)))
-        r = r0
-        frozen = False
-        cap_time = None
-        reflections = 0
-        for s in range(n):
-            if not frozen:
-                proposal = r + float(profile.sde_drift(r)) * dt + dX[s]
-                if proposal <= 0.0:
-                    reflections += 1
-                    proposal = abs(proposal)
-                r = proposal
-                if r > _R_ABORT:
-                    raise OverflowError(
-                        f"path {i} exceeded r = {_R_ABORT:g} at t = {(s + 1) * dt:g}"
-                    )
-                d_tau = float(profile.angular_clock_integrand(r)) * dt
-                tau[s + 1] = tau[s] + d_tau
-                theta[s + 1] = theta[s] + math.sqrt(d_tau) * ang[s]
-                hmt[s + 1] = float(_h(np.asarray(r))) - (s + 1) * dt
-                if r_cap is not None and r >= r_cap:
-                    frozen = True
-                    cap_time = (s + 1) * dt
-            else:
-                tau[s + 1] = tau[s]
-                theta[s + 1] = theta[s]
-                hmt[s + 1] = hmt[s]
-            r_traj[s + 1] = r
-        out.append(
-            RadialProcess(
-                times=times_all[rec_mask],
-                r=r_traj[rec_mask],
-                h_minus_t=hmt[rec_mask],
-                tau=tau[rec_mask],
-                theta=theta[rec_mask],
-                n_reflections=reflections,
-                capped=frozen,
-                cap_time=cap_time,
-            )
-        )
+    steps: np.ndarray            # step index of each record
+    r: np.ndarray
+    h_minus_t: np.ndarray
+    tau: np.ndarray | None       # None unless angles were requested
+    theta: np.ndarray | None
+    n_reflections: np.ndarray    # per path
+    capped: np.ndarray
+    cap_time: np.ndarray         # NaN for paths never capped
+
+
+def _draw(rngs: list, out: np.ndarray) -> np.ndarray:
+    """Fill column i of out with the next len(out) normals of stream i."""
+    for i, rng in enumerate(rngs):
+        out[:, i] = rng.standard_normal(len(out))
     return out
 
 
-def _simulate_radial_block(profile, cfg, r0, r_cap, want_unit_marks):
-    """Vectorized-over-paths radial integrator used by kaimanovich_tail_limit.
+def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _RadialRun:
+    """Euler-Maruyama on dr = dX + f(r) dt with reflection at 0, all paths at once.
 
-    Draws each path's increments from its own stream (same order as
-    simulate_radial), then advances all paths together; output is
-    bit-identical to the per-path loop.
+    A step proposal r <= 0 is reflected (|r|) and counted.  If r_cap is set, a
+    path that reaches it has its whole state frozen there and is flagged
+    capped; if any path exceeds the float-safe range the run aborts.  The
+    state is recorded at every stride-th step and at the last; tau and theta
+    are integrated only when angles is set.
     """
-    n, dt = cfg.n_steps, cfg.dt
-    m = cfg.n_paths
+    if r0 <= 0:
+        raise ValueError(f"need r0 > 0, got {r0}")
+    n, dt, m = cfg.n_steps, cfg.dt, cfg.n_paths
     sqdt = math.sqrt(dt)
-    dX = np.empty((n, m))
-    for i in range(m):
-        dX[:, i] = path_rng(cfg.seed, i, substream=0).standard_normal(n)
-    dX *= sqdt
-    per_unit = int(round(1.0 / dt))
+    steps = np.arange(0, n + 1, stride)
+    if steps[-1] != n:
+        steps = np.append(steps, n)
+    rngs = [path_rng(cfg.seed, i, substream=0) for i in range(m)]
+    ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(m)] if angles else []
+
     r = np.full(m, r0, dtype=float)
     hmt = np.full(m, float(_h(np.asarray(r0))))
+    tau = np.zeros(m)
+    theta = np.zeros(m)
     frozen = np.zeros(m, dtype=bool)
-    cap_times = np.full(m, np.nan)
+    cap_time = np.full(m, np.nan)
     reflections = np.zeros(m, dtype=int)
-    marks = {}
-    for s in range(n):
-        active = ~frozen
-        drift = np.where(active, profile.sde_drift(np.where(active, r, 1.0)), 0.0)
-        proposal = r + drift * dt + np.where(active, dX[s], 0.0)
-        hit = active & (proposal <= 0.0)
-        reflections += hit.astype(int)
-        proposal = np.abs(proposal)
-        r = np.where(active, proposal, r)
-        if np.any(r > _R_ABORT):
-            raise OverflowError(f"a path exceeded r = {_R_ABORT:g}")
-        t = (s + 1) * dt
-        hmt = np.where(active, _h(r) - t, hmt)
-        if r_cap is not None:
-            newly = active & (r >= r_cap)
-            cap_times[newly] = t
-            frozen |= newly
-        if want_unit_marks and (s + 1) % per_unit == 0:
-            marks[int(round(t))] = hmt.copy()
-    return r, hmt, frozen, cap_times, reflections, marks
+    # the state arrays are replaced by every step, never written in place
+    rows = [(r, hmt, tau, theta)]
+    dX_buf = np.empty((min(_STEP_BLOCK, n), m))
+    ang_buf = np.empty((min(_STEP_BLOCK, n), m)) if angles else None
+    for start in range(0, n, _STEP_BLOCK):
+        block = min(_STEP_BLOCK, n - start)
+        dX = _draw(rngs, dX_buf[:block])
+        dX *= sqdt
+        ang = _draw(ang_rngs, ang_buf[:block]) if angles else None
+        for k in range(block):
+            active = ~frozen
+            drift = np.where(active, profile.sde_drift(np.where(active, r, 1.0)), 0.0)
+            proposal = r + drift * dt + np.where(active, dX[k], 0.0)
+            reflections += active & (proposal <= 0.0)
+            r = np.where(active, np.abs(proposal), r)
+            t = (start + k + 1) * dt
+            if np.any(r > _R_ABORT):
+                path = int(np.argmax(r > _R_ABORT))
+                raise OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
+            hmt = np.where(active, _h(r) - t, hmt)
+            if angles:
+                d_tau = profile.angular_clock_integrand(r) * dt
+                tau = np.where(active, tau + d_tau, tau)
+                theta = np.where(active, theta + np.sqrt(d_tau) * ang[k], theta)
+            if r_cap is not None:
+                newly = active & (r >= r_cap)
+                cap_time[newly] = t
+                frozen |= newly
+            if start + k + 1 == steps[len(rows)]:
+                rows.append((r, hmt, tau, theta))
+    r_rec, hmt_rec, tau_rec, theta_rec = map(np.array, zip(*rows))
+    return _RadialRun(
+        steps=steps,
+        r=r_rec,
+        h_minus_t=hmt_rec,
+        tau=tau_rec if angles else None,
+        theta=theta_rec if angles else None,
+        n_reflections=reflections,
+        capped=frozen,
+        cap_time=cap_time,
+    )
+
+
+def simulate_radial(
+    profile: ProfileFunction, cfg: SimConfig, r0: float, r_cap: float | None = None
+) -> list[RadialProcess]:
+    """Radial paths (see _simulate_radial_block) recorded every
+    cfg.record_stride steps, with their angular clock and angle."""
+    run = _simulate_radial_block(profile, cfg, r0, r_cap, cfg.record_stride, angles=True)
+    times = run.steps * cfg.dt
+    return [
+        RadialProcess(
+            times=times,
+            r=run.r[:, i].copy(),
+            h_minus_t=run.h_minus_t[:, i].copy(),
+            tau=run.tau[:, i].copy(),
+            theta=run.theta[:, i].copy(),
+            n_reflections=int(run.n_reflections[i]),
+            capped=bool(run.capped[i]),
+            cap_time=float(run.cap_time[i]) if run.capped[i] else None,
+        )
+        for i in range(cfg.n_paths)
+    ]
 
 
 @dataclass(frozen=True)
@@ -282,16 +285,13 @@ class TerminalRadial:
 def radial_terminal(
     profile: ProfileFunction, cfg: SimConfig, r0: float, r_cap: float | None = None
 ) -> TerminalRadial:
-    """Terminal r of simulate_radial for all paths, vectorized across paths.
-
-    Uses the same per-path streams and update rule as simulate_radial, so the
-    terminal values are bit-identical to the per-path integrator.
-    """
-    r, hmt, frozen, _, reflections, _ = _simulate_radial_block(
-        profile, cfg, r0, r_cap, want_unit_marks=False
-    )
+    """Terminal state of simulate_radial's paths, without recording or angles."""
+    run = _simulate_radial_block(profile, cfg, r0, r_cap, cfg.n_steps)
     return TerminalRadial(
-        r=r, h_minus_t=hmt, n_reflections=int(reflections.sum()), n_capped=int(frozen.sum())
+        r=run.r[-1],
+        h_minus_t=run.h_minus_t[-1],
+        n_reflections=int(run.n_reflections.sum()),
+        n_capped=int(run.capped.sum()),
     )
 
 
@@ -329,24 +329,18 @@ def kaimanovich_tail_limit(
         raise ValueError("need t_max >= 2 to form the last-unit-time diagnostic")
     if cfg.t_max / 1.0 != int(cfg.t_max):
         raise ValueError("t_max must be an integer number of time units")
+    per_unit = 1.0 / cfg.dt
+    if abs(per_unit - round(per_unit)) > 1e-9 * per_unit:
+        raise ValueError(f"1/dt must be an integer number of steps, got {per_unit}")
     profile = _kaimanovich_profile()
-    r, hmt, frozen, cap_times, reflections, marks = _simulate_radial_block(
-        profile, cfg, r0, r_cap, want_unit_marks=True
-    )
-    t_last, t_prev = int(cfg.t_max), int(cfg.t_max) - 1
-    L = marks[t_last]
-    diag = np.abs(marks[t_last] - marks[t_prev])
+    run = _simulate_radial_block(profile, cfg, r0, r_cap, int(round(per_unit)))
+    L = run.h_minus_t[-1]
+    diag = np.abs(L - run.h_minus_t[-2])
     converged = diag <= convergence_tol
     kept = L[converged]
     trajectories = []
     if n_trajectories > 0:
-        sub = SimConfig(
-            seed=cfg.seed,
-            n_paths=min(n_trajectories, cfg.n_paths),
-            t_max=cfg.t_max,
-            dt=cfg.dt,
-            record_stride=cfg.record_stride,
-        )
+        sub = replace(cfg, n_paths=min(n_trajectories, cfg.n_paths))
         trajectories = simulate_radial(profile, sub, r0, r_cap=r_cap)
     return TailLimitResult(
         L=L,
@@ -355,8 +349,8 @@ def kaimanovich_tail_limit(
         mean=float(kept.mean()) if kept.size else math.nan,
         std=float(kept.std(ddof=1)) if kept.size > 1 else math.nan,
         n_excluded=int((~converged).sum()),
-        n_capped=int(frozen.sum()),
-        n_reflections=int(reflections.sum()),
+        n_capped=int(run.capped.sum()),
+        n_reflections=int(run.n_reflections.sum()),
         trajectories=trajectories,
     )
 

@@ -150,5 +150,11 @@ def test_kernel_table(tmp_path):
     assert float(q) == pytest.approx((2 * math.pi) ** -1.5 * math.exp(-0.5), rel=1e-10)
 
 
+def test_kernel_out_of_catalog_dim_is_usage_error(tmp_path):
+    # KernelError is a ValueError: an unsupported dimension is an input error
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", "e1", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["gromov", "--a", "/nope/a.json", "--b", "/nope/b.json"]) == EXIT_USAGE

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from rdl.heat_kernels import (
     KernelError,
@@ -150,6 +151,16 @@ def test_zero_two_defect_euclidean_matches_tv_oracle():
     for t in (0.5, 1.0, 4.0):
         got = zero_two_defect(Euclidean(1), tau=t, t=t)
         assert got == pytest.approx(_euclid_tv_oracle(t, t), abs=1e-6)
+
+
+def test_zero_two_defect_euclidean_at_kink_times():
+    # closed form: the 1-D kernels cross at r* = sqrt(2 t log 2) (tau = t), so
+    # int |q(2t) - q(t)| = 2 [erf(r*/sqrt(2t)) - erf(r*/sqrt(4t))]; at these t
+    # an unsplit quadrature of the kinked integrand was off by more than 1e-6
+    for t in (1.13, 2.18, 2.28):
+        r_star = math.sqrt(2.0 * t * math.log(2.0))
+        exact = 2.0 * (erf(r_star / math.sqrt(2.0 * t)) - erf(r_star / math.sqrt(4.0 * t)))
+        assert zero_two_defect(Euclidean(1), tau=t, t=t) == pytest.approx(exact, abs=1e-12)
 
 
 def test_zero_two_defect_euclidean_scale_invariant():

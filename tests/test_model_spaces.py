@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -224,3 +225,14 @@ def test_json_round_trip():
     assert space_from_json({"kind": "hyperbolic", "dim": 2, "k": 1.0}).k == 1.0
     with pytest.raises(GeometryError):
         space_from_json({"kind": "torus"})
+
+
+def test_rotsym_hyperbolic_k_round_trips_exactly():
+    for k in (0.123456789, 1.0):
+        sp = RotSymSurface(builtin_profile("hyperbolic", k))
+        blob = json.loads(json.dumps(sp.to_json_dict()))
+        assert blob["k"] == k
+        clone = space_from_json(blob)
+        assert clone.to_json_dict() == sp.to_json_dict()
+        assert clone.label() == sp.label()
+        assert float(clone.profile.sde_drift(0.7)) == float(sp.profile.sde_drift(0.7))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rdl import sde_sim
 from rdl.estimators import drift_quadrature
 from rdl.heat_kernels import radial_fokker_planck
 from rdl.model_spaces import HalfPlane, builtin_profile
@@ -100,12 +101,120 @@ def test_halfplane_start_validation():
 # ----------------------------------------------------------------- radial
 
 
+def _oracle_radial(profile, cfg, r0, r_cap=None):
+    """Reference integrator: one path at a time, one scalar step at a time.
+
+    Same streams, update order and cap rule as the vectorised integrator.
+    Profile functions see 1-element arrays, because numpy's scalar and array
+    loops may round differently (a scalar ``x ** 2`` is a pow call, an array
+    one a multiply).
+    """
+
+    def ev(f, x):
+        return float(f(np.array([x]))[0])
+
+    def h(x):
+        return np.log1p(x * x)
+
+    n, dt = cfg.n_steps, cfg.dt
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[::cfg.record_stride] = True
+    keep[-1] = True
+    out = []
+    for i in range(cfg.n_paths):
+        dX = path_rng(cfg.seed, i, substream=0).standard_normal(n) * math.sqrt(dt)
+        ang = path_rng(cfg.seed, i, substream=1).standard_normal(n)
+        r, tau, theta, hmt = r0, 0.0, 0.0, ev(h, r0)
+        rows = [(r, hmt, tau, theta)]
+        reflections, cap_time = 0, None
+        for s in range(n):
+            if cap_time is None:
+                r = r + ev(profile.sde_drift, r) * dt + dX[s]
+                if r <= 0.0:
+                    reflections += 1
+                    r = abs(r)
+                t = (s + 1) * dt
+                hmt = ev(h, r) - t
+                d_tau = ev(profile.angular_clock_integrand, r) * dt
+                tau += d_tau
+                theta += math.sqrt(d_tau) * ang[s]
+                if r_cap is not None and r >= r_cap:
+                    cap_time = t
+            rows.append((r, hmt, tau, theta))
+        rec = np.array(rows)[keep]
+        out.append({"times": np.flatnonzero(keep) * dt, "r": rec[:, 0], "h_minus_t": rec[:, 1],
+                    "tau": rec[:, 2], "theta": rec[:, 3], "n_reflections": reflections,
+                    "capped": cap_time is not None, "cap_time": cap_time})
+    return out
+
+
+def _radial_bytes(paths) -> bytes:
+    return b"".join(
+        np.concatenate([p.times, p.r, p.h_minus_t, p.tau, p.theta]).tobytes()
+        + repr((p.n_reflections, p.capped, p.cap_time)).encode()
+        for p in paths
+    )
+
+
 def test_radial_block_matches_per_path():
-    cfg = SimConfig(seed=5, n_paths=6, t_max=2.0, dt=1e-3)
+    # full recorded trajectories equal the scalar oracle bit for bit
+    cases = [
+        (builtin_profile("euclid"), SimConfig(seed=4, n_paths=5, t_max=1.0, dt=1e-3, record_stride=7),
+         0.05, None),
+        (builtin_profile("hyperbolic", 1.0), SimConfig(seed=5, n_paths=4, t_max=2.0, dt=1e-3), 0.5, 3.5),
+        (builtin_profile("hyperbolic", 0.7), SimConfig(seed=6, n_paths=4, t_max=1.0, dt=1e-3,
+                                                       record_stride=3), 0.2, None),
+        (builtin_profile("kaimanovich"), SimConfig(seed=77, n_paths=4, t_max=10.0, dt=1e-2,
+                                                   record_stride=10), 1.0, 50.0),
+    ]
+    wants = []
+    for prof, cfg, r0, r_cap in cases:
+        got = simulate_radial(prof, cfg, r0=r0, r_cap=r_cap)
+        want = _oracle_radial(prof, cfg, r0=r0, r_cap=r_cap)
+        wants.append(want)
+        for p, q in zip(got, want, strict=True):
+            for key in ("times", "r", "h_minus_t", "tau", "theta"):
+                assert np.array_equal(getattr(p, key), q[key]), (prof.label, key)
+            assert (p.n_reflections, p.capped, p.cap_time) == (
+                q["n_reflections"], q["capped"], q["cap_time"]), prof.label
+        term = radial_terminal(prof, cfg, r0=r0, r_cap=r_cap)
+        assert np.array_equal(term.r, [q["r"][-1] for q in want])
+        assert np.array_equal(term.h_minus_t, [q["h_minus_t"][-1] for q in want])
+    # the cases exercise the reflection and the cap, also where 1/p^2 > 0 at the cap
+    assert sum(q["n_reflections"] for q in wants[0]) > 0
+    assert 0 < sum(q["capped"] for q in wants[1]) < len(wants[1])
+    assert all(q["capped"] for q in wants[-1])
+
+
+def test_radial_first_paths_independent_of_batch_size():
+    prof = builtin_profile("kaimanovich")
+    small = SimConfig(seed=12, n_paths=3, t_max=2.0, dt=1e-3, record_stride=50)
+    large = SimConfig(seed=12, n_paths=8, t_max=2.0, dt=1e-3, record_stride=50)
+    a = simulate_radial(prof, small, r0=1.0, r_cap=3.0)
+    b = simulate_radial(prof, large, r0=1.0, r_cap=3.0)
+    assert _radial_bytes(a) == _radial_bytes(b[:3])
+    ta = radial_terminal(prof, small, r0=1.0, r_cap=3.0)
+    tb = radial_terminal(prof, large, r0=1.0, r_cap=3.0)
+    assert np.array_equal(ta.r, tb.r[:3]) and np.array_equal(ta.h_minus_t, tb.h_minus_t[:3])
+
+
+def test_radial_bytes_independent_of_step_block(monkeypatch):
+    # 2000 steps: the default block splits them in two, 7 into 286 blocks,
+    # and 5000 runs them as one
     prof = builtin_profile("hyperbolic", 1.0)
-    per_path = simulate_radial(prof, cfg, r0=0.5)
-    block = radial_terminal(prof, cfg, r0=0.5)
-    assert np.array_equal(np.array([p.r[-1] for p in per_path]), block.r)
+    cfg = SimConfig(seed=21, n_paths=5, t_max=2.0, dt=1e-3, record_stride=30)
+
+    def run():
+        tail = kaimanovich_tail_limit(cfg, n_trajectories=2)
+        term = radial_terminal(prof, cfg, r0=0.3)
+        return (_radial_bytes(simulate_radial(prof, cfg, r0=0.3)),
+                term.r.tobytes() + term.h_minus_t.tobytes(),
+                tail.L.tobytes() + tail.diagnostic.tobytes(), _radial_bytes(tail.trajectories))
+
+    reference = run()
+    for block in (7, 5000):
+        monkeypatch.setattr(sde_sim, "_STEP_BLOCK", block)
+        assert run() == reference
 
 
 def test_radial_ks_against_fp_oracle():
@@ -208,6 +317,13 @@ def test_kaimanovich_cap_freezes_whole_state():
         assert (p.r[i:] == p.r[-1]).all()
         assert (p.h_minus_t[i:] == p.h_minus_t[-1]).all()
         assert (p.tau[i:] == p.tau[-1]).all()
+
+
+def test_kaimanovich_tail_limit_needs_whole_steps_per_unit():
+    # the last-unit diagnostic reads records one time unit apart
+    for dt, t_max in ((0.4, 2.0), (0.6, 3.0)):
+        with pytest.raises(ValueError, match="1/dt"):
+            kaimanovich_tail_limit(SimConfig(seed=1, n_paths=3, t_max=t_max, dt=dt))
 
 
 def test_kaimanovich_trajectory_dump():
