@@ -211,7 +211,9 @@ def _cmd_gromov(args) -> int:
     a = _load_space(args.a)
     b = _load_space(args.b)
     res = gromov_distance(a, b, tol=args.tol)
-    print(f"d_GS in [{res.lo:.9f}, {res.hi:.9f}]  (value = {res.value:.9f})")
+    print(f"d_GS in [{res.lo:.9f}, {res.hi:.9f}]  (value = {res.value:.9f})  exact={res.exact}")
+    if not res.exact:
+        print("partner search truncated: the lower end of the bracket may be wrong", file=sys.stderr)
     outputs = []
     if args.witness:
         if res.witness is None:

@@ -23,8 +23,10 @@ window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is implied by any
 feasible cross matrix, and capped at the k_nearest radially closest; only
 the cap can lose solutions and results carry an `exact` flag.
 
-An independent route through a dense two-phase simplex over the same
-constraint system (`feasible_lp`) is kept as an oracle for the tests.
+`feasible_lp` decides the same question by an independent route: for each
+assignment of partners it hands the conjunctive system to scipy's HiGHS LP
+solver (`linprog(method="highs")`).  It is library code so that the tests
+and the benchmark can both call it as a cross-check of `feasible`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import _lp
 from .model_spaces import (
     Euclidean,
     GeometryError,
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 DELTA = 1e-9  # margin standing in for the strict inequalities in the d_GS definition
+_TRIANGLE_SLAB = 8  # rows per slab of the triangle check in FinitePointedSpace.validate
 
 
 class MetricError(ValueError):
@@ -107,11 +110,19 @@ class FinitePointedSpace:
             if d[mask].min() <= 0:
                 i, j = np.argwhere((d <= 0) & mask)[0]
                 raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
-        # V[i,j,k] = d(i,j) - d(i,k) - d(k,j)
-        viol = d[:, :, None] - d[:, None, :] - d.T[None, :, :]
-        worst = viol.max()
+        # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time so that
+        # memory stays O(n^2); the strict > keeps the first maximum, as argmax would
+        worst, at = -np.inf, None
+        for s in range(0, d.shape[0], _TRIANGLE_SLAB):
+            viol = d[s : s + _TRIANGLE_SLAB, :, None] - d[s : s + _TRIANGLE_SLAB, None, :]
+            viol -= d.T
+            flat = np.argmax(viol)
+            if viol.flat[flat] > worst:
+                worst = viol.flat[flat]
+                i, j, k = np.unravel_index(flat, viol.shape)
+                at = (s + i, j, k)
         if worst > tol:
-            i, j, k = np.unravel_index(np.argmax(viol), viol.shape)
+            i, j, k = at
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
                 f"d({i},{j}) > d({i},{k}) + d({k},{j})"
@@ -173,13 +184,6 @@ class FeasibilityResult:
     eps: float
 
 
-def _covering_sets(d1, d2, eps):
-    ball_radius = 1.0 / eps
-    covered1 = [i for i in range(d1.shape[0]) if d1[0, i] <= ball_radius]
-    covered2 = [j for j in range(d2.shape[0]) if d2[0, j] <= ball_radius]
-    return covered1, covered2
-
-
 def _candidates(rho_self, rho_other, eps_margin, k_nearest):
     """Partner indices within the exact radial window, nearest first."""
     gaps = np.abs(rho_other - rho_self)
@@ -188,6 +192,30 @@ def _candidates(rho_self, rho_other, eps_margin, k_nearest):
     idx = idx[order]
     truncated = idx.size > k_nearest
     return list(idx[:k_nearest]), truncated
+
+
+def _partner_options(d1, d2, eps, cap, k_nearest):
+    """Candidate partners of every point of the 1/eps-balls, X1's points first.
+
+    Returns (options, truncated): options lists (side, p, partners), side "r"
+    for a point p of X1 and "c" for a point of X2, and truncated says whether
+    the k_nearest cap dropped a candidate.  options is None when no assignment
+    exists: cap <= 0, or some point has no partner in its radial window.
+    """
+    if not (0.0 < eps < 0.5):
+        raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
+    if cap <= 0:
+        return None, False
+    rho1, rho2 = d1[0], d2[0]
+    options, truncated = [], False
+    for side, rho_self, rho_other in (("r", rho1, rho2), ("c", rho2, rho1)):
+        for p in np.flatnonzero(rho_self <= 1.0 / eps):
+            partners, tr = _candidates(rho_self[p], rho_other, cap, k_nearest)
+            truncated |= tr
+            if not partners:
+                return None, False
+            options.append((side, int(p), partners))
+    return options, truncated
 
 
 def _assignment_check(m, d1, d2, delta, tol=1e-11):
@@ -208,30 +236,11 @@ def feasible(
     max_nodes: int = 200000,
 ) -> FeasibilityResult:
     """Decide whether an admissible extension realizes the d_GS conditions at eps."""
-    if not (0.0 < eps < 0.5):
-        raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
     d1, d2 = a.dist, b.dist
     cap = eps - DELTA
-    if cap <= 0:
+    cands, truncated_any = _partner_options(d1, d2, eps, cap, k_nearest)
+    if cands is None:
         return FeasibilityResult(False, None, True, 0, eps)
-    covered1, covered2 = _covering_sets(d1, d2, eps)
-    rho1, rho2 = d1[0], d2[0]
-
-    # candidate partners per covered point (exact window, nearest-first)
-    cands = []
-    truncated_any = False
-    for x in covered1:
-        c, tr = _candidates(rho1[x], rho2, cap, k_nearest)
-        truncated_any |= tr
-        if not c:
-            return FeasibilityResult(False, None, True, 0, eps)
-        cands.append(("r", x, c))
-    for y in covered2:
-        c, tr = _candidates(rho2[y], rho1, cap, k_nearest)
-        truncated_any |= tr
-        if not c:
-            return FeasibilityResult(False, None, True, 0, eps)
-        cands.append(("c", y, c))
     cands.sort(key=lambda e: (len(e[2]), e[0], e[1]))  # most constrained first
 
     base = d1[:, [0]] + cap + d2[[0], :]
@@ -282,41 +291,32 @@ class _SearchTruncated(Exception):
 
 
 def lp_system(d1, d2, eps, bridges):
-    """A_ub, b_ub, lb, ub for the assignment-resolved feasibility system."""
+    """A_ub, b_ub, lb, ub for the assignment-resolved feasibility system.
+
+    Variable i * n2 + j is c(i, j).  The rows are |c(i1,j) - c(i2,j)| <= d1(i1,i2)
+    and c(i1,j) + c(i2,j) >= d1(i1,i2) for every column j, likewise along rows
+    with d2; the bridges (xs, ys) cap c(xs, ys) at eps - DELTA through ub.
+    """
     n1, n2 = d1.shape[0], d2.shape[0]
-    nv = n1 * n2
+    var = np.arange(n1 * n2).reshape(n1, n2)
+    pairs = []
+    for d, vs in ((d1, var), (d2, var.T)):
+        p, q = np.triu_indices(d.shape[0], 1)
+        pairs.append((vs[p].ravel(), vs[q].ravel(), np.repeat(d[p, q], vs.shape[1])))
+    u, v, w = (np.concatenate(x) for x in zip(*pairs))
+    rows = np.arange(u.size)
+    A = np.zeros((3 * u.size, n1 * n2))
+    for block, (su, sv) in enumerate(((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
+        A[block * u.size + rows, u] = su
+        A[block * u.size + rows, v] = sv
+    b = np.concatenate([w, w, -w])
+
     cap = eps - DELTA
-
-    def var(i, j):
-        return i * n2 + j
-
-    rows, rhs = [], []
-
-    def add(coefs, bound):
-        row = np.zeros(nv)
-        for v, c in coefs:
-            row[v] += c
-        rows.append(row)
-        rhs.append(bound)
-
-    for j in range(n2):
-        for i1 in range(n1):
-            for i2 in range(i1 + 1, n1):
-                add([(var(i1, j), 1.0), (var(i2, j), -1.0)], d1[i1, i2])
-                add([(var(i2, j), 1.0), (var(i1, j), -1.0)], d1[i1, i2])
-                add([(var(i1, j), -1.0), (var(i2, j), -1.0)], -d1[i1, i2])
-    for i in range(n1):
-        for j1 in range(n2):
-            for j2 in range(j1 + 1, n2):
-                add([(var(i, j1), 1.0), (var(i, j2), -1.0)], d2[j1, j2])
-                add([(var(i, j2), 1.0), (var(i, j1), -1.0)], d2[j1, j2])
-                add([(var(i, j1), -1.0), (var(i, j2), -1.0)], -d2[j1, j2])
-    for (xs, ys) in bridges:
-        add([(var(xs, ys), 1.0)], cap)
-
-    lb = np.full(nv, DELTA)
-    ub = (d1[:, [0]] + cap + d2[[0], :]).reshape(-1)
-    return np.array(rows), np.array(rhs), lb, ub
+    lb = np.full(n1 * n2, DELTA)
+    ub = d1[:, [0]] + cap + d2[[0], :]
+    for xs, ys in bridges:
+        ub[xs, ys] = min(ub[xs, ys], cap)
+    return A, b, lb, ub.reshape(-1)
 
 
 def feasible_lp(
@@ -326,39 +326,30 @@ def feasible_lp(
     k_nearest: int = 4,
     max_assignments: int = 20000,
 ) -> FeasibilityResult:
-    """Same decision as feasible(), via per-assignment simplex feasibility."""
-    if not (0.0 < eps < 0.5):
-        raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
+    """Same decision as feasible(), via one HiGHS LP per partner assignment.
+
+    Raises RuntimeError when HiGHS stops without deciding an LP.
+    """
     d1, d2 = a.dist, b.dist
-    cap = eps - DELTA
-    if cap <= 0:
+    options, truncated_any = _partner_options(d1, d2, eps, eps - DELTA, k_nearest)
+    if options is None:
         return FeasibilityResult(False, None, True, 0, eps)
-    covered1, covered2 = _covering_sets(d1, d2, eps)
-    rho1, rho2 = d1[0], d2[0]
-    option_lists = []
-    truncated_any = False
-    for x in covered1:
-        c, tr = _candidates(rho1[x], rho2, cap, k_nearest)
-        truncated_any |= tr
-        if not c:
-            return FeasibilityResult(False, None, True, 0, eps)
-        option_lists.append([(x, y) for y in c])
-    for y in covered2:
-        c, tr = _candidates(rho2[y], rho1, cap, k_nearest)
-        truncated_any |= tr
-        if not c:
-            return FeasibilityResult(False, None, True, 0, eps)
-        option_lists.append([(x, y) for x in c])
+    bridge_lists = [
+        [(p, q) if side == "r" else (q, p) for q in partners] for side, p, partners in options
+    ]
     count = 0
-    for combo in itertools.product(*option_lists) if option_lists else [()]:
+    for combo in itertools.product(*bridge_lists):
         count += 1
         if count > max_assignments:
             return FeasibilityResult(False, None, False, count, eps)
-        bridges = [(0, 0)] + list(combo)
-        A, rhs, lb, ub = lp_system(d1, d2, eps, bridges)
-        ok, x = _lp.simplex_feasibility(A, rhs, lb, ub)
-        if ok:
-            return FeasibilityResult(True, x.reshape(d1.shape[0], d2.shape[0]), True, count, eps)
+        A, rhs, lb, ub = lp_system(d1, d2, eps, [(0, 0), *combo])
+        res = linprog(np.zeros(lb.size), A_ub=A, b_ub=rhs, bounds=np.column_stack([lb, ub]),
+                      method="highs")
+        if res.status == 0:
+            witness = np.clip(res.x, lb, ub).reshape(d1.shape[0], d2.shape[0])
+            return FeasibilityResult(True, witness, True, count, eps)
+        if res.status != 2:
+            raise RuntimeError(f"LP oracle undecided at eps = {eps}: {res.message}")
     return FeasibilityResult(False, None, not truncated_any, count, eps)
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,7 +44,6 @@ from .model_spaces import (
 )
 
 __all__ = [
-    "KernelForm",
     "KernelEval",
     "kernel_for",
     "q_euclidean",
@@ -159,24 +157,11 @@ def q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
 # ------------------------------------------------------------- KernelEval
 
 
-class KernelForm(Enum):
-    CLOSED_FORM = "closed_form"
-    SCALED_HYPERBOLIC = "scaled_hyperbolic"
-    RADIAL_PDE = "radial_pde"
-
-
 @dataclass(frozen=True)
 class KernelEval:
-    """Radial evaluation context for q(t, o, .) on a homogeneous model space.
-
-    t_min is the domain of validity quoted for the Gaussian upper bound
-    (the bound is stated for t >= t_0); kernel values themselves are fine
-    for any t > 0.
-    """
+    """Closed-form radial evaluation of q(t, o, .) on a homogeneous model space."""
 
     space: ModelManifold
-    form: KernelForm
-    t_min: float = 1.0
 
     def log_q(self, t: float, dist) -> np.ndarray:
         sp = self.space
@@ -197,14 +182,13 @@ def kernel_for(space: ModelManifold) -> KernelEval:
     if isinstance(space, Euclidean):
         if space.dim not in (1, 2, 3):
             raise KernelError(f"kernel ops accept dim 1-3 only, got {space.dim}")
-        return KernelEval(space, KernelForm.CLOSED_FORM)
+        return KernelEval(space)
     if isinstance(space, Hyperbolic):
         if space.dim not in (2, 3):
             raise KernelError(f"hyperbolic kernels need dim 2 or 3, got {space.dim}")
-        form = KernelForm.CLOSED_FORM if space.k == 1.0 else KernelForm.SCALED_HYPERBOLIC
-        return KernelEval(space, form)
+        return KernelEval(space)
     if isinstance(space, HalfPlane):
-        return KernelEval(space, KernelForm.CLOSED_FORM)
+        return KernelEval(space)
     if isinstance(space, RotSymSurface):
         raise KernelError("rotationally symmetric surfaces have no closed-form kernel; "
                           "use radial_fokker_planck")

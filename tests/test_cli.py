@@ -111,6 +111,26 @@ def test_gromov_cli(tmp_path, capsys):
     assert "0.5" in outp
 
 
+def test_gromov_cli_reports_exactness(tmp_path, capsys):
+    angles = np.arange(6) * np.pi / 3
+    hexagon = np.column_stack([np.cos(angles), np.sin(angles)])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write_space(a, np.vstack([[0.0, 0.0], hexagon]))
+    _write_space(b, np.vstack([[0.0, 0.0], 1.3 * (hexagon @ [[np.cos(0.3), np.sin(0.3)],
+                                                             [-np.sin(0.3), np.cos(0.3)]])]))
+    assert main(["gromov", "--a", str(a), "--b", str(b), "--tol", "1e-3"]) == EXIT_OK
+    cap = capsys.readouterr()
+    assert "(value = 0.500000000)  exact=False" in cap.out
+    assert "truncated" in cap.err and "lower end" in cap.err
+
+    _write_space(a, [[0.0], [0.5]])
+    _write_space(b, [[0.0], [0.6]])
+    assert main(["gromov", "--a", str(a), "--b", str(b), "--tol", "1e-3"]) == EXIT_OK
+    cap = capsys.readouterr()
+    assert cap.out.rstrip().endswith("exact=True")
+    assert "truncated" not in cap.err
+
+
 def test_gromov_cli_witness_roundtrip(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdl.gromov
 from rdl.gromov import (
     DELTA,
     AdmissibleExtension,
@@ -59,6 +62,31 @@ def test_space_from_random_points_validates(seed, n):
     sp = _space_from_points(rng.uniform(-3, 3, (n, 2)))
     assert sp.n == n
     sp.validate()
+
+
+def test_space_validation_memory_is_quadratic():
+    rng = np.random.default_rng(5)
+    d = _space_from_points(rng.uniform(-1, 1, (300, 2))).dist
+    tracemalloc.start()
+    try:
+        FinitePointedSpace(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # an n^3 float tensor alone is 216 MB
+
+
+@pytest.mark.parametrize("pair", [(33, 35), (5, 35)])
+def test_space_triangle_error_names_first_worst_triple(pair):
+    rng = np.random.default_rng(6)
+    d = _space_from_points(rng.uniform(-1, 1, (40, 2))).dist.copy()
+    p, q = pair
+    d[p, q] = d[q, p] = d[p, q] + 3.0
+    full = d[:, :, None] - d[:, None, :] - d.T[None, :, :]
+    i, j, k = np.unravel_index(np.argmax(full), full.shape)
+    with pytest.raises(MetricError) as err:
+        FinitePointedSpace(d)
+    assert f"violated by {full.max():.3g} at (i={i}, j={j}, k={k})" in str(err.value)
 
 
 def test_admissible_extension_validator():
@@ -157,8 +185,20 @@ def test_feasible_agrees_with_lp_oracle_on_100_instances():
         r2 = feasible_lp(a, b, eps)
         assert r1.feasible == r2.feasible, (a.dist, b.dist, eps)
         if r2.feasible:
+            assert (r2.witness > 0).all()
             AdmissibleExtension(r2.witness).validate(a.dist, b.dist, tol=1e-6)
         checked += 1
+
+
+def test_lp_oracle_raises_when_highs_gives_up(monkeypatch):
+    a, b = _random_instance(np.random.default_rng(9), 2, 3)
+
+    def iteration_limit(*args, **kwargs):
+        return SimpleNamespace(status=1, x=None, message="Iteration limit reached.")
+
+    monkeypatch.setattr(rdl.gromov, "linprog", iteration_limit)
+    with pytest.raises(RuntimeError, match="Iteration limit"):
+        feasible_lp(a, b, 0.3)
 
 
 def _grid_feasible(a, b, eps, step):
