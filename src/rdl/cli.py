@@ -12,8 +12,8 @@ configuration and the SHA-256 digests of its outputs; identical manifests
 significant digits so regression files are bit-stable.
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
-4 internal invariant failure.  --threads (or RDL_THREADS) caps worker
-processes; it never affects results and is recorded in the manifest.
+4 internal invariant failure.  --threads (or RDL_THREADS) is recorded in the
+manifest and has no effect yet: every command runs in one process.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _SPACE_ALIASES = {
     "e3": {"kind": "euclidean", "dim": 3},
     "h2": {"kind": "hyperbolic", "dim": 2},
     "h3": {"kind": "hyperbolic", "dim": 3},
-    "halfplane": {"kind": "halfplane"},
+    "halfplane": {"kind": "halfplane", "dim": 2},
     "euclidean": {"kind": "euclidean"},
     "hyperbolic": {"kind": "hyperbolic"},
 }
@@ -70,19 +70,26 @@ def _space_from_args(name, dim, kappa):
     if name not in _SPACE_ALIASES:
         raise UsageError(f"unknown space {name!r} (choose from {sorted(_SPACE_ALIASES)})")
     desc = dict(_SPACE_ALIASES[name])
+    if dim is not None and desc.setdefault("dim", dim) != dim:
+        raise UsageError(f"--dim {dim} contradicts --space {name}, which has dimension {desc['dim']}")
     if desc["kind"] == "euclidean":
-        desc.setdefault("dim", dim if dim is not None else 2)
-        if dim is not None:
-            desc["dim"] = dim
+        desc.setdefault("dim", 2)
     if desc["kind"] == "hyperbolic":
+        if "dim" not in desc:
+            raise UsageError(f"--space {name} needs --dim")
         desc["k"] = kappa if kappa is not None else 1.0
-        if dim is not None:
-            desc["dim"] = dim
     return space_from_json(desc)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _csv_block(lead: str, cols) -> str:
+    """CSV rows `lead` + the row's values of `cols`, each value as %.17g.
+
+    One % operation formats the whole block; '%.17g' % x gives the bytes of
+    f"{x:.17g}", so the file matches a per-row writer byte for byte.
+    """
+    block = np.column_stack(cols)
+    row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return row * block.shape[0] % tuple(block.ravel().tolist())
 
 
 def _sha256(path: str) -> str:
@@ -139,8 +146,7 @@ def _cmd_simulate(args) -> int:
         with open(out, "w") as fh:
             fh.write("path_id,t,x,y\n")
             for i, p in enumerate(paths):
-                for t, x, y in zip(p.times, p.x, p.y):
-                    fh.write(f"{i},{_fmt(t)},{_fmt(x)},{_fmt(y)}\n")
+                fh.write(_csv_block(f"{i},", [p.times, p.x, p.y]))
     else:
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
@@ -148,8 +154,7 @@ def _cmd_simulate(args) -> int:
         with open(out, "w") as fh:
             fh.write("path_id,t,r,h_minus_t,theta\n")
             for i, p in enumerate(paths):
-                for t, r, hmt, th in zip(p.times, p.r, p.h_minus_t, p.theta):
-                    fh.write(f"{i},{_fmt(t)},{_fmt(r)},{_fmt(hmt)},{_fmt(th)}\n")
+                fh.write(_csv_block(f"{i},", [p.times, p.r, p.h_minus_t, p.theta]))
     echo = {k: getattr(args, k) for k in
             ("space", "profile", "kappa", "t_max", "dt", "paths", "seed", "r0", "r_cap",
              "record_stride")}
@@ -238,8 +243,8 @@ def _cmd_kernel(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("t,r,q\n")
         for t in (float(x) for x in args.t.split(",")):
-            for r in rs:
-                fh.write(f"{_fmt(t)},{_fmt(r)},{_fmt(float(ker.q(t, r)))}\n")
+            qs = [float(ker.q(t, r)) for r in rs]
+            fh.write(_csv_block("", [np.full(rs.size, t), rs, qs]))
     echo = {"space": args.space, "dim": args.dim, "kappa": args.kappa, "t": args.t,
             "r_max": args.r_max, "points": args.points, "threads": _threads(args)}
     _write_manifest("kernel", echo, [args.out], None, time.time() - t0)
@@ -253,7 +258,7 @@ def _cmd_kernel(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rdl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=None, help="cap worker count (no effect on results)")
+    p.add_argument("--threads", type=int, default=None, help="recorded in the manifest; no effect yet")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run SDE paths and dump a trajectory CSV")

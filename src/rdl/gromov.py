@@ -200,11 +200,13 @@ def _partner_options(d1, d2, eps, cap, k_nearest):
     Returns (options, truncated): options lists (side, p, partners), side "r"
     for a point p of X1 and "c" for a point of X2, and truncated says whether
     the k_nearest cap dropped a candidate.  options is None when no assignment
-    exists: cap <= 0, or some point has no partner in its radial window.
+    exists: cap < DELTA, below the lower bound DELTA of every cross distance
+    (so the basepoint bridge cannot hold), or some point has no partner in its
+    radial window.
     """
     if not (0.0 < eps < 0.5):
         raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
-    if cap <= 0:
+    if cap < DELTA:
         return None, False
     rho1, rho2 = d1[0], d2[0]
     options, truncated = [], False

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rdl.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
+from rdl.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, _csv_block, main
 from rdl.gromov import AdmissibleExtension, FinitePointedSpace
 
 
@@ -45,6 +46,37 @@ def test_simulate_deterministic_bytes(tmp_path, monkeypatch):
     ma = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     mb = json.loads((tmp_path / "b.csv.manifest.json").read_text())
     assert ma["outputs"]["a.csv"] == mb["outputs"]["b.csv"]
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("cols", [
+    [EDGE_VALUES, EDGE_VALUES[::-1], np.roll(EDGE_VALUES, 3)],
+    [EDGE_VALUES],
+    [[0.1], [-0.0], [math.nan], [5e-324]],
+    [np.arange(5) * 0.01, np.linspace(-1e-300, 7.0, 5)],
+])
+def test_csv_block_matches_per_row_format(cols):
+    rows = zip(*cols)
+    expected = "".join("7," + ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows)
+    assert _csv_block("7,", cols) == expected
+
+
+# SHA-256 of each output as a per-row f"{x:.17g}" writer produces it
+@pytest.mark.parametrize("argv, digest", [
+    (["simulate", "--space", "halfplane", "--paths", "3", "--t-max", "1", "--record-stride", "7"],
+     "bf76438a146bf67181a771cf28e1fd64425417ad9d34ae2278de1185f60fe484"),
+    (["simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1", "--dt", "0.001",
+      "--record-stride", "100"],
+     "83127e34ac5fafa40de7003e44c3b8a885cb5b7396db55ee26f9927fab4b5473"),
+    (["kernel", "--space", "h2", "--t", "1,4", "--points", "11"],
+     "f4a19927cea79f44dcf6c87c76564aac50f451d6bda180f5f7e1f333238ad2f5"),
+])
+def test_cli_writers_golden_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_usage_errors(tmp_path):
@@ -174,6 +206,33 @@ def test_kernel_out_of_catalog_dim_is_usage_error(tmp_path):
     # KernelError is a ValueError: an unsupported dimension is an input error
     out = tmp_path / "k.csv"
     assert main(["kernel", "--space", "e1", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
+
+
+def test_kernel_out_of_catalog_euclidean_dim_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", "euclidean", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
+    assert "dim 1-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--space", "h2", "--dim", "3"],
+    ["report", "--space", "e1", "--dim", "3"],
+    ["kernel", "--space", "h3", "--dim", "2"],
+    ["kernel", "--space", "halfplane", "--dim", "3"],
+])
+def test_dim_contradicting_alias_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "kernel":
+        argv = argv + ["--out", str(tmp_path / "k.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "contradicts" in capsys.readouterr().err
+
+
+def test_hyperbolic_space_needs_dim(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", "hyperbolic", "--out", str(out)]) == EXIT_USAGE
+    assert "needs --dim" in capsys.readouterr().err
+    assert main(["kernel", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--points", "3",
+                 "--out", str(out)]) == EXIT_OK
 
 
 def test_missing_file_is_usage_error(tmp_path):

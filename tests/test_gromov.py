@@ -135,6 +135,16 @@ def test_two_point_spaces_nearby_lengths():
     assert not feasible(a, b, 0.05).feasible  # |1 - 1.2|/2 = 0.1 is the scale
 
 
+def test_basepoint_bridge_cap_below_delta_is_infeasible():
+    # at DELTA < eps < 2 DELTA the bridge cap eps - DELTA lies below every entry's
+    # lower bound DELTA; HiGHS would accept bounds crossed by less than 1e-7
+    pair = _space_from_points([[0.0], [1.0]])
+    assert not feasible(pair, pair, 1.5e-9).feasible
+    assert not feasible_lp(pair, pair, 1.5e-9).feasible
+    assert feasible(pair, pair, 2.5e-9).feasible
+    assert feasible_lp(pair, pair, 2.5e-9).feasible
+
+
 def test_witness_always_validates():
     rng = np.random.default_rng(5)
     for _ in range(20):
