@@ -40,7 +40,7 @@ from .gromov import (
     gromov_distance,
 )
 from .heat_kernels import kernel_for
-from .model_spaces import GeometryError, builtin_profile, space_from_json
+from .model_spaces import GeometryError, HalfPlane, builtin_profile, space_from_json
 from .sde_sim import SimConfig, simulate_halfplane, simulate_radial
 
 EXIT_OK = 0
@@ -64,6 +64,16 @@ _SPACE_ALIASES = {
     "hyperbolic": {"kind": "hyperbolic"},
 }
 
+# Curvature parameter k of the profiles that fix it; kaimanovich has none.
+_PROFILE_K = {"euclid": 0.0, "kaimanovich": None}
+
+
+def _check_kappa(kappa, k, what):
+    """--kappa may only repeat the k that a space or profile already fixes."""
+    if kappa is not None and kappa != k:
+        has = "no curvature parameter" if k is None else f"k = {k:g}"
+        raise UsageError(f"--kappa {kappa:g} contradicts {what}, which has {has}")
+
 
 def _space_from_args(name, dim, kappa):
     name = name.lower()
@@ -78,7 +88,9 @@ def _space_from_args(name, dim, kappa):
         if "dim" not in desc:
             raise UsageError(f"--space {name} needs --dim")
         desc["k"] = kappa if kappa is not None else 1.0
-    return space_from_json(desc)
+    space = space_from_json(desc)
+    _check_kappa(kappa, space.k, f"--space {name}")
+    return space
 
 
 def _csv_block(lead: str, cols) -> str:
@@ -142,12 +154,15 @@ def _cmd_simulate(args) -> int:
     if args.space is not None:
         if args.space.lower() != "halfplane":
             raise UsageError("--space supports only 'halfplane'; curved radial runs use --profile")
+        _check_kappa(args.kappa, HalfPlane.k, "--space halfplane")
         paths = simulate_halfplane(cfg)
         with open(out, "w") as fh:
             fh.write("path_id,t,x,y\n")
             for i, p in enumerate(paths):
                 fh.write(_csv_block(f"{i},", [p.times, p.x, p.y]))
     else:
+        if args.profile != "hyperbolic":
+            _check_kappa(args.kappa, _PROFILE_K[args.profile], f"--profile {args.profile}")
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)

@@ -24,14 +24,8 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .heat_kernels import _drift_scale, _truncation_radius, kernel_for
-from .model_spaces import (
-    Euclidean,
-    HalfPlane,
-    Hyperbolic,
-    ModelManifold,
-    space_from_json,
-)
+from .heat_kernels import kernel_for, truncation_radius
+from .model_spaces import HalfPlane, ModelManifold, space_from_json
 
 __all__ = [
     "EstimatorError",
@@ -67,15 +61,10 @@ class NonConvergedError(RuntimeError):
     """An estimate did not stabilize on the requested grid."""
 
 
-def truncation_radius(space: ModelManifold, t: float) -> float:
-    """Shared truncation radius from the Gaussian bound (D=3, 1e-10 tail)."""
-    return _truncation_radius(space, t)
-
-
 def _radial_integral(space: ModelManifold, t: float, weight, r_hi: float | None = None) -> float:
     """int_0^R w(r, log_q(r)) exp(log_q + log_area) dr, split at the ridge."""
     ker = kernel_for(space)
-    v = _drift_scale(space)
+    v = (space.dim - 1) * space.k / 2.0
     ridge = max(v * t, math.sqrt(t))
 
     def integrand(r):
@@ -88,7 +77,7 @@ def _radial_integral(space: ModelManifold, t: float, weight, r_hi: float | None 
             return 0.0
         return weight(r, lq) * math.exp(val)
 
-    hi = r_hi if r_hi is not None else _truncation_radius(space, t)
+    hi = r_hi if r_hi is not None else truncation_radius(space, t)
     pieces = [0.0, min(ridge, hi), hi]
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
@@ -402,15 +391,12 @@ def default_t_grid(space: ModelManifold) -> list[float]:
     quadratures) so the finite-t entropy increment d/(2t) falls below the
     chain's slack tolerance.
     """
-    if isinstance(space, Euclidean):
+    kernel_for(space)  # out-of-catalog spaces raise KernelError, not AttributeError
+    if space.k == 0:
         return [100.0, 500.0, 1000.0, 1500.0, 2000.0, 2400.0, 2450.0, 2500.0]
-    k = getattr(space, "k", 1.0)
+    k = space.k
     base = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 38.0, 39.0, 40.0]
     return [t / (k * k) for t in base]
-
-
-def _is_negatively_curved(space: ModelManifold) -> bool:
-    return isinstance(space, (Hyperbolic, HalfPlane))
 
 
 def inequality_report(
@@ -456,7 +442,7 @@ def inequality_report(
         InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h_inc),
         InequalityStatus.check("h_le_ell_v", h_inc, ell_up * v),
     ]
-    if _is_negatively_curved(space):
+    if space.k > 0:
         checks.append(InequalityStatus.check("two_ell_sq_le_h", 2.0 * ell * ell, h_inc))
         if k_val is not None:
             checks.append(InequalityStatus.check("two_ell_sq_le_k", 2.0 * ell * ell, k_val))

@@ -32,20 +32,12 @@ and the benchmark can both call it as a cross-check of `feasible`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .model_spaces import (
-    Euclidean,
-    GeometryError,
-    HalfPlane,
-    Hyperbolic,
-    ModelManifold,
-    RotSymSurface,
-)
+from .model_spaces import GeometryError, ModelManifold
 
 __all__ = [
     "MetricError",
@@ -494,10 +486,8 @@ def net_from_manifold(
     """Greedy farthest-point net of the radius-ball: mesh-dense w.r.t. a dense
     candidate pool and mesh-separated, with the basepoint first and exact
     pairwise distances."""
-    if isinstance(space, RotSymSurface):
-        raise GeometryError("rotationally symmetric surfaces have no exact pairwise distances")
-    if not isinstance(space, (Euclidean, Hyperbolic, HalfPlane)):
-        raise GeometryError(f"nets unsupported on {space!r}")
+    if not space.homogeneous:
+        raise GeometryError(f"{space.label()} has no exact pairwise distances")
     if radius <= 0 or mesh <= 0:
         raise GeometryError("need radius > 0 and mesh > 0")
     rng = np.random.default_rng(seed)
@@ -506,15 +496,7 @@ def net_from_manifold(
         pool_size = int(min(20000, max(500, 40 * est)))
 
     rs = _sample_radii(space, radius, pool_size, rng)
-    if isinstance(space, HalfPlane):
-        phi = rng.uniform(0.0, 2.0 * math.pi, pool_size)
-        pool = _halfplane_from_polar(rs, phi)
-        pool = np.vstack([[0.0, 1.0], pool])
-    else:
-        dirs = rng.standard_normal((pool_size, space.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pool = dirs * rs[:, None]
-        pool = np.vstack([np.zeros(space.dim), pool])
+    pool = np.vstack([space.basepoint, space.points_at_radii(rs, rng)])
 
     chosen = [0]
     dmin = space.dist_to_many(pool, pool[0])
@@ -542,10 +524,3 @@ def _sample_radii(space: ModelManifold, radius: float, size: int, rng) -> np.nda
     cdf /= cdf[-1]
     return np.interp(rng.uniform(0.0, 1.0, size), cdf, grid)
 
-
-def _halfplane_from_polar(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Geodesic polar coordinates about i mapped into half-plane coordinates
-    through the Poincare disk (w = tanh(r/2) e^{i phi}, z = i (1+w)/(1-w))."""
-    w = np.tanh(r / 2.0) * np.exp(1j * phi)
-    z = 1j * (1.0 + w) / (1.0 - w)
-    return np.column_stack([z.real, np.maximum(z.imag, 1e-300)])

@@ -34,18 +34,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from .model_spaces import (
-    Euclidean,
-    HalfPlane,
-    Hyperbolic,
-    ModelManifold,
-    ProfileFunction,
-    RotSymSurface,
-)
+from .model_spaces import ModelManifold, ProfileFunction
 
 __all__ = [
     "KernelEval",
     "kernel_for",
+    "truncation_radius",
     "q_euclidean",
     "log_q_euclidean",
     "q_hyperbolic",
@@ -159,40 +153,31 @@ def q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Closed-form radial evaluation of q(t, o, .) on a homogeneous model space."""
+    """Closed-form radial evaluation of q(t, o, .) on a catalog space (dim, k)."""
 
     space: ModelManifold
 
     def log_q(self, t: float, dist) -> np.ndarray:
         sp = self.space
-        if isinstance(sp, Euclidean):
+        if sp.k == 0:
             return log_q_euclidean(t, sp.dim, dist)
-        if isinstance(sp, Hyperbolic):
-            return log_q_hyperbolic(t, sp.dim, sp.k, dist)
-        if isinstance(sp, HalfPlane):
-            return log_q_hyperbolic(t, 2, 1.0, dist)
-        raise KernelError(f"no kernel evaluator for {sp.label()}")
+        return log_q_hyperbolic(t, sp.dim, sp.k, dist)
 
     def q(self, t: float, dist) -> np.ndarray:
         return np.exp(self.log_q(t, dist))
 
 
 def kernel_for(space: ModelManifold) -> KernelEval:
-    """Closed-form kernel evaluator; rejects out-of-catalog spaces and dims."""
-    if isinstance(space, Euclidean):
+    """The gate to the kernel catalog: rejects inhomogeneous spaces and
+    dimensions without a closed form, judged from (dim, k)."""
+    if not space.homogeneous:
+        raise KernelError(f"{space.label()} has no closed-form kernel; use radial_fokker_planck")
+    if space.k == 0:
         if space.dim not in (1, 2, 3):
             raise KernelError(f"kernel ops accept dim 1-3 only, got {space.dim}")
-        return KernelEval(space)
-    if isinstance(space, Hyperbolic):
-        if space.dim not in (2, 3):
-            raise KernelError(f"hyperbolic kernels need dim 2 or 3, got {space.dim}")
-        return KernelEval(space)
-    if isinstance(space, HalfPlane):
-        return KernelEval(space)
-    if isinstance(space, RotSymSurface):
-        raise KernelError("rotationally symmetric surfaces have no closed-form kernel; "
-                          "use radial_fokker_planck")
-    raise KernelError(f"no kernel for {space!r}")
+    elif space.dim not in (2, 3):
+        raise KernelError(f"hyperbolic kernels need dim 2 or 3, got {space.dim}")
+    return KernelEval(space)
 
 
 # --------------------------------------------------------- kernel diagnostics
@@ -216,32 +201,23 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
         return float(ker.log_q(t + tau, r)) - float(ker.log_q(t, r))
 
     # the integrand has a kink where the two kernels cross; quad needs it as an endpoint
-    r_hi = _truncation_radius(space, t + tau)
+    r_hi = truncation_radius(space, t + tau)
     cuts = [0.0, r_hi]
     if log_ratio(0.0) * log_ratio(r_hi) < 0:
         cuts.insert(1, brentq(log_ratio, 0.0, r_hi))
     return float(sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:])))
 
 
-def _drift_scale(space: ModelManifold) -> float:
-    if isinstance(space, Euclidean):
-        return 0.0
-    if isinstance(space, Hyperbolic):
-        return (space.dim - 1) * space.k / 2.0
-    if isinstance(space, HalfPlane):
-        return 0.5
-    raise KernelError(f"no radial drift scale for {space.label()}")
-
-
-def _truncation_radius(space: ModelManifold, t: float, tail_exponent: float = 40.0) -> float:
+def truncation_radius(space: ModelManifold, t: float, tail_exponent: float = 40.0) -> float:
     """Radius beyond which q * sphere_area is below e^-tail_exponent.
 
     Derived from the Gaussian upper bound with D = 3: the bounding integrand
-    exp(-r^2/3t + 2 v r) (v = asymptotic radial drift) falls below the tail
-    budget at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * tail_exponent); e^-40 with
-    polynomial slop is far below the 1e-10 budget.
+    exp(-r^2/3t + 2 v r) (v = (dim-1) k/2, the asymptotic radial drift) falls
+    below the tail budget at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * tail_exponent);
+    e^-40 with polynomial slop is far below the 1e-10 budget.
     """
-    v = _drift_scale(space)
+    kernel_for(space)  # out-of-catalog spaces raise KernelError, not AttributeError
+    v = (space.dim - 1) * space.k / 2.0
     return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * tail_exponent) + 5.0
 
 
@@ -392,15 +368,13 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
     1-D convolution on the line.
     """
     ker = kernel_for(space)
-    if isinstance(space, Euclidean) and space.dim == 1:
+    dim, k = space.dim, space.k
+    if k == 0 and dim == 1:
         def integrand(x):
             return float(ker.q(s, abs(x))) * float(ker.q(t, abs(x - rho)))
         hi = 12.0 * math.sqrt(max(s, t)) + rho
         val, _ = quad(integrand, -hi, hi, limit=300)
-    elif isinstance(space, (Hyperbolic, HalfPlane)):
-        dim = space.dim
-        k = getattr(space, "k", 1.0)
-
+    elif k > 0:
         def inner(r):
             def ang(theta):
                 cd = math.cosh(k * r) * math.cosh(k * rho) - math.sinh(k * r) * math.sinh(
@@ -416,7 +390,7 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
             )
             return v * float(ker.q(s, r)) * sphere_factor
 
-        val, _ = quad(inner, 0.0, _truncation_radius(space, s), limit=200)
+        val, _ = quad(inner, 0.0, truncation_radius(space, s), limit=200)
     else:
         raise KernelError(f"no Chapman-Kolmogorov quadrature for {space.label()}")
     ref = float(ker.q(s + t, rho))

@@ -4,6 +4,12 @@ The catalog covers flat space, constant-curvature hyperbolic space (curvature
 -k^2), the hyperbolic upper half-plane in its own chart, and rotationally
 symmetric surfaces ds^2 = dr^2 + p(r)^2 dtheta^2 given by a profile p.
 
+Every homogeneous catalog space carries its curvature parameter k
+(curvature -k^2): 0 on R^d, 1 on the half-plane, the given k on H^d.  The
+kernel, drift-scale and horizon code reads (dim, k) and nothing else;
+RotSymSurface has no k and homogeneous = False, which keeps it out of the
+kernel catalog.
+
 Coordinate charts:
   * Euclidean(d):   points are length-d vectors.
   * Hyperbolic(d,k): points are length-d vectors in geodesic normal
@@ -191,6 +197,13 @@ class ModelManifold:
     def distance_bound(self, a, b) -> DistanceBound:
         raise NotImplementedError
 
+    def points_at_radii(self, rs: np.ndarray, rng) -> np.ndarray:
+        """Points at distances rs from the basepoint in uniformly random
+        directions; the default chart is geodesic normal coordinates."""
+        dirs = rng.standard_normal((rs.size, self.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return dirs * rs[:, None]
+
     def pairwise_distances(self, points) -> np.ndarray:
         pts = [self.validate_point(p) for p in points]
         n = len(pts)
@@ -255,6 +268,8 @@ class ModelManifold:
 
 
 class Euclidean(ModelManifold):
+    k = 0.0
+
     def __init__(self, dim: int):
         if not isinstance(dim, int) or dim < 1:
             raise GeometryError(f"Euclidean dimension must be a positive integer, got {dim}")
@@ -408,6 +423,14 @@ class HalfPlane(ModelManifold):
         p = self.validate_point(pt)
         arg = 1.0 + ((pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2) / (2.0 * pts[:, 1] * p[1])
         return np.arccosh(np.maximum(arg, 1.0))
+
+    def points_at_radii(self, rs: np.ndarray, rng) -> np.ndarray:
+        """Geodesic polar coordinates about i mapped into half-plane coordinates
+        through the Poincare disk (w = tanh(r/2) e^{i phi}, z = i (1+w)/(1-w))."""
+        phi = rng.uniform(0.0, 2.0 * math.pi, rs.size)
+        w = np.tanh(rs / 2.0) * np.exp(1j * phi)
+        z = 1j * (1.0 + w) / (1.0 - w)
+        return np.column_stack([z.real, np.maximum(z.imag, 1e-300)])
 
     def sphere_area(self, r: float) -> float:
         if r < 0:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model_spaces import ProfileFunction
+from .model_spaces import HalfPlane, ProfileFunction
 
 __all__ = [
     "SimConfig",
@@ -112,9 +112,7 @@ class HalfPlanePath:
     y: np.ndarray
 
     def hyperbolic_dist_from(self, pt) -> np.ndarray:
-        x0, y0 = float(pt[0]), float(pt[1])
-        arg = 1.0 + ((self.x - x0) ** 2 + (self.y - y0) ** 2) / (2.0 * self.y * y0)
-        return np.arccosh(np.maximum(arg, 1.0))
+        return HalfPlane().dist_to_many(np.column_stack([self.x, self.y]), pt)
 
 
 def simulate_halfplane(cfg: SimConfig, start=(0.0, 1.0)) -> list[HalfPlanePath]:

@@ -126,6 +126,16 @@ def test_report_ensemble_mixture(tmp_path, capsys):
     assert rep["ell_plus"] == pytest.approx(2.0)
 
 
+def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, capsys):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"components": [
+        {"weight": 0.5, "space": {"kind": "rotsym", "profile": "kaimanovich"}},
+        {"weight": 0.5, "drift": 1.0},
+    ]}))
+    assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
+    assert "no closed-form kernel" in capsys.readouterr().err
+
+
 def test_report_usage(tmp_path):
     assert main(["report"]) == EXIT_USAGE
     assert main(["report", "--space", "h2", "--ensemble-file", "x.json"]) == EXIT_USAGE
@@ -225,6 +235,42 @@ def test_dim_contradicting_alias_is_usage_error(tmp_path, capsys, argv):
         argv = argv + ["--out", str(tmp_path / "k.csv")]
     assert main(argv) == EXIT_USAGE
     assert "contradicts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "halfplane", "--kappa", "2"],
+    ["kernel", "--space", "e2", "--kappa", "2"],
+    ["report", "--space", "euclidean", "--dim", "3", "--kappa", "0.5"],
+    ["simulate", "--space", "halfplane", "--kappa", "2"],
+    ["simulate", "--profile", "euclid", "--kappa", "2"],
+    ["simulate", "--profile", "kaimanovich", "--kappa", "1"],
+])
+def test_kappa_contradicting_fixed_curvature_is_usage_error(tmp_path, capsys, argv):
+    # --kappa used to be ignored here: the k = 1 (or flat) run went ahead and
+    # the manifest recorded the contradicting kappa
+    out = tmp_path / "o.csv"
+    if argv[0] != "report":
+        argv = argv + ["--out", str(out)]
+    if argv[0] == "simulate":
+        argv = argv + ["--t-max", "0.1", "--paths", "2"]
+    assert main(argv) == EXIT_USAGE
+    assert "contradicts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "halfplane", "--kappa", "1"],
+    ["kernel", "--space", "e3", "--kappa", "0"],
+    ["simulate", "--space", "halfplane", "--kappa", "1"],
+    ["simulate", "--profile", "euclid", "--kappa", "0"],
+])
+def test_kappa_repeating_fixed_curvature_is_accepted(tmp_path, argv):
+    argv = argv + ["--out", str(tmp_path / "o.csv")]
+    if argv[0] == "simulate":
+        argv = argv + ["--t-max", "0.1", "--paths", "2"]
+    else:
+        argv = argv + ["--points", "3"]
+    assert main(argv) == EXIT_OK
 
 
 def test_hyperbolic_space_needs_dim(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -445,14 +446,28 @@ def test_net_curvature_trend():
 
 def test_halfplane_net_roundtrip_distances():
     # the disk -> half-plane map used for sampling preserves radial distance
-    from rdl.gromov import _halfplane_from_polar
-
     hp = HalfPlane()
-    pts = _halfplane_from_polar(np.array([0.5, 1.0, 2.0]), np.array([0.3, 2.0, 4.0]))
-    for r, p in zip((0.5, 1.0, 2.0), pts):
+    rs = np.array([0.5, 1.0, 2.0, 3.0])
+    pts = hp.points_at_radii(rs, np.random.default_rng(4))
+    for r, p in zip(rs, pts):
         assert hp.distance((0.0, 1.0), p) == pytest.approx(r, abs=1e-9)
     net = net_from_manifold(hp, radius=1.0, mesh=0.5, seed=2)
     net.validate()
+
+
+@pytest.mark.parametrize("space, radius, seed, n, digest", [
+    (HalfPlane(), 1.5, 1, 25, "875912cdf7ed82b9fe7e6a49ac668a3eb02fe7d1e44231544028aa0a63737d20"),
+    (Hyperbolic(2), 2.0, 1, 60, "5d16a6598afbe362ad63dcc98fa940c1348432d7ef61210c7735eea8ae95cb02"),
+    (Hyperbolic(3), 1.0, 2, 45, "b0d25bd16f9ffac5f56820f727f97331670637b3b413b3066084a6ae8f2fb987"),
+    (Euclidean(2), 1.0, 1, 13, "71f3de9de6ed2c71f9d26d4d1f1475deb4e68fb8bb10bee9f41e7a5dd2c9b877"),
+], ids=["halfplane", "h2", "h3", "e2"])
+def test_net_dist_golden_bytes(space, radius, seed, n, digest):
+    # SHA-256 of the distance matrix bytes, recorded before the sampling chart
+    # moved onto the space classes (numpy 2.4, x86_64): the RNG draws and the
+    # chart arithmetic must not change
+    net = net_from_manifold(space, radius=radius, mesh=0.5, seed=seed)
+    assert net.n == n
+    assert hashlib.sha256(net.dist.tobytes()).hexdigest() == digest
 
 
 # ------------------------------------------------------------- json round

@@ -7,6 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from rdl.estimators import (
+    DriftComponent,
+    Ensemble,
+    default_t_grid,
+    ensemble_drift,
+    inequality_report,
+)
 from rdl.heat_kernels import (
     KernelError,
     chapman_kolmogorov_residual,
@@ -16,6 +23,7 @@ from rdl.heat_kernels import (
     q_euclidean,
     q_hyperbolic,
     radial_fokker_planck,
+    truncation_radius,
     zero_two_defect,
 )
 from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
@@ -91,6 +99,20 @@ def test_halfplane_kernel_equals_h2():
     a = float(kernel_for(HalfPlane()).log_q(1.0, 0.7))
     b = float(log_q_hyperbolic(1.0, 2, 1.0, 0.7))
     assert a == pytest.approx(b, rel=1e-14)
+
+
+def test_halfplane_and_h2_share_kernel_horizons_and_truncation_bitwise():
+    # the half-plane is H^2 with k = 1 in another chart: every radial quantity
+    # is read from (dim, k), so the two must agree to the last bit
+    hp, h2 = HalfPlane(), Hyperbolic(2, 1.0)
+    rs = np.linspace(0.0, 12.0, 61)
+    for t in (0.5, 1.0, 7.0):
+        a = np.asarray(kernel_for(hp).log_q(t, rs))
+        b = np.asarray(kernel_for(h2).log_q(t, rs))
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() == np.asarray(log_q_hyperbolic(t, 2, 1.0, rs)).tobytes()
+        assert truncation_radius(hp, t) == truncation_radius(h2, t)
+    assert default_t_grid(hp) == default_t_grid(h2)
 
 
 def test_chapman_kolmogorov():
@@ -248,3 +270,26 @@ def test_fp_csv_export(tmp_path):
 def test_rotsym_has_no_closed_form_kernel():
     with pytest.raises(KernelError):
         kernel_for(RotSymSurface(builtin_profile("kaimanovich")))
+
+
+_ROTSYM = RotSymSurface(builtin_profile("hyperbolic", 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: inequality_report(_ROTSYM),
+    lambda: inequality_report(_ROTSYM, t_grid=[5.0, 10.0, 15.0, 20.0]),
+    lambda: truncation_radius(_ROTSYM, 1.0),
+    lambda: default_t_grid(_ROTSYM),
+    lambda: zero_two_defect(_ROTSYM, 1.0, 1.0),
+    lambda: gaussian_bound_constant(_ROTSYM, 3.0, (1.0, 2.0), 5.0),
+    lambda: chapman_kolmogorov_residual(_ROTSYM, 1.0, 1.0, 1.0),
+    lambda: ensemble_drift(Ensemble((_ROTSYM, DriftComponent(0.5)), (0.5, 0.5))),
+    lambda: chapman_kolmogorov_residual(Euclidean(2), 1.0, 1.0, 1.0),
+], ids=["report", "report_t_grid", "truncation_radius", "default_t_grid", "zero_two",
+        "gaussian_bound", "chapman_kolmogorov", "ensemble_drift", "chapman_kolmogorov_e2"])
+def test_out_of_catalog_space_raises_kernel_error(call):
+    # a rotationally symmetric surface has no k; the kernel gate must reject it
+    # before anything reads space.k (an AttributeError would be a crash).
+    # Chapman-Kolmogorov has a flat quadrature on the line only.
+    with pytest.raises(KernelError):
+        call()
