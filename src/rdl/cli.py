@@ -28,12 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    Ensemble,
-    EstimatorError,
-    NonConvergedError,
-    inequality_report,
-)
+from .estimators import Ensemble, EstimatorError, inequality_report
 from .gromov import (
     FinitePointedSpace,
     MetricError,
@@ -331,9 +326,6 @@ def main(argv=None) -> int:
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergedError as e:
-        print(f"non-converged: {e}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except (EstimatorError, OverflowError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -9,12 +9,13 @@ Estimator conventions (all for the transition density q(t) = p(t/2)):
   v(M)        = slope of log vol(B_r) at large r
 
 Two drift estimates are reported: the subadditive ratio ell_t/t (an upper
-bound, non-increasing in t) and the unit-time increment ell_t - ell_{t-1}
-(converges exponentially fast on the hyperbolic family; this is the
-quadrature form of the Busemann-increment drift formula).  The inequality
-chain uses the pairing whose finite-t biases cannot produce spurious
-violations: the upper chain h <= ell*v takes the ratio, everything else
-takes increments.
+bound, non-increasing in t) and the increment (ell_T - ell_S) / (T - S) over
+the last step S < T of the horizon grid, 1/k^2 on the default grid of a
+curved space and 50 on R^d (converges exponentially fast on the hyperbolic
+family; this is the quadrature form of the Busemann-increment drift
+formula).  The inequality chain uses the pairing whose finite-t biases
+cannot produce spurious violations: the upper chain h <= ell*v takes the
+ratio, everything else takes increments.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .model_spaces import HalfPlane, ModelManifold, space_from_json
 
 __all__ = [
     "EstimatorError",
-    "NonConvergedError",
     "truncation_radius",
     "drift_quadrature",
     "drift_increment",
@@ -51,14 +51,13 @@ __all__ = [
 
 _MASS_TOL = 0.999
 _SLACK_TOL = 1e-3  # normalized slack tolerance for the inequality chain
+_SUBADDITIVE_TOL = 1e-6  # quadrature slack of the subadditivity and monotonicity audits
+_CAUCHY_REL_TOL = 0.10  # entropy increments: relative Cauchy tolerance
+_CAUCHY_ABS_TOL = 1e-3  # entropy increments: absolute Cauchy tolerance, for rates near zero
 
 
 class EstimatorError(RuntimeError):
     """Hard estimator failure (e.g. non-normalized kernel)."""
-
-
-class NonConvergedError(RuntimeError):
-    """An estimate did not stabilize on the requested grid."""
 
 
 def _radial_integral(space: ModelManifold, t: float, weight, r_hi: float | None = None) -> float:
@@ -103,28 +102,25 @@ def drift_quadrature(space: ModelManifold, t: float) -> float:
     return _radial_integral(space, t, lambda r, lq: r) / t
 
 
-def drift_increment(space: ModelManifold, t: float, delta: float = 1.0) -> float:
-    """(ell_t - ell_{t-delta}) / delta; fast route to the linear drift."""
-    if t <= delta:
-        raise EstimatorError(f"need t > delta, got t={t}, delta={delta}")
-    a = _radial_integral(space, t, lambda r, lq: r)
-    b = _radial_integral(space, t - delta, lambda r, lq: r)
-    return (a - b) / delta
+def drift_increment(space: ModelManifold, t: float) -> float:
+    """ell_t - ell_{t-1}; fast route to the linear drift."""
+    if t <= 1.0:
+        raise EstimatorError(f"need t > 1, got t={t}")
+    ell_t, ell_prev = (_radial_integral(space, s, lambda r, lq: r) for s in (t, t - 1.0))
+    return ell_t - ell_prev
 
 
 @dataclass(frozen=True)
 class SubadditiveDriftFit:
     value: float            # ell_{t_max} / t_max  (Fekete upper bound)
-    increment: float        # (ell_{t_max} - ell_{t_max - delta}) / delta
+    increment: float        # (ell_{t_max} - ell_s) / (t_max - s), s the previous horizon
     t_max: float
     ell_by_t: dict
     subadditivity_violations: list
     ratio_monotone: bool
 
 
-def drift_subadditive_limit(
-    space: ModelManifold, t_grid, tol: float = 1e-6
-) -> SubadditiveDriftFit:
+def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit:
     """Estimate ell from a grid of horizons and audit L_{t+s} <= L_t + L_s.
 
     A subadditivity violation beyond quadrature tolerance indicates a kernel
@@ -139,10 +135,10 @@ def drift_subadditive_limit(
     for t in ts:
         for s in ts:
             tot = t + s
-            if tot in ell and ell[tot] > ell[t] + ell[s] + tol:
+            if tot in ell and ell[tot] > ell[t] + ell[s] + _SUBADDITIVE_TOL:
                 violations.append((t, s, ell[tot] - ell[t] - ell[s]))
     ratios = [ell[t] / t for t in ts]
-    monotone = all(ratios[i + 1] <= ratios[i] + tol for i in range(len(ratios) - 1))
+    monotone = all(b <= a + _SUBADDITIVE_TOL for a, b in zip(ratios, ratios[1:]))
     t_max = ts[-1]
     delta = t_max - ts[-2]
     inc = (ell[t_max] - ell[ts[-2]]) / delta
@@ -171,15 +167,13 @@ class EntropyRateFit:
     converged: bool     # Cauchy test on the last two increments
 
 
-def entropy_rate(
-    space: ModelManifold, t_grid, rel_tol: float = 0.10, abs_tol: float = 1e-3
-) -> EntropyRateFit:
+def entropy_rate(space: ModelManifold, t_grid) -> EntropyRateFit:
     """Entropy rate h via increments; the ratio is reported alongside.
 
     Convergence is certified by a Cauchy test on the last two increments
     (the ratio converges only at O(log t / t) and is not used as a flag);
-    abs_tol covers rates that converge to zero, where a relative test is
-    meaningless.
+    _CAUCHY_ABS_TOL covers rates that converge to zero, where a relative
+    test is meaningless.
     """
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 3:
@@ -189,7 +183,7 @@ def entropy_rate(
     inc = (h[t2] - h[t1]) / (t2 - t1)
     prev = (h[t1] - h[t0]) / (t1 - t0)
     scale = max(abs(inc), abs(prev))
-    converged = abs(inc - prev) <= rel_tol * scale + abs_tol
+    converged = abs(inc - prev) <= _CAUCHY_REL_TOL * scale + _CAUCHY_ABS_TOL
     return EntropyRateFit(
         ratio=h[t2] / t2, increment=inc, previous_increment=prev, t_max=t2, converged=converged
     )
@@ -207,11 +201,11 @@ def mutual_information(space: ModelManifold, t: float, T: float) -> float:
     return val
 
 
-def finite_dim_bound_check(i_value: float, dim: int, tol: float = 0.01) -> bool:
-    """Report-level sanity check I <= log(dim) + tol."""
+def finite_dim_bound_check(i_value: float, dim: int) -> bool:
+    """Report-level sanity check I <= log(dim) + 0.01."""
     if dim < 1:
         raise EstimatorError(f"dim must be >= 1, got {dim}")
-    return i_value <= math.log(dim) + tol
+    return i_value <= math.log(dim) + 0.01
 
 
 # ------------------------------------------------------------------ ensembles
@@ -286,15 +280,14 @@ class InequalityStatus:
     passed: bool
 
     @staticmethod
-    def check(name: str, lhs: float, rhs: float, tol: float = _SLACK_TOL) -> "InequalityStatus":
+    def check(name: str, lhs: float, rhs: float) -> "InequalityStatus":
         slack = rhs - lhs
         if math.isinf(rhs) and not math.isinf(lhs):
             norm = math.inf
         else:
             norm = slack / max(1.0, abs(lhs), abs(rhs))
-        return InequalityStatus(
-            name=name, lhs=lhs, rhs=rhs, slack=slack, normalized_slack=norm, passed=norm >= -tol
-        )
+        return InequalityStatus(name=name, lhs=lhs, rhs=rhs, slack=slack, normalized_slack=norm,
+                                passed=norm >= -_SLACK_TOL)
 
 
 @dataclass(frozen=True)
@@ -399,22 +392,16 @@ def default_t_grid(space: ModelManifold) -> list[float]:
     return [t / (k * k) for t in base]
 
 
-def inequality_report(
-    target,
-    t_grid=None,
-    r_max: float = 40.0,
-    strict: bool = False,
-) -> AsymptoticReport:
+def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticReport:
     """Assemble ell, h, v (and k on the half-plane) and evaluate the chains
 
         (1/2) ell^2 <= h <= ell v          (all spaces)
         2 ell^2 <= h, with equality audit  (negatively curved homogeneous)
 
-    With strict=True a non-converged entropy estimate raises
-    NonConvergedError instead of being reported via the flag.
+    A non-converged entropy estimate is reported via the `converged` flag.
     """
     if isinstance(target, Ensemble):
-        return _ensemble_report(target, t_grid=t_grid, r_max=r_max, strict=strict)
+        return _ensemble_report(target, t_grid=t_grid, r_max=r_max)
     space = target
     ts = list(t_grid) if t_grid is not None else default_t_grid(space)
     flags = []
@@ -447,8 +434,6 @@ def inequality_report(
         if k_val is not None:
             checks.append(InequalityStatus.check("two_ell_sq_le_k", 2.0 * ell * ell, k_val))
             checks.append(InequalityStatus.check("k_le_h", k_val, h_inc))
-    if strict and not efit.converged:
-        raise NonConvergedError(f"entropy increments not Cauchy on {space.label()}")
     return AsymptoticReport(
         space=space.to_json_dict(),
         ell=ell,
@@ -477,10 +462,9 @@ def inequality_report(
     )
 
 
-def _ensemble_report(ensemble, t_grid, r_max, strict):
-    abstract = all(isinstance(c, DriftComponent) for c in ensemble.components)
-    ell, ell_plus = ensemble_drift(ensemble)
-    if abstract:
+def _ensemble_report(ensemble, t_grid, r_max):
+    if all(isinstance(c, DriftComponent) for c in ensemble.components):
+        ell, ell_plus = ensemble_drift(ensemble)
         return AsymptoticReport(
             space={"kind": "ensemble",
                    "components": [{"drift": c.drift, "weight": w, "label": c.label}
@@ -501,10 +485,14 @@ def _ensemble_report(ensemble, t_grid, r_max, strict):
             converged=True,
             flags=["abstract drift mixture: entropy/volume not defined"],
         )
-    reports = [
-        inequality_report(c, t_grid=t_grid, r_max=r_max, strict=strict)
-        for c in ensemble.components
-    ]
+    spaces = [c for c in ensemble.components if not isinstance(c, DriftComponent)]
+    for c in spaces:
+        kernel_for(c)  # an out-of-catalog component raises KernelError before the mix is judged
+    if len(spaces) < len(ensemble.components):
+        raise EstimatorError("an ensemble report needs all components to be spaces, or all drifts")
+    reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
+    # the components' own increments, on the grid the caller passed
+    ell, ell_plus = ensemble_drift(ensemble, component_drifts=[r.ell for r in reports])
     ws = ensemble.weights
     h = sum(w * r.entropy_h for w, r in zip(ws, reports))
     v = sum(w * r.volume_v for w, r in zip(ws, reports))

@@ -20,7 +20,7 @@ constraints, and then m itself is a witness.  m shrinks as bridges are
 added, so a partial assignment that already fails can be pruned: the
 partner search is exact backtracking.  Candidate partners are pruned to the
 window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is implied by any
-feasible cross matrix, and capped at the k_nearest radially closest; only
+feasible cross matrix, and capped at the _K_NEAREST radially closest; only
 the cap can lose solutions and results carry an `exact` flag.
 
 `feasible_lp` decides the same question by an independent route: for each
@@ -58,7 +58,11 @@ __all__ = [
 ]
 
 DELTA = 1e-9  # margin standing in for the strict inequalities in the d_GS definition
+_METRIC_TOL = 1e-12  # slack of the zero-diagonal, symmetry and triangle checks
 _TRIANGLE_SLAB = 8  # rows per slab of the triangle check in FinitePointedSpace.validate
+_K_NEAREST = 4  # partners kept per point, radially closest first
+_MAX_NODES = 200000  # search nodes of feasible() before it gives up, inexact
+_MAX_ASSIGNMENTS = 20000  # partner assignments of feasible_lp() before it gives up
 
 
 class MetricError(ValueError):
@@ -74,28 +78,24 @@ class FinitePointedSpace:
     """n-point metric space, basepoint index 0, validated on construction."""
 
     dist: np.ndarray
-    basepoint: int = 0
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        object.__setattr__(self, "dist", d)
-        if self.basepoint != 0:
-            raise MetricError("basepoint is normalized to index 0")
+        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=float))
         self.validate()
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         d = self.dist
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
             raise MetricError(f"distance matrix must be square, got {d.shape}")
         if not np.isfinite(d).all():
             raise MetricError("distance matrix has non-finite entries")
-        if np.abs(np.diag(d)).max(initial=0.0) > tol:
+        if np.abs(np.diag(d)).max(initial=0.0) > _METRIC_TOL:
             raise MetricError("diagonal must be zero")
-        if np.abs(d - d.T).max(initial=0.0) > tol:
+        if np.abs(d - d.T).max(initial=0.0) > _METRIC_TOL:
             raise MetricError("distance matrix must be symmetric")
         if d.shape[0] > 1:
             mask = ~np.eye(d.shape[0], dtype=bool)
@@ -113,7 +113,7 @@ class FinitePointedSpace:
                 worst = viol.flat[flat]
                 i, j, k = np.unravel_index(flat, viol.shape)
                 at = (s + i, j, k)
-        if worst > tol:
+        if worst > _METRIC_TOL:
             i, j, k = at
             raise MetricError(
                 f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
@@ -123,12 +123,6 @@ class FinitePointedSpace:
     def radii(self) -> np.ndarray:
         return self.dist[0]
 
-    def ball(self, radius: float) -> "FinitePointedSpace":
-        keep = np.where(self.radii() <= radius)[0]
-        if keep[0] != 0:
-            keep = np.concatenate([[0], keep])
-        return FinitePointedSpace(self.dist[np.ix_(keep, keep)])
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "basepoint": 0, "dist": self.dist.tolist()}
 
@@ -137,7 +131,9 @@ class FinitePointedSpace:
         d = np.asarray(obj["dist"], dtype=float)
         if "n" in obj and int(obj["n"]) != d.shape[0]:
             raise MetricError(f"n = {obj['n']} does not match matrix size {d.shape[0]}")
-        return cls(d, basepoint=int(obj.get("basepoint", 0)))
+        if int(obj.get("basepoint", 0)) != 0:
+            raise MetricError("basepoint is normalized to index 0")
+        return cls(d)
 
 
 @dataclass(frozen=True)
@@ -176,22 +172,22 @@ class FeasibilityResult:
     eps: float
 
 
-def _candidates(rho_self, rho_other, eps_margin, k_nearest):
+def _candidates(rho_self, rho_other, eps_margin):
     """Partner indices within the exact radial window, nearest first."""
     gaps = np.abs(rho_other - rho_self)
     idx = np.where(gaps <= 2.0 * eps_margin + 1e-15)[0]
     order = np.argsort(gaps[idx], kind="stable")
     idx = idx[order]
-    truncated = idx.size > k_nearest
-    return list(idx[:k_nearest]), truncated
+    truncated = idx.size > _K_NEAREST
+    return list(idx[:_K_NEAREST]), truncated
 
 
-def _partner_options(d1, d2, eps, cap, k_nearest):
+def _partner_options(d1, d2, eps, cap):
     """Candidate partners of every point of the 1/eps-balls, X1's points first.
 
     Returns (options, truncated): options lists (side, p, partners), side "r"
     for a point p of X1 and "c" for a point of X2, and truncated says whether
-    the k_nearest cap dropped a candidate.  options is None when no assignment
+    the _K_NEAREST cap dropped a candidate.  options is None when no assignment
     exists: cap < DELTA, below the lower bound DELTA of every cross distance
     (so the basepoint bridge cannot hold), or some point has no partner in its
     radial window.
@@ -204,7 +200,7 @@ def _partner_options(d1, d2, eps, cap, k_nearest):
     options, truncated = [], False
     for side, rho_self, rho_other in (("r", rho1, rho2), ("c", rho2, rho1)):
         for p in np.flatnonzero(rho_self <= 1.0 / eps):
-            partners, tr = _candidates(rho_self[p], rho_other, cap, k_nearest)
+            partners, tr = _candidates(rho_self[p], rho_other, cap)
             truncated |= tr
             if not partners:
                 return None, False
@@ -222,17 +218,11 @@ def _assignment_check(m, d1, d2, delta, tol=1e-11):
     return True
 
 
-def feasible(
-    a: FinitePointedSpace,
-    b: FinitePointedSpace,
-    eps: float,
-    k_nearest: int = 4,
-    max_nodes: int = 200000,
-) -> FeasibilityResult:
+def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> FeasibilityResult:
     """Decide whether an admissible extension realizes the d_GS conditions at eps."""
     d1, d2 = a.dist, b.dist
     cap = eps - DELTA
-    cands, truncated_any = _partner_options(d1, d2, eps, cap, k_nearest)
+    cands, truncated_any = _partner_options(d1, d2, eps, cap)
     if cands is None:
         return FeasibilityResult(False, None, True, 0, eps)
     cands.sort(key=lambda e: (len(e[2]), e[0], e[1]))  # most constrained first
@@ -253,7 +243,7 @@ def feasible(
     def search(i, m):
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > _MAX_NODES:
             raise _SearchTruncated
         if not _assignment_check(m, d1, d2, DELTA):
             return None
@@ -313,19 +303,13 @@ def lp_system(d1, d2, eps, bridges):
     return A, b, lb, ub.reshape(-1)
 
 
-def feasible_lp(
-    a: FinitePointedSpace,
-    b: FinitePointedSpace,
-    eps: float,
-    k_nearest: int = 4,
-    max_assignments: int = 20000,
-) -> FeasibilityResult:
+def feasible_lp(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> FeasibilityResult:
     """Same decision as feasible(), via one HiGHS LP per partner assignment.
 
     Raises RuntimeError when HiGHS stops without deciding an LP.
     """
     d1, d2 = a.dist, b.dist
-    options, truncated_any = _partner_options(d1, d2, eps, eps - DELTA, k_nearest)
+    options, truncated_any = _partner_options(d1, d2, eps, eps - DELTA)
     if options is None:
         return FeasibilityResult(False, None, True, 0, eps)
     bridge_lists = [
@@ -334,7 +318,7 @@ def feasible_lp(
     count = 0
     for combo in itertools.product(*bridge_lists):
         count += 1
-        if count > max_assignments:
+        if count > _MAX_ASSIGNMENTS:
             return FeasibilityResult(False, None, False, count, eps)
         A, rhs, lb, ub = lp_system(d1, d2, eps, [(0, 0), *combo])
         res = linprog(np.zeros(lb.size), A_ub=A, b_ub=rhs, bounds=np.column_stack([lb, ub]),
@@ -363,20 +347,20 @@ class GromovDistanceResult:
 
 
 def gromov_distance(
-    a: FinitePointedSpace, b: FinitePointedSpace, tol: float = 1e-3, k_nearest: int = 4
+    a: FinitePointedSpace, b: FinitePointedSpace, tol: float = 1e-3
 ) -> GromovDistanceResult:
     """Bisection on eps over (0, 1/2); returns the upper end of the bracket."""
     if tol < 1e-6:
         raise MetricError(f"tol must be >= 1e-6, got {tol}")
     hi = 0.5 - 1e-9
-    res = feasible(a, b, hi, k_nearest=k_nearest)
+    res = feasible(a, b, hi)
     if not res.feasible:
         return GromovDistanceResult(0.5, hi, 0.5, None, res.exact)
     lo, witness, exact = 0.0, res.witness, res.exact
     hi_val = hi
     while hi_val - lo > tol:
         mid = 0.5 * (lo + hi_val)
-        r = feasible(a, b, mid, k_nearest=k_nearest)
+        r = feasible(a, b, mid)
         exact = exact and r.exact
         if r.feasible:
             hi_val, witness = mid, r.witness
@@ -403,9 +387,9 @@ def certify_upper(
     return True
 
 
-def identity_cross(space: FinitePointedSpace, delta: float = 1e-12) -> AdmissibleExtension:
-    """Lift of the identity map: c = d + delta (strictly positive diagonal)."""
-    return AdmissibleExtension(space.dist + delta)
+def identity_cross(space: FinitePointedSpace) -> AdmissibleExtension:
+    """Lift of the identity map: c = d + 1e-12 (strictly positive diagonal)."""
+    return AdmissibleExtension(space.dist + 1e-12)
 
 
 # -------------------------------------------------------------- chain gluing
@@ -419,11 +403,7 @@ class ChainGlueResult:
     resolution: float
 
 
-def chain_glue(
-    spaces: list,
-    crosses: list,
-    ball_radius: float | None = None,
-) -> ChainGlueResult:
+def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
     """Glue a Cauchy chain along admissible crosses; extract the limit ball.
 
     Each cross must certify d_GS(X_n, X_{n+1}) <= 2^-n.  The glued metric is
@@ -460,20 +440,12 @@ def chain_glue(
         if np.abs(big[off : off + s.n, off : off + s.n] - s.dist).max() > 1e-9:
             raise GluingError("glued metric fails to restrict to a layer metric")
 
-    last = spaces[-1]
-    off = offsets[-1]
-    n_layers = len(spaces)
-    block = big[off : off + last.n, off : off + last.n]
-    if ball_radius is None:
-        limit = FinitePointedSpace(block.copy())
-    else:
-        keep = np.where(block[0] <= ball_radius)[0]
-        limit = FinitePointedSpace(block[np.ix_(keep, keep)].copy())
+    off, n = offsets[-1], spaces[-1].n
     return ChainGlueResult(
         glued=big,
         layer_offsets=offsets,
-        limit_ball=limit,
-        resolution=2.0 ** (-(n_layers - 2)),
+        limit_ball=FinitePointedSpace(big[off : off + n, off : off + n].copy()),
+        resolution=2.0 ** (-(len(spaces) - 2)),
     )
 
 
@@ -481,7 +453,7 @@ def chain_glue(
 
 
 def net_from_manifold(
-    space: ModelManifold, radius: float, mesh: float, seed: int, pool_size: int | None = None
+    space: ModelManifold, radius: float, mesh: float, seed: int
 ) -> FinitePointedSpace:
     """Greedy farthest-point net of the radius-ball: mesh-dense w.r.t. a dense
     candidate pool and mesh-separated, with the basepoint first and exact
@@ -491,9 +463,8 @@ def net_from_manifold(
     if radius <= 0 or mesh <= 0:
         raise GeometryError("need radius > 0 and mesh > 0")
     rng = np.random.default_rng(seed)
-    if pool_size is None:
-        est = space.ball_volume(radius + mesh) / max(space.ball_volume(mesh / 2.0), 1e-12)
-        pool_size = int(min(20000, max(500, 40 * est)))
+    est = space.ball_volume(radius + mesh) / max(space.ball_volume(mesh / 2.0), 1e-12)
+    pool_size = int(min(20000, max(500, 40 * est)))
 
     rs = _sample_radii(space, radius, pool_size, rng)
     pool = np.vstack([space.basepoint, space.points_at_radii(rs, rng)])

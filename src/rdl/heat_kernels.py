@@ -208,17 +208,17 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     return float(sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:])))
 
 
-def truncation_radius(space: ModelManifold, t: float, tail_exponent: float = 40.0) -> float:
-    """Radius beyond which q * sphere_area is below e^-tail_exponent.
+def truncation_radius(space: ModelManifold, t: float) -> float:
+    """Radius beyond which q * sphere_area is below e^-40.
 
     Derived from the Gaussian upper bound with D = 3: the bounding integrand
     exp(-r^2/3t + 2 v r) (v = (dim-1) k/2, the asymptotic radial drift) falls
-    below the tail budget at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * tail_exponent);
+    below the tail budget e^-40 at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * 40);
     e^-40 with polynomial slop is far below the 1e-10 budget.
     """
     kernel_for(space)  # out-of-catalog spaces raise KernelError, not AttributeError
     v = (space.dim - 1) * space.k / 2.0
-    return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * tail_exponent) + 5.0
+    return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * 40.0) + 5.0
 
 
 @dataclass(frozen=True)
@@ -230,14 +230,9 @@ class GaussianBoundResult:
 
 
 def gaussian_bound_constant(
-    space: ModelManifold,
-    D: float,
-    t_range: tuple[float, float],
-    r_max: float,
-    nt: int = 40,
-    nr: int = 400,
+    space: ModelManifold, D: float, t_range: tuple[float, float], r_max: float
 ) -> GaussianBoundResult:
-    """Empirical constant C = sup over a (t, r) grid of q(t, r) exp(r^2 / D t).
+    """Empirical constant C = sup over a 40 x 400 (t, r) grid of q(t, r) exp(r^2 / D t).
 
     The true constant is existential; this reports a grid supremum only,
     never a certified bound.  Overflow on the grid is reported as
@@ -250,8 +245,8 @@ def gaussian_bound_constant(
         raise KernelError(f"the bound's domain is t >= 1, got t_lo = {t_lo}")
     ker = kernel_for(space)
     best, bt, br = -math.inf, t_lo, 0.0
-    for t in np.linspace(t_lo, t_hi, nt):
-        r = np.linspace(0.0, r_max, nr)
+    r = np.linspace(0.0, r_max, 400)
+    for t in np.linspace(t_lo, t_hi, 40):
         log_vals = np.asarray(ker.log_q(t, r)) + r * r / (D * t)
         i = int(np.argmax(log_vals))
         if log_vals[i] > best:
@@ -284,10 +279,6 @@ class RadialDensityGrid:
         if abs(self.times[i] - t) > 1e-9 + 1e-6 * max(1.0, t):
             raise KernelError(f"time {t} not on the stored grid")
         return self.rho[i]
-
-    def cdf(self, t: float) -> np.ndarray:
-        dr = self.r_centers[1] - self.r_centers[0]
-        return np.cumsum(self.marginal(t)) * dr
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -233,15 +233,16 @@ class ModelManifold:
         val, _ = quad(self.sphere_area, 0.0, r, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
         return val
 
-    def volume_growth(self, r_max: float, samples: int = 200) -> VolumeGrowthEstimate:
-        """Least-squares slope of log vol(B_r) over the top half of the radius grid.
+    def volume_growth(self, r_max: float) -> VolumeGrowthEstimate:
+        """Least-squares slope of log vol(B_r) over the top half of a 200-point
+        radius grid.
 
         Non-finite volumes (profile overflow) are reported via the `finite`
         flag, never silently clipped.
         """
-        if r_max <= 0 or samples < 4:
-            raise GeometryError("need r_max > 0 and samples >= 4")
-        r_grid = np.linspace(r_max / samples, r_max, samples)
+        if r_max <= 0:
+            raise GeometryError("need r_max > 0")
+        r_grid = np.linspace(r_max / 200, r_max, 200)
         vols = np.array([self.ball_volume(r) for r in r_grid])
         bad = ~np.isfinite(vols)
         if bad.any():
@@ -395,11 +396,18 @@ class Hyperbolic(ModelManifold):
         return {"kind": "hyperbolic", "dim": self.dim, "k": self.k}
 
 
-class HalfPlane(ModelManifold):
-    """Upper half-plane {(x, y): y > 0}, ds^2 = y^-2 (dx^2 + dy^2), curvature -1."""
+class HalfPlane(Hyperbolic):
+    """Upper half-plane {(x, y): y > 0}, ds^2 = y^-2 (dx^2 + dy^2), curvature -1.
+
+    H^2 with k = 1 in its own chart: the radial geometry is Hyperbolic's, and
+    only the chart methods are overridden.
+    """
 
     dim = 2
-    k = 1.0
+    k = 1.0  # also read on the class, by the CLI's --kappa check
+
+    def __init__(self):
+        super().__init__(self.dim, self.k)
 
     @property
     def basepoint(self):
@@ -431,21 +439,6 @@ class HalfPlane(ModelManifold):
         w = np.tanh(rs / 2.0) * np.exp(1j * phi)
         z = 1j * (1.0 + w) / (1.0 - w)
         return np.column_stack([z.real, np.maximum(z.imag, 1e-300)])
-
-    def sphere_area(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
-        return 2.0 * math.pi * math.sinh(r)
-
-    def log_sphere_area(self, r: float) -> float:
-        if r <= 0:
-            return -math.inf
-        return math.log(2.0 * math.pi) + r + math.log1p(-math.exp(-2.0 * r)) - math.log(2.0)
-
-    def ball_volume(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
-        return 2.0 * math.pi * (math.cosh(r) - 1.0)
 
     def label(self) -> str:
         return "halfplane"

@@ -23,7 +23,6 @@ batching, step blocking or worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +46,10 @@ __all__ = [
 # the path state is frozen (see kaimanovich_tail_limit).
 KAIMANOVICH_R_CAP = 200.0
 
+# A tail-limit path has converged when H(r)-t moved at most this much over
+# its last unit of time.
+_TAIL_CONVERGENCE_TOL = 0.05
+
 # r beyond which even log-space bookkeeping would degrade; paths must not get here.
 _R_ABORT = 1e100
 
@@ -60,12 +63,9 @@ class SimConfig:
     n_paths: int
     t_max: float
     dt: float = 1e-2
-    scheme: str = "euler-maruyama"
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.scheme != "euler-maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0 <= self.seed < 2 ** 63):
             raise ValueError("seed must fit in a 63-bit nonnegative integer")
         if self.n_paths < 1:
@@ -81,22 +81,6 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_max / self.dt))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "n_paths": self.n_paths,
-                "t_max": self.t_max,
-                "dt": self.dt,
-                "scheme": self.scheme,
-                "record_stride": self.record_stride,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "SimConfig":
-        return cls(**json.loads(s))
 
 
 def path_rng(seed: int, path_index: int, substream: int = 0) -> np.random.Generator:
@@ -115,10 +99,8 @@ class HalfPlanePath:
         return HalfPlane().dist_to_many(np.column_stack([self.x, self.y]), pt)
 
 
-def simulate_halfplane(cfg: SimConfig, start=(0.0, 1.0)) -> list[HalfPlanePath]:
-    x0, y0 = float(start[0]), float(start[1])
-    if y0 <= 0:
-        raise ValueError(f"start must have y > 0, got {y0}")
+def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:
+    """Paths from the basepoint (0, 1), recorded every cfg.record_stride steps."""
     n, dt = cfg.n_steps, cfg.dt
     sqdt = math.sqrt(dt)
     rec = np.arange(0, n + 1, cfg.record_stride)
@@ -130,14 +112,12 @@ def simulate_halfplane(cfg: SimConfig, start=(0.0, 1.0)) -> list[HalfPlanePath]:
         rng = path_rng(cfg.seed, i)
         db = rng.standard_normal((n, 2)) * sqdt
         # y is geometric Brownian motion: exact update in law
-        log_y = np.empty(n + 1)
-        log_y[0] = math.log(y0)
-        log_y[1:] = math.log(y0) + np.cumsum(db[:, 1] - dt / 2.0)
+        log_y = np.zeros(n + 1)
+        log_y[1:] = np.cumsum(db[:, 1] - dt / 2.0)
         y = np.exp(log_y)
         y_mid = 0.5 * (y[:-1] + y[1:])
-        x = np.empty(n + 1)
-        x[0] = x0
-        x[1:] = x0 + np.cumsum(y_mid * db[:, 0])
+        x = np.zeros(n + 1)
+        x[1:] = np.cumsum(y_mid * db[:, 0])
         paths.append(HalfPlanePath(times=times, x=x[rec], y=y[rec]))
     return paths
 
@@ -308,17 +288,12 @@ class TailLimitResult:
     trajectories: list[RadialProcess] = field(default_factory=list)
 
 
-def kaimanovich_tail_limit(
-    cfg: SimConfig,
-    r0: float = 1.0,
-    r_cap: float = KAIMANOVICH_R_CAP,
-    convergence_tol: float = 0.05,
-    n_trajectories: int = 0,
-) -> TailLimitResult:
+def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimitResult:
     """Estimate the tail limit of H(r_t) - t on the Kaimanovich surface.
 
-    L_hat per path is H(r) - t at t_max; paths whose last-unit increment
-    exceeds convergence_tol are flagged non-converged and excluded from the
+    Paths start at r0 = 1 and freeze at KAIMANOVICH_R_CAP.  L_hat per path is
+    H(r) - t at t_max; paths whose last-unit increment exceeds
+    _TAIL_CONVERGENCE_TOL are flagged non-converged and excluded from the
     ensemble statistics (count reported).  Optionally returns the first
     n_trajectories as stride-recorded RadialProcess objects (the data behind
     the ten-trajectory figure).
@@ -331,15 +306,15 @@ def kaimanovich_tail_limit(
     if abs(per_unit - round(per_unit)) > 1e-9 * per_unit:
         raise ValueError(f"1/dt must be an integer number of steps, got {per_unit}")
     profile = _kaimanovich_profile()
-    run = _simulate_radial_block(profile, cfg, r0, r_cap, int(round(per_unit)))
+    run = _simulate_radial_block(profile, cfg, 1.0, KAIMANOVICH_R_CAP, int(round(per_unit)))
     L = run.h_minus_t[-1]
     diag = np.abs(L - run.h_minus_t[-2])
-    converged = diag <= convergence_tol
+    converged = diag <= _TAIL_CONVERGENCE_TOL
     kept = L[converged]
     trajectories = []
     if n_trajectories > 0:
         sub = replace(cfg, n_paths=min(n_trajectories, cfg.n_paths))
-        trajectories = simulate_radial(profile, sub, r0, r_cap=r_cap)
+        trajectories = simulate_radial(profile, sub, 1.0, r_cap=KAIMANOVICH_R_CAP)
     return TailLimitResult(
         L=L,
         diagnostic=diag,

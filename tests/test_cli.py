@@ -200,6 +200,15 @@ def test_gromov_cli_invalid_matrix_lists_triangle(tmp_path, capsys):
     assert "triangle" in err
 
 
+def test_gromov_cli_nonzero_basepoint_is_usage_error(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"n": 2, "basepoint": 1, "dist": [[0, 1], [1, 0]]}))
+    b = tmp_path / "b.json"
+    _write_space(b, [[0.0]])
+    assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
+    assert "basepoint" in capsys.readouterr().err
+
+
 def test_kernel_table(tmp_path):
     out = tmp_path / "k.csv"
     rc = main(["kernel", "--space", "h3", "--t", "1.0,2.0", "--r-max", "4",

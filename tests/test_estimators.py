@@ -21,7 +21,8 @@ from rdl.estimators import (
     mutual_information,
     truncation_radius,
 )
-from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic
+from rdl.heat_kernels import KernelError
+from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
 
 
 # ----------------------------------------------------------------- drift
@@ -263,6 +264,33 @@ def test_report_abstract_mixture():
     assert rep.ell == pytest.approx(1.5)
     assert rep.ell_plus == pytest.approx(2.0)
     assert math.isnan(rep.entropy_h)
+
+
+@pytest.mark.parametrize("components, weights, t_grid", [
+    ((Hyperbolic(2), Hyperbolic(3)), (0.4, 0.6), [5.0, 10.0, 15.0, 20.0]),
+    ((Hyperbolic(2, 0.5), Hyperbolic(2, 2.0)), (0.5, 0.5), None),
+], ids=["h2-h3-given-grid", "h2-k-half-k-two-default-grid"])
+def test_ensemble_report_drift_mixes_the_component_reports(components, weights, t_grid):
+    # ell and ell_plus come from the component reports on the caller's grid;
+    # they used to come from a second pass at unit step on the default grid
+    # (0.800017 against 0.800779 in the first case, 0.625064 against 0.625053
+    # in the second)
+    rep = inequality_report(Ensemble(components=components, weights=weights), t_grid=t_grid)
+    parts = [inequality_report(c, t_grid=t_grid) for c in components]
+    assert rep.ell == sum(w * p.ell for w, p in zip(weights, parts))
+    assert rep.ell_plus == max(p.ell for p in parts)
+    assert rep.t_grid == parts[0].t_grid
+
+
+def test_ensemble_report_rejects_a_mix_of_drifts_and_spaces():
+    drift = DriftComponent(1.0)
+    with pytest.raises(EstimatorError, match="all components"):
+        inequality_report(Ensemble(components=(drift, Hyperbolic(2)), weights=(0.5, 0.5)))
+    # an out-of-catalog space is named first, in either order
+    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    for comps in ((drift, surf), (surf, drift)):
+        with pytest.raises(KernelError, match="no closed-form kernel"):
+            inequality_report(Ensemble(components=comps, weights=(0.5, 0.5)))
 
 
 def test_liouville_iff_zero_drift_across_catalog():

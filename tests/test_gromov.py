@@ -479,3 +479,14 @@ def test_space_json_round_trip():
     assert np.array_equal(clone.dist, sp.dist)
     with pytest.raises(MetricError):
         FinitePointedSpace.from_json_dict({"n": 5, "basepoint": 0, "dist": sp.dist.tolist()})
+
+
+def test_space_json_basepoint_must_be_index_zero():
+    # a file is outside input: a basepoint other than index 0 is refused, not
+    # silently renumbered
+    sp = _space_from_points([[0.0], [0.4], [1.1]])
+    blob = sp.to_json_dict()
+    with pytest.raises(MetricError, match="basepoint"):
+        FinitePointedSpace.from_json_dict({**blob, "basepoint": 1})
+    clone = FinitePointedSpace.from_json_dict({k: v for k, v in blob.items() if k != "basepoint"})
+    assert np.array_equal(clone.dist, sp.dist)

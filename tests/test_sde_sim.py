@@ -30,13 +30,6 @@ def test_config_validation():
         SimConfig(seed=1, n_paths=0, t_max=1.0, dt=0.1)
     with pytest.raises(ValueError):
         SimConfig(seed=-1, n_paths=1, t_max=1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        SimConfig(seed=1, n_paths=1, t_max=1.0, dt=0.1, scheme="milstein")
-
-
-def test_config_json_round_trip():
-    cfg = SimConfig(seed=7, n_paths=3, t_max=2.0, dt=0.01, record_stride=10)
-    assert SimConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_path_streams_independent_of_batching():
@@ -90,12 +83,6 @@ def test_halfplane_dt_consistency():
         d = np.array([p.hyperbolic_dist_from((0.0, 1.0))[-1] for p in paths])
         res[dt] = (d.mean(), d.std(ddof=1) / math.sqrt(len(d)))
     assert abs(res[0.02][0] - res[0.01][0]) < max(res[0.02][1], res[0.01][1])
-
-
-def test_halfplane_start_validation():
-    cfg = SimConfig(seed=1, n_paths=1, t_max=0.1, dt=0.01)
-    with pytest.raises(ValueError):
-        simulate_halfplane(cfg, start=(0.0, -1.0))
 
 
 # ----------------------------------------------------------------- radial
