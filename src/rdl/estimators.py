@@ -30,6 +30,7 @@ from .model_spaces import HalfPlane, ModelManifold, space_from_json
 
 __all__ = [
     "EstimatorError",
+    "EstimatorInputError",
     "truncation_radius",
     "drift_quadrature",
     "drift_increment",
@@ -58,6 +59,11 @@ _CAUCHY_ABS_TOL = 1e-3  # entropy increments: absolute Cauchy tolerance, for rat
 
 class EstimatorError(RuntimeError):
     """Hard estimator failure (e.g. non-normalized kernel)."""
+
+
+class EstimatorInputError(EstimatorError, ValueError):
+    """Bad input to an estimator (an ensemble, a horizon grid), not a failed
+    invariant; as a ValueError the CLI reports it as a usage error."""
 
 
 def _radial_integral(space: ModelManifold, t: float, weight, r_hi: float | None = None) -> float:
@@ -128,7 +134,7 @@ def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit
     """
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 4:
-        raise EstimatorError("t_grid needs >= 4 points")
+        raise EstimatorInputError("t_grid needs >= 4 points")
     ell = {t: _radial_integral(space, t, lambda r, lq: r) for t in ts}
     _check_mass(space, ts[-1])
     violations = []
@@ -177,7 +183,7 @@ def entropy_rate(space: ModelManifold, t_grid) -> EntropyRateFit:
     """
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 3:
-        raise EstimatorError("t_grid needs >= 3 points")
+        raise EstimatorInputError("t_grid needs >= 3 points")
     h = {t: entropy_quadrature(space, t) for t in ts[-3:]}
     t2, t1, t0 = ts[-1], ts[-2], ts[-3]
     inc = (h[t2] - h[t1]) / (t2 - t1)
@@ -226,23 +232,26 @@ class Ensemble:
 
     def __post_init__(self):
         if len(self.components) != len(self.weights) or not self.components:
-            raise EstimatorError("ensemble needs matching nonempty components and weights")
+            raise EstimatorInputError("ensemble needs matching nonempty components and weights")
         if any(w <= 0 for w in self.weights):
-            raise EstimatorError("ensemble weights must be positive")
+            raise EstimatorInputError("ensemble weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise EstimatorError(f"ensemble weights must sum to 1, got {sum(self.weights)}")
+            raise EstimatorInputError(f"ensemble weights must sum to 1, got {sum(self.weights)}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Ensemble":
         comps, weights = [], []
-        for entry in obj["components"]:
-            weights.append(float(entry["weight"]))
-            if "space" in entry:
-                comps.append(space_from_json(entry["space"]))
-            elif "drift" in entry:
-                comps.append(DriftComponent(float(entry["drift"]), entry.get("label", "")))
-            else:
-                raise EstimatorError("ensemble component needs 'space' or 'drift'")
+        try:
+            for entry in obj["components"]:
+                weights.append(float(entry["weight"]))
+                if "space" in entry:
+                    comps.append(space_from_json(entry["space"]))
+                elif "drift" in entry:
+                    comps.append(DriftComponent(float(entry["drift"]), entry.get("label", "")))
+                else:
+                    raise EstimatorInputError("ensemble component needs 'space' or 'drift'")
+        except KeyError as e:
+            raise EstimatorInputError(f"ensemble is missing the key {e}") from e
         return cls(components=tuple(comps), weights=tuple(weights))
 
 
@@ -489,7 +498,7 @@ def _ensemble_report(ensemble, t_grid, r_max):
     for c in spaces:
         kernel_for(c)  # an out-of-catalog component raises KernelError before the mix is judged
     if len(spaces) < len(ensemble.components):
-        raise EstimatorError("an ensemble report needs all components to be spaces, or all drifts")
+        raise EstimatorInputError("an ensemble report needs all components to be spaces, or all drifts")
     reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
     # the components' own increments, on the grid the caller passed
     ell, ell_plus = ensemble_drift(ensemble, component_drifts=[r.ell for r in reports])

@@ -18,10 +18,13 @@ bridge caps is closed under pointwise min and max), so the system is
 feasible iff m clears the positivity floor and the lower triangle
 constraints, and then m itself is a witness.  m shrinks as bridges are
 added, so a partial assignment that already fails can be pruned: the
-partner search is exact backtracking.  Candidate partners are pruned to the
-window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is implied by any
-feasible cross matrix, and capped at the _K_NEAREST radially closest; only
-the cap can lose solutions and results carry an `exact` flag.
+partner search is exact backtracking.  A node's m is min(parent's m, bridge)
+and the parent's m passed every check, so a constraint can newly fail only
+through an entry the bridge lowered; a node checks those k entries alone, in
+at most k·(n1 + n2) work instead of n1·n2·(n1 + n2).  Candidate partners
+are pruned to the window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is
+implied by any feasible cross matrix, and capped at the _K_NEAREST radially
+closest; only the cap can lose solutions and results carry an `exact` flag.
 
 `feasible_lp` decides the same question by an independent route: for each
 assignment of partners it hands the conjunctive system to scipy's HiGHS LP
@@ -61,6 +64,8 @@ DELTA = 1e-9  # margin standing in for the strict inequalities in the d_GS defin
 _METRIC_TOL = 1e-12  # slack of the zero-diagonal, symmetry and triangle checks
 _TRIANGLE_SLAB = 8  # rows per slab of the triangle check in FinitePointedSpace.validate
 _K_NEAREST = 4  # partners kept per point, radially closest first
+_SEARCH_TOL = 1e-11  # slack of the lower triangle constraints in feasible()
+_CHECK_BLOCK = 256  # cross entries per block of a search node's check
 _MAX_NODES = 200000  # search nodes of feasible() before it gives up, inexact
 _MAX_ASSIGNMENTS = 20000  # partner assignments of feasible_lp() before it gives up
 
@@ -102,12 +107,15 @@ class FinitePointedSpace:
             if d[mask].min() <= 0:
                 i, j = np.argwhere((d <= 0) & mask)[0]
                 raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
-        # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time so that
-        # memory stays O(n^2); the strict > keeps the first maximum, as argmax would
+        # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time in one
+        # reused buffer so that memory stays O(n^2); the strict > keeps the first
+        # maximum, as argmax would
         worst, at = -np.inf, None
+        buf, dT = np.empty((_TRIANGLE_SLAB,) + d.shape), d.T.copy()
         for s in range(0, d.shape[0], _TRIANGLE_SLAB):
-            viol = d[s : s + _TRIANGLE_SLAB, :, None] - d[s : s + _TRIANGLE_SLAB, None, :]
-            viol -= d.T
+            rows = d[s : s + _TRIANGLE_SLAB]
+            viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
+            viol -= dT
             flat = np.argmax(viol)
             if viol.flat[flat] > worst:
                 worst = viol.flat[flat]
@@ -208,19 +216,37 @@ def _partner_options(d1, d2, eps, cap):
     return options, truncated
 
 
-def _assignment_check(m, d1, d2, delta, tol=1e-11):
-    if (m < delta - 1e-15).any():
-        return False
-    if ((m[:, None, :] + m[None, :, :]) - d1[:, :, None] < -tol).any():
-        return False
-    if ((m[:, :, None] + m[:, None, :]) - d2[None, :, :] < -tol).any():
-        return False
-    return True
+def _breaks(m, ci, cj, d1, d2):
+    """True if an entry (x, y) = (ci[k], cj[k]) of m is below the floor DELTA
+    or breaks a lower triangle constraint m(x, y) + m(x', y) >= d1(x, x') or
+    m(x, y) + m(x, y') >= d2(y, y').  d1 and d2 must be symmetric, so that the
+    pairs (x', x) and (y', y) are covered as well.  Entries are checked
+    _CHECK_BLOCK at a time, so memory stays O(_CHECK_BLOCK (n1 + n2)) and the
+    check stops at the first block that breaks."""
+    for s in range(0, len(ci), _CHECK_BLOCK):
+        i, j = ci[s : s + _CHECK_BLOCK], cj[s : s + _CHECK_BLOCK]
+        c = m[i, j][:, None]
+        if (c < DELTA - 1e-15).any():
+            return True
+        rows = m[:, j].T  # rows[k, x'] = m[x', j[k]], a fresh array
+        rows += c
+        rows -= d1[i, :]
+        if (rows < -_SEARCH_TOL).any():
+            return True
+        cols = m[i, :]
+        cols += c
+        cols -= d2[j, :]
+        if (cols < -_SEARCH_TOL).any():
+            return True
+    return False
 
 
 def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> FeasibilityResult:
     """Decide whether an admissible extension realizes the d_GS conditions at eps."""
     d1, d2 = a.dist, b.dist
+    # validate allows an asymmetry up to _METRIC_TOL: a lower triangle constraint
+    # holds for both orders of a pair iff it holds against the larger distance
+    sym1, sym2 = np.maximum(d1, d1.T), np.maximum(d2, d2.T)
     cap = eps - DELTA
     cands, truncated_any = _partner_options(d1, d2, eps, cap)
     if cands is None:
@@ -240,26 +266,27 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
             return m[p].min() <= cap + 1e-15
         return m[:, p].min() <= cap + 1e-15
 
-    def search(i, m):
+    def search(i, m, lowered):
         nonlocal nodes
         nodes += 1
         if nodes > _MAX_NODES:
             raise _SearchTruncated
-        if not _assignment_check(m, d1, d2, DELTA):
+        if _breaks(m, *lowered, sym1, sym2):
             return None
         if i == len(cands):
             return m
         side, p, options = cands[i]
         if covered_already(side, p, m):
-            return search(i + 1, m)
+            return search(i + 1, m, ([], []))  # m unchanged: nothing to recheck
         for q in options:
-            res = search(i + 1, np.minimum(m, bridge(side, p, q)))
+            new = np.minimum(m, bridge(side, p, q))
+            res = search(i + 1, new, np.nonzero(new < m))
             if res is not None:
                 return res
         return None
 
     try:
-        witness = search(0, base)
+        witness = search(0, base, np.nonzero(np.ones(base.shape, dtype=bool)))
     except _SearchTruncated:
         return FeasibilityResult(False, None, False, nodes, eps)
     if witness is None:

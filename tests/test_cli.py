@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rdl.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, _csv_block, main
+import rdl.estimators
+from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, _csv_block, main
 from rdl.gromov import AdmissibleExtension, FinitePointedSpace
 
 
@@ -134,6 +135,34 @@ def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, 
     ]}))
     assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
     assert "no closed-form kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("components, message", [
+    ([{"weight": 0.5, "drift": 1.0}, {"weight": 0.6, "drift": 2.0}], "sum to 1"),
+    ([{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "space": {"kind": "hyperbolic", "dim": 2}}],
+     "all components to be spaces, or all drifts"),
+    ([{"weight": 1.0}], "needs 'space' or 'drift'"),
+    ([{"drift": 1.0}], "missing the key 'weight'"),
+    (None, "missing the key 'components'"),
+], ids=["weights", "mixed", "neither", "no-weight", "no-components"])
+def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, message):
+    # bad input, not an invariant failure: exit 2, not 4
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({} if components is None else {"components": components}))
+    assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_report_short_t_grid_is_usage_error(capsys):
+    assert main(["report", "--space", "h2", "--t-grid", "1,2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: t_grid needs >= 4 points\n"
+
+
+def test_report_failed_invariant_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(rdl.estimators, "_MASS_TOL", 2.0)  # no kernel can carry mass 2
+    assert main(["report", "--space", "h2"]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("invariant failure: kernel mass")
 
 
 def test_report_usage(tmp_path):

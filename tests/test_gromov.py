@@ -14,6 +14,7 @@ import rdl.gromov
 from rdl.gromov import (
     DELTA,
     AdmissibleExtension,
+    FeasibilityResult,
     FinitePointedSpace,
     GluingError,
     MetricError,
@@ -77,10 +78,18 @@ def test_space_validation_memory_is_quadratic():
     assert peak < 32e6  # an n^3 float tensor alone is 216 MB
 
 
-@pytest.mark.parametrize("pair", [(33, 35), (5, 35)])
-def test_space_triangle_error_names_first_worst_triple(pair):
+@pytest.mark.parametrize("n, pair, discrete", [
+    (40, (33, 35), False),
+    (40, (5, 35), False),
+    (43, (41, 2), False),  # the worst triple lies in the last, partial slab
+    (43, (2, 20), True),   # equal worst violations in rows 2 and 20: the first is named
+], ids=["pair0", "pair1", "partial-slab", "tie"])
+def test_space_triangle_error_names_first_worst_triple(n, pair, discrete):
     rng = np.random.default_rng(6)
-    d = _space_from_points(rng.uniform(-1, 1, (40, 2))).dist.copy()
+    if discrete:
+        d = 1.0 - np.eye(n)
+    else:
+        d = _space_from_points(rng.uniform(-1, 1, (n, 2))).dist.copy()
     p, q = pair
     d[p, q] = d[q, p] = d[p, q] + 3.0
     full = d[:, :, None] - d[:, None, :] - d.T[None, :, :]
@@ -210,6 +219,110 @@ def test_lp_oracle_raises_when_highs_gives_up(monkeypatch):
     monkeypatch.setattr(rdl.gromov, "linprog", iteration_limit)
     with pytest.raises(RuntimeError, match="Iteration limit"):
         feasible_lp(a, b, 0.3)
+
+
+class _Truncated(Exception):
+    pass
+
+
+def _full_check_search(a, b, eps):
+    """feasible() as it was before nodes checked only the lowered entries: each
+    node builds and tests the full n1*n2*(n1+n2) floor and triangle tensors."""
+    d1, d2 = a.dist, b.dist
+    cap = eps - DELTA
+    cands, truncated_any = rdl.gromov._partner_options(d1, d2, eps, cap)
+    if cands is None:
+        return FeasibilityResult(False, None, True, 0, eps)
+    cands.sort(key=lambda e: (len(e[2]), e[0], e[1]))
+    nodes = 0
+
+    def passes(m, tol=1e-11):
+        return not ((m < DELTA - 1e-15).any()
+                    or ((m[:, None, :] + m[None, :, :]) - d1[:, :, None] < -tol).any()
+                    or ((m[:, :, None] + m[:, None, :]) - d2[None, :, :] < -tol).any())
+
+    def bridge(side, p, q):
+        if side == "r":
+            return d1[:, [p]] + cap + d2[[q], :]
+        return d1[:, [q]] + cap + d2[[p], :]
+
+    def search(i, m):
+        nonlocal nodes
+        nodes += 1
+        if nodes > rdl.gromov._MAX_NODES:
+            raise _Truncated
+        if not passes(m):
+            return None
+        if i == len(cands):
+            return m
+        side, p, options = cands[i]
+        if (m[p] if side == "r" else m[:, p]).min() <= cap + 1e-15:
+            return search(i + 1, m)
+        for q in options:
+            res = search(i + 1, np.minimum(m, bridge(side, p, q)))
+            if res is not None:
+                return res
+        return None
+
+    try:
+        witness = search(0, d1[:, [0]] + cap + d2[[0], :])
+    except _Truncated:
+        return FeasibilityResult(False, None, False, nodes, eps)
+    if witness is None:
+        return FeasibilityResult(False, None, not truncated_any, nodes, eps)
+    return FeasibilityResult(True, witness, True, nodes, eps)
+
+
+def _same_result(got, want):
+    return ((got.feasible, got.exact, got.nodes) == (want.feasible, want.exact, want.nodes)
+            and (got.witness is None) == (want.witness is None)
+            and (got.witness is None or got.witness.tobytes() == want.witness.tobytes()))
+
+
+# (space, radius) of the benchmark's epsilon-net pairs (mesh 0.5, net seeds 1
+# and 2), each at eps values where the full-check search stays fast
+_NET_PAIRS = [
+    ((Euclidean(2), 1.0), (0.05, 0.3, 0.41)),
+    ((Hyperbolic(2), 2.0), (0.2,)),
+    ((HalfPlane(), 1.5), (0.4,)),
+    ((Hyperbolic(3), 1.0), (0.3,)),
+]
+
+
+def test_feasible_matches_full_check_search(monkeypatch):
+    # a node re-checks only the entries its bridge lowered; the full check at
+    # every node must give the same decisions, node counts and witness bytes
+    cases = []
+    for (space, radius), eps_values in _NET_PAIRS:
+        a, b = (net_from_manifold(space, radius, 0.5, seed=s) for s in (1, 2))
+        cases += [(a, b, eps) for eps in eps_values]
+    base = net_from_manifold(Hyperbolic(2), 1.8, 0.5, seed=3)
+    glued = chain_glue([base] * 4, [identity_cross(base)] * 3)
+    cases.append((glued.limit_ball, base, 0.25))
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        dim, n1, n2 = int(rng.integers(1, 3)), int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        a, b = (_space_from_points(np.vstack([np.zeros(dim), rng.uniform(-1, 1, (n - 1, dim))]))
+                for n in (n1, n2))
+        cases.append((a, b, float(rng.uniform(0.05, 0.48))))
+
+    wants = [_full_check_search(a, b, eps) for a, b, eps in cases]
+    seen = set()
+    for block in (rdl.gromov._CHECK_BLOCK, 7):  # at 7 a node checks many blocks
+        monkeypatch.setattr(rdl.gromov, "_CHECK_BLOCK", block)
+        for (a, b, eps), want in zip(cases, wants):
+            got = feasible(a, b, eps)
+            assert _same_result(got, want), (block, a.n, b.n, eps, got.nodes, want.nodes)
+            seen.add("feasible" if got.feasible else "infeasible")
+            options, _ = rdl.gromov._partner_options(a.dist, b.dist, eps, eps - DELTA)
+            if options is not None and got.nodes > len(options):
+                seen.add("backtracked")  # more nodes than points to cover
+    assert seen == {"feasible", "infeasible", "backtracked"}
+
+    monkeypatch.setattr(rdl.gromov, "_MAX_NODES", 100)  # the cap cuts both at the same node
+    a, b, eps = cases[2]
+    got, want = feasible(a, b, eps), _full_check_search(a, b, eps)
+    assert _same_result(got, want) and got.nodes == 101 and not got.exact
 
 
 def _grid_feasible(a, b, eps, step):
