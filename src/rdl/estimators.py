@@ -242,7 +242,10 @@ class Ensemble:
     def from_json_dict(cls, obj: dict) -> "Ensemble":
         comps, weights = [], []
         try:
-            for entry in obj["components"]:
+            entries = obj["components"] if isinstance(obj, dict) else None
+            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+                raise EstimatorInputError("an ensemble is an object with a 'components' list of objects")
+            for entry in entries:
                 weights.append(float(entry["weight"]))
                 if "space" in entry:
                     comps.append(space_from_json(entry["space"]))

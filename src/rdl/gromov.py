@@ -26,6 +26,13 @@ are pruned to the window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is
 implied by any feasible cross matrix, and capped at the _K_NEAREST radially
 closest; only the cap can lose solutions and results carry an `exact` flag.
 
+A cross c is admissible iff [[d1, c], [cᵀ, d2]] is a metric: its triangle
+inequalities that mix X1 and X2 are the Lipschitz and lower constraints on c,
+and its positivity is c > 0, so one slab-wise _check_metric serves both
+validate methods.  chain_glue gives scipy's Floyd–Warshall a sparse graph:
+from a dense array scipy drops entries within 1e-8 of zero as missing edges,
+identity_cross's 1e-12 bridges among them.
+
 `feasible_lp` decides the same question by an independent route: for each
 assignment of partners it hands the conjunctive system to scipy's HiGHS LP
 solver (`linprog(method="highs")`).  It is library code so that the tests
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from .model_spaces import GeometryError, ModelManifold
 
@@ -62,7 +70,7 @@ __all__ = [
 
 DELTA = 1e-9  # margin standing in for the strict inequalities in the d_GS definition
 _METRIC_TOL = 1e-12  # slack of the zero-diagonal, symmetry and triangle checks
-_TRIANGLE_SLAB = 8  # rows per slab of the triangle check in FinitePointedSpace.validate
+_TRIANGLE_SLAB = 8  # rows per slab of the triangle check in _check_metric
 _K_NEAREST = 4  # partners kept per point, radially closest first
 _SEARCH_TOL = 1e-11  # slack of the lower triangle constraints in feasible()
 _CHECK_BLOCK = 256  # cross entries per block of a search node's check
@@ -76,6 +84,43 @@ class MetricError(ValueError):
 
 class GluingError(ValueError):
     """Chain-gluing certificate violated."""
+
+
+def _check_metric(d: np.ndarray, tol: float) -> None:
+    """Raise MetricError unless d is a finite square metric matrix, to within tol."""
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
+        raise MetricError(f"distance matrix must be square, got {d.shape}")
+    if not np.isfinite(d).all():
+        raise MetricError("distance matrix has non-finite entries")
+    if np.abs(np.diag(d)).max(initial=0.0) > tol:
+        raise MetricError("diagonal must be zero")
+    if np.abs(d - d.T).max(initial=0.0) > tol:
+        raise MetricError("distance matrix must be symmetric")
+    if d.shape[0] > 1:
+        mask = ~np.eye(d.shape[0], dtype=bool)
+        if d[mask].min() <= 0:
+            i, j = np.argwhere((d <= 0) & mask)[0]
+            raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
+    # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time in one
+    # reused buffer so that memory stays O(n^2); the strict > keeps the first
+    # maximum, as argmax would
+    worst, at = -np.inf, None
+    buf, dT = np.empty((_TRIANGLE_SLAB,) + d.shape), d.T.copy()
+    for s in range(0, d.shape[0], _TRIANGLE_SLAB):
+        rows = d[s : s + _TRIANGLE_SLAB]
+        viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
+        viol -= dT
+        flat = np.argmax(viol)
+        if viol.flat[flat] > worst:
+            worst = viol.flat[flat]
+            i, j, k = np.unravel_index(flat, viol.shape)
+            at = (s + i, j, k)
+    if worst > tol:
+        i, j, k = at
+        raise MetricError(
+            f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
+            f"d({i},{j}) > d({i},{k}) + d({k},{j})"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,40 +138,7 @@ class FinitePointedSpace:
         return self.dist.shape[0]
 
     def validate(self) -> None:
-        d = self.dist
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
-            raise MetricError(f"distance matrix must be square, got {d.shape}")
-        if not np.isfinite(d).all():
-            raise MetricError("distance matrix has non-finite entries")
-        if np.abs(np.diag(d)).max(initial=0.0) > _METRIC_TOL:
-            raise MetricError("diagonal must be zero")
-        if np.abs(d - d.T).max(initial=0.0) > _METRIC_TOL:
-            raise MetricError("distance matrix must be symmetric")
-        if d.shape[0] > 1:
-            mask = ~np.eye(d.shape[0], dtype=bool)
-            if d[mask].min() <= 0:
-                i, j = np.argwhere((d <= 0) & mask)[0]
-                raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
-        # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time in one
-        # reused buffer so that memory stays O(n^2); the strict > keeps the first
-        # maximum, as argmax would
-        worst, at = -np.inf, None
-        buf, dT = np.empty((_TRIANGLE_SLAB,) + d.shape), d.T.copy()
-        for s in range(0, d.shape[0], _TRIANGLE_SLAB):
-            rows = d[s : s + _TRIANGLE_SLAB]
-            viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
-            viol -= dT
-            flat = np.argmax(viol)
-            if viol.flat[flat] > worst:
-                worst = viol.flat[flat]
-                i, j, k = np.unravel_index(flat, viol.shape)
-                at = (s + i, j, k)
-        if worst > _METRIC_TOL:
-            i, j, k = at
-            raise MetricError(
-                f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
-                f"d({i},{j}) > d({i},{k}) + d({k},{j})"
-            )
+        _check_metric(self.dist, _METRIC_TOL)
 
     def radii(self) -> np.ndarray:
         return self.dist[0]
@@ -136,6 +148,8 @@ class FinitePointedSpace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FinitePointedSpace":
+        if not isinstance(obj, dict) or "dist" not in obj:
+            raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
         d = np.asarray(obj["dist"], dtype=float)
         if "n" in obj and int(obj["n"]) != d.shape[0]:
             raise MetricError(f"n = {obj['n']} does not match matrix size {d.shape[0]}")
@@ -151,24 +165,12 @@ class AdmissibleExtension:
     cross: np.ndarray
 
     def validate(self, d1: np.ndarray, d2: np.ndarray, tol: float = 1e-9) -> None:
+        """Raise MetricError unless [[d1, c], [cᵀ, d2]] is a metric; errors use its indices."""
         c = np.asarray(self.cross, dtype=float)
         n1, n2 = d1.shape[0], d2.shape[0]
         if c.shape != (n1, n2):
             raise MetricError(f"cross matrix shape {c.shape} != ({n1}, {n2})")
-        if not (c > 0).all():
-            raise MetricError("cross distances must be strictly positive")
-        diff1 = np.abs(c[:, None, :] - c[None, :, :]) - d1[:, :, None]
-        if diff1.max() > tol:
-            raise MetricError(f"row Lipschitz constraint violated by {diff1.max():.3g}")
-        low1 = d1[:, :, None] - (c[:, None, :] + c[None, :, :])
-        if low1.max() > tol:
-            raise MetricError(f"row lower constraint violated by {low1.max():.3g}")
-        diff2 = np.abs(c[:, :, None] - c[:, None, :]) - d2[None, :, :]
-        if diff2.max() > tol:
-            raise MetricError(f"column Lipschitz constraint violated by {diff2.max():.3g}")
-        low2 = d2[None, :, :] - (c[:, :, None] + c[:, None, :])
-        if low2.max() > tol:
-            raise MetricError(f"column lower constraint violated by {low2.max():.3g}")
+        _check_metric(np.block([[d1, c], [c.T, d2]]), tol)
 
 
 @dataclass(frozen=True)
@@ -384,16 +386,15 @@ def gromov_distance(
     if not res.feasible:
         return GromovDistanceResult(0.5, hi, 0.5, None, res.exact)
     lo, witness, exact = 0.0, res.witness, res.exact
-    hi_val = hi
-    while hi_val - lo > tol:
-        mid = 0.5 * (lo + hi_val)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
         r = feasible(a, b, mid)
         exact = exact and r.exact
         if r.feasible:
-            hi_val, witness = mid, r.witness
+            hi, witness = mid, r.witness
         else:
             lo = mid
-    return GromovDistanceResult(hi_val, lo, hi_val, witness, exact)
+    return GromovDistanceResult(hi, lo, hi, witness, exact)
 
 
 def certify_upper(
@@ -401,17 +402,12 @@ def certify_upper(
 ) -> bool:
     """True iff `cross` witnesses d_GS(a, b) <= eps (non-strict conditions)."""
     cross.validate(a.dist, b.dist)
-    c = cross.cross
-    if c[0, 0] > eps:
-        return False
-    ball = 1.0 / eps
-    for x in range(a.n):
-        if a.dist[0, x] <= ball and c[x].min() > eps:
-            return False
-    for y in range(b.n):
-        if b.dist[0, y] <= ball and c[:, y].min() > eps:
-            return False
-    return True
+    c, ball = np.asarray(cross.cross, dtype=float), 1.0 / eps
+    return bool(
+        c[0, 0] <= eps
+        and (c[a.radii() <= ball].min(axis=1) <= eps).all()
+        and (c[:, b.radii() <= ball].min(axis=0) <= eps).all()
+    )
 
 
 def identity_cross(space: FinitePointedSpace) -> AdmissibleExtension:
@@ -443,12 +439,11 @@ def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
     if len(spaces) < 2 or len(crosses) != len(spaces) - 1:
         raise GluingError("need k spaces and k-1 crosses, k >= 2")
     for n, (x1, x2, cr) in enumerate(zip(spaces[:-1], spaces[1:], crosses)):
-        eps_n = 2.0 ** (-n)
         try:
-            cr.validate(x1.dist, x2.dist)
+            certified = certify_upper(x1, x2, cr, 2.0 ** (-n))
         except MetricError as e:
             raise GluingError(f"cross {n} inadmissible: {e}") from e
-        if not certify_upper(x1, x2, cr, eps_n):
+        if not certified:
             raise GluingError(f"cross {n} does not certify d_GS <= 2^-{n}")
 
     sizes = [s.n for s in spaces]
@@ -460,8 +455,7 @@ def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
     for cr, off1, off2, s1, s2 in zip(crosses, offsets[:-1], offsets[1:], spaces[:-1], spaces[1:]):
         big[off1 : off1 + s1.n, off2 : off2 + s2.n] = cr.cross
         big[off2 : off2 + s2.n, off1 : off1 + s1.n] = cr.cross.T
-    for k in range(total):
-        np.minimum(big, big[:, [k]] + big[[k], :], out=big)
+    big = floyd_warshall(csgraph_from_dense(big, null_value=np.inf))
 
     for s, off in zip(spaces, offsets):
         if np.abs(big[off : off + s.n, off : off + s.n] - s.dist).max() > 1e-9:

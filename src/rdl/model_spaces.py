@@ -520,6 +520,8 @@ class RotSymSurface(ModelManifold):
 
 def space_from_json(obj: dict) -> ModelManifold:
     """Inverse of ModelManifold.to_json_dict."""
+    if not isinstance(obj, dict):
+        raise GeometryError(f"a space is a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
     if kind == "euclidean":
         return Euclidean(int(obj["dim"]))

@@ -82,6 +82,10 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_max / self.dt))
 
+    def record_steps(self, stride: int) -> np.ndarray:
+        """Step indices 0, stride, 2 stride, ... and the last step n_steps."""
+        return np.union1d(np.arange(0, self.n_steps + 1, stride), self.n_steps)
+
 
 def path_rng(seed: int, path_index: int, substream: int = 0) -> np.random.Generator:
     """Counter-based stream for one path; independent of all other paths."""
@@ -103,9 +107,7 @@ def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:
     """Paths from the basepoint (0, 1), recorded every cfg.record_stride steps."""
     n, dt = cfg.n_steps, cfg.dt
     sqdt = math.sqrt(dt)
-    rec = np.arange(0, n + 1, cfg.record_stride)
-    if rec[-1] != n:
-        rec = np.append(rec, n)
+    rec = cfg.record_steps(cfg.record_stride)
     times = rec * dt
     paths = []
     for i in range(cfg.n_paths):
@@ -172,9 +174,7 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
         raise ValueError(f"need r0 > 0, got {r0}")
     n, dt, m = cfg.n_steps, cfg.dt, cfg.n_paths
     sqdt = math.sqrt(dt)
-    steps = np.arange(0, n + 1, stride)
-    if steps[-1] != n:
-        steps = np.append(steps, n)
+    steps = cfg.record_steps(stride)
     rngs = [path_rng(cfg.seed, i, substream=0) for i in range(m)]
     ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(m)] if angles else []
 

@@ -154,6 +154,19 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {"components": 5},
+    {"components": [{"space": [1], "weight": 1}]},
+], ids=["list", "components-int", "space-list"])
+def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps(content))
+    assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_report_short_t_grid_is_usage_error(capsys):
     assert main(["report", "--space", "h2", "--t-grid", "1,2"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: t_grid needs >= 4 points\n"
@@ -236,6 +249,16 @@ def test_gromov_cli_nonzero_basepoint_is_usage_error(tmp_path, capsys):
     _write_space(b, [[0.0]])
     assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
     assert "basepoint" in capsys.readouterr().err
+
+
+def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text("[1]")
+    b = tmp_path / "b.json"
+    _write_space(b, [[0.0]])
+    assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'dist'" in err and err.count("\n") == 1
 
 
 def test_kernel_table(tmp_path):

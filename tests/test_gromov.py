@@ -112,6 +112,74 @@ def test_admissible_extension_validator():
         AdmissibleExtension(np.array([[0.0], [1.0]])).validate(a.dist, b.dist)  # positivity
 
 
+def _four_tensor_admissible(c, d1, d2, tol=1e-9):
+    """The cross check as it stood before it became the glued metric check:
+    positivity, then the row and column Lipschitz and lower constraints as
+    dense n1*n1*n2 and n1*n2*n2 tensors."""
+    if not (c > 0).all():
+        return False
+    row_lip = np.abs(c[:, None, :] - c[None, :, :]) - d1[:, :, None]
+    row_low = d1[:, :, None] - (c[:, None, :] + c[None, :, :])
+    col_lip = np.abs(c[:, :, None] - c[:, None, :]) - d2[None, :, :]
+    col_low = d2[None, :, :] - (c[:, :, None] + c[:, None, :])
+    return all(t.max() <= tol for t in (row_lip, row_low, col_lip, col_low))
+
+
+def _random_cross(rng, pa, pb):
+    """An ambient cross |x - y| + jitter of two clouds in R^dim, then one of:
+    unchanged, an entry raised (Lipschitz), lowered (lower constraint),
+    zeroed (positivity), or every entry scaled or shifted."""
+    c = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1) + rng.uniform(1e-6, 0.3)
+    i, j = rng.integers(c.shape[0]), rng.integers(c.shape[1])
+    kind = rng.integers(6)
+    if kind == 1:
+        c[i, j] += rng.uniform(0.0, 1.5)
+    elif kind == 2:
+        c[i, j] *= rng.uniform(0.0, 1.0)
+    elif kind == 3:
+        c[i, j] = 0.0
+    elif kind == 4:
+        c *= rng.uniform(0.3, 1.5)
+    elif kind == 5:
+        c += rng.uniform(-0.5, 0.5, c.shape)
+    return c
+
+
+def test_admissible_extension_matches_four_tensor_oracle():
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for _ in range(1500):
+        dim = int(rng.integers(1, 3))
+        pa = np.vstack([np.zeros(dim), rng.uniform(-1, 1, (int(rng.integers(0, 6)), dim))])
+        pb = np.vstack([np.zeros(dim), rng.uniform(-1, 1, (int(rng.integers(0, 6)), dim))])
+        a, b = _space_from_points(pa), _space_from_points(pb)
+        c = _random_cross(rng, pa, pb)
+        want = _four_tensor_admissible(c, a.dist, b.dist)
+        try:
+            AdmissibleExtension(c).validate(a.dist, b.dist)
+            got = True
+        except MetricError:
+            got = False
+        assert got == want, c
+        verdicts.append(want)
+    assert 300 < sum(verdicts) < 1200  # both verdicts are well represented
+
+
+@pytest.mark.parametrize("cross", [
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[np.inf, np.inf], [np.inf, np.inf]],
+], ids=["off-diagonal", "all"])
+def test_infinite_cross_is_inadmissible(cross):
+    # inf - inf is NaN, and NaN > tol is False: the four-tensor check let
+    # these through, and certify_upper then certified d_GS <= 0.5
+    pair = _space_from_points([[0.0], [1.0]])
+    cross = AdmissibleExtension(np.array(cross))
+    with pytest.raises(MetricError, match="non-finite"):
+        cross.validate(pair.dist, pair.dist)
+    with pytest.raises(MetricError, match="non-finite"):
+        certify_upper(pair, pair, cross, 0.5)
+
+
 # ------------------------------------------------------------- feasibility
 
 
@@ -457,6 +525,25 @@ def test_chain_glue_restriction_and_layer_count():
     n = sp.n
     for off in res.layer_offsets:
         assert np.abs(res.glued[off:off + n, off:off + n] - sp.dist).max() <= 1e-9
+
+
+def test_chain_glue_golden_bytes():
+    # SHA-256 of the glued matrix of a 4-layer constant chain of a 46-point
+    # H^2 net, recorded with the explicit Floyd–Warshall loop (numpy 2.4,
+    # x86_64): scipy's Floyd–Warshall must give the same bits
+    net = net_from_manifold(Hyperbolic(2), radius=1.8, mesh=0.5, seed=3)
+    assert net.n == 46
+    res = chain_glue([net] * 4, [identity_cross(net)] * 3)
+    assert res.glued[5, 143] == 3e-12
+    assert hashlib.sha256(res.glued.tobytes()).hexdigest() == (
+        "60361d4d0d3766eab5ad917261dad41605719e718db1e1afddf339408c4dc495")
+
+
+def test_chain_glue_keeps_tiny_bridges():
+    # a dense-array graph would read the 1e-12 bridges as missing edges
+    point = FinitePointedSpace(np.zeros((1, 1)))
+    res = chain_glue([point] * 3, [AdmissibleExtension(np.array([[1e-12]]))] * 2)
+    assert np.array_equal(res.glued, [[0.0, 1e-12, 2e-12], [1e-12, 0.0, 1e-12], [2e-12, 1e-12, 0.0]])
 
 
 def _net_with_coords(space, radius, mesh, seed):

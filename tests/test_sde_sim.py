@@ -32,6 +32,16 @@ def test_config_validation():
         SimConfig(seed=-1, n_paths=1, t_max=1.0, dt=0.1)
 
 
+@pytest.mark.parametrize("stride, steps", [
+    (20, [0, 20, 40, 60, 80, 100]),  # the last step falls on the stride: not repeated
+    (30, [0, 30, 60, 90, 100]),
+    (500, [0, 100]),
+])
+def test_record_steps_end_on_the_last_step(stride, steps):
+    rec = SimConfig(seed=1, n_paths=1, t_max=1.0, dt=0.01).record_steps(stride)
+    assert rec.dtype == np.int64 and rec.tolist() == steps
+
+
 def test_path_streams_independent_of_batching():
     a = path_rng(3, 5).standard_normal(4)
     b = path_rng(3, 5).standard_normal(4)
