@@ -253,8 +253,7 @@ def _cmd_kernel(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("t,r,q\n")
         for t in (float(x) for x in args.t.split(",")):
-            qs = [float(ker.q(t, r)) for r in rs]
-            fh.write(_csv_block("", [np.full(rs.size, t), rs, qs]))
+            fh.write(_csv_block("", [np.full(rs.size, t), rs, ker.q(t, rs)]))
     echo = {"space": args.space, "dim": args.dim, "kappa": args.kappa, "t": args.t,
             "r_max": args.r_max, "points": args.points, "threads": _threads(args)}
     _write_manifest("kernel", echo, [args.out], None, time.time() - t0)

@@ -255,6 +255,8 @@ class Ensemble:
                     raise EstimatorInputError("ensemble component needs 'space' or 'drift'")
         except KeyError as e:
             raise EstimatorInputError(f"ensemble is missing the key {e}") from e
+        except TypeError as e:
+            raise EstimatorInputError(f"ensemble field of the wrong type: {e}") from e
         return cls(components=tuple(comps), weights=tuple(weights))
 
 

@@ -150,10 +150,16 @@ class FinitePointedSpace:
     def from_json_dict(cls, obj: dict) -> "FinitePointedSpace":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
-        d = np.asarray(obj["dist"], dtype=float)
-        if "n" in obj and int(obj["n"]) != d.shape[0]:
-            raise MetricError(f"n = {obj['n']} does not match matrix size {d.shape[0]}")
-        if int(obj.get("basepoint", 0)) != 0:
+        try:
+            d = np.asarray(obj["dist"], dtype=float)
+            fields = {key: int(obj[key]) for key in ("n", "basepoint") if key in obj}
+        except (TypeError, ValueError) as e:
+            raise MetricError(f"'dist' must be numbers, 'n' and 'basepoint' integers: {e}") from e
+        if d.ndim != 2:
+            raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")
+        if fields.get("n", d.shape[0]) != d.shape[0]:
+            raise MetricError(f"n = {fields['n']} does not match matrix size {d.shape[0]}")
+        if fields.get("basepoint", 0) != 0:
             raise MetricError("basepoint is normalized to index 0")
         return cls(d)
 
@@ -498,15 +504,7 @@ def net_from_manifold(
             break
         chosen.append(i)
         dmin = np.minimum(dmin, space.dist_to_many(pool, pool[i]))
-    pts = pool[chosen]
-    n = len(chosen)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        d_row = space.dist_to_many(pts, pts[i])
-        dist[i] = d_row
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return FinitePointedSpace(dist)
+    return FinitePointedSpace(space.pairwise_distances(pool[chosen]))
 
 
 def _sample_radii(space: ModelManifold, radius: float, size: int, rng) -> np.ndarray:

@@ -184,28 +184,28 @@ def kernel_for(space: ModelManifold) -> KernelEval:
 
 
 def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
-    """int |q(t+tau, o, y) - q(t, o, y)| dy by radial quadrature, in [0, 2]."""
+    """int |q(t+tau, o, y) - q(t, o, y)| dy, in [0, 2], from two ball masses.
+
+    Premise: both kernels have unit mass and cross exactly once, i.e.
+    log q(t+tau, r) - log q(t, r) changes sign once on [0, R], R the
+    truncation radius, at r*.  Then by Scheffe's identity the defect is
+    2 |M_t(r*) - M_{t+tau}(r*)|, M_s(r) the kernel mass in the ball of
+    radius r.  With no sign change on [0, R], r* = R.
+    """
+    from .estimators import _radial_integral  # estimators imports this module
+
     if tau <= 0 or t <= 0:
         raise KernelError("need tau > 0 and t > 0")
     ker = kernel_for(space)
 
-    def integrand(r):
-        la = space.log_sphere_area(r)
-        if la == -math.inf:
-            return 0.0
-        qa = math.exp(float(ker.log_q(t + tau, r)) + la)
-        qb = math.exp(float(ker.log_q(t, r)) + la)
-        return abs(qa - qb)
-
     def log_ratio(r):
         return float(ker.log_q(t + tau, r)) - float(ker.log_q(t, r))
 
-    # the integrand has a kink where the two kernels cross; quad needs it as an endpoint
-    r_hi = truncation_radius(space, t + tau)
-    cuts = [0.0, r_hi]
-    if log_ratio(0.0) * log_ratio(r_hi) < 0:
-        cuts.insert(1, brentq(log_ratio, 0.0, r_hi))
-    return float(sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:])))
+    r_star = truncation_radius(space, t + tau)
+    if log_ratio(0.0) * log_ratio(r_star) < 0:
+        r_star = brentq(log_ratio, 0.0, r_star)
+    m_t, m_later = (_radial_integral(space, s, lambda r, lq: 1.0, r_hi=r_star) for s in (t, t + tau))
+    return 2.0 * abs(m_t - m_later)
 
 
 def truncation_radius(space: ModelManifold, t: float) -> float:

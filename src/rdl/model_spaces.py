@@ -182,20 +182,25 @@ class ModelManifold:
     # -- chart ---------------------------------------------------------------
     @property
     def basepoint(self):
-        raise NotImplementedError
+        return np.zeros(self.dim)
 
     def validate_point(self, pt) -> np.ndarray:
-        raise NotImplementedError
+        v = np.asarray(pt, dtype=float).reshape(-1)
+        if v.shape != (self.dim,):
+            raise GeometryError(f"expected a point in R^{self.dim}, got shape {v.shape}")
+        return v
+
+    def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
+        """Exact distances from each row of points to pt."""
+        raise GeometryError(f"{self.label()} has no exact pairwise distances")
 
     def distance(self, a, b) -> float:
         """Exact Riemannian distance; GeometryError where no exact form exists."""
-        bound = self.distance_bound(a, b)
-        if not bound.exact:
-            raise GeometryError(f"{self.label()} has no exact distance for this pair")
-        return bound.value
-
-    def distance_bound(self, a, b) -> DistanceBound:
-        raise NotImplementedError
+        a, b = self.validate_point(a), self.validate_point(b)
+        # dist_to_many is exact when its single point is the basepoint
+        if np.array_equal(a, self.basepoint):
+            a, b = b, a
+        return float(self.dist_to_many(a[None, :], b)[0])
 
     def points_at_radii(self, rs: np.ndarray, rng) -> np.ndarray:
         """Points at distances rs from the basepoint in uniformly random
@@ -205,13 +210,14 @@ class ModelManifold:
         return dirs * rs[:, None]
 
     def pairwise_distances(self, points) -> np.ndarray:
-        pts = [self.validate_point(p) for p in points]
-        n = len(pts)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self.distance(pts[i], pts[j])
-        return out
+        """Symmetrized dist_to_many rows with a zero diagonal."""
+        pts = np.array([self.validate_point(p) for p in points])
+        dist = np.zeros((len(pts), len(pts)))
+        for i, p in enumerate(pts):
+            dist[i] = self.dist_to_many(pts, p)
+        dist = 0.5 * (dist + dist.T)
+        np.fill_diagonal(dist, 0.0)
+        return dist
 
     # -- radial geometry -----------------------------------------------------
     def sphere_area(self, r: float) -> float:
@@ -230,7 +236,8 @@ class ModelManifold:
             raise GeometryError(f"radius must be >= 0, got {r}")
         if r == 0:
             return 0.0
-        val, _ = quad(self.sphere_area, 0.0, r, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
+        with np.errstate(over="ignore"):
+            val, _ = quad(self.sphere_area, 0.0, r, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
         return val
 
     def volume_growth(self, r_max: float) -> VolumeGrowthEstimate:
@@ -276,20 +283,6 @@ class Euclidean(ModelManifold):
             raise GeometryError(f"Euclidean dimension must be a positive integer, got {dim}")
         self.dim = dim
 
-    @property
-    def basepoint(self):
-        return np.zeros(self.dim)
-
-    def validate_point(self, pt) -> np.ndarray:
-        v = np.asarray(pt, dtype=float).reshape(-1)
-        if v.shape != (self.dim,):
-            raise GeometryError(f"expected a point in R^{self.dim}, got shape {v.shape}")
-        return v
-
-    def distance_bound(self, a, b) -> DistanceBound:
-        a, b = self.validate_point(a), self.validate_point(b)
-        return DistanceBound(float(np.linalg.norm(a - b)), True)
-
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
         return np.linalg.norm(np.asarray(points, dtype=float) - self.validate_point(pt), axis=1)
 
@@ -334,24 +327,6 @@ class Hyperbolic(ModelManifold):
             raise GeometryError(f"curvature parameter k must be > 0, got {k}")
         self.dim = dim
         self.k = float(k)
-
-    @property
-    def basepoint(self):
-        return np.zeros(self.dim)
-
-    def validate_point(self, pt) -> np.ndarray:
-        v = np.asarray(pt, dtype=float).reshape(-1)
-        if v.shape != (self.dim,):
-            raise GeometryError(f"expected normal coordinates in R^{self.dim}, got shape {v.shape}")
-        return v
-
-    def distance_bound(self, a, b) -> DistanceBound:
-        a, b = self.validate_point(a), self.validate_point(b)
-        r1, r2 = np.linalg.norm(a), np.linalg.norm(b)
-        if r1 == 0 or r2 == 0:
-            return DistanceBound(float(r1 + r2), True)
-        cos_angle = float(np.clip(a @ b / (r1 * r2), -1.0, 1.0))
-        return DistanceBound(float(_hyperbolic_dist(self.k, r1, r2, cos_angle)), True)
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -421,11 +396,6 @@ class HalfPlane(Hyperbolic):
             raise GeometryError(f"half-plane needs y > 0, got y = {v[1]}")
         return v
 
-    def distance_bound(self, a, b) -> DistanceBound:
-        a, b = self.validate_point(a), self.validate_point(b)
-        arg = 1.0 + ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) / (2.0 * a[1] * b[1])
-        return DistanceBound(float(np.arccosh(max(arg, 1.0))), True)
-
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         p = self.validate_point(pt)
@@ -473,6 +443,13 @@ class RotSymSurface(ModelManifold):
             raise GeometryError(f"radius must be >= 0, got r = {v[0]}")
         return v
 
+    def distance(self, a, b) -> float:
+        """Exact distance along a radial ray; GeometryError off it."""
+        bound = self.distance_bound(a, b)
+        if not bound.exact:
+            raise GeometryError(f"{self.label()} has no exact distance for this pair")
+        return bound.value
+
     def distance_bound(self, a, b) -> DistanceBound:
         a, b = self.validate_point(a), self.validate_point(b)
         r1, th1 = a
@@ -492,22 +469,6 @@ class RotSymSurface(ModelManifold):
         if r < 0:
             raise GeometryError(f"radius must be >= 0, got {r}")
         return 2.0 * math.pi * float(self.profile.p(r))
-
-    def ball_volume(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
-        if r == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            val, _ = quad(
-                lambda s: 2.0 * math.pi * float(self.profile.p(s)),
-                0.0,
-                r,
-                epsabs=_QUAD_EPSABS,
-                epsrel=_QUAD_EPSREL,
-                limit=200,
-            )
-        return val
 
     def label(self) -> str:
         return f"rotsym({self.profile.label})"

@@ -158,7 +158,8 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
     [1, 2],
     {"components": 5},
     {"components": [{"space": [1], "weight": 1}]},
-], ids=["list", "components-int", "space-list"])
+    {"components": [{"weight": [1], "drift": 1}]},
+], ids=["list", "components-int", "space-list", "weight-list"])
 def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps(content))
@@ -259,6 +260,20 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
     assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'dist'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    {"n": [1], "dist": [[0]]},
+    {"n": 1, "dist": 5},
+], ids=["n-list", "dist-scalar"])
+def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(content))
+    b = tmp_path / "b.json"
+    _write_space(b, [[0.0]])
+    assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_kernel_table(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import erf
 
 from rdl.estimators import (
@@ -185,11 +186,51 @@ def test_zero_two_defect_euclidean_matches_tv_oracle():
 def test_zero_two_defect_euclidean_at_kink_times():
     # closed form: the 1-D kernels cross at r* = sqrt(2 t log 2) (tau = t), so
     # int |q(2t) - q(t)| = 2 [erf(r*/sqrt(2t)) - erf(r*/sqrt(4t))]; at these t
-    # an unsplit quadrature of the kinked integrand was off by more than 1e-6
-    for t in (1.13, 2.18, 2.28):
+    # an unsplit quadrature of the kinked integrand was off by more than 1e-6;
+    # the grid covers the rest of [0.5, 4]
+    for t in (1.13, 2.18, 2.28, *np.linspace(0.5, 4.0, 60)):
         r_star = math.sqrt(2.0 * t * math.log(2.0))
         exact = 2.0 * (erf(r_star / math.sqrt(2.0 * t)) - erf(r_star / math.sqrt(4.0 * t)))
         assert zero_two_defect(Euclidean(1), tau=t, t=t) == pytest.approx(exact, abs=1e-12)
+
+
+def _zero_two_oracle(space, tau: float, t: float) -> float:
+    """int |q(t+tau) - q(t)| by piecewise radial quadrature, cut at the crossing."""
+    ker = kernel_for(space)
+
+    def integrand(r):
+        la = space.log_sphere_area(r)
+        if la == -math.inf:
+            return 0.0
+        qa = math.exp(float(ker.log_q(t + tau, r)) + la)
+        qb = math.exp(float(ker.log_q(t, r)) + la)
+        return abs(qa - qb)
+
+    def log_ratio(r):
+        return float(ker.log_q(t + tau, r)) - float(ker.log_q(t, r))
+
+    r_hi = truncation_radius(space, t + tau)
+    cuts = [0.0, r_hi]
+    if log_ratio(0.0) * log_ratio(r_hi) < 0:
+        cuts.insert(1, brentq(log_ratio, 0.0, r_hi))
+    return float(sum(quad(integrand, a, b, limit=400)[0] for a, b in zip(cuts, cuts[1:])))
+
+
+_ZERO_TWO_SPACES = [Euclidean(d) for d in (1, 2, 3)] + [
+    Hyperbolic(d, k) for d in (2, 3) for k in (0.5, 1.0, 2.0)] + [HalfPlane()]
+
+
+@pytest.mark.parametrize("space", _ZERO_TWO_SPACES, ids=lambda sp: sp.label())
+def test_zero_two_defect_matches_piecewise_quadrature(space):
+    # the defect is 2 |M_t(r*) - M_{t+tau}(r*)| only if the log-ratio changes
+    # sign once on [0, R]; check that premise, then the value
+    ker = kernel_for(space)
+    for tau, t in ((1.0, 1.0), (0.5, 4.0), (2.0, 0.5)):
+        r = np.linspace(0.0, truncation_radius(space, t + tau), 3000)
+        log_ratio = np.asarray(ker.log_q(t + tau, r)) - np.asarray(ker.log_q(t, r))
+        assert np.count_nonzero(np.diff(np.sign(log_ratio))) == 1
+        assert zero_two_defect(space, tau, t) == pytest.approx(_zero_two_oracle(space, tau, t),
+                                                                abs=1e-10)
 
 
 def test_zero_two_defect_euclidean_scale_invariant():

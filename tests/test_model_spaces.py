@@ -53,6 +53,23 @@ def test_hyperbolic_antipodal_points_add_radii():
     assert sp.distance((1.5, 0.0), (-2.5, 0.0)) == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_hyperbolic_distance_exact_at_the_basepoint(dim, k):
+    # the law of cosines alone returns 0 at |x| = 1e-9; either argument order
+    # must give |x| exactly
+    sp = Hyperbolic(dim, k)
+    o = sp.basepoint
+    for r in (1e-9, 1e-3, 1.0, 7.0):
+        for x in (r * np.eye(dim)[-1], -r * np.eye(dim)[0]):
+            assert sp.distance(o, x) == sp.distance(x, o) == r
+
+
+def test_pairwise_distances_take_scalar_points_on_the_line():
+    assert Euclidean(1).pairwise_distances([0.0, 1.0, 3.0]).tolist() == [
+        [0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
+
+
 def test_halfplane_rejects_nonpositive_y():
     hp = HalfPlane()
     with pytest.raises(GeometryError):
@@ -63,8 +80,8 @@ def test_halfplane_rejects_nonpositive_y():
 
 def test_rotsym_radial_exact_and_flagged_bound():
     surf = RotSymSurface(builtin_profile("kaimanovich"))
-    assert surf.distance((0.0, 0.3), (2.0, 1.0)) == pytest.approx(2.0)
-    assert surf.distance((1.0, 0.7), (3.0, 0.7)) == pytest.approx(2.0)
+    assert surf.distance((0.0, 0.3), (2.0, 1.0)) == 2.0
+    assert surf.distance((1.0, 0.7), (3.0, 0.7)) == 2.0
     bound = surf.distance_bound((1.0, 0.0), (1.0, 1.0))
     assert not bound.exact
     assert bound.value <= 2.0  # through the pole at worst
@@ -72,6 +89,8 @@ def test_rotsym_radial_exact_and_flagged_bound():
         surf.distance((1.0, 0.0), (1.0, 1.0))
     with pytest.raises(GeometryError):
         surf.validate_point((-0.5, 0.0))
+    with pytest.raises(GeometryError):
+        surf.pairwise_distances([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
 
 
 @settings(max_examples=60, deadline=None)
