@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_spaces import GeometryError, HalfPlane
+from .model_spaces import HalfPlane
 from .sde_sim import SimConfig, simulate_halfplane
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "PoissonKernelField",
     "busemann_eval",
     "laplacian_busemann",
-    "fd_laplacian",
     "FurstenbergResult",
     "furstenberg_check",
     "k_functional_and_equality",
@@ -115,17 +114,6 @@ def busemann_eval(field: BusemannField, pt) -> float:
 
 def laplacian_busemann(field: BusemannField, pt) -> float:
     return field.laplacian(pt)
-
-
-def fd_laplacian(func, pt, h: float = 1e-3) -> float:
-    """Hyperbolic 5-point finite-difference Laplacian y^2 (f_xx + f_yy)."""
-    x, y = _validate(pt)
-    if y - h <= 0:
-        raise GeometryError(f"stencil leaves the half-plane at y = {y}, h = {h}")
-    f0 = func((x, y))
-    fxx = (func((x + h, y)) + func((x - h, y)) - 2.0 * f0) / (h * h)
-    fyy = (func((x, y + h)) + func((x, y - h)) - 2.0 * f0) / (h * h)
-    return y * y * (fxx + fyy)
 
 
 @dataclass(frozen=True)

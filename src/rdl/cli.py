@@ -12,8 +12,11 @@ configuration and the SHA-256 digests of its outputs; identical manifests
 significant digits so regression files are bit-stable.
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
-4 internal invariant failure.  --threads (or RDL_THREADS) is recorded in the
-manifest and has no effect yet: every command runs in one process.
+4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
+>= 1; it is recorded in the manifest and has no effect yet: every command
+runs in one process.  An option that the run would ignore (--kappa, --r0 or
+--r-cap where the space or profile does not use it) may only repeat its
+default or the fixed value.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .gromov import (
 )
 from .heat_kernels import kernel_for
 from .model_spaces import GeometryError, HalfPlane, builtin_profile, space_from_json
-from .sde_sim import SimConfig, simulate_halfplane, simulate_radial
+from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, simulate_halfplane, simulate_radial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,12 +65,24 @@ _SPACE_ALIASES = {
 # Curvature parameter k of the profiles that fix it; kaimanovich has none.
 _PROFILE_K = {"euclid": 0.0, "kaimanovich": None}
 
+# Default starting radius of `simulate --profile` paths.
+_R0 = 1.0
+
+# Parsed options that are not configuration: the dispatch and the output paths.
+_NOT_CONFIG = ("func", "command", "out", "witness")
+
 
 def _check_kappa(kappa, k, what):
     """--kappa may only repeat the k that a space or profile already fixes."""
     if kappa is not None and kappa != k:
         has = "no curvature parameter" if k is None else f"k = {k:g}"
         raise UsageError(f"--kappa {kappa:g} contradicts {what}, which has {has}")
+
+
+def _check_default(value, default, flag, what):
+    """An option that the run ignores may only keep its default."""
+    if value != default:
+        raise UsageError(f"{flag} {value:g} has no effect with {what}; leave it at {default:g}")
 
 
 def _space_from_args(name, dim, kappa):
@@ -107,16 +122,16 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, args_echo: dict, outputs: list, seed, wall: float) -> None:
+def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> None:
     if not outputs:
         return
     manifest = {
         "schema": "v1",
         "command": command,
-        "config": args_echo,
-        "seed": seed,
+        "config": config,
+        "seed": config.get("seed"),
         "version": __version__,
-        "threads": args_echo.get("threads"),
+        "threads": config["threads"],
         "wall_time_s": wall,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
@@ -125,17 +140,28 @@ def _write_manifest(command: str, args_echo: dict, outputs: list, seed, wall: fl
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _threads(args) -> int:
-    env = os.environ.get("RDL_THREADS")
-    t = args.threads if args.threads is not None else (int(env) if env else 1)
-    return max(1, t)
+def _threads(flag) -> int:
+    """The thread count: --threads, else RDL_THREADS, else 1; an integer >= 1."""
+    name, value = "--threads", flag
+    if flag is None:
+        name, value = "RDL_THREADS", os.environ.get("RDL_THREADS") or "1"
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
+def _float_list(text: str) -> list:
+    return [float(x) for x in text.split(",")]
 
 
 # ------------------------------------------------------------------ simulate
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.time()
+def _cmd_simulate(args) -> tuple[int, list]:
     if (args.space is None) == (args.profile is None):
         raise UsageError("give exactly one of --space or --profile")
     cfg = SimConfig(
@@ -150,6 +176,8 @@ def _cmd_simulate(args) -> int:
         if args.space.lower() != "halfplane":
             raise UsageError("--space supports only 'halfplane'; curved radial runs use --profile")
         _check_kappa(args.kappa, HalfPlane.k, "--space halfplane")
+        _check_default(args.r0, _R0, "--r0", "--space halfplane")
+        _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", "--space halfplane")
         paths = simulate_halfplane(cfg)
         with open(out, "w") as fh:
             fh.write("path_id,t,x,y\n")
@@ -158,59 +186,44 @@ def _cmd_simulate(args) -> int:
     else:
         if args.profile != "hyperbolic":
             _check_kappa(args.kappa, _PROFILE_K[args.profile], f"--profile {args.profile}")
-        profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
+        if r_cap is None:
+            _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
+        profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
         with open(out, "w") as fh:
             fh.write("path_id,t,r,h_minus_t,theta\n")
             for i, p in enumerate(paths):
                 fh.write(_csv_block(f"{i},", [p.times, p.r, p.h_minus_t, p.theta]))
-    echo = {k: getattr(args, k) for k in
-            ("space", "profile", "kappa", "t_max", "dt", "paths", "seed", "r0", "r_cap",
-             "record_stride")}
-    echo["threads"] = _threads(args)
-    _write_manifest("simulate", echo, [out], args.seed, time.time() - t0)
     print(f"wrote {out} ({len(paths)} paths)")
-    return EXIT_OK
+    return EXIT_OK, [out]
 
 
 # -------------------------------------------------------------------- report
 
 
-def _cmd_report(args) -> int:
-    t0 = time.time()
+def _cmd_report(args) -> tuple[int, list]:
     if (args.space is None) == (args.ensemble_file is None):
         raise UsageError("give exactly one of --space or --ensemble-file")
-    t_grid = [float(x) for x in args.t_grid.split(",")] if args.t_grid else None
     if args.ensemble_file:
         with open(args.ensemble_file) as fh:
             target = Ensemble.from_json_dict(json.load(fh))
     else:
         target = _space_from_args(args.space, args.dim, args.kappa)
-    report = inequality_report(target, t_grid=t_grid, r_max=args.r_max)
+    report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
     print(report.render_table())
     outputs = []
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         outputs.append(args.out)
-    echo = {
-        "space": args.space,
-        "dim": args.dim,
-        "kappa": args.kappa,
-        "ensemble_file": args.ensemble_file,
-        "t_grid": t_grid,
-        "r_max": args.r_max,
-        "threads": _threads(args),
-    }
-    _write_manifest("report", echo, outputs, None, time.time() - t0)
     if not report.converged:
         print("non-converged estimate; rerun with a longer --t-grid", file=sys.stderr)
-        return EXIT_NONCONVERGED
+        return EXIT_NONCONVERGED, outputs
     if not report.all_pass():
         print("inequality chain violated: internal invariant failure", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        return EXIT_INVARIANT, outputs
+    return EXIT_OK, outputs
 
 
 # -------------------------------------------------------------------- gromov
@@ -221,8 +234,7 @@ def _load_space(path: str) -> FinitePointedSpace:
         return FinitePointedSpace.from_json_dict(json.load(fh))
 
 
-def _cmd_gromov(args) -> int:
-    t0 = time.time()
+def _cmd_gromov(args) -> tuple[int, list]:
     a = _load_space(args.a)
     b = _load_space(args.b)
     res = gromov_distance(a, b, tol=args.tol)
@@ -237,16 +249,13 @@ def _cmd_gromov(args) -> int:
             with open(args.witness, "w") as fh:
                 json.dump({"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()}, fh)
             outputs.append(args.witness)
-    echo = {"a": args.a, "b": args.b, "tol": args.tol, "threads": _threads(args)}
-    _write_manifest("gromov", echo, outputs, None, time.time() - t0)
-    return EXIT_OK
+    return EXIT_OK, outputs
 
 
 # -------------------------------------------------------------------- kernel
 
 
-def _cmd_kernel(args) -> int:
-    t0 = time.time()
+def _cmd_kernel(args) -> tuple[int, list]:
     space = _space_from_args(args.space, args.dim, args.kappa)
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)
@@ -254,11 +263,8 @@ def _cmd_kernel(args) -> int:
         fh.write("t,r,q\n")
         for t in (float(x) for x in args.t.split(",")):
             fh.write(_csv_block("", [np.full(rs.size, t), rs, ker.q(t, rs)]))
-    echo = {"space": args.space, "dim": args.dim, "kappa": args.kappa, "t": args.t,
-            "r_max": args.r_max, "points": args.points, "threads": _threads(args)}
-    _write_manifest("kernel", echo, [args.out], None, time.time() - t0)
     print(f"wrote {args.out}")
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
 # --------------------------------------------------------------------- main
@@ -267,7 +273,9 @@ def _cmd_kernel(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rdl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=None, help="recorded in the manifest; no effect yet")
+    p.add_argument("--threads", type=int, default=None,
+                   help="an integer >= 1 (default RDL_THREADS, else 1); recorded in the manifest, "
+                        "no effect yet")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run SDE paths and dump a trajectory CSV")
@@ -278,8 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dt", type=float, default=1e-2)
     s.add_argument("--paths", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--r0", type=float, default=1.0)
-    s.add_argument("--r-cap", dest="r_cap", type=float, default=200.0)
+    s.add_argument("--r0", type=float, default=_R0, help="starting radius (--profile only)")
+    s.add_argument("--r-cap", dest="r_cap", type=float, default=KAIMANOVICH_R_CAP,
+                   help="radius at which paths freeze (--profile kaimanovich only)")
     s.add_argument("--record-stride", dest="record_stride", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
@@ -289,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dim", type=int, default=None)
     r.add_argument("--kappa", type=float, default=None)
     r.add_argument("--ensemble-file", dest="ensemble_file", default=None)
-    r.add_argument("--t-grid", dest="t_grid", default=None, help="comma-separated horizons")
+    r.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None,
+                   help="comma-separated horizons")
     r.add_argument("--r-max", dest="r_max", type=float, default=40.0)
     r.add_argument("--out", default=None, help="write the report JSON here")
     r.set_defaults(func=_cmd_report)
@@ -320,7 +330,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        threads = _threads(args.threads)
+        t0 = time.time()
+        code, outputs = args.func(args)
     except (UsageError, GeometryError, MetricError, FileNotFoundError, json.JSONDecodeError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -328,6 +340,10 @@ def main(argv=None) -> int:
     except (EstimatorError, OverflowError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config["threads"] = threads
+    _write_manifest(args.command, config, outputs, time.time() - t0)
+    return code
 
 
 if __name__ == "__main__":

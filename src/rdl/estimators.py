@@ -21,7 +21,7 @@ ratio, everything else takes increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from scipy.integrate import quad
 
@@ -284,6 +284,22 @@ def ensemble_drift(ensemble: Ensemble, component_drifts=None) -> tuple[float, fl
 # ------------------------------------------------------------------- reports
 
 
+# JSON keys that differ from the report's field names
+_JSON_KEYS = {"inequality_status": "inequalities", "passed": "pass"}
+
+
+def _num(x):
+    """JSON form of a report value: an infinite float becomes "inf"; dataclasses
+    and sequences convert field by field and item by item."""
+    if is_dataclass(x):
+        return {_JSON_KEYS.get(f.name, f.name): _num(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [_num(v) for v in x]
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    return x
+
+
 @dataclass(frozen=True)
 class InequalityStatus:
     name: str
@@ -324,42 +340,7 @@ class AsymptoticReport:
     flags: list
 
     def to_json_dict(self) -> dict:
-        def _num(x):
-            if x is None:
-                return None
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
-
-        return {
-            "schema": "v1",
-            "space": self.space,
-            "ell": self.ell,
-            "ell_upper": self.ell_upper,
-            "ell_ci": list(self.ell_ci),
-            "ell_plus": self.ell_plus,
-            "entropy_h": self.entropy_h,
-            "entropy_ratio": self.entropy_ratio,
-            "entropy_ci": list(self.entropy_ci),
-            "volume_v": _num(self.volume_v),
-            "volume_finite": self.volume_finite,
-            "k_functional": _num(self.k_functional),
-            "inequalities": [
-                {
-                    "name": s.name,
-                    "lhs": s.lhs,
-                    "rhs": _num(s.rhs),
-                    "slack": _num(s.slack),
-                    "normalized_slack": _num(s.normalized_slack),
-                    "pass": s.passed,
-                }
-                for s in self.inequality_status
-            ],
-            "t_grid": list(self.t_grid),
-            "methods": self.methods,
-            "converged": self.converged,
-            "flags": list(self.flags),
-        }
+        return {"schema": "v1", **_num(self)}
 
     def all_pass(self) -> bool:
         return all(s.passed for s in self.inequality_status)

@@ -155,6 +155,9 @@ class FinitePointedSpace:
             fields = {key: int(obj[key]) for key in ("n", "basepoint") if key in obj}
         except (TypeError, ValueError) as e:
             raise MetricError(f"'dist' must be numbers, 'n' and 'basepoint' integers: {e}") from e
+        for key, value in fields.items():
+            if value != obj[key]:
+                raise MetricError(f"{key!r} must be an integer, got {obj[key]!r}")
         if d.ndim != 2:
             raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")
         if fields.get("n", d.shape[0]) != d.shape[0]:

@@ -13,6 +13,9 @@ for an independent driving motion Y.  One integrator,
 _simulate_radial_block, advances all paths together and records every
 stride-th step; simulate_radial, radial_terminal and kaimanovich_tail_limit
 differ only in the stride and in whether tau and theta are integrated.
+The step loop carries r alone (and tau, theta when angles are recorded);
+H(r) - t is derived from the recorded radii after the loop, with a capped
+path's clock stopped at its cap time.
 Increments are drawn _STEP_BLOCK steps at a time, so memory is bounded by
 paths x (_STEP_BLOCK + records), never paths x steps.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model_spaces import HalfPlane, ProfileFunction
+from .model_spaces import HalfPlane, ProfileFunction, builtin_profile
 
 __all__ = [
     "SimConfig",
@@ -179,14 +182,13 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
     ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(m)] if angles else []
 
     r = np.full(m, r0, dtype=float)
-    hmt = np.full(m, float(_h(np.asarray(r0))))
     tau = np.zeros(m)
     theta = np.zeros(m)
     frozen = np.zeros(m, dtype=bool)
     cap_time = np.full(m, np.nan)
     reflections = np.zeros(m, dtype=int)
     # the state arrays are replaced by every step, never written in place
-    rows = [(r, hmt, tau, theta)]
+    rows = [(r, tau, theta)]
     dX_buf = np.empty((min(_STEP_BLOCK, n), m))
     ang_buf = np.empty((min(_STEP_BLOCK, n), m)) if angles else None
     for start in range(0, n, _STEP_BLOCK):
@@ -196,15 +198,13 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
         ang = _draw(ang_rngs, ang_buf[:block]) if angles else None
         for k in range(block):
             active = ~frozen
-            drift = np.where(active, profile.sde_drift(np.where(active, r, 1.0)), 0.0)
-            proposal = r + drift * dt + np.where(active, dX[k], 0.0)
+            proposal = r + profile.sde_drift(r) * dt + dX[k]
             reflections += active & (proposal <= 0.0)
             r = np.where(active, np.abs(proposal), r)
             t = (start + k + 1) * dt
             if np.any(r > _R_ABORT):
                 path = int(np.argmax(r > _R_ABORT))
                 raise OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
-            hmt = np.where(active, _h(r) - t, hmt)
             if angles:
                 d_tau = profile.angular_clock_integrand(r) * dt
                 tau = np.where(active, tau + d_tau, tau)
@@ -214,12 +214,14 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
                 cap_time[newly] = t
                 frozen |= newly
             if start + k + 1 == steps[len(rows)]:
-                rows.append((r, hmt, tau, theta))
-    r_rec, hmt_rec, tau_rec, theta_rec = map(np.array, zip(*rows))
+                rows.append((r, tau, theta))
+    r_rec, tau_rec, theta_rec = map(np.array, zip(*rows))
+    # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
+    h_minus_t = _h(r_rec) - np.fmin(steps[:, None] * dt, cap_time)
     return _RadialRun(
         steps=steps,
         r=r_rec,
-        h_minus_t=hmt_rec,
+        h_minus_t=h_minus_t,
         tau=tau_rec if angles else None,
         theta=theta_rec if angles else None,
         n_reflections=reflections,
@@ -305,7 +307,7 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
     per_unit = 1.0 / cfg.dt
     if abs(per_unit - round(per_unit)) > 1e-9 * per_unit:
         raise ValueError(f"1/dt must be an integer number of steps, got {per_unit}")
-    profile = _kaimanovich_profile()
+    profile = builtin_profile("kaimanovich")
     run = _simulate_radial_block(profile, cfg, 1.0, KAIMANOVICH_R_CAP, int(round(per_unit)))
     L = run.h_minus_t[-1]
     diag = np.abs(L - run.h_minus_t[-2])
@@ -326,9 +328,3 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
         n_reflections=int(run.n_reflections.sum()),
         trajectories=trajectories,
     )
-
-
-def _kaimanovich_profile() -> ProfileFunction:
-    from .model_spaces import builtin_profile
-
-    return builtin_profile("kaimanovich")

@@ -9,7 +9,6 @@ from rdl.busemann import (
     BusemannField,
     PoissonKernelField,
     busemann_eval,
-    fd_laplacian,
     furstenberg_check,
     k_functional_and_equality,
     laplacian_busemann,
@@ -17,6 +16,18 @@ from rdl.busemann import (
 from rdl.estimators import drift_increment
 from rdl.model_spaces import GeometryError, HalfPlane, Hyperbolic
 from rdl.sde_sim import SimConfig
+
+
+def fd_laplacian(func, pt, h: float = 1e-3) -> float:
+    """Hyperbolic 5-point finite-difference Laplacian y^2 (f_xx + f_yy): the
+    oracle for the closed-form Laplacians."""
+    x, y = HalfPlane().validate_point(pt)
+    if y - h <= 0:
+        raise GeometryError(f"stencil leaves the half-plane at y = {y}, h = {h}")
+    f0 = func((x, y))
+    fxx = (func((x + h, y)) + func((x - h, y)) - 2.0 * f0) / (h * h)
+    fyy = (func((x, y + h)) + func((x, y - h)) - 2.0 * f0) / (h * h)
+    return y * y * (fxx + fyy)
 
 
 def test_busemann_infinity_values():

@@ -265,7 +265,11 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     {"n": [1], "dist": [[0]]},
     {"n": 1, "dist": 5},
-], ids=["n-list", "dist-scalar"])
+    # int() used to truncate these to n = 2 and basepoint 0, and the run went ahead
+    {"n": 2.9, "basepoint": 0, "dist": [[0, 1], [1, 0]]},
+    {"n": 2, "basepoint": 0.7, "dist": [[0, 1], [1, 0]]},
+    {"n": 2.9, "basepoint": 0.7, "dist": [[0, 1], [1, 0]]},
+], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional"])
 def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(content))
@@ -274,6 +278,12 @@ def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, c
     assert main(["gromov", "--a", str(a), "--b", str(b)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gromov_cli_integral_float_n_is_accepted(tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"n": 2.0, "basepoint": 0.0, "dist": [[0, 1], [1, 0]]}))
+    assert main(["gromov", "--a", str(a), "--b", str(a)]) == EXIT_OK
 
 
 def test_kernel_table(tmp_path):
@@ -347,6 +357,111 @@ def test_kappa_repeating_fixed_curvature_is_accepted(tmp_path, argv):
     else:
         argv = argv + ["--points", "3"]
     assert main(argv) == EXIT_OK
+
+
+_SIM = ["simulate", "--t-max", "0.1", "--paths", "2"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--space", "halfplane", "--r0", "2"], "--r0"),
+    (["--space", "halfplane", "--r-cap", "50"], "--r-cap"),
+    (["--profile", "euclid", "--r-cap", "50"], "--r-cap"),
+    (["--profile", "hyperbolic", "--r-cap", "50"], "--r-cap"),
+], ids=["r0-halfplane", "r-cap-halfplane", "r-cap-euclid", "r-cap-hyperbolic"])
+def test_option_the_run_ignores_is_usage_error(tmp_path, capsys, argv, option):
+    # the run used to go ahead without the option and record it in the manifest
+    out = tmp_path / "o.csv"
+    assert main(_SIM + argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and "no effect" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "halfplane", "--r0", "1", "--r-cap", "200"],
+    ["--profile", "euclid", "--r0", "2", "--r-cap", "200"],
+    ["--profile", "kaimanovich", "--r0", "2", "--r-cap", "50"],
+])
+def test_option_the_run_uses_or_left_at_default_is_accepted(tmp_path, argv):
+    assert main(_SIM + argv + ["--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    (None, "abc", "RDL_THREADS must be an integer >= 1, got 'abc'"),
+    (None, "0", "RDL_THREADS must be an integer >= 1, got '0'"),
+    ("-3", None, "--threads must be an integer >= 1, got -3"),
+    ("0", "4", "--threads must be an integer >= 1, got 0"),
+    ("abc", None, "argument --threads"),
+], ids=["env-abc", "env-zero", "flag-negative", "flag-zero-over-env", "flag-abc"])
+def test_bad_thread_count_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         flag, env, message):
+    # the count used to be read after the work: RDL_THREADS=abc left hp.csv behind
+    # with no manifest, and --threads -3 was recorded as 1
+    if env is None:
+        monkeypatch.delenv("RDL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RDL_THREADS", env)
+    out = tmp_path / "hp.csv"
+    argv = (["--threads", flag] if flag is not None else []) + _SIM + [
+        "--space", "halfplane", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Manifest config of each command as the hand-written echo lists produced it
+_MANIFEST_RUNS = [
+    (["simulate", "--space", "halfplane", "--paths", "3", "--t-max", "1", "--record-stride", "7",
+      "--out", "{tmp}/hp.csv"],
+     "hp.csv", None, 0,
+     {"dt": 0.01, "kappa": None, "paths": 3, "profile": None, "r0": 1.0, "r_cap": 200.0,
+      "record_stride": 7, "seed": 0, "space": "halfplane", "t_max": 1.0, "threads": 1}),
+    (["--threads", "2", "simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1",
+      "--dt", "0.001", "--record-stride", "100", "--seed", "5", "--out", "{tmp}/ka.csv"],
+     "ka.csv", None, 5,
+     {"dt": 0.001, "kappa": None, "paths": 2, "profile": "kaimanovich", "r0": 1.0,
+      "r_cap": 200.0, "record_stride": 100, "seed": 5, "space": None, "t_max": 1.0,
+      "threads": 2}),
+    (["report", "--space", "h2", "--kappa", "1", "--t-grid", "5,10,20,30,39,40",
+      "--out", "{tmp}/rep.json"],
+     "rep.json", None, None,
+     {"dim": None, "ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
+      "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0], "threads": 1}),
+    (["report", "--ensemble-file", "{tmp}/mix.json", "--out", "{tmp}/mix_rep.json"],
+     "mix_rep.json", "3", None,
+     {"dim": None, "ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
+      "space": None, "t_grid": None, "threads": 3}),
+    (["gromov", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--witness", "{tmp}/w.json"],
+     "w.json", None, None,
+     {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "threads": 1, "tol": 0.001}),
+    (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "{tmp}/k.csv"],
+     "k.csv", None, None,
+     {"dim": None, "kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4",
+      "threads": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, output, env, seed, config", _MANIFEST_RUNS,
+                         ids=["simulate-halfplane", "simulate-kaimanovich", "report-space",
+                              "report-ensemble", "gromov", "kernel"])
+def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, seed, config):
+    if env is None:
+        monkeypatch.delenv("RDL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RDL_THREADS", env)
+    (tmp_path / "mix.json").write_text(json.dumps({
+        "components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]}))
+    _write_space(tmp_path / "a.json", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    _write_space(tmp_path / "b.json", [[0.0, 0.0], [1.1, 0.0], [0.0, 0.9]])
+    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_OK
+    manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
+    config = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in config.items()}
+    assert manifest["command"] == next(a for a in argv if a in ("simulate", "report", "gromov",
+                                                                "kernel"))
+    assert manifest["config"] == config
+    assert manifest["seed"] == seed
+    assert manifest["threads"] == config["threads"]
+    assert list(manifest["outputs"]) == [output]
 
 
 def test_hyperbolic_space_needs_dim(tmp_path, capsys):

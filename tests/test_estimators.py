@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -254,6 +255,23 @@ def test_report_json_schema():
     for e in parsed["inequalities"]:
         if e["rhs"] != "inf":
             assert e["slack"] == pytest.approx(e["rhs"] - e["lhs"], abs=1e-12)
+
+
+# SHA-256 of json.dumps(to_json_dict(), indent=2, sort_keys=True), as the
+# field-by-field writer produced it
+@pytest.mark.parametrize("make, digest", [
+    (lambda: inequality_report(HalfPlane()),
+     "997e8962a76e57429e188169069afd1383ecb96759b7641b6425ce780739c5d7"),
+    (lambda: inequality_report(Ensemble(components=(DriftComponent(1.0), DriftComponent(2.0)),
+                                        weights=(0.5, 0.5))),
+     "a4f0cf7670a97400f9cd59648e38fec24d1a93a035ae34713ea9c8165d119715"),
+    (lambda: inequality_report(Ensemble(components=(Hyperbolic(2), Hyperbolic(3)),
+                                        weights=(0.4, 0.6)), t_grid=[5.0, 10.0, 15.0, 20.0]),
+     "00eb08df29122f8955d5bf022c9a94bd86b1fa80e62365b2843499132d1cb529"),
+], ids=["halfplane", "drift-mixture", "h2-h3-mixture"])
+def test_report_json_golden_bytes(make, digest):
+    blob = json.dumps(make().to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_report_abstract_mixture():
