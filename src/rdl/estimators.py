@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-from scipy.integrate import quad
-
+from ._lazy import lazy
 from .heat_kernels import kernel_for, truncation_radius
 from .model_spaces import HalfPlane, ModelManifold, space_from_json
+
+quad = lazy("scipy.integrate", "quad")
 
 __all__ = [
     "EstimatorError",

@@ -45,10 +45,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
+from ._lazy import lazy
 from .model_spaces import GeometryError, ModelManifold
+
+linprog = lazy("scipy.optimize", "linprog")
+csgraph_from_dense = lazy("scipy.sparse.csgraph", "csgraph_from_dense")
+floyd_warshall = lazy("scipy.sparse.csgraph", "floyd_warshall")
 
 __all__ = [
     "MetricError",
@@ -156,7 +159,7 @@ class FinitePointedSpace:
         except (TypeError, ValueError) as e:
             raise MetricError(f"'dist' must be numbers, 'n' and 'basepoint' integers: {e}") from e
         for key, value in fields.items():
-            if value != obj[key]:
+            if value != obj[key] or isinstance(obj[key], bool):  # True == 1 in Python
                 raise MetricError(f"{key!r} must be an integer, got {obj[key]!r}")
         if d.ndim != 2:
             raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")

@@ -26,15 +26,19 @@ rather than trusted from a one-line recipe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
+from ._csvblock import csv_block, shared_rows
+from ._lazy import lazy
 from .model_spaces import ModelManifold, ProfileFunction
+
+quad = lazy("scipy.integrate", "quad")
+brentq = lazy("scipy.optimize", "brentq")
+roots_legendre = lazy("scipy.special", "roots_legendre")
 
 __all__ = [
     "KernelEval",
@@ -88,9 +92,11 @@ def _log_q_h3_unit(t: float, r) -> np.ndarray:
     return -1.5 * np.log(2.0 * math.pi * t) - t / 2.0 - r * r / (2.0 * t) + _log_r_over_sinh(r)
 
 
-# Gauss-Legendre panel for the H^2 inner integral; 256 nodes keep the
-# normalization error below 1e-10 for every time used in the test suite.
-_GL_NODES, _GL_WEIGHTS = roots_legendre(256)
+@functools.cache
+def _gl_rule():
+    """Gauss-Legendre panel for the H^2 inner integral; 256 nodes keep the
+    normalization error below 1e-10 for every time used in the test suite."""
+    return roots_legendre(256)
 
 
 def _h2_integral_factor(t: float, r: float) -> float:
@@ -101,8 +107,9 @@ def _h2_integral_factor(t: float, r: float) -> float:
               / ( sqrt(expm1(u^2)/2) sqrt(1 - e^{-2r - u^2}) ) du
     """
     u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
-    u = 0.5 * u_max * (_GL_NODES + 1.0)
-    w = 0.5 * u_max * _GL_WEIGHTS
+    nodes, weights = _gl_rule()
+    u = 0.5 * u_max * (nodes + 1.0)
+    w = 0.5 * u_max * weights
     u2 = u * u
     with np.errstate(over="ignore"):
         num = 2.0 * u * (r + u2) * np.exp(-(2.0 * r * u2 + u2 * u2) / (2.0 * t))
@@ -281,11 +288,11 @@ class RadialDensityGrid:
         return self.rho[i]
 
     def to_csv(self, path) -> None:
+        rows = shared_rows([self.r_centers, None])
         with open(path, "w") as fh:
             fh.write("t,r,rho\n")
-            for i, t in enumerate(self.times):
-                for j, r in enumerate(self.r_centers):
-                    fh.write(f"{t:.17g},{r:.17g},{self.rho[i, j]:.17g}\n")
+            for t, rho in zip(self.times.tolist(), self.rho):
+                fh.write(csv_block("%.17g," % t, [rho], rows))
 
 
 def radial_fokker_planck(

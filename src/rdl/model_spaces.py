@@ -25,13 +25,17 @@ All objects are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
+
+from ._lazy import lazy
+
+quad = lazy("scipy.integrate", "quad")
+gamma = lazy("scipy.special", "gamma")
 
 __all__ = [
     "GeometryError",
@@ -57,8 +61,10 @@ class GeometryError(ValueError):
     """Invalid coordinates or an operation outside a chart's domain."""
 
 
+@functools.cache
 def unit_sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^{dim-1} in R^dim."""
+    """Surface area of the unit sphere S^{dim-1} in R^dim (cached: ball-volume
+    integrands call it at every node)."""
     if dim < 1:
         raise GeometryError(f"dimension must be >= 1, got {dim}")
     if dim == 1:

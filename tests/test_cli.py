@@ -3,12 +3,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rdl
 import rdl.estimators
-from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, _csv_block, main
+from rdl._csvblock import csv_block, shared_rows
+from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
 from rdl.gromov import AdmissibleExtension, FinitePointedSpace
 
 
@@ -57,11 +62,19 @@ EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, math.nan, math.inf, -math.inf]
     [EDGE_VALUES],
     [[0.1], [-0.0], [math.nan], [5e-324]],
     [np.arange(5) * 0.01, np.linspace(-1e-300, 7.0, 5)],
+    [[], []],
 ])
 def test_csv_block_matches_per_row_format(cols):
-    rows = zip(*cols)
-    expected = "".join("7," + ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows)
-    assert _csv_block("7,", cols) == expected
+    def per_row(lead):
+        return "".join(lead + ",".join(f"{float(x):.17g}" for x in row) + "\n" for row in zip(*cols))
+
+    assert csv_block("7,", cols) == per_row("7,")
+    # one column shared by every block of a file, formatted once into the row templates
+    for j in range(len(cols) if len(cols) > 1 else 0):
+        shared = shared_rows([c if i == j else None for i, c in enumerate(cols)])
+        others = [c for i, c in enumerate(cols) if i != j]
+        for lead in ("7,", "", "1e-05,"):
+            assert csv_block(lead, others, shared) == per_row(lead)
 
 
 # SHA-256 of each output as a per-row f"{x:.17g}" writer produces it
@@ -78,6 +91,37 @@ def test_cli_writers_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Runs main(argv) (none if argv is empty) after `import rdl, rdl.cli`, then
+# prints the exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+import rdl, rdl.cli
+rc = rdl.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["simulate", "--space", "halfplane", "--paths", "2", "--t-max", "1"],
+    ["simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1"],
+    ["kernel", "--space", "h3", "--t", "1,4", "--points", "5"],
+    ["gromov", "--a", "a.json", "--b", "b.json"],
+], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel-h3", "gromov"])
+def test_commands_that_need_no_scipy_do_not_load_it(tmp_path, argv):
+    """scipy is most of the start-up time of a process; only the calls that use it load it."""
+    _write_space(tmp_path / "a.json", [[0.0], [1.0]])
+    _write_space(tmp_path / "b.json", [[0.0], [0.5], [1.5]])
+    if argv and argv[0] != "gromov":
+        argv = argv + ["--out", "out.csv"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == EXIT_OK
+    assert loaded == []
 
 
 def test_simulate_usage_errors(tmp_path):
@@ -269,7 +313,11 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
     {"n": 2.9, "basepoint": 0, "dist": [[0, 1], [1, 0]]},
     {"n": 2, "basepoint": 0.7, "dist": [[0, 1], [1, 0]]},
     {"n": 2.9, "basepoint": 0.7, "dist": [[0, 1], [1, 0]]},
-], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional"])
+    # JSON booleans compare equal to 1 and 0
+    {"n": True, "basepoint": 0, "dist": [[0]]},
+    {"n": 1, "basepoint": False, "dist": [[0]]},
+], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional",
+        "n-true", "basepoint-false"])
 def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(content))
@@ -308,6 +356,14 @@ def test_kernel_out_of_catalog_euclidean_dim_is_usage_error(tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert main(["kernel", "--space", "euclidean", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
     assert "dim 1-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["1,abc", "1,-1", "0", "1,nan", "inf", ""])
+def test_kernel_bad_times_are_usage_error_before_any_output(tmp_path, capsys, t):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", "h2", "--t", t, "--points", "3", "--out", str(out)]) == EXIT_USAGE
+    assert "--t" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

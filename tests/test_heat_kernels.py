@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -313,6 +314,19 @@ def test_fp_csv_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,r,rho"
     assert len(lines) == 1 + len(grid.times) * len(grid.r_centers)
+
+
+# SHA-256 of each grid's CSV as a per-row f"{x:.17g}" writer produces it
+@pytest.mark.parametrize("label, kw, digest", [
+    ("euclid", dict(r0=0.05, dt=4e-4, dr=0.05, t_max=0.2, r_max=3.0, n_snapshots=3),
+     "7162dcc7019b8f13323498453ed4f12b48dd0bbf9e2e988362d2ce67c716a352"),
+    ("hyperbolic", dict(r0=0.01, dt=1e-4, dr=0.02, t_max=0.5, r_max=4.0, n_snapshots=6),
+     "5aecd8c84f2712a375fdd0963736c588f77c7756f0ea4e7a6d79e0b9fdbb69b5"),
+])
+def test_fp_csv_golden_bytes(tmp_path, label, kw, digest):
+    out = tmp_path / "grid.csv"
+    radial_fokker_planck(builtin_profile(label), **kw).to_csv(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_rotsym_has_no_closed_form_kernel():
