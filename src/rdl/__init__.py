@@ -23,8 +23,6 @@ from .heat_kernels import (  # noqa: F401
     KernelEval,
     gaussian_bound_constant,
     kernel_for,
-    q_euclidean,
-    q_hyperbolic,
     radial_fokker_planck,
     zero_two_defect,
 )

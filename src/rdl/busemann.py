@@ -31,8 +31,6 @@ from .sde_sim import SimConfig, simulate_halfplane
 __all__ = [
     "BusemannField",
     "PoissonKernelField",
-    "busemann_eval",
-    "laplacian_busemann",
     "FurstenbergResult",
     "furstenberg_check",
     "k_functional_and_equality",
@@ -106,14 +104,6 @@ class PoissonKernelField:
         g = self.grad_log(pt)
         _, y = _validate(pt)
         return float(np.sqrt(g @ g) / y)
-
-
-def busemann_eval(field: BusemannField, pt) -> float:
-    return field.value(pt)
-
-
-def laplacian_busemann(field: BusemannField, pt) -> float:
-    return field.laplacian(pt)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ significant digits so regression files are bit-stable; a column that every
 path or time block shares (simulate's t, kernel's r) is formatted once.
 
 Start-up loads no scipy: each scipy function is imported by its first call,
-so simulate, gromov and kernel --space h3 run without it.  On a 2-core
-x86_64 VM `import rdl, rdl.cli` takes 0.23 s (0.82-0.86 s when it loaded
-scipy), and `simulate --space halfplane --paths 1000 --t-max 10` 1.6-2.2 s.
+so simulate, gromov and kernel --space h3 run without it.
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
 4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
 >= 1; it is recorded in the manifest and has no effect yet: every command
 runs in one process.  An option that the run would ignore (--kappa, --r0 or
 --r-cap where the space or profile does not use it) may only repeat its
-default or the fixed value.
+default or the fixed value.  simulate needs finite --t-max and --dt > 0 whose
+ratio is a finite whole number of steps.  Space and ensemble files are read
+strictly: an integer field is an integral number (not a bool or a string),
+and k, weights and drifts are finite.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ _SPACE_ALIASES = {
     "euclidean": {"kind": "euclidean"},
     "hyperbolic": {"kind": "hyperbolic"},
 }
-
-# Curvature parameter k of the profiles that fix it; kaimanovich has none.
-_PROFILE_K = {"euclid": 0.0, "kaimanovich": None}
 
 # Default starting radius of `simulate --profile` paths.
 _R0 = 1.0
@@ -182,12 +180,11 @@ def _cmd_simulate(args) -> tuple[int, list]:
             for i, p in enumerate(paths):
                 fh.write(csv_block(f"{i},", [p.x, p.y], rows))
     else:
-        if args.profile != "hyperbolic":
-            _check_kappa(args.kappa, _PROFILE_K[args.profile], f"--profile {args.profile}")
+        profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
+        _check_kappa(args.kappa, profile.k, f"--profile {args.profile}")
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
         if r_cap is None:
             _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
-        profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
         rows = shared_rows([paths[0].times, None, None, None])
         with open(out, "w") as fh:

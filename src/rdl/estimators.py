@@ -225,6 +225,10 @@ class DriftComponent:
     drift: float
     label: str = ""
 
+    def __post_init__(self):
+        if not math.isfinite(self.drift):
+            raise EstimatorInputError(f"a component drift must be finite, got {self.drift}")
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -234,8 +238,8 @@ class Ensemble:
     def __post_init__(self):
         if len(self.components) != len(self.weights) or not self.components:
             raise EstimatorInputError("ensemble needs matching nonempty components and weights")
-        if any(w <= 0 for w in self.weights):
-            raise EstimatorInputError("ensemble weights must be positive")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise EstimatorInputError(f"ensemble weights must be finite and positive, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise EstimatorInputError(f"ensemble weights must sum to 1, got {sum(self.weights)}")
 

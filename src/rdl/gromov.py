@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import lazy
-from .model_spaces import GeometryError, ModelManifold
+from .model_spaces import GeometryError, ModelManifold, json_int
 
 linprog = lazy("scipy.optimize", "linprog")
 csgraph_from_dense = lazy("scipy.sparse.csgraph", "csgraph_from_dense")
@@ -155,12 +155,9 @@ class FinitePointedSpace:
             raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
         try:
             d = np.asarray(obj["dist"], dtype=float)
-            fields = {key: int(obj[key]) for key in ("n", "basepoint") if key in obj}
         except (TypeError, ValueError) as e:
-            raise MetricError(f"'dist' must be numbers, 'n' and 'basepoint' integers: {e}") from e
-        for key, value in fields.items():
-            if value != obj[key] or isinstance(obj[key], bool):  # True == 1 in Python
-                raise MetricError(f"{key!r} must be an integer, got {obj[key]!r}")
+            raise MetricError(f"'dist' must be numbers: {e}") from e
+        fields = {key: json_int(obj[key], key, MetricError) for key in ("n", "basepoint") if key in obj}
         if d.ndim != 2:
             raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")
         if fields.get("n", d.shape[0]) != d.shape[0]:
@@ -382,9 +379,6 @@ class GromovDistanceResult:
     hi: float
     witness: np.ndarray | None
     exact: bool
-
-    def bracket(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 def gromov_distance(

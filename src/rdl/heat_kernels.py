@@ -44,9 +44,7 @@ __all__ = [
     "KernelEval",
     "kernel_for",
     "truncation_radius",
-    "q_euclidean",
     "log_q_euclidean",
-    "q_hyperbolic",
     "log_q_hyperbolic",
     "zero_two_defect",
     "gaussian_bound_constant",
@@ -70,10 +68,6 @@ def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
         raise KernelError(f"need t > 0, got {t}")
     r = np.asarray(dist, dtype=float)
     return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
-
-
-def q_euclidean(t: float, dim: int, dist) -> np.ndarray:
-    return np.exp(log_q_euclidean(t, dim, dist))
 
 
 # ---------------------------------------------------------------- Hyperbolic
@@ -149,10 +143,6 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     out = np.array([_log_q_h2_unit(t1, k * float(ri)) for ri in r_arr])
     out = out + dim * math.log(k)
     return out[0] if np.isscalar(dist) or np.asarray(dist).ndim == 0 else out
-
-
-def q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
-    return np.exp(log_q_hyperbolic(t, dim, k, dist))
 
 
 # ------------------------------------------------------------- KernelEval
@@ -320,10 +310,10 @@ def radial_fokker_planck(
     n_cells = int(round(r_max / dr))
     centers = (np.arange(n_cells) + 0.5) * dr
     faces = np.arange(1, n_cells) * dr
-    f_face = np.asarray(profile.sde_drift(faces), dtype=float)
+    f_face = np.asarray(profile.drift(faces), dtype=float)
     if np.any(f_face < 0):
         raise KernelError("upwind scheme assumes nonnegative drift; profile violates f >= 0")
-    f_last = float(profile.sde_drift(n_cells * dr))
+    f_last = float(profile.drift(n_cells * dr))
 
     rho = np.zeros(n_cells)
     rho[min(int(r0 / dr), n_cells - 1)] = 1.0 / dr

@@ -76,46 +76,29 @@ def unit_sphere_area(dim: int) -> float:
 class ProfileFunction:
     """Warping profile of a rotationally symmetric surface.
 
-    p, p_prime, p_double_prime must accept floats or numpy arrays.  Smoothness
-    at the pole requires p(0) = 0 and p'(0) = 1; the Gauss curvature at radius
-    r is -p''(r)/p(r).  The optional `drift` and `inv_p_sq` callables are
-    numerically stable forms of p'/(2p) and 1/p^2 used by the SDE engine
-    (the generic quotients overflow for rapidly growing profiles).
+    p, drift and inv_p_sq must accept floats or numpy arrays.  drift is the
+    radial SDE drift p'/(2p) and inv_p_sq the angular clock integrand 1/p^2,
+    both in numerically stable forms (the plain quotients overflow for
+    rapidly growing profiles).  Smoothness at the pole requires p(0) = 0 and
+    p'(0) = 1, with p'(0+) read as 2 p drift.  k is the curvature parameter
+    of a constant-curvature profile (0 on 'euclid'), None on any other.
     """
 
     label: str
+    k: float | None
     p: Callable[[np.ndarray], np.ndarray]
-    p_prime: Callable[[np.ndarray], np.ndarray]
-    p_double_prime: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray], np.ndarray] | None = None
-    inv_p_sq: Callable[[np.ndarray], np.ndarray] | None = None
-    k: float | None = None  # curvature parameter of the built-in 'hyperbolic' profile
+    drift: Callable[[np.ndarray], np.ndarray]
+    inv_p_sq: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         eps = 1e-7
         p0 = float(self.p(eps))
-        dp0 = float(self.p_prime(eps))
+        dp0 = 2.0 * p0 * float(self.drift(eps))
         if abs(p0) > 10 * eps or abs(dp0 - 1.0) > 1e-4:
             raise GeometryError(
                 f"profile {self.label!r} violates p(0)=0, p'(0)=1 "
                 f"(p({eps})={p0:.3g}, p'({eps})={dp0:.3g})"
             )
-
-    def gauss_curvature(self, r):
-        return -self.p_double_prime(r) / self.p(r)
-
-    def sde_drift(self, r):
-        """Radial SDE drift p'(r)/(2 p(r))."""
-        if self.drift is not None:
-            return self.drift(r)
-        return self.p_prime(r) / (2.0 * self.p(r))
-
-    def angular_clock_integrand(self, r):
-        """1/p(r)^2, underflowing to 0 for huge p instead of overflowing."""
-        if self.inv_p_sq is not None:
-            return self.inv_p_sq(r)
-        with np.errstate(over="ignore"):
-            return 1.0 / self.p(r) ** 2
 
 
 def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
@@ -123,25 +106,22 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
     if label == "euclid":
         return ProfileFunction(
             label="euclid",
+            k=0.0,
             p=lambda r: np.asarray(r, dtype=float),
-            p_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            p_double_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             drift=lambda r: 1.0 / (2.0 * r),
             inv_p_sq=lambda r: 1.0 / np.asarray(r, dtype=float) ** 2,
         )
     if label == "hyperbolic":
-        if k <= 0:
-            raise GeometryError(f"hyperbolic profile needs k > 0, got {k}")
+        if not 0 < k < math.inf:
+            raise GeometryError(f"hyperbolic profile needs a finite k > 0, got {k}")
         return ProfileFunction(
             label=f"hyperbolic(k={k:g})",
+            k=k,
             p=lambda r: np.sinh(k * np.asarray(r, dtype=float)) / k,
-            p_prime=lambda r: np.cosh(k * np.asarray(r, dtype=float)),
-            p_double_prime=lambda r: k * np.sinh(k * np.asarray(r, dtype=float)),
             # (k/2) coth(kr), stable at large r
             drift=lambda r: (k / 2.0)
             * (1.0 + 2.0 / np.expm1(np.minimum(2.0 * k * np.asarray(r, dtype=float), 700.0))),
             inv_p_sq=lambda r: (k / np.sinh(np.minimum(k * np.asarray(r, dtype=float), 360.0))) ** 2,
-            k=k,
         )
     if label == "kaimanovich":
         def _inv_p_sq(r):
@@ -151,11 +131,8 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
 
         return ProfileFunction(
             label="kaimanovich",
+            k=None,
             p=lambda r: np.asarray(r, dtype=float) * np.exp(0.5 * np.asarray(r, dtype=float) ** 2),
-            p_prime=lambda r: (1.0 + np.asarray(r, dtype=float) ** 2)
-            * np.exp(0.5 * np.asarray(r, dtype=float) ** 2),
-            p_double_prime=lambda r: (3.0 * np.asarray(r, dtype=float) + np.asarray(r, dtype=float) ** 3)
-            * np.exp(0.5 * np.asarray(r, dtype=float) ** 2),
             drift=lambda r: 0.5 * (np.asarray(r, dtype=float) + 1.0 / np.asarray(r, dtype=float)),
             inv_p_sq=_inv_p_sq,
         )
@@ -329,8 +306,8 @@ class Hyperbolic(ModelManifold):
     def __init__(self, dim: int, k: float = 1.0):
         if not isinstance(dim, int) or dim < 1:
             raise GeometryError(f"Hyperbolic dimension must be a positive integer, got {dim}")
-        if k <= 0:
-            raise GeometryError(f"curvature parameter k must be > 0, got {k}")
+        if not 0 < k < math.inf:
+            raise GeometryError(f"curvature parameter k must be finite and > 0, got {k}")
         self.dim = dim
         self.k = float(k)
 
@@ -480,9 +457,19 @@ class RotSymSurface(ModelManifold):
         return f"rotsym({self.profile.label})"
 
     def to_json_dict(self) -> dict:
-        if self.profile.k is not None:
+        if self.profile.k:  # a hyperbolic profile; euclid's k is 0
             return {"kind": "rotsym", "profile": "hyperbolic", "k": self.profile.k}
         return {"kind": "rotsym", "profile": self.profile.label}
+
+
+def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
+    """An integer field read from JSON: an integral number, never a bool
+    (True == 1 in Python), a string or a fractional number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{name!r} must be an integer, got {value!r}")
 
 
 def space_from_json(obj: dict) -> ModelManifold:
@@ -491,9 +478,9 @@ def space_from_json(obj: dict) -> ModelManifold:
         raise GeometryError(f"a space is a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
     if kind == "euclidean":
-        return Euclidean(int(obj["dim"]))
+        return Euclidean(json_int(obj["dim"], "dim"))
     if kind == "hyperbolic":
-        return Hyperbolic(int(obj["dim"]), float(obj.get("k", 1.0)))
+        return Hyperbolic(json_int(obj["dim"], "dim"), float(obj.get("k", 1.0)))
     if kind == "halfplane":
         return HalfPlane()
     if kind == "rotsym":

@@ -73,10 +73,10 @@ class SimConfig:
             raise ValueError("seed must fit in a 63-bit nonnegative integer")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
+            raise ValueError(f"dt and t_max must be finite and positive, got {self.dt} and {self.t_max}")
         steps = self.t_max / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"t_max/dt must be an integer, got {steps}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
@@ -198,7 +198,7 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
         ang = _draw(ang_rngs, ang_buf[:block]) if angles else None
         for k in range(block):
             active = ~frozen
-            proposal = r + profile.sde_drift(r) * dt + dX[k]
+            proposal = r + profile.drift(r) * dt + dX[k]
             reflections += active & (proposal <= 0.0)
             r = np.where(active, np.abs(proposal), r)
             t = (start + k + 1) * dt
@@ -206,7 +206,7 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
                 path = int(np.argmax(r > _R_ABORT))
                 raise OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
             if angles:
-                d_tau = profile.angular_clock_integrand(r) * dt
+                d_tau = profile.inv_p_sq(r) * dt
                 tau = np.where(active, tau + d_tau, tau)
                 theta = np.where(active, theta + np.sqrt(d_tau) * ang[k], theta)
             if r_cap is not None:

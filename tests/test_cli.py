@@ -131,6 +131,21 @@ def test_simulate_usage_errors(tmp_path):
     assert main(["simulate", "--profile", "nope", "--t-max", "1", "--out", out]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["--space", "halfplane", "--t-max", "inf"],
+    ["--space", "halfplane", "--t-max", "1e300", "--dt", "1e-300"],
+    ["--profile", "euclid", "--t-max", "1", "--dt", "inf"],
+    ["--profile", "kaimanovich", "--t-max", "nan"],
+], ids=["t-max-inf", "steps-overflow", "dt-inf", "t-max-nan"])
+def test_simulate_non_finite_step_count_is_usage_error(tmp_path, capsys, argv):
+    # t_max/dt = inf used to reach round() and exit 4 with an OverflowError
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_report_h2(tmp_path, capsys):
     out = tmp_path / "rep.json"
     rc = main(["report", "--space", "h2", "--kappa", "1",
@@ -203,7 +218,19 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
     {"components": 5},
     {"components": [{"space": [1], "weight": 1}]},
     {"components": [{"weight": [1], "drift": 1}]},
-], ids=["list", "components-int", "space-list", "weight-list"])
+    {"components": [{"weight": math.nan, "drift": 1}]},
+    {"components": [{"weight": 0.5, "drift": 1}, {"weight": math.nan, "drift": 2}]},
+    {"components": [{"weight": 1, "drift": math.nan}]},
+    {"components": [{"weight": 1, "drift": math.inf}]},
+    # int() used to read these dims as 2, 1 and 2, and the report went ahead
+    {"components": [{"weight": 1, "space": {"kind": "euclidean", "dim": 2.9}}]},
+    {"components": [{"weight": 1, "space": {"kind": "euclidean", "dim": True}}]},
+    {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": "2"}}]},
+    # k = NaN passed k <= 0 and the report failed its kernel mass check (exit 4)
+    {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": math.nan}}]},
+    {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 3, "k": math.inf}}]},
+], ids=["list", "components-int", "space-list", "weight-list", "weight-nan", "second-weight-nan",
+        "drift-nan", "drift-inf", "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf"])
 def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps(content))

@@ -22,8 +22,6 @@ from rdl.heat_kernels import (
     gaussian_bound_constant,
     kernel_for,
     log_q_hyperbolic,
-    q_euclidean,
-    q_hyperbolic,
     radial_fokker_planck,
     truncation_radius,
     zero_two_defect,
@@ -35,31 +33,34 @@ from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, bu
 
 
 def test_q_euclidean_values():
-    assert q_euclidean(1.0, 1, 0.0) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
-    assert q_euclidean(2.0, 1, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-12)
+    q = kernel_for(Euclidean(1)).q
+    assert q(1.0, 0.0) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
+    assert q(2.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-12)
 
 
 def test_q_euclidean_normalization():
-    val, _ = quad(lambda x: q_euclidean(1.0, 1, abs(x)), -40, 40)
+    q = kernel_for(Euclidean(1)).q
+    val, _ = quad(lambda x: q(1.0, abs(x)), -40, 40)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_q_hyperbolic_h3_values():
     # closed form (2 pi t)^{-3/2} e^{-t/2 - d^2/2t} d / sinh d evaluated directly
-    assert q_hyperbolic(1.0, 3, 1.0, 0.0) == pytest.approx(
+    q = kernel_for(Hyperbolic(3, 1.0)).q
+    assert q(1.0, 0.0) == pytest.approx(
         (2 * math.pi) ** -1.5 * math.exp(-0.5), rel=1e-10
     )
     d = 1.0
     direct = (2 * math.pi) ** -1.5 * math.exp(-0.5 - 0.5) * d / math.sinh(d)
-    assert q_hyperbolic(1.0, 3, 1.0, d) == pytest.approx(direct, rel=1e-10)
+    assert q(1.0, d) == pytest.approx(direct, rel=1e-10)
     assert direct == pytest.approx(0.0198757, abs=5e-7)
 
 
 def test_q_hyperbolic_rejects_bad_dims():
     with pytest.raises(KernelError):
-        q_hyperbolic(1.0, 4, 1.0, 0.5)
+        kernel_for(Hyperbolic(4, 1.0)).q(1.0, 0.5)
     with pytest.raises(KernelError):
-        q_hyperbolic(1.0, 1, 1.0, 0.5)
+        kernel_for(Hyperbolic(1, 1.0)).q(1.0, 0.5)
     with pytest.raises(KernelError):
         kernel_for(Euclidean(4))
 

@@ -193,37 +193,69 @@ def test_volume_growth_kaimanovich_overflows_flagged():
 # -------------------------------------------------------------- profiles
 
 
+# p' and p'' of each built-in profile, written out: (label, k, p', p'')
+_PROFILE_DERIVATIVES = [
+    ("euclid", 1.0, lambda r: np.ones_like(r), lambda r: np.zeros_like(r)),
+    *[("hyperbolic", k, lambda r, k=k: np.cosh(k * r), lambda r, k=k: k * np.sinh(k * r))
+      for k in (0.5, 1.0, 2.0)],
+    ("kaimanovich", 1.0, lambda r: (1.0 + r ** 2) * np.exp(0.5 * r ** 2),
+     lambda r: (3.0 * r + r ** 3) * np.exp(0.5 * r ** 2)),
+]
+
+
 def test_profile_invariants():
     prof = builtin_profile("kaimanovich")
-    # p > 0 for r > 0; Gauss curvature -p''/p = -(3 + r^2)
+    # p > 0 for r > 0; Gauss curvature -p''/p = -(3 + r^2), p'' = (3r + r^3) e^{r^2/2}
     assert float(prof.p(2.0)) > 0
-    assert float(prof.gauss_curvature(2.0)) == pytest.approx(-(3 + 4.0), rel=1e-12)
-    hyp = builtin_profile("hyperbolic", 2.0)
-    assert float(hyp.gauss_curvature(1.3)) == pytest.approx(-4.0, rel=1e-12)
+    assert float(-(3.0 * 2.0 + 2.0 ** 3) * math.exp(2.0) / prof.p(2.0)) == pytest.approx(-(3 + 4.0), rel=1e-12)
+    hyp = builtin_profile("hyperbolic", 2.0)  # p'' = k sinh(kr)
+    assert float(-2.0 * np.sinh(2.0 * 1.3) / hyp.p(1.3)) == pytest.approx(-4.0, rel=1e-12)
     with pytest.raises(GeometryError):
         builtin_profile("nope")
+
+
+@pytest.mark.parametrize("label, k, p1, p2", _PROFILE_DERIVATIVES,
+                         ids=["euclid", "hyperbolic-0.5", "hyperbolic-1", "hyperbolic-2", "kaimanovich"])
+def test_profile_stable_forms_agree_with_p(label, k, p1, p2):
+    """drift = p'/(2p) and inv_p_sq = 1/p^2 at moderate radii; the Gauss
+    curvature -p''/p is 0, -k^2 or -(3 + r^2)."""
+    prof = builtin_profile(label, k)
+    r = np.array([0.05, 0.3, 1.0, 2.5, 4.0])
+    p = prof.p(r)
+    assert prof.drift(r) == pytest.approx(p1(r) / (2.0 * p), rel=1e-12)
+    assert prof.inv_p_sq(r) == pytest.approx(1.0 / p ** 2, rel=1e-12)
+    curvature = {"euclid": 0.0 * r, "hyperbolic": -k * k + 0.0 * r, "kaimanovich": -(3.0 + r ** 2)}
+    assert -p2(r) / p == pytest.approx(curvature[label], rel=1e-12)
+
+
+def test_builtin_profiles_carry_k():
+    assert builtin_profile("euclid").k == 0.0
+    assert builtin_profile("hyperbolic", 0.25).k == 0.25
+    assert builtin_profile("kaimanovich").k is None
+    for k in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(GeometryError):
+            builtin_profile("hyperbolic", k)
 
 
 def test_profile_smoothness_at_pole_enforced():
     from rdl.model_spaces import ProfileFunction
 
-    with pytest.raises(GeometryError):
-        ProfileFunction(
-            label="bad",
-            p=lambda r: np.asarray(r) + 1.0,
-            p_prime=lambda r: np.ones_like(np.asarray(r)),
-            p_double_prime=lambda r: np.zeros_like(np.asarray(r)),
-        )
+    with pytest.raises(GeometryError):  # p(0) = 1
+        ProfileFunction(label="bad", k=None, p=lambda r: np.asarray(r) + 1.0,
+                        drift=lambda r: 0.5 / np.asarray(r), inv_p_sq=lambda r: 1.0 / (np.asarray(r) + 1.0) ** 2)
+    with pytest.raises(GeometryError):  # p = 2r: p'(0) = 2 p drift = 1 only for drift 1/(2r)
+        ProfileFunction(label="bad", k=None, p=lambda r: 2.0 * np.asarray(r),
+                        drift=lambda r: 1.0 / np.asarray(r), inv_p_sq=lambda r: 0.25 / np.asarray(r) ** 2)
 
 
 def test_profile_stable_drift_and_clock():
     prof = builtin_profile("kaimanovich")
-    assert float(prof.sde_drift(1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(prof.drift(1.0)) == pytest.approx(1.0, abs=1e-15)
     # no overflow at huge radii
-    assert np.isfinite(prof.sde_drift(1e6))
-    assert prof.angular_clock_integrand(50.0) == 0.0  # underflows, not overflows
+    assert np.isfinite(prof.drift(1e6))
+    assert prof.inv_p_sq(50.0) == 0.0  # underflows, not overflows
     hyp = builtin_profile("hyperbolic", 1.0)
-    assert float(hyp.sde_drift(700.0)) == pytest.approx(0.5, rel=1e-12)
+    assert float(hyp.drift(700.0)) == pytest.approx(0.5, rel=1e-12)
 
 
 # --------------------------------------------------------- serialization
@@ -254,4 +286,30 @@ def test_rotsym_hyperbolic_k_round_trips_exactly():
         clone = space_from_json(blob)
         assert clone.to_json_dict() == sp.to_json_dict()
         assert clone.label() == sp.label()
-        assert float(clone.profile.sde_drift(0.7)) == float(sp.profile.sde_drift(0.7))
+        assert float(clone.profile.drift(0.7)) == float(sp.profile.drift(0.7))
+
+
+def test_rotsym_json_dicts():
+    assert RotSymSurface(builtin_profile("euclid")).to_json_dict() == {"kind": "rotsym", "profile": "euclid"}
+    assert RotSymSurface(builtin_profile("kaimanovich")).to_json_dict() == {
+        "kind": "rotsym", "profile": "kaimanovich"}
+    assert RotSymSurface(builtin_profile("hyperbolic", 0.5)).to_json_dict() == {
+        "kind": "rotsym", "profile": "hyperbolic", "k": 0.5}
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "euclidean", "dim": 2.9},
+    {"kind": "euclidean", "dim": True},
+    {"kind": "hyperbolic", "dim": "2"},
+    {"kind": "hyperbolic", "dim": 2, "k": math.nan},
+    {"kind": "hyperbolic", "dim": 2, "k": math.inf},
+    {"kind": "hyperbolic", "dim": 2, "k": 0.0},
+    {"kind": "rotsym", "profile": "hyperbolic", "k": math.nan},
+], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan"])
+def test_space_from_json_rejects_bad_fields(obj):
+    with pytest.raises(GeometryError):
+        space_from_json(obj)
+
+
+def test_space_from_json_accepts_integral_float_dim():
+    assert space_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3

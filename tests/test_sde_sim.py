@@ -30,6 +30,10 @@ def test_config_validation():
         SimConfig(seed=1, n_paths=0, t_max=1.0, dt=0.1)
     with pytest.raises(ValueError):
         SimConfig(seed=-1, n_paths=1, t_max=1.0, dt=0.1)
+    # a non-finite t_max, dt or step count t_max/dt
+    for t_max, dt in [(math.inf, 0.01), (1.0, math.inf), (1.0, math.nan), (math.nan, 0.01), (1e300, 1e-300)]:
+        with pytest.raises(ValueError):
+            SimConfig(seed=1, n_paths=1, t_max=t_max, dt=dt)
 
 
 @pytest.mark.parametrize("stride, steps", [
@@ -126,13 +130,13 @@ def _oracle_radial(profile, cfg, r0, r_cap=None):
         reflections, cap_time = 0, None
         for s in range(n):
             if cap_time is None:
-                r = r + ev(profile.sde_drift, r) * dt + dX[s]
+                r = r + ev(profile.drift, r) * dt + dX[s]
                 if r <= 0.0:
                     reflections += 1
                     r = abs(r)
                 t = (s + 1) * dt
                 hmt = ev(h, r) - t
-                d_tau = ev(profile.angular_clock_integrand, r) * dt
+                d_tau = ev(profile.inv_p_sq, r) * dt
                 tau += d_tau
                 theta += math.sqrt(d_tau) * ang[s]
                 if r_cap is not None and r >= r_cap:
@@ -260,7 +264,7 @@ def test_radial_tau_nondecreasing_and_theta_finite():
 
 def test_kaimanovich_profile_constants():
     prof = builtin_profile("kaimanovich")
-    assert float(prof.sde_drift(1.0)) == pytest.approx(1.0, abs=1e-15)  # f(1) = (1+1)/2
+    assert float(prof.drift(1.0)) == pytest.approx(1.0, abs=1e-15)  # f(1) = (1+1)/2
     assert math.log(1 + 1.0 ** 2) == pytest.approx(math.log(2.0))       # H(1) = log 2
 
 
