@@ -47,7 +47,6 @@ from .estimators import (  # noqa: F401
 )
 from .busemann import (  # noqa: F401
     BusemannField,
-    PoissonKernelField,
     furstenberg_check,
     k_functional_and_equality,
 )

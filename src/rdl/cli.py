@@ -21,9 +21,10 @@ Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
 runs in one process.  An option that the run would ignore (--kappa, --r0 or
 --r-cap where the space or profile does not use it) may only repeat its
 default or the fixed value.  simulate needs finite --t-max and --dt > 0 whose
-ratio is a finite whole number of steps.  Space and ensemble files are read
-strictly: an integer field is an integral number (not a bool or a string),
-and k, weights and drifts are finite.
+ratio is a finite whole number of steps; report and kernel a finite --r-max
+> 0; kernel --points >= 1; gromov a finite --tol >= 1e-6.  Space and ensemble
+files are read strictly: an integer field is an integral number, and k,
+weights and drifts are finite numbers (never a bool or a string).
 """
 
 from __future__ import annotations
@@ -259,6 +260,10 @@ def _cmd_kernel(args) -> tuple[int, list]:
         raise UsageError(f"--t must be comma-separated numbers, got {args.t!r}") from None
     if not all(0.0 < t < math.inf for t in times):
         raise UsageError(f"--t must hold finite times > 0, got {args.t!r}")
+    if not 0.0 < args.r_max < math.inf:
+        raise UsageError(f"--r-max must be finite and > 0, got {args.r_max:g}")
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     space = _space_from_args(args.space, args.dim, args.kappa)
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)

@@ -42,6 +42,7 @@ and the benchmark can both call it as a cross-check of `feasible`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,8 +386,8 @@ def gromov_distance(
     a: FinitePointedSpace, b: FinitePointedSpace, tol: float = 1e-3
 ) -> GromovDistanceResult:
     """Bisection on eps over (0, 1/2); returns the upper end of the bracket."""
-    if tol < 1e-6:
-        raise MetricError(f"tol must be >= 1e-6, got {tol}")
+    if not 1e-6 <= tol < math.inf:
+        raise MetricError(f"tol must be finite and >= 1e-6, got {tol}")
     hi = 0.5 - 1e-9
     res = feasible(a, b, hi)
     if not res.feasible:
@@ -429,7 +430,6 @@ class ChainGlueResult:
     glued: np.ndarray
     layer_offsets: list
     limit_ball: FinitePointedSpace
-    resolution: float
 
 
 def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
@@ -439,8 +439,9 @@ def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
     the all-pairs shortest path on the layered graph (complete within layers,
     cross edges between consecutive layers); its restriction to each layer
     recovers that layer's metric.  Finite limit points are represented by the
-    last layer (tail equivalence classes truncated at depth N), whose ball is
-    within resolution 2^-(N-1) of the true limit ball.
+    last layer X_{N-1}, N = len(spaces) (tail equivalence classes truncated at
+    depth N), whose ball is within the remaining certificates
+    sum_{n >= N-1} 2^-n = 2^-(N-2) of the true limit ball.
     """
     if len(spaces) < 2 or len(crosses) != len(spaces) - 1:
         raise GluingError("need k spaces and k-1 crosses, k >= 2")
@@ -472,7 +473,6 @@ def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
         glued=big,
         layer_offsets=offsets,
         limit_ball=FinitePointedSpace(big[off : off + n, off : off + n].copy()),
-        resolution=2.0 ** (-(len(spaces) - 2)),
     )
 
 

@@ -150,9 +150,7 @@ class VolumeGrowthEstimate:
     """Fitted exponential volume growth rate v = slope of log vol(B_r)."""
 
     value: float
-    residual: float
     finite: bool
-    r_max: float
     first_overflow_radius: float | None = None
 
 
@@ -230,25 +228,19 @@ class ModelManifold:
         Non-finite volumes (profile overflow) are reported via the `finite`
         flag, never silently clipped.
         """
-        if r_max <= 0:
-            raise GeometryError("need r_max > 0")
+        if not 0 < r_max < math.inf:
+            raise GeometryError(f"need a finite r_max > 0, got {r_max}")
         r_grid = np.linspace(r_max / 200, r_max, 200)
         vols = np.array([self.ball_volume(r) for r in r_grid])
         bad = ~np.isfinite(vols)
         if bad.any():
-            return VolumeGrowthEstimate(
-                value=math.inf,
-                residual=math.nan,
-                finite=False,
-                r_max=r_max,
-                first_overflow_radius=float(r_grid[bad][0]),
-            )
+            return VolumeGrowthEstimate(value=math.inf, finite=False,
+                                        first_overflow_radius=float(r_grid[bad][0]))
         top = r_grid >= r_max / 2
         x, y = r_grid[top], np.log(vols[top])
         design = np.vstack([x, np.ones_like(x)]).T
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-        return VolumeGrowthEstimate(value=float(coef[0]), residual=resid, finite=True, r_max=r_max)
+        return VolumeGrowthEstimate(value=float(coef[0]), finite=True)
 
     # -- misc ----------------------------------------------------------------
     def label(self) -> str:
@@ -472,6 +464,17 @@ def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
     raise error(f"{name!r} must be an integer, got {value!r}")
 
 
+def json_number(value, name: str, error: type[ValueError] = GeometryError) -> float:
+    """A real field read from JSON: an int or a float, never a bool or a string.
+    An integer beyond the float range reads as inf, which the constructors reject."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise error(f"{name!r} must be a number, got {value!r}")
+
+
 def space_from_json(obj: dict) -> ModelManifold:
     """Inverse of ModelManifold.to_json_dict."""
     if not isinstance(obj, dict):
@@ -480,9 +483,9 @@ def space_from_json(obj: dict) -> ModelManifold:
     if kind == "euclidean":
         return Euclidean(json_int(obj["dim"], "dim"))
     if kind == "hyperbolic":
-        return Hyperbolic(json_int(obj["dim"], "dim"), float(obj.get("k", 1.0)))
+        return Hyperbolic(json_int(obj["dim"], "dim"), json_number(obj.get("k", 1.0), "k"))
     if kind == "halfplane":
         return HalfPlane()
     if kind == "rotsym":
-        return RotSymSurface(builtin_profile(obj["profile"], float(obj.get("k", 1.0))))
+        return RotSymSurface(builtin_profile(obj["profile"], json_number(obj.get("k", 1.0), "k")))
     raise GeometryError(f"unknown space kind {kind!r}")

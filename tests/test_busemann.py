@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rdl.busemann import (
+    HALF_PLANE_DRIFT,
     BusemannField,
-    PoissonKernelField,
     furstenberg_check,
     k_functional_and_equality,
 )
@@ -26,6 +26,21 @@ def fd_laplacian(func, pt, h: float = 1e-3) -> float:
     fxx = (func((x + h, y)) + func((x - h, y)) - 2.0 * f0) / (h * h)
     fyy = (func((x, y + h)) + func((x, y - h)) - 2.0 * f0) / (h * h)
     return y * y * (fxx + fyy)
+
+
+def fd_grad_log_kernel(xi: BusemannField, pt, rel_h: float = 1e-5) -> np.ndarray:
+    """Riemannian gradient y^2 (d_x, d_y) log k_xi by central differences of
+    the closed-form Poisson kernel, step rel_h * y: the oracle for the rule
+    grad log k_xi = -grad xi."""
+    x, y = pt
+    h = rel_h * y
+
+    def log_k(p):
+        return math.log(xi.poisson_kernel(p))
+
+    gx = (log_k((x + h, y)) - log_k((x - h, y))) / (2 * h)
+    gy = (log_k((x, y + h)) - log_k((x, y - h))) / (2 * h)
+    return y * y * np.array([gx, gy])
 
 
 def test_busemann_infinity_values():
@@ -83,27 +98,37 @@ def test_laplacian_busemann_is_one():
 
 
 def test_poisson_kernel_fields():
-    pk = PoissonKernelField(None)
-    assert pk.value((4.0, 2.5)) == pytest.approx(2.5)
-    assert pk.value((0.0, 1.0)) == pytest.approx(1.0)
-    pk0 = PoissonKernelField(0.0)
-    assert pk0.value((0.0, 1.0)) == pytest.approx(1.0)
+    xi = BusemannField(None)
+    assert xi.poisson_kernel((4.0, 2.5)) == pytest.approx(2.5)
+    assert xi.poisson_kernel((0.0, 1.0)) == pytest.approx(1.0)
+    xi0 = BusemannField(0.0)
+    assert xi0.poisson_kernel((0.0, 1.0)) == pytest.approx(1.0)
+
+
+def test_poisson_kernel_is_exp_minus_busemann():
+    rng = np.random.default_rng(4)
+    for b in (None, 0.0, -1.7, 2.5):
+        xi = BusemannField(b)
+        for _ in range(20):
+            pt = (rng.uniform(-5, 5), rng.uniform(0.05, 8.0))
+            assert xi.poisson_kernel(pt) == pytest.approx(math.exp(-xi.value(pt)), rel=1e-12)
 
 
 def test_poisson_kernel_harmonic_fd():
     rng = np.random.default_rng(2)
     for b in (None, 0.0, 1.2):
-        pk = PoissonKernelField(b)
+        pk = BusemannField(b).poisson_kernel
         for _ in range(20):
             pt = (rng.uniform(-3, 3), rng.uniform(0.5, 5.0))
-            assert abs(fd_laplacian(pk.value, pt, h=1e-4)) < 1e-6 * max(1.0, pk.value(pt))
+            assert abs(fd_laplacian(pk, pt, h=1e-4)) < 1e-6 * max(1.0, pk(pt))
 
 
 def test_grad_log_poisson_is_minus_grad_busemann():
-    pk = PoissonKernelField(None)
-    xi = BusemannField(None)
-    for pt in ((0.0, 1.0), (2.0, 0.3), (-1.0, 5.0)):
-        assert np.allclose(pk.grad_log(pt), -xi.gradient(pt), atol=1e-14)
+    # central differences of log k_xi against the closed-form -grad xi
+    for b in (None, 0.0, -1.7):
+        xi = BusemannField(b)
+        for pt in ((0.0, 1.0), (2.0, 0.3), (-1.0, 5.0)):
+            assert np.allclose(fd_grad_log_kernel(xi, pt), -xi.gradient(pt), rtol=0, atol=1e-9)
 
 
 def test_k_functional_and_equality_gap():
@@ -112,15 +137,35 @@ def test_k_functional_and_equality_gap():
     assert gap <= 1e-10
 
 
+@pytest.mark.parametrize("b", [None, 0.0, -1.7, 2.5])
+def test_k_functional_audit_at_sample_points(b):
+    # k_functional_and_equality reads k = 1/2 and gap = 0 off |grad xi| = 1 at
+    # the basepoint; here both hold on 100 sample points (seed 0), with
+    # grad log k_xi taken from the kernel by central differences
+    rng = np.random.default_rng(0)
+    pts = np.column_stack([rng.uniform(-5, 5, 100), rng.uniform(0.05, 8, 100)])
+    xi = BusemannField(b)
+    k_vals, k_vals_fd, gap = [], [], 0.0
+    for pt in pts:
+        y = pt[1]
+        g_logk = fd_grad_log_kernel(xi, pt)
+        gap = max(gap, float(np.linalg.norm(g_logk + 2.0 * HALF_PLANE_DRIFT * xi.gradient(pt)) / y))
+        k_vals.append(0.5 * xi.gradient_norm(pt) ** 2)
+        k_vals_fd.append(0.5 * float(g_logk @ g_logk) / y ** 2)
+    assert np.mean(k_vals) == pytest.approx(0.5, abs=1e-12)
+    assert np.mean(k_vals_fd) == pytest.approx(0.5, abs=1e-9)
+    assert gap <= 1e-9
+
+
 def test_drift_from_inner_product_formula():
-    # ell = -E((1/2) <grad log k_xi, grad xi>) = 1/2 exactly
-    pk = PoissonKernelField(None)
+    # ell = -E((1/2) <grad log k_xi, grad xi>) = 1/2 exactly; for the point at
+    # infinity log k_xi = log y, so grad log k_xi = y^2 (0, 1/y) = (0, y)
     xi = BusemannField(None)
     rng = np.random.default_rng(3)
     vals = []
     for _ in range(50):
         pt = (rng.uniform(-4, 4), rng.uniform(0.1, 6.0))
-        g1, g2 = pk.grad_log(pt), xi.gradient(pt)
+        g1, g2 = np.array([0.0, pt[1]]), xi.gradient(pt)
         inner = float(g1 @ g2) / pt[1] ** 2  # hyperbolic inner product
         vals.append(-0.5 * inner)
     assert np.max(np.abs(np.array(vals) - 0.5)) < 1e-12

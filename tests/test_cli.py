@@ -229,8 +229,17 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
     # k = NaN passed k <= 0 and the report failed its kernel mass check (exit 4)
     {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": math.nan}}]},
     {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 3, "k": math.inf}}]},
+    # float() used to read these bools and strings as numbers, and the report went ahead
+    {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": True}}]},
+    {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": "2"}}]},
+    {"components": [{"weight": "1", "drift": "0.5"}]},
+    {"components": [{"weight": 1, "drift": "0.5"}]},
+    {"components": [{"weight": True, "drift": 0.5}]},
+    # an integer beyond the float range used to raise OverflowError (exit 4)
+    {"components": [{"weight": 10 ** 400, "drift": 0.5}]},
 ], ids=["list", "components-int", "space-list", "weight-list", "weight-nan", "second-weight-nan",
-        "drift-nan", "drift-inf", "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf"])
+        "drift-nan", "drift-inf", "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf",
+        "k-true", "k-string", "weight-drift-strings", "drift-string", "weight-true", "weight-huge"])
 def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps(content))
@@ -383,6 +392,30 @@ def test_kernel_out_of_catalog_euclidean_dim_is_usage_error(tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert main(["kernel", "--space", "euclidean", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
     assert "dim 1-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "nan"], "--witness"),
+    (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "inf"], "--witness"),
+    (["report", "--space", "h2", "--r-max", "inf"], "--out"),
+    (["report", "--space", "h2", "--r-max", "nan"], "--out"),
+    (["kernel", "--space", "h3", "--r-max", "nan"], "--out"),
+    (["kernel", "--space", "h3", "--r-max", "inf"], "--out"),
+    (["kernel", "--space", "h3", "--r-max", "0"], "--out"),
+    (["kernel", "--space", "h3", "--points", "0"], "--out"),
+], ids=["gromov-tol-nan", "gromov-tol-inf", "report-r-max-inf", "report-r-max-nan",
+        "kernel-r-max-nan", "kernel-r-max-inf", "kernel-r-max-0", "kernel-points-0"])
+def test_non_finite_numeric_option_is_usage_error_before_any_output(tmp_path, capsys, argv,
+                                                                   output):
+    # each of these used to exit 0: a skipped bisection, a vacuous chain, NaN or empty tables
+    _write_space(tmp_path / "a.json", [[0.0], [1.0]])
+    _write_space(tmp_path / "b.json", [[0.0], [1.05]])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, output, str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
 
 @pytest.mark.parametrize("t", ["1,abc", "1,-1", "0", "1,nan", "inf", ""])

@@ -485,8 +485,9 @@ def test_gromov_distance_reports_bracket():
     res = gromov_distance(a, b, tol=1e-3)
     assert res.hi - res.lo <= 1e-3 or res.value == 0.5
     assert res.value == res.hi or res.value == 0.5
-    with pytest.raises(MetricError):
-        gromov_distance(a, b, tol=1e-8)
+    for tol in (1e-8, float("nan"), float("inf")):  # NaN and inf used to skip the bisection
+        with pytest.raises(MetricError):
+            gromov_distance(a, b, tol=tol)
 
 
 # ------------------------------------------------------------ chain gluing

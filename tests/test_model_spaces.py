@@ -182,6 +182,13 @@ def test_volume_growth_euclidean_is_zero():
         assert abs(est.value) < 0.15  # d log r / r slope at r_max = 40
 
 
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf, math.nan])
+def test_volume_growth_needs_finite_positive_r_max(r_max):
+    # inf and NaN used to pass r_max <= 0 and come back as "not finite"
+    with pytest.raises(GeometryError):
+        Hyperbolic(2).volume_growth(r_max)
+
+
 def test_volume_growth_kaimanovich_overflows_flagged():
     surf = RotSymSurface(builtin_profile("kaimanovich"))
     est = surf.volume_growth(40.0)
@@ -305,7 +312,11 @@ def test_rotsym_json_dicts():
     {"kind": "hyperbolic", "dim": 2, "k": math.inf},
     {"kind": "hyperbolic", "dim": 2, "k": 0.0},
     {"kind": "rotsym", "profile": "hyperbolic", "k": math.nan},
-], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan"])
+    {"kind": "hyperbolic", "dim": 2, "k": True},
+    {"kind": "hyperbolic", "dim": 2, "k": "2"},
+    {"kind": "rotsym", "profile": "hyperbolic", "k": "2"},
+], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan",
+        "k-true", "k-string", "rotsym-k-string"])
 def test_space_from_json_rejects_bad_fields(obj):
     with pytest.raises(GeometryError):
         space_from_json(obj)
