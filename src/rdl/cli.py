@@ -17,14 +17,17 @@ so simulate, gromov and kernel --space h3 run without it.
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
 4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
->= 1; it is recorded in the manifest and has no effect yet: every command
-runs in one process.  An option that the run would ignore (--kappa, --r0 or
---r-cap where the space or profile does not use it) may only repeat its
-default or the fixed value.  simulate needs finite --t-max and --dt > 0 whose
-ratio is a finite whole number of steps; report and kernel a finite --r-max
-> 0; kernel --points >= 1; gromov a finite --tol >= 1e-6.  Space and ensemble
-files are read strictly: an integer field is an integral number, and k,
-weights and drifts are finite numbers (never a bool or a string).
+>= 1; it is recorded in the manifest and caps the forked worker processes
+that run simulate's paths, which are also capped by the usable cores and
+get at least 256 paths each.  The output bytes do not depend on it.  An
+option that the run would ignore (--kappa, --r0 or --r-cap where the space
+or profile does not use it) may only repeat its default or the fixed value.
+simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
+number of steps; report and kernel a finite --r-max > 0; kernel --points
+>= 1; gromov a finite --tol >= 1e-6.  Space and ensemble files are read
+strictly: an integer field is an integral number, and k, weights, drifts
+and the entries of a dist matrix are finite numbers (never a bool or a
+string).
 """
 
 from __future__ import annotations
@@ -166,6 +169,7 @@ def _cmd_simulate(args) -> tuple[int, list]:
         t_max=args.t_max,
         dt=args.dt,
         record_stride=args.record_stride,
+        threads=args.threads,
     )
     out = args.out
     if args.space is not None:
@@ -283,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rdl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--threads", type=int, default=None,
-                   help="an integer >= 1 (default RDL_THREADS, else 1); recorded in the manifest, "
-                        "no effect yet")
+                   help="an integer >= 1 (default RDL_THREADS, else 1); simulate's worker "
+                        "processes at most; recorded in the manifest, never changes the output")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run SDE paths and dump a trajectory CSV")
@@ -339,7 +343,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        threads = _threads(args.threads)
+        args.threads = _threads(args.threads)
         t0 = time.time()
         code, outputs = args.func(args)
     except (UsageError, GeometryError, MetricError, FileNotFoundError, json.JSONDecodeError,
@@ -350,7 +354,6 @@ def main(argv=None) -> int:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    config["threads"] = threads
     _write_manifest(args.command, config, outputs, time.time() - t0)
     return code
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import lazy
-from .model_spaces import GeometryError, ModelManifold, json_int
+from .model_spaces import GeometryError, ModelManifold, json_int, json_number
 
 linprog = lazy("scipy.optimize", "linprog")
 csgraph_from_dense = lazy("scipy.sparse.csgraph", "csgraph_from_dense")
@@ -154,10 +154,14 @@ class FinitePointedSpace:
     def from_json_dict(cls, obj: dict) -> "FinitePointedSpace":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
+        rows = obj["dist"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise MetricError("'dist' must be a matrix: a list of rows of numbers")
+        entries = [[json_number(x, "dist", MetricError) for x in row] for row in rows]
         try:
-            d = np.asarray(obj["dist"], dtype=float)
-        except (TypeError, ValueError) as e:
-            raise MetricError(f"'dist' must be numbers: {e}") from e
+            d = np.array(entries)
+        except ValueError as e:  # ragged rows
+            raise MetricError(f"'dist' must be a square matrix: {e}") from e
         fields = {key: json_int(obj[key], key, MetricError) for key in ("n", "basepoint") if key in obj}
         if d.ndim != 2:
             raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")

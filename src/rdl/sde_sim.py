@@ -19,6 +19,15 @@ path's clock stopped at its cap time.
 Increments are drawn _STEP_BLOCK steps at a time, so memory is bounded by
 paths x (_STEP_BLOCK + records), never paths x steps.
 
+Workers: the path range of each half-plane or radial run is cut into
+contiguous chunks, one per worker, and the chunks are concatenated in path
+order.  The worker count is min(cfg.threads, usable cores, n_paths //
+_MIN_CHUNK), and cfg.threads = None means every usable core.  More than one
+worker runs the chunks on a pool of forked processes that exists only for
+the call.  One worker runs the same chunk body in-process, and so does every
+run where fork is missing, or unsafe because the caller runs other threads.
+Each worker allocates only its chunk's share of the step block.
+
 Reproducibility: every path owns a counter-based Philox stream keyed by
 (seed, 2*path_index + substream), so results are bit-identical regardless of
 batching, step blocking or worker count.
@@ -27,7 +36,10 @@ batching, step blocking or worker count.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +71,10 @@ _R_ABORT = 1e100
 # Steps of increments drawn at once per path by the radial integrator.
 _STEP_BLOCK = 1024
 
+# Fewest paths worth a worker: a run of fewer than 2 * _MIN_CHUNK paths stays
+# in one process, where forking would cost more than it saves.
+_MIN_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -67,6 +83,7 @@ class SimConfig:
     t_max: float
     dt: float = 1e-2
     record_stride: int = 1
+    threads: int | None = None   # worker cap; None means every usable core
 
     def __post_init__(self):
         if not (0 <= self.seed < 2 ** 63):
@@ -80,6 +97,8 @@ class SimConfig:
             raise ValueError(f"t_max/dt must be an integer, got {steps}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError("threads must be >= 1 or None")
 
     @property
     def n_steps(self) -> int:
@@ -88,6 +107,69 @@ class SimConfig:
     def record_steps(self, stride: int) -> np.ndarray:
         """Step indices 0, stride, 2 stride, ... and the last step n_steps."""
         return np.union1d(np.arange(0, self.n_steps + 1, stride), self.n_steps)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _n_workers(cfg: SimConfig) -> int:
+    """min(cfg.threads, usable cores, n_paths // _MIN_CHUNK), at least 1; and 1
+    where fork is missing, or unsafe because the caller runs other threads."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cores = _usable_cores()
+    threads = cores if cfg.threads is None else cfg.threads
+    return max(1, min(threads, cores, cfg.n_paths // _MIN_CHUNK))
+
+
+# The chunk job of the running pool: set in each forked worker by the pool
+# initializer, so the job (profiles hold lambdas) is inherited, never pickled.
+_JOB = None
+
+
+def _set_job(job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_chunk(bounds):
+    try:
+        return _JOB(*bounds)
+    except OverflowError as e:  # the parent picks the one a single process would raise
+        return e
+
+
+def _join(parts: tuple, axis: int = 0) -> np.ndarray:
+    """The chunks' arrays joined in path order; a lone chunk's array as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _in_chunks(job, cfg: SimConfig) -> list:
+    """job(lo, hi) over contiguous path ranges that cover 0..n_paths-1, in path order.
+
+    Only path ranges and job results cross the pipes.  If chunks overflow,
+    the one raised is the one a single process would meet first: the
+    earliest step, then the lowest path (job errors carry this as .at).
+    """
+    m, w = cfg.n_paths, _n_workers(cfg)
+    if w == 1:
+        return [job(0, m)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [(m * i // w, m * (i + 1) // w) for i in range(w)]
+    # leaving the block joins every worker; a killed worker raises BrokenProcessPool
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(w, mp_context=fork, initializer=_set_job, initargs=(job,)) as pool:
+        parts = list(pool.map(_run_chunk, bounds))
+    errors = [p for p in parts if isinstance(p, OverflowError)]
+    if errors:
+        raise min(errors, key=lambda e: e.at)
+    return parts
 
 
 def path_rng(seed: int, path_index: int, substream: int = 0) -> np.random.Generator:
@@ -108,12 +190,19 @@ class HalfPlanePath:
 
 def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:
     """Paths from the basepoint (0, 1), recorded every cfg.record_stride steps."""
+    rec = cfg.record_steps(cfg.record_stride)
+    x, y = (_join(parts) for parts in zip(*_in_chunks(
+        partial(_halfplane_chunk, cfg, rec), cfg)))
+    times = rec * cfg.dt
+    return [HalfPlanePath(times=times, x=x[i], y=y[i]) for i in range(cfg.n_paths)]
+
+
+def _halfplane_chunk(cfg: SimConfig, rec: np.ndarray, lo: int, hi: int):
+    """x and y of paths lo..hi-1 at the recorded steps, as (paths, records) arrays."""
     n, dt = cfg.n_steps, cfg.dt
     sqdt = math.sqrt(dt)
-    rec = cfg.record_steps(cfg.record_stride)
-    times = rec * dt
-    paths = []
-    for i in range(cfg.n_paths):
+    xs, ys = np.empty((2, hi - lo, len(rec)))
+    for i in range(lo, hi):
         rng = path_rng(cfg.seed, i)
         db = rng.standard_normal((n, 2)) * sqdt
         # y is geometric Brownian motion: exact update in law
@@ -123,8 +212,8 @@ def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:
         y_mid = 0.5 * (y[:-1] + y[1:])
         x = np.zeros(n + 1)
         x[1:] = np.cumsum(y_mid * db[:, 0])
-        paths.append(HalfPlanePath(times=times, x=x[rec], y=y[rec]))
-    return paths
+        xs[i - lo], ys[i - lo] = x[rec], y[rec]
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -171,15 +260,41 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
     path that reaches it has its whole state frozen there and is flagged
     capped; if any path exceeds the float-safe range the run aborts.  The
     state is recorded at every stride-th step and at the last; tau and theta
-    are integrated only when angles is set.
+    are integrated only when angles is set.  The paths run in chunks
+    (_radial_chunk), on workers when there are several (_in_chunks).
     """
     if r0 <= 0:
         raise ValueError(f"need r0 > 0, got {r0}")
-    n, dt, m = cfg.n_steps, cfg.dt, cfg.n_paths
-    sqdt = math.sqrt(dt)
     steps = cfg.record_steps(stride)
-    rngs = [path_rng(cfg.seed, i, substream=0) for i in range(m)]
-    ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(m)] if angles else []
+    chunk = partial(_radial_chunk, profile, cfg, r0, r_cap, steps, angles)
+    # record arrays are (records, paths) and per-path arrays (paths,): join on the last axis
+    r_rec, tau_rec, theta_rec, reflections, frozen, cap_time = (
+        _join(parts, axis=-1) for parts in zip(*_in_chunks(chunk, cfg)))
+    # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
+    h_minus_t = _h(r_rec) - np.fmin(steps[:, None] * cfg.dt, cap_time)
+    return _RadialRun(
+        steps=steps,
+        r=r_rec,
+        h_minus_t=h_minus_t,
+        tau=tau_rec if angles else None,
+        theta=theta_rec if angles else None,
+        n_reflections=reflections,
+        capped=frozen,
+        cap_time=cap_time,
+    )
+
+
+def _radial_chunk(profile, cfg, r0, r_cap, steps, angles, lo, hi):
+    """The step loop of _simulate_radial_block over the streams of paths lo..hi-1.
+
+    Returns r, tau and theta at the recorded steps as (records, paths)
+    arrays, then per path the reflection count, the capped flag and the cap
+    time.  An overflow error carries .at = (step, path) for _in_chunks.
+    """
+    n, dt, m = cfg.n_steps, cfg.dt, hi - lo
+    sqdt = math.sqrt(dt)
+    rngs = [path_rng(cfg.seed, i, substream=0) for i in range(lo, hi)]
+    ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(lo, hi)] if angles else []
 
     r = np.full(m, r0, dtype=float)
     tau = np.zeros(m)
@@ -203,8 +318,10 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
             r = np.where(active, np.abs(proposal), r)
             t = (start + k + 1) * dt
             if np.any(r > _R_ABORT):
-                path = int(np.argmax(r > _R_ABORT))
-                raise OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
+                path = lo + int(np.argmax(r > _R_ABORT))
+                err = OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
+                err.at = (start + k, path)
+                raise err
             if angles:
                 d_tau = profile.inv_p_sq(r) * dt
                 tau = np.where(active, tau + d_tau, tau)
@@ -215,19 +332,7 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _Ra
                 frozen |= newly
             if start + k + 1 == steps[len(rows)]:
                 rows.append((r, tau, theta))
-    r_rec, tau_rec, theta_rec = map(np.array, zip(*rows))
-    # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
-    h_minus_t = _h(r_rec) - np.fmin(steps[:, None] * dt, cap_time)
-    return _RadialRun(
-        steps=steps,
-        r=r_rec,
-        h_minus_t=h_minus_t,
-        tau=tau_rec if angles else None,
-        theta=theta_rec if angles else None,
-        n_reflections=reflections,
-        capped=frozen,
-        cap_time=cap_time,
-    )
+    return (*map(np.array, zip(*rows)), reflections, frozen, cap_time)
 
 
 def simulate_radial(

@@ -54,6 +54,22 @@ def test_simulate_deterministic_bytes(tmp_path, monkeypatch):
     assert ma["outputs"]["a.csv"] == mb["outputs"]["b.csv"]
 
 
+def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch):
+    # 600 paths are two minimum chunks: on two or more cores --threads 2 and 16 fork workers
+    monkeypatch.delenv("RDL_THREADS", raising=False)
+    digests = set()
+    for threads in ("1", "2", "16"):
+        out = tmp_path / f"hp{threads}.csv"
+        assert main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
+                     "--paths", "600", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / f"hp{threads}.csv.manifest.json").read_text())
+        assert manifest["threads"] == manifest["config"]["threads"] == int(threads)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert manifest["outputs"][out.name] == digest
+        digests.add(digest)
+    assert len(digests) == 1
+
+
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, math.nan, math.inf, -math.inf]
 
 
@@ -352,8 +368,12 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
     # JSON booleans compare equal to 1 and 0
     {"n": True, "basepoint": 0, "dist": [[0]]},
     {"n": 1, "basepoint": False, "dist": [[0]]},
+    {"dist": [[0, 1], [1]]},
+    # np.asarray(..., dtype=float) used to read these as [[0, 1], [1, 0]], and d_GS came out
+    {"dist": [["0", "1"], ["1", "0"]]},
+    {"dist": [[False, True], [True, False]]},
 ], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional",
-        "n-true", "basepoint-false"])
+        "n-true", "basepoint-false", "dist-ragged", "dist-strings", "dist-bools"])
 def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(content))

@@ -8,7 +8,7 @@ import pytest
 from rdl import sde_sim
 from rdl.estimators import drift_quadrature
 from rdl.heat_kernels import radial_fokker_planck
-from rdl.model_spaces import HalfPlane, builtin_profile
+from rdl.model_spaces import HalfPlane, ProfileFunction, builtin_profile
 from rdl.sde_sim import (
     KAIMANOVICH_R_CAP,
     SimConfig,
@@ -343,3 +343,91 @@ def test_radial_determinism_across_r_cap_paths():
     free = radial_terminal(prof, cfg, r0=1.0, r_cap=None)
     capped = radial_terminal(prof, cfg, r0=1.0, r_cap=1e6)
     assert np.array_equal(free.r, capped.r)
+
+
+# ----------------------------------------------------------------- workers
+
+# Two minimum chunks and a remainder: a run of this many paths splits
+# whenever two cores are usable.
+_SPLIT = 2 * sde_sim._MIN_CHUNK + 37
+
+
+def _halfplane_bytes(paths) -> bytes:
+    return b"".join(np.concatenate([p.times, p.x, p.y]).tobytes() for p in paths)
+
+
+def _every_simulator(threads):
+    cfg = SimConfig(seed=31, n_paths=_SPLIT, t_max=2.0, dt=1e-2, record_stride=7, threads=threads)
+    term = radial_terminal(builtin_profile("hyperbolic", 0.7), cfg, r0=0.05)
+    paths = simulate_radial(builtin_profile("kaimanovich"), cfg, r0=1.0, r_cap=3.0)
+    tail = kaimanovich_tail_limit(cfg, n_trajectories=2)
+    counts = (term.n_reflections, sum(p.capped for p in paths), tail.n_excluded)
+    return counts, (
+        term.r.tobytes() + term.h_minus_t.tobytes(),
+        _radial_bytes(paths),
+        tail.L.tobytes() + tail.diagnostic.tobytes() + _radial_bytes(tail.trajectories),
+        _halfplane_bytes(simulate_halfplane(cfg)),
+    )
+
+
+def test_worker_count_does_not_change_bytes():
+    import multiprocessing
+
+    reference = _every_simulator(1)
+    # the runs reflect, cap and exclude paths, so every per-path field is exercised
+    assert all(reference[0]), reference[0]
+    for threads in (2, 16):
+        assert _every_simulator(threads) == reference
+        assert multiprocessing.active_children() == []  # no worker outlives its call
+
+
+def test_worker_count_above_one_where_cores_allow():
+    if sde_sim._usable_cores() < 2:
+        pytest.skip("one usable core: every run stays in-process")
+    for threads in (2, 16, None):
+        assert sde_sim._n_workers(SimConfig(seed=1, n_paths=_SPLIT, t_max=1.0, threads=threads)) > 1
+    assert sde_sim._n_workers(SimConfig(seed=1, n_paths=_SPLIT, t_max=1.0, threads=1)) == 1
+    small = 2 * sde_sim._MIN_CHUNK - 1
+    assert sde_sim._n_workers(SimConfig(seed=1, n_paths=small, t_max=1.0, threads=16)) == 1
+
+
+def test_one_worker_while_other_threads_run():
+    # fork copies only the calling thread, so a threaded caller runs in-process
+    import threading
+
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert sde_sim._n_workers(SimConfig(seed=1, n_paths=_SPLIT, t_max=1.0, threads=2)) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_threads_must_be_positive():
+    with pytest.raises(ValueError, match="threads"):
+        SimConfig(seed=1, n_paths=1, t_max=1.0, threads=0)
+
+
+# p = r exp(r^3): drift 1/(2r) + 3r^2/2 explodes in finite time from r0 = 1
+_EXPLOSIVE = ProfileFunction(label="explosive", k=None, p=lambda r: r * np.exp(r ** 3),
+                             drift=lambda r: 0.5 / r + 1.5 * r * r,
+                             inv_p_sq=lambda r: np.exp(-2.0 * r ** 3) / (r * r))
+
+
+@pytest.mark.parametrize("seed, chunk", [(0, 0), (1, 1)])
+def test_overflow_message_independent_of_worker_count(seed, chunk):
+    # with seed 1 both chunks overflow, the second one first (t = 0.35 against 0.355):
+    # the pooled run must raise the second chunk's error, as one process does
+    def message(threads):
+        cfg = SimConfig(seed=seed, n_paths=_SPLIT, t_max=2.0, dt=1e-3, threads=threads)
+        with pytest.raises(OverflowError) as err:
+            radial_terminal(_EXPLOSIVE, cfg, r0=1.0)
+        return str(err.value)
+
+    serial = message(1)
+    path = int(serial.split()[1])
+    assert (path >= _SPLIT // 2) == bool(chunk)
+    assert message(2) == message(16) == serial
