@@ -68,53 +68,79 @@ class EstimatorInputError(EstimatorError, ValueError):
     invariant; as a ValueError the CLI reports it as a usage error."""
 
 
-def _radial_integral(space: ModelManifold, t: float, weight, r_hi: float | None = None) -> float:
-    """int_0^R w(r, log_q(r)) exp(log_q + log_area) dr, split at the ridge."""
+def _mass(r, lq):
+    return 1.0
+
+
+def _dist(r, lq):
+    return r
+
+
+def _surprisal(r, lq):
+    return -lq
+
+
+def _radial_integral(space: ModelManifold, t: float, weights: tuple,
+                     r_hi: float | None = None) -> tuple[float, ...]:
+    """int_0^R w(r, log_q(r)) exp(log_q + log_area) dr for each w in weights,
+    split at the ridge.
+
+    Every quad call reads one dict r -> (log q, log q + log area), local to
+    this call, so the moments share the kernel evaluations at their common
+    nodes; each quad sees the values a call per weight would see, so its
+    nodes do not change.
+    """
     ker = kernel_for(space)
     v = (space.dim - 1) * space.k / 2.0
     ridge = max(v * t, math.sqrt(t))
+    known = {}
 
-    def integrand(r):
-        la = space.log_sphere_area(r)
-        if la == -math.inf:
-            return 0.0
-        lq = float(ker.log_q(t, r))
-        val = lq + la
-        if val < -745.0:
-            return 0.0
-        return weight(r, lq) * math.exp(val)
+    def integrand(weight):
+        def f(r):
+            if r not in known:
+                la = space.log_sphere_area(r)
+                lq = -math.inf if la == -math.inf else float(ker.log_q(t, r))
+                known[r] = (lq, lq + la)
+            lq, val = known[r]
+            if val < -745.0:
+                return 0.0
+            return weight(r, lq) * math.exp(val)
+
+        return f
 
     hi = r_hi if r_hi is not None else truncation_radius(space, t)
     pieces = [0.0, min(ridge, hi), hi]
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=300)
-            total += val
-    return total
+    totals = []
+    for weight in weights:
+        total = 0.0
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            if b > a:
+                val, _ = quad(integrand(weight), a, b, limit=300)
+                total += val
+        totals.append(total)
+    return tuple(totals)
 
 
-def _check_mass(space: ModelManifold, t: float) -> float:
-    mass = _radial_integral(space, t, lambda r, lq: 1.0)
+def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
     if not (mass >= _MASS_TOL):
         raise EstimatorError(
             f"kernel mass {mass:.6f} < {_MASS_TOL} on {space.label()} at t={t}; "
             "kernel or truncation bug"
         )
-    return mass
 
 
 def drift_quadrature(space: ModelManifold, t: float) -> float:
     """ell_t / t by radial quadrature."""
-    _check_mass(space, t)
-    return _radial_integral(space, t, lambda r, lq: r) / t
+    mass, ell = _radial_integral(space, t, (_mass, _dist))
+    _check_mass(space, t, mass)
+    return ell / t
 
 
 def drift_increment(space: ModelManifold, t: float) -> float:
     """ell_t - ell_{t-1}; fast route to the linear drift."""
     if t <= 1.0:
         raise EstimatorError(f"need t > 1, got t={t}")
-    ell_t, ell_prev = (_radial_integral(space, s, lambda r, lq: r) for s in (t, t - 1.0))
+    (ell_t,), (ell_prev,) = (_radial_integral(space, s, (_dist,)) for s in (t, t - 1.0))
     return ell_t - ell_prev
 
 
@@ -136,8 +162,10 @@ def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 4:
         raise EstimatorInputError("t_grid needs >= 4 points")
-    ell = {t: _radial_integral(space, t, lambda r, lq: r) for t in ts}
-    _check_mass(space, ts[-1])
+    t_max = ts[-1]
+    ell = {t: _radial_integral(space, t, (_dist,))[0] for t in ts[:-1]}
+    ell[t_max], mass = _radial_integral(space, t_max, (_dist, _mass))
+    _check_mass(space, t_max, mass)
     violations = []
     for t in ts:
         for s in ts:
@@ -146,7 +174,6 @@ def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit
                 violations.append((t, s, ell[tot] - ell[t] - ell[s]))
     ratios = [ell[t] / t for t in ts]
     monotone = all(b <= a + _SUBADDITIVE_TOL for a, b in zip(ratios, ratios[1:]))
-    t_max = ts[-1]
     delta = t_max - ts[-2]
     inc = (ell[t_max] - ell[ts[-2]]) / delta
     return SubadditiveDriftFit(
@@ -160,8 +187,9 @@ def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit
 
 def entropy_quadrature(space: ModelManifold, t: float) -> float:
     """h_t = -int q log q dx by radial quadrature."""
-    _check_mass(space, t)
-    return _radial_integral(space, t, lambda r, lq: -lq)
+    mass, h = _radial_integral(space, t, (_mass, _surprisal))
+    _check_mass(space, t, mass)
+    return h
 
 
 @dataclass(frozen=True)

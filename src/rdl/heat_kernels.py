@@ -12,7 +12,9 @@ Closed forms:
         q(t, r) = sqrt(2) (2 pi t)^(-3/2) e^(-t/8)
                   * int_r^inf s e^(-s^2/2t) / sqrt(cosh s - cosh r) ds
     evaluated after the substitution s = r + u^2, which removes the
-    inverse-square-root endpoint singularity.
+    inverse-square-root endpoint singularity, by a 256-node Gauss-Legendre
+    rule.  An array of radii is evaluated in blocks of 32 radii, one
+    (32, 256) array per block, with the values of one radius at a time.
 
 Curvature -k^2 via rescaling: the metric g/k^2 multiplies distances by 1/k
 and the Laplacian by k^2, so
@@ -93,14 +95,20 @@ def _gl_rule():
     return roots_legendre(256)
 
 
-def _h2_integral_factor(t: float, r: float) -> float:
-    """I(t, r) after s = r + u^2 and factoring the exponential envelope:
+_H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per temporary
+
+
+def _h2_terms(t: float, r, u_max):
+    """Gauss-Legendre terms of I(t, r), after s = r + u^2 and factoring the
+    exponential envelope:
 
     q_1(t, r) = sqrt(2) (2 pi t)^(-3/2) exp(-t/8 - r^2/2t - r/2) I(t, r)
     I(t, r) = int_0^umax 2u (r + u^2) e^{-(2 r u^2 + u^4)/2t}
               / ( sqrt(expm1(u^2)/2) sqrt(1 - e^{-2r - u^2}) ) du
+
+    r and u_max are floats, or (rows, 1) columns for a block of radii; the
+    same expressions in the same order give each row the scalar's terms.
     """
-    u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
     nodes, weights = _gl_rule()
     u = 0.5 * u_max * (nodes + 1.0)
     w = 0.5 * u_max * weights
@@ -109,14 +117,11 @@ def _h2_integral_factor(t: float, r: float) -> float:
         num = 2.0 * u * (r + u2) * np.exp(-(2.0 * r * u2 + u2 * u2) / (2.0 * t))
         den = np.sqrt(np.expm1(u2) / 2.0) * np.sqrt(-np.expm1(-2.0 * r - u2))
         vals = np.where(num == 0.0, 0.0, num / den)
-    return float(np.sum(w * vals))
+    return w * vals
 
 
-def _log_q_h2_unit(t: float, r: float) -> float:
-    r = float(r)
-    if r < 0:
-        raise KernelError(f"need dist >= 0, got {r}")
-    factor = _h2_integral_factor(t, max(r, 0.0))
+def _h2_assemble(t: float, r: float, factor: float) -> float:
+    """log q_1(t, r) from I(t, r), one radius at a time with math.log."""
     return (
         0.5 * math.log(2.0)
         - 1.5 * math.log(2.0 * math.pi * t)
@@ -127,8 +132,39 @@ def _log_q_h2_unit(t: float, r: float) -> float:
     )
 
 
+def _log_q_h2_unit(t: float, r: float) -> float:
+    """log q_1(t, r) at one radius.  Where the u-range collapses (u_max is 0
+    or not finite, from r ~ 1e10 on) q has long underflowed, so log q = -inf."""
+    r = float(r)
+    if not r >= 0:
+        raise KernelError(f"need dist >= 0, got {r}")
+    u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
+    if not 0.0 < u_max < math.inf:
+        return -math.inf
+    return _h2_assemble(t, r, float(np.sum(_h2_terms(t, r, u_max))))
+
+
+def _log_q_h2_many(t: float, r: np.ndarray) -> np.ndarray:
+    """log q_1(t, r) over a 1-d array of radii, _H2_ROWS radii per (rows, 256)
+    block; bit for bit the values of _log_q_h2_unit."""
+    bad = ~(r >= 0)
+    if bad.any():
+        raise KernelError(f"need dist >= 0, got {r[bad][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_max = np.sqrt(-r + np.sqrt(r * r + 2.0 * t * 50.0))
+        ok = np.isfinite(u_max) & (u_max > 0.0)
+    factor = np.zeros_like(r)
+    idx = np.flatnonzero(ok)
+    for lo in range(0, idx.size, _H2_ROWS):
+        rows = idx[lo:lo + _H2_ROWS]
+        factor[rows] = np.sum(_h2_terms(t, r[rows, None], u_max[rows, None]), axis=1)
+    return np.array([_h2_assemble(t, ri, fi) if oki else -math.inf
+                     for ri, fi, oki in zip(r.tolist(), factor.tolist(), ok.tolist())])
+
+
 def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
-    """log q on H^dim with curvature -k^2, as a function of distance."""
+    """log q on H^dim with curvature -k^2, as a function of distance; an
+    array dist gives an array of its shape."""
     if t <= 0:
         raise KernelError(f"need t > 0, got {t}")
     if dim not in (2, 3):
@@ -136,13 +172,12 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     if k <= 0:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
+    r = np.asarray(dist, dtype=float)
     if dim == 3:
-        r = np.asarray(dist, dtype=float)
         return dim * math.log(k) + _log_q_h3_unit(t1, k * r)
-    r_arr = np.atleast_1d(np.asarray(dist, dtype=float))
-    out = np.array([_log_q_h2_unit(t1, k * float(ri)) for ri in r_arr])
-    out = out + dim * math.log(k)
-    return out[0] if np.isscalar(dist) or np.asarray(dist).ndim == 0 else out
+    if r.ndim == 0:
+        return np.float64(_log_q_h2_unit(t1, k * float(r))) + dim * math.log(k)
+    return _log_q_h2_many(t1, k * r.ravel()).reshape(r.shape) + dim * math.log(k)
 
 
 # ------------------------------------------------------------- KernelEval
@@ -189,7 +224,7 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     2 |M_t(r*) - M_{t+tau}(r*)|, M_s(r) the kernel mass in the ball of
     radius r.  With no sign change on [0, R], r* = R.
     """
-    from .estimators import _radial_integral  # estimators imports this module
+    from .estimators import _mass, _radial_integral  # estimators imports this module
 
     if tau <= 0 or t <= 0:
         raise KernelError("need tau > 0 and t > 0")
@@ -201,7 +236,7 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     r_star = truncation_radius(space, t + tau)
     if log_ratio(0.0) * log_ratio(r_star) < 0:
         r_star = brentq(log_ratio, 0.0, r_star)
-    m_t, m_later = (_radial_integral(space, s, lambda r, lq: 1.0, r_hi=r_star) for s in (t, t + tau))
+    (m_t,), (m_later,) = (_radial_integral(space, s, (_mass,), r_hi=r_star) for s in (t, t + tau))
     return 2.0 * abs(m_t - m_later)
 
 

@@ -402,6 +402,19 @@ def test_kernel_table(tmp_path):
     assert float(q) == pytest.approx((2 * math.pi) ** -1.5 * math.exp(-0.5), rel=1e-10)
 
 
+@pytest.mark.parametrize("r_max", ["1e10", "1e200"])
+def test_kernel_h2_table_at_huge_radii_reads_zero(tmp_path, r_max):
+    # these exited 2 with "math domain error" after the header (1e10) and wrote nan (1e200)
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--space", "h2", "--t", "1", "--r-max", r_max, "--points", "5",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 5
+    q = [float(ln.split(",")[2]) for ln in lines[1:]]
+    assert q[0] == pytest.approx(0.135056, rel=1e-5) and q[1:] == [0.0] * 4
+
+
 def test_kernel_out_of_catalog_dim_is_usage_error(tmp_path):
     # KernelError is a ValueError: an unsupported dimension is an input error
     out = tmp_path / "k.csv"

@@ -77,9 +77,25 @@ def test_truncation_radius_is_conservative():
     sp = Hyperbolic(2, 1.0)
     from rdl.estimators import _radial_integral
 
-    base = _radial_integral(sp, 10.0, lambda r, lq: r)
-    wide = _radial_integral(sp, 10.0, lambda r, lq: r, r_hi=1.6 * truncation_radius(sp, 10.0))
+    (base,) = _radial_integral(sp, 10.0, (lambda r, lq: r,))
+    (wide,) = _radial_integral(sp, 10.0, (lambda r, lq: r,), r_hi=1.6 * truncation_radius(sp, 10.0))
     assert base == pytest.approx(wide, rel=1e-9)
+
+
+@pytest.mark.parametrize("space", [Hyperbolic(2, 1.0), Hyperbolic(3, 1.0), Euclidean(2), HalfPlane()],
+                         ids=lambda sp: sp.label())
+def test_radial_integral_shares_log_q_without_changing_a_bit(space):
+    # the moments of one call read one r -> log q dict; each quad must see the
+    # values it sees alone, so every integral is bit-identical
+    from rdl.estimators import _radial_integral
+
+    weights = (lambda r, lq: 1.0, lambda r, lq: r, lambda r, lq: -lq)
+    for t, r_hi in ((2.0, None), (7.5, None), (3.0, 2.5)):
+        together = _radial_integral(space, t, weights, r_hi=r_hi)
+        alone = tuple(_radial_integral(space, t, (w,), r_hi=r_hi)[0] for w in weights)
+        assert together == alone
+        if r_hi is None:  # nothing carried over from the previous t
+            assert together[0] == pytest.approx(1.0, abs=1e-8)
 
 
 # --------------------------------------------------------------- entropy
@@ -328,5 +344,5 @@ def test_mass_error_on_bad_truncation():
     from rdl.estimators import _radial_integral
 
     sp = Hyperbolic(2, 1.0)
-    short = _radial_integral(sp, 40.0, lambda r, lq: 1.0, r_hi=5.0)
+    (short,) = _radial_integral(sp, 40.0, (lambda r, lq: 1.0,), r_hi=5.0)
     assert short < 0.999  # quantifies what _check_mass guards against

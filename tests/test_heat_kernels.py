@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,76 @@ def test_halfplane_and_h2_share_kernel_horizons_and_truncation_bitwise():
         got = np.array([getattr(hp, method)(float(r)) for r in np.linspace(0.0, 40.0, 4001)])
         want = np.array([getattr(h2, method)(float(r)) for r in np.linspace(0.0, 40.0, 4001)])
         assert got.tobytes() == want.tobytes(), method
+
+
+_H2_SPACES = [Hyperbolic(2, 0.5), Hyperbolic(2, 1.0), Hyperbolic(2, 2.0), HalfPlane()]
+
+
+@pytest.mark.parametrize("space", _H2_SPACES, ids=lambda sp: sp.label())
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 401])
+def test_h2_array_path_equals_scalar_path_bitwise(space, n):
+    # the array path evaluates blocks of radii; block edges fall at 32, 64, ...
+    ker = kernel_for(space)
+    for t in (0.3, 1.0, 7.0):
+        big = truncation_radius(space, t)
+        edge = [0.0, 1e-12, big * (1 - 1e-12), big, big * (1 + 1e-12)]
+        rs = np.concatenate([edge, np.linspace(1e-3, 1.2 * big, max(n - len(edge), 0))])[:n]
+        got = np.asarray(ker.log_q(t, rs))
+        want = np.array([ker.log_q(t, float(r)) for r in rs])
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
+
+
+def test_h2_array_path_memory_is_chunked():
+    rs = np.linspace(0.0, 30.0, 20_000)
+    ker = kernel_for(Hyperbolic(2, 1.0))
+    tracemalloc.start()
+    try:
+        ker.log_q(2.0, rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000 * 256 * 8 / 10  # one (radii, 256) array would be 41 MB
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_h2_log_q_is_minus_inf_where_the_u_range_collapses(k):
+    # u_max = sqrt(-r + sqrt(r^2 + 100 t)) is 0 at r = 1e10 and inf at 1e200;
+    # these gave a math domain error and NaN
+    ker = kernel_for(Hyperbolic(2, k))
+    huge = [1e10, 1e200, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in huge:
+            assert ker.log_q(1.0, r) == -math.inf
+        assert np.array_equal(ker.log_q(1.0, np.array(huge)), np.full(3, -math.inf))
+        assert np.array_equal(ker.q(1.0, np.array(huge)), np.zeros(3))
+        # in the noisy range before the collapse the values stay finite, and
+        # each radius of the array agrees with its scalar
+        rs = np.logspace(0.0, 12.0, 97)
+        got = np.asarray(ker.log_q(1.0, rs))
+        assert np.array_equal(got, np.array([ker.log_q(1.0, float(r)) for r in rs]))
+        assert not np.isnan(got).any()
+        assert np.isfinite(got[rs < 1e7]).all()
+
+
+@pytest.mark.parametrize("space", [Hyperbolic(2, 1.0), HalfPlane(), Hyperbolic(3, 1.0), Euclidean(2)],
+                         ids=lambda sp: sp.label())
+def test_log_q_keeps_the_shape_of_dist(space):
+    ker = kernel_for(space)
+    rs = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+    got = np.asarray(ker.log_q(1.5, rs))
+    assert got.shape == (3, 4)
+    assert np.array_equal(got.ravel(), np.asarray(ker.log_q(1.5, rs.ravel())))
+
+
+@pytest.mark.parametrize("dist", [-1e-9, math.nan])
+def test_h2_log_q_rejects_negative_and_nan_dist(dist):
+    ker = kernel_for(Hyperbolic(2, 1.0))
+    with pytest.raises(KernelError):
+        ker.log_q(1.0, dist)
+    with pytest.raises(KernelError):
+        ker.log_q(1.0, np.array([0.0, 1.0, dist]))
 
 
 def test_chapman_kolmogorov():
