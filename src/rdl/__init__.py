@@ -35,15 +35,11 @@ from .sde_sim import (  # noqa: F401
 from .estimators import (  # noqa: F401
     AsymptoticReport,
     Ensemble,
-    drift_increment,
-    drift_quadrature,
     drift_subadditive_limit,
     ensemble_drift,
     entropy_quadrature,
     entropy_rate,
-    finite_dim_bound_check,
     inequality_report,
-    mutual_information,
 )
 from .busemann import (  # noqa: F401
     BusemannField,

@@ -23,11 +23,12 @@ get at least 256 paths each.  The output bytes do not depend on it.  An
 option that the run would ignore (--kappa, --r0 or --r-cap where the space
 or profile does not use it) may only repeat its default or the fixed value.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
-number of steps; report and kernel a finite --r-max > 0; kernel --points
->= 1; gromov a finite --tol >= 1e-6.  Space and ensemble files are read
-strictly: an integer field is an integral number, and k, weights, drifts
-and the entries of a dist matrix are finite numbers (never a bool or a
-string).
+number of steps; report and kernel a finite --r-max > 0; report --t-grid
+at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
+finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
+integer field is an integral number, and k, weights, drifts and the entries
+of a dist matrix are finite numbers (never a bool or a string).  A report's
+JSON is strict: a value that is not finite is written as "inf" or "nan".
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def _cmd_report(args) -> tuple[int, list]:
     outputs = []
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         outputs.append(args.out)
     if not report.converged:
         print("non-converged estimate; rerun with a longer --t-grid", file=sys.stderr)

@@ -1,21 +1,22 @@
-"""Quadrature estimators for drift, entropy, mutual information, volume
-growth, and the inequality chains between them.
+"""Quadrature estimators for drift, entropy, volume growth, and the
+inequality chains between them.
 
 Estimator conventions (all for the transition density q(t) = p(t/2)):
 
   ell_t(M)    = int d(o,x) q(t,o,x) dx          (mean displacement)
   h_t(M)      = -int q log q dx                 (differential entropy)
-  I_t^T(M)    = h_T - h_{T-t}                   (homogeneous spaces)
   v(M)        = slope of log vol(B_r) at large r
 
-Two drift estimates are reported: the subadditive ratio ell_t/t (an upper
-bound, non-increasing in t) and the increment (ell_T - ell_S) / (T - S) over
-the last step S < T of the horizon grid, 1/k^2 on the default grid of a
-curved space and 50 on R^d (converges exponentially fast on the hyperbolic
-family; this is the quadrature form of the Busemann-increment drift
-formula).  The inequality chain uses the pairing whose finite-t biases
-cannot produce spurious violations: the upper chain h <= ell*v takes the
-ratio, everything else takes increments.
+A report reads ell_t and h_t from one moment table: one radial quadrature
+call per horizon, ell_t at every horizon and h_t (with the kernel mass) at
+the last three.  Two drift estimates are reported: the subadditive ratio
+ell_t/t (an upper bound, non-increasing in t) and the increment
+(ell_T - ell_S) / (T - S) over the last step S < T of the horizon grid,
+1/k^2 on the default grid of a curved space and 50 on R^d (converges
+exponentially fast on the hyperbolic family; this is the quadrature form of
+the Busemann-increment drift formula).  The inequality chain uses the
+pairing whose finite-t biases cannot produce spurious violations: the upper
+chain h <= ell*v takes the ratio, everything else takes increments.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ __all__ = [
     "EstimatorError",
     "EstimatorInputError",
     "truncation_radius",
-    "drift_quadrature",
-    "drift_increment",
     "SubadditiveDriftFit",
     "drift_subadditive_limit",
     "entropy_quadrature",
     "EntropyRateFit",
     "entropy_rate",
-    "mutual_information",
-    "finite_dim_bound_check",
     "Ensemble",
     "DriftComponent",
     "ensemble_drift",
@@ -129,19 +126,23 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
         )
 
 
-def drift_quadrature(space: ModelManifold, t: float) -> float:
-    """ell_t / t by radial quadrature."""
-    mass, ell = _radial_integral(space, t, (_mass, _dist))
-    _check_mass(space, t, mass)
-    return ell / t
-
-
-def drift_increment(space: ModelManifold, t: float) -> float:
-    """ell_t - ell_{t-1}; fast route to the linear drift."""
-    if t <= 1.0:
-        raise EstimatorError(f"need t > 1, got t={t}")
-    (ell_t,), (ell_prev,) = (_radial_integral(space, s, (_dist,)) for s in (t, t - 1.0))
-    return ell_t - ell_prev
+def _horizon_moments(space: ModelManifold, t_grid) -> tuple[dict, dict]:
+    """(ell_by_t, h_by_t): ell_t at every horizon of the sorted grid and h_t at
+    the last three, from one _radial_integral call per horizon.  The kernel
+    mass is checked where h is read."""
+    ts = sorted(float(t) for t in t_grid)
+    if len(ts) < 4:
+        raise EstimatorInputError("t_grid needs >= 4 points")
+    # NaN does not sort, so every horizon is checked, not just the ends
+    if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) < len(ts):
+        raise EstimatorInputError(f"t_grid needs distinct finite horizons > 0, got {ts}")
+    ell, h = {}, {}
+    for t in ts[:-3]:
+        (ell[t],) = _radial_integral(space, t, (_dist,))
+    for t in ts[-3:]:
+        mass, ell[t], h[t] = _radial_integral(space, t, (_mass, _dist, _surprisal))
+        _check_mass(space, t, mass)
+    return ell, h
 
 
 @dataclass(frozen=True)
@@ -153,19 +154,15 @@ class SubadditiveDriftFit:
     ratio_monotone: bool
 
 
-def drift_subadditive_limit(space: ModelManifold, t_grid) -> SubadditiveDriftFit:
-    """Estimate ell from a grid of horizons and audit L_{t+s} <= L_t + L_s.
+def drift_subadditive_limit(ell_by_t: dict) -> SubadditiveDriftFit:
+    """Estimate ell from ell_t on a grid of horizons and audit L_{t+s} <= L_t + L_s.
 
     A subadditivity violation beyond quadrature tolerance indicates a kernel
     bug and is reported, not swallowed.
     """
-    ts = sorted(float(t) for t in t_grid)
-    if len(ts) < 4:
-        raise EstimatorInputError("t_grid needs >= 4 points")
+    ell = ell_by_t
+    ts = sorted(ell)
     t_max = ts[-1]
-    ell = {t: _radial_integral(space, t, (_dist,))[0] for t in ts[:-1]}
-    ell[t_max], mass = _radial_integral(space, t_max, (_dist, _mass))
-    _check_mass(space, t_max, mass)
     violations = []
     for t in ts:
         for s in ts:
@@ -200,19 +197,17 @@ class EntropyRateFit:
     converged: bool     # Cauchy test on the last two increments
 
 
-def entropy_rate(space: ModelManifold, t_grid) -> EntropyRateFit:
-    """Entropy rate h via increments; the ratio is reported alongside.
+def entropy_rate(h_by_t: dict) -> EntropyRateFit:
+    """Entropy rate h via increments of h_t at the last three horizons; the
+    ratio is reported alongside.
 
     Convergence is certified by a Cauchy test on the last two increments
     (the ratio converges only at O(log t / t) and is not used as a flag);
     _CAUCHY_ABS_TOL covers rates that converge to zero, where a relative
     test is meaningless.
     """
-    ts = sorted(float(t) for t in t_grid)
-    if len(ts) < 3:
-        raise EstimatorInputError("t_grid needs >= 3 points")
-    h = {t: entropy_quadrature(space, t) for t in ts[-3:]}
-    t2, t1, t0 = ts[-1], ts[-2], ts[-3]
+    h = h_by_t
+    t0, t1, t2 = sorted(h)[-3:]
     inc = (h[t2] - h[t1]) / (t2 - t1)
     prev = (h[t1] - h[t0]) / (t1 - t0)
     scale = max(abs(inc), abs(prev))
@@ -220,25 +215,6 @@ def entropy_rate(space: ModelManifold, t_grid) -> EntropyRateFit:
     return EntropyRateFit(
         ratio=h[t2] / t2, increment=inc, previous_increment=prev, converged=converged
     )
-
-
-def mutual_information(space: ModelManifold, t: float, T: float) -> float:
-    """I_t^T = h_T - h_{T-t} on homogeneous spaces; nonnegative by theory."""
-    if not space.homogeneous:
-        raise EstimatorError("mutual information via entropy differences needs a homogeneous space")
-    if not (0 < t < T):
-        raise EstimatorError(f"need 0 < t < T, got t={t}, T={T}")
-    val = entropy_quadrature(space, T) - entropy_quadrature(space, T - t)
-    if val < -1e-8:
-        raise EstimatorError(f"I_t^T = {val} < 0 beyond tolerance: kernel inconsistency")
-    return val
-
-
-def finite_dim_bound_check(i_value: float, dim: int) -> bool:
-    """Report-level sanity check I <= log(dim) + 0.01."""
-    if dim < 1:
-        raise EstimatorError(f"dim must be >= 1, got {dim}")
-    return i_value <= math.log(dim) + 0.01
 
 
 # ------------------------------------------------------------------ ensembles
@@ -292,19 +268,13 @@ class Ensemble:
         return cls(components=tuple(comps), weights=tuple(weights))
 
 
-def ensemble_drift(ensemble: Ensemble, component_drifts=None) -> tuple[float, float]:
-    """(ell, ell_plus) of a mixture: ell = sum w_i ell_i, ell_plus = max ell_i.
+def ensemble_drift(ensemble: Ensemble, component_drifts) -> tuple[float, float]:
+    """(ell, ell_plus) of a mixture from one drift per component:
+    ell = sum w_i ell_i, ell_plus = max ell_i.
 
     Each component is itself ergodic, so the escape-rate radius ell_plus is
     set by the fastest component in the support.
     """
-    if component_drifts is None:
-        component_drifts = []
-        for comp in ensemble.components:
-            if isinstance(comp, DriftComponent):
-                component_drifts.append(comp.drift)
-            else:
-                component_drifts.append(drift_increment(comp, default_t_grid(comp)[-1]))
     drifts = [float(d) for d in component_drifts]
     if len(drifts) != len(ensemble.components):
         raise EstimatorError("need one drift per component")
@@ -321,14 +291,15 @@ _JSON_KEYS = {"inequality_status": "inequalities", "passed": "pass"}
 
 
 def _num(x):
-    """JSON form of a report value: an infinite float becomes "inf"; dataclasses
-    and sequences convert field by field and item by item."""
+    """JSON form of a report value: a float that is not finite becomes "inf" or
+    "nan", so the JSON stays strict; dataclasses and sequences convert field by
+    field and item by item."""
     if is_dataclass(x):
         return {_JSON_KEYS.get(f.name, f.name): _num(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, (list, tuple)):
         return [_num(v) for v in x]
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else "inf"
     return x
 
 
@@ -385,7 +356,7 @@ class AsymptoticReport:
             ("ell_plus", f"{self.ell_plus:.6f}", self.methods.get("ell_plus", "")),
             ("h", f"{self.entropy_h:.6f}", self.methods.get("entropy_h", "")),
             ("h_ratio", f"{self.entropy_ratio:.6f}", self.methods.get("entropy_ratio", "")),
-            ("v", f"{self.volume_v:.6f}" if math.isfinite(self.volume_v) else "inf",
+            ("v", f"{self.volume_v:.6f}" if math.isfinite(self.volume_v) else str(self.volume_v),
              self.methods.get("volume_v", "")),
         ]
         if self.k_functional is not None:
@@ -430,13 +401,14 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
     if isinstance(target, Ensemble):
         return _ensemble_report(target, t_grid=t_grid, r_max=r_max)
     space = target
-    ts = list(t_grid) if t_grid is not None else default_t_grid(space)
+    ell_by_t, h_by_t = _horizon_moments(
+        space, t_grid if t_grid is not None else default_t_grid(space))
     flags = []
 
-    dfit = drift_subadditive_limit(space, ts)
+    dfit = drift_subadditive_limit(ell_by_t)
     if dfit.subadditivity_violations:
         raise EstimatorError(f"subadditivity violated: {dfit.subadditivity_violations}")
-    efit = entropy_rate(space, ts)
+    efit = entropy_rate(h_by_t)
     vfit = space.volume_growth(r_max)
     if not vfit.finite:
         flags.append("volume growth not finite: inequality chain vacuous")
@@ -470,7 +442,7 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
         volume_finite=vfit.finite,
         k_functional=k_val,
         inequality_status=checks,
-        t_grid=ts,
+        t_grid=list(ell_by_t),
         methods={
             "ell": "quadrature increment (Busemann/Furstenberg form)",
             "ell_upper": "subadditive ratio ell_t/t (Fekete upper bound)",
@@ -487,7 +459,7 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
 
 def _ensemble_report(ensemble, t_grid, r_max):
     if all(isinstance(c, DriftComponent) for c in ensemble.components):
-        ell, ell_plus = ensemble_drift(ensemble)
+        ell, ell_plus = ensemble_drift(ensemble, [c.drift for c in ensemble.components])
         return AsymptoticReport(
             space={"kind": "ensemble",
                    "components": [{"drift": c.drift, "weight": w, "label": c.label}
@@ -515,7 +487,7 @@ def _ensemble_report(ensemble, t_grid, r_max):
         raise EstimatorInputError("an ensemble report needs all components to be spaces, or all drifts")
     reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
     # the components' own increments, on the grid the caller passed
-    ell, ell_plus = ensemble_drift(ensemble, component_drifts=[r.ell for r in reports])
+    ell, ell_plus = ensemble_drift(ensemble, [r.ell for r in reports])
     ws = ensemble.weights
     h = sum(w * r.entropy_h for w, r in zip(ws, reports))
     v = sum(w * r.volume_v for w, r in zip(ws, reports))

@@ -21,12 +21,11 @@ from scipy.integrate import quad as scipy_quad
 from rdl.busemann import BusemannField, furstenberg_check
 from rdl.cli import main as cli_main
 from rdl.estimators import (
-    drift_increment,
-    drift_quadrature,
+    _horizon_moments,
+    default_t_grid,
+    drift_subadditive_limit,
     entropy_quadrature,
-    entropy_rate,
     inequality_report,
-    mutual_information,
 )
 from rdl.gromov import (
     FinitePointedSpace,
@@ -55,10 +54,11 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_drift_of_h2():
     h2 = Hyperbolic(2, 1.0)
-    ell_hat = drift_increment(h2, 40.0)
-    ratio = drift_quadrature(h2, 40.0)
-
     t = 20.0
+    # the report's ell and ell_upper, and ell_20 from the same moment table
+    dfit = drift_subadditive_limit(_horizon_moments(h2, default_t_grid(h2))[0])
+    ell_hat, ratio = dfit.increment, dfit.value
+
     cfg = SimConfig(seed=101, n_paths=10_000, t_max=t, dt=0.01, record_stride=100)
     paths = simulate_halfplane(cfg)
     o = (0.0, 1.0)
@@ -71,7 +71,7 @@ def test_criterion_1_drift_of_h2():
     raw_mean = d_all[:, i20].mean() / t
     raw_se = d_all[:, i20].std(ddof=1) / math.sqrt(len(paths)) / t
 
-    ratio_t20 = drift_quadrature(h2, t)
+    ratio_t20 = dfit.ell_by_t[t] / t
     ok_quad = 0.495 <= ell_hat <= 0.505
     ok_mc = abs(inc_mean - 0.5) <= 3 * inc_se
     ok_routes = abs(raw_mean - ratio_t20) <= 3 * raw_se  # MC vs quadrature, same horizon
@@ -91,10 +91,10 @@ def test_criterion_1_drift_of_h2():
 
 def test_criterion_2_entropy_of_h2_and_equality_chain():
     h2 = Hyperbolic(2, 1.0)
-    efit = entropy_rate(h2, [30.0, 39.0, 40.0])
-    h_hat = efit.increment
-    ell_hat = drift_increment(h2, 40.0)
-    v_hat = h2.volume_growth(40.0).value
+    rep = inequality_report(h2)  # increments over [39, 40], v from r_max = 40
+    h_hat = rep.entropy_h
+    ell_hat = rep.ell
+    v_hat = rep.volume_v
 
     ok_h = 0.48 <= h_hat <= 0.52
     two_ell_sq = 2.0 * ell_hat ** 2
@@ -142,6 +142,9 @@ def test_criterion_4_euclidean_closed_forms():
         for t in (1.0, 3.0):
             exact = 0.5 * d * math.log(2 * math.pi * math.e * t)
             max_h_err = max(max_h_err, abs(entropy_quadrature(Euclidean(d), t) - exact))
+    def mutual_information(sp, t, T):  # I_t^T = h_T - h_{T-t}
+        return entropy_quadrature(sp, T) - entropy_quadrature(sp, T - t)
+
     max_i_err = 0.0
     for d in (1, 2, 3):
         got = mutual_information(Euclidean(d), 1.0, 2.0)
@@ -220,7 +223,7 @@ def test_criterion_7_furstenberg_three_routes():
     res5 = furstenberg_check(cfg, t=5.0)
     ok_mc = abs(res10.z_score) <= 3.0 and abs(res5.z_score) <= 3.0
 
-    route_quad = drift_increment(Hyperbolic(2, 1.0), 40.0)
+    route_quad = inequality_report(Hyperbolic(2, 1.0)).ell  # ell_40 - ell_39
     route_exact = 0.5 * BusemannField(None).laplacian((0.0, 1.0))
     route_mc = res10.mc_mean / res10.t
     se_mc = res10.mc_se / res10.t

@@ -11,7 +11,7 @@ from rdl.busemann import (
     furstenberg_check,
     k_functional_and_equality,
 )
-from rdl.estimators import drift_increment
+from rdl.estimators import inequality_report
 from rdl.model_spaces import GeometryError, HalfPlane, Hyperbolic
 from rdl.sde_sim import SimConfig
 
@@ -184,7 +184,7 @@ def test_furstenberg_check_mc():
 
 def test_three_routes_to_drift_agree():
     # quadrature increment, exact (1/2) Delta xi, Furstenberg MC
-    quad_route = drift_increment(Hyperbolic(2, 1.0), 40.0)
+    quad_route = inequality_report(Hyperbolic(2, 1.0)).ell  # ell_40 - ell_39
     exact_route = 0.5 * BusemannField(None).laplacian((0.0, 1.0))
     cfg = SimConfig(seed=23, n_paths=4000, t_max=5.0, dt=0.01, record_stride=100)
     mc = furstenberg_check(cfg)

@@ -197,9 +197,18 @@ def test_report_ensemble_mixture(tmp_path, capsys):
     out = tmp_path / "rep.json"
     rc = main(["report", "--ensemble-file", str(mix), "--out", str(out)])
     assert rc == EXIT_OK
-    rep = json.loads(out.read_text())
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    # strict JSON: the undefined entropy and volume are the string "nan", not NaN
+    rep = json.loads(out.read_text(), parse_constant=reject)
     assert rep["ell"] == pytest.approx(1.5)
     assert rep["ell_plus"] == pytest.approx(2.0)
+    assert rep["entropy_h"] == rep["entropy_ratio"] == rep["volume_v"] == "nan"
+    assert rep["entropy_ci"] == ["nan", "nan"]
+    v_row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("v "))
+    assert v_row.split()[1] == "nan"
 
 
 def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, capsys):
@@ -267,6 +276,21 @@ def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content
 def test_report_short_t_grid_is_usage_error(capsys):
     assert main(["report", "--space", "h2", "--t-grid", "1,2"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: t_grid needs >= 4 points\n"
+
+
+@pytest.mark.parametrize("grid", ["5,10,40,40", "nan,10,39,40", "10,nan,39,40", "5,10,39,inf",
+                                  "0,10,39,40", "10,-1,39,40"],
+                         ids=["repeated", "nan-first", "nan-inside", "inf", "zero", "negative"])
+def test_report_t_grid_of_bad_horizons_is_usage_error(tmp_path, capsys, grid):
+    # a repeated horizon died with a ZeroDivisionError traceback, a leading NaN
+    # was written into the report's t_grid with exit 0, and an inner NaN or inf
+    # exited 4 on a zero kernel mass; zero and negative horizons exited 2 with
+    # a kernel's message
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", "h2", "--t-grid", grid, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_grid needs distinct finite horizons > 0") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_failed_invariant_exits_4(monkeypatch, capsys):

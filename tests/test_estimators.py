@@ -11,15 +11,12 @@ from rdl.estimators import (
     DriftComponent,
     Ensemble,
     EstimatorError,
-    drift_increment,
-    drift_quadrature,
+    _horizon_moments,
+    default_t_grid,
     drift_subadditive_limit,
-    ensemble_drift,
     entropy_quadrature,
     entropy_rate,
-    finite_dim_bound_check,
     inequality_report,
-    mutual_information,
     truncation_radius,
 )
 from rdl.heat_kernels import KernelError
@@ -33,31 +30,35 @@ def test_drift_euclidean_closed_form():
     # ell_t = E|N(0, t I_d)| = sqrt(t) * sqrt(2) Gamma((d+1)/2) / Gamma(d/2)
     for d, c in ((1, math.sqrt(2 / math.pi)), (2, math.sqrt(math.pi / 2)),
                  (3, 2 * math.sqrt(2 / math.pi))):
-        got = drift_quadrature(Euclidean(d), 100.0)
+        ell, _ = _horizon_moments(Euclidean(d), [25.0, 50.0, 75.0, 100.0])
+        got = ell[100.0] / 100.0
         assert got == pytest.approx(c / 10.0, rel=1e-8)
 
 
 def test_drift_euclidean_scaling_ratio_sqrt2():
-    a = drift_quadrature(Euclidean(2), 100.0)
-    b = drift_quadrature(Euclidean(2), 200.0)
+    ell, _ = _horizon_moments(Euclidean(2), [50.0, 100.0, 150.0, 200.0])
+    a, b = ell[100.0] / 100.0, ell[200.0] / 200.0
     assert a / b == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
 
 def test_drift_h2_ratio_and_increment():
     # finite-t law: ell_t = t/2 + 2 log 2 + o(1); the increment nails 1/2
-    ratio = drift_quadrature(Hyperbolic(2, 1.0), 40.0)
+    rep = inequality_report(Hyperbolic(2, 1.0))
+    ratio = rep.ell_upper  # ell_40 / 40
     assert ratio == pytest.approx(0.5 + 2 * math.log(2.0) / 40.0, abs=2e-3)
-    inc = drift_increment(Hyperbolic(2, 1.0), 40.0)
+    inc = rep.ell  # ell_40 - ell_39
     assert inc == pytest.approx(0.5, abs=5e-4)
 
 
 def test_drift_h3_increment_is_one():
-    assert drift_increment(Hyperbolic(3, 1.0), 40.0) == pytest.approx(1.0, abs=1e-6)
-    assert drift_quadrature(Hyperbolic(3, 1.0), 40.0) == pytest.approx(1.025, abs=1e-3)
+    rep = inequality_report(Hyperbolic(3, 1.0))
+    assert rep.ell == pytest.approx(1.0, abs=1e-6)
+    assert rep.ell_upper == pytest.approx(1.025, abs=1e-3)
 
 
 def test_drift_subadditive_audit():
-    fit = drift_subadditive_limit(Hyperbolic(2, 1.0), [5.0, 10.0, 15.0, 20.0, 39.0, 40.0])
+    ell, _ = _horizon_moments(Hyperbolic(2, 1.0), [5.0, 10.0, 15.0, 20.0, 39.0, 40.0])
+    fit = drift_subadditive_limit(ell)
     assert fit.subadditivity_violations == []
     assert fit.ratio_monotone
     # L_2t <= 2 L_t within quadrature tolerance
@@ -67,7 +68,7 @@ def test_drift_subadditive_audit():
 
 def test_drift_euclidean_subadditivity_exact_form():
     # L_t = sqrt(2 t / pi) on the line; subadditive since sqrt is
-    fit = drift_subadditive_limit(Euclidean(1), [1.0, 2.0, 3.0, 4.0])
+    fit = drift_subadditive_limit(_horizon_moments(Euclidean(1), [1.0, 2.0, 3.0, 4.0])[0])
     for t, val in fit.ell_by_t.items():
         assert val == pytest.approx(math.sqrt(2 * t / math.pi), rel=1e-9)
 
@@ -120,14 +121,15 @@ def test_entropy_h2_small_time_euclidean_limit():
 
 
 def test_entropy_rate_h2():
-    fit = entropy_rate(Hyperbolic(2, 1.0), [30.0, 39.0, 40.0])
+    # h is read at the last three horizons; t = 5 only fills the grid to four
+    fit = entropy_rate(_horizon_moments(Hyperbolic(2, 1.0), [5.0, 30.0, 39.0, 40.0])[1])
     assert fit.increment == pytest.approx(0.5139, abs=2e-3)
     assert fit.converged
     assert fit.ratio > fit.increment  # ratio converges from above at O(log t / t)
 
 
 def test_entropy_rate_euclidean_goes_to_zero():
-    fit = entropy_rate(Euclidean(2), [1000.0, 2400.0, 2500.0])
+    fit = entropy_rate(_horizon_moments(Euclidean(2), [500.0, 1000.0, 2400.0, 2500.0])[1])
     assert abs(fit.increment) < 1e-3
     assert abs(fit.ratio) < 5e-3
 
@@ -135,31 +137,39 @@ def test_entropy_rate_euclidean_goes_to_zero():
 # ---------------------------------------------------- mutual information
 
 
+def _mutual_information(space, t, T):
+    """I_t^T = h_T - h_{T-t} on homogeneous spaces (test oracle)."""
+    return entropy_quadrature(space, T) - entropy_quadrature(space, T - t)
+
+
 def test_mutual_information_euclidean_closed_form():
     # I_t^T = (d/2) log(T / (T - t)) within 1e-6
     for d in (1, 2, 3):
-        got = mutual_information(Euclidean(d), 1.0, 2.0)
+        got = _mutual_information(Euclidean(d), 1.0, 2.0)
         assert got == pytest.approx(0.5 * d * math.log(2.0), abs=1e-6)
-    assert mutual_information(Euclidean(1), 1.0, 100.0) == pytest.approx(
+    assert _mutual_information(Euclidean(1), 1.0, 100.0) == pytest.approx(
         0.5 * math.log(100.0 / 99.0), abs=1e-6
     )
-    assert mutual_information(Euclidean(1), 1.0, 100.0) <= 0.006
+    assert _mutual_information(Euclidean(1), 1.0, 100.0) <= 0.006
 
 
 def test_mutual_information_nonnegative_monotone_in_T():
     sp = Hyperbolic(2, 1.0)
-    vals = [mutual_information(sp, 1.0, T) for T in (2.0, 4.0, 8.0)]
+    vals = [_mutual_information(sp, 1.0, T) for T in (2.0, 4.0, 8.0)]
     assert all(v >= 0 for v in vals)
     assert vals[0] >= vals[1] >= vals[2]
 
 
 def test_finite_dim_bound_check():
-    assert finite_dim_bound_check(0.005, 1)                      # Liouville: I ~ 0
-    assert finite_dim_bound_check(1.0, 3)                        # log 3 ~ 1.0986
+    def finite_dim_bound(i_value, dim):  # I <= log(dim) + 0.01
+        return i_value <= math.log(dim) + 0.01
+
+    assert finite_dim_bound(0.005, 1)                      # Liouville: I ~ 0
+    assert finite_dim_bound(1.0, 3)                        # log 3 ~ 1.0986
     # H^2 with dim 1 must FAIL: tail information grows like t * h > 0
-    i_proxy = mutual_information(Hyperbolic(2, 1.0), 1.0, 10.0)
+    i_proxy = _mutual_information(Hyperbolic(2, 1.0), 1.0, 10.0)
     assert i_proxy > 0.3
-    assert not finite_dim_bound_check(i_proxy, 1)
+    assert not finite_dim_bound(i_proxy, 1)
 
 
 # -------------------------------------------------------------- ensembles
@@ -170,17 +180,19 @@ def test_ensemble_drift_two_curvature_example():
         components=(DriftComponent(1.0, "slow"), DriftComponent(2.0, "fast")),
         weights=(0.5, 0.5),
     )
-    ell, ell_plus = ensemble_drift(ens)
+    rep = inequality_report(ens)
+    ell, ell_plus = rep.ell, rep.ell_plus
     assert ell == pytest.approx(1.5)
     assert ell_plus == pytest.approx(2.0)
 
 
 def test_ensemble_drift_linearity_and_single_component():
     ens = Ensemble(components=(DriftComponent(3.0), DriftComponent(7.0)), weights=(0.25, 0.75))
-    ell, ell_plus = ensemble_drift(ens)
-    assert ell == pytest.approx(0.25 * 3.0 + 0.75 * 7.0)
+    rep = inequality_report(ens)
+    assert rep.ell == pytest.approx(0.25 * 3.0 + 0.75 * 7.0)
     single = Ensemble(components=(DriftComponent(1.3),), weights=(1.0,))
-    ell, ell_plus = ensemble_drift(single)
+    rep = inequality_report(single)
+    ell, ell_plus = rep.ell, rep.ell_plus
     assert ell == ell_plus == pytest.approx(1.3)
 
 
@@ -195,7 +207,8 @@ def test_ensemble_from_json():
     ens = Ensemble.from_json_dict(
         {"components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]}
     )
-    assert ensemble_drift(ens) == (pytest.approx(1.5), pytest.approx(2.0))
+    rep = inequality_report(ens)
+    assert (rep.ell, rep.ell_plus) == (pytest.approx(1.5), pytest.approx(2.0))
 
 
 # ---------------------------------------------------------------- report
@@ -240,9 +253,54 @@ def test_entropy_quadrature_agrees_with_mc_counterpart():
 
 def test_mutual_information_monotone_all_catalog():
     for sp in (Euclidean(2), Hyperbolic(3, 1.0), HalfPlane()):
-        vals = [mutual_information(sp, 1.0, T) for T in (2.0, 4.0, 8.0)]
+        vals = [_mutual_information(sp, 1.0, T) for T in (2.0, 4.0, 8.0)]
         assert all(v >= -1e-8 for v in vals)
         assert vals[0] >= vals[1] - 1e-8 and vals[1] >= vals[2] - 1e-8
+
+
+def test_report_makes_one_radial_integral_call_per_horizon(monkeypatch):
+    # ell at every horizon and mass, ell and h at the last three share one
+    # call per horizon (the entropy fit used to integrate the last three again)
+    import rdl.estimators as estimators
+
+    calls = []
+    real = estimators._radial_integral
+
+    def counted(space, t, weights, r_hi=None):
+        calls.append(t)
+        return real(space, t, weights, r_hi)
+
+    monkeypatch.setattr(estimators, "_radial_integral", counted)
+    sp = Hyperbolic(2)
+    inequality_report(sp)
+    assert sorted(calls) == default_t_grid(sp)
+
+
+_CHAINS_SPACES = [Hyperbolic(d, k) for d in (2, 3) for k in (0.5, 1.0, 2.0)]
+_CHAINS_SPACES += [Euclidean(d) for d in (1, 2, 3)] + [HalfPlane()]
+
+
+@pytest.mark.parametrize("space", _CHAINS_SPACES, ids=lambda sp: sp.label())
+def test_report_moments_equal_one_quantity_at_a_time(space):
+    # the moment table integrates mass, ell and h in one call; each must be
+    # the float an integral of that quantity alone gives
+    from rdl.estimators import _dist, _radial_integral
+
+    rep = inequality_report(space)
+    s, t = default_t_grid(space)[-2:]
+    (ell_s,), (ell_t,) = (_radial_integral(space, u, (_dist,)) for u in (s, t))
+    h_s, h_t = entropy_quadrature(space, s), entropy_quadrature(space, t)
+    assert rep.ell == (ell_t - ell_s) / (t - s)
+    assert rep.ell_upper == ell_t / t
+    assert rep.entropy_h == (h_t - h_s) / (t - s)
+    assert rep.entropy_ratio == h_t / t
+
+
+def test_report_records_the_sorted_grid():
+    sp = Hyperbolic(2)
+    shuffled = inequality_report(sp, t_grid=[40, 5, 39, 10, 30])
+    assert shuffled.t_grid == [5.0, 10.0, 30.0, 39.0, 40.0]
+    assert shuffled == inequality_report(sp, t_grid=[5.0, 10.0, 30.0, 39.0, 40.0])
 
 
 def test_report_euclidean_all_zero_limits():
@@ -274,13 +332,15 @@ def test_report_json_schema():
 
 
 # SHA-256 of json.dumps(to_json_dict(), indent=2, sort_keys=True), as the
-# field-by-field writer produced it
+# field-by-field writer produced it; the drift mixture's undefined entropy and
+# volume are the string "nan" (its bytes differ from the NaN-token form in
+# those five values only)
 @pytest.mark.parametrize("make, digest", [
     (lambda: inequality_report(HalfPlane()),
      "997e8962a76e57429e188169069afd1383ecb96759b7641b6425ce780739c5d7"),
     (lambda: inequality_report(Ensemble(components=(DriftComponent(1.0), DriftComponent(2.0)),
                                         weights=(0.5, 0.5))),
-     "a4f0cf7670a97400f9cd59648e38fec24d1a93a035ae34713ea9c8165d119715"),
+     "37f3cb99ce221ce99695dcf9f3ef4e7fa62c3dac95cd376ad771a44cf64f1fbb"),
     (lambda: inequality_report(Ensemble(components=(Hyperbolic(2), Hyperbolic(3)),
                                         weights=(0.4, 0.6)), t_grid=[5.0, 10.0, 15.0, 20.0]),
      "00eb08df29122f8955d5bf022c9a94bd86b1fa80e62365b2843499132d1cb529"),

@@ -11,13 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from rdl.estimators import (
-    DriftComponent,
-    Ensemble,
-    default_t_grid,
-    ensemble_drift,
-    inequality_report,
-)
+from rdl.estimators import Ensemble, default_t_grid, inequality_report
 from rdl.heat_kernels import (
     KernelError,
     chapman_kolmogorov_residual,
@@ -418,10 +412,10 @@ _ROTSYM = RotSymSurface(builtin_profile("hyperbolic", 1.0))
     lambda: zero_two_defect(_ROTSYM, 1.0, 1.0),
     lambda: gaussian_bound_constant(_ROTSYM, 3.0, (1.0, 2.0), 5.0),
     lambda: chapman_kolmogorov_residual(_ROTSYM, 1.0, 1.0, 1.0),
-    lambda: ensemble_drift(Ensemble((_ROTSYM, DriftComponent(0.5)), (0.5, 0.5))),
+    lambda: inequality_report(Ensemble((_ROTSYM, Hyperbolic(2)), (0.5, 0.5))),
     lambda: chapman_kolmogorov_residual(Euclidean(2), 1.0, 1.0, 1.0),
 ], ids=["report", "report_t_grid", "truncation_radius", "default_t_grid", "zero_two",
-        "gaussian_bound", "chapman_kolmogorov", "ensemble_drift", "chapman_kolmogorov_e2"])
+        "gaussian_bound", "chapman_kolmogorov", "ensemble_report", "chapman_kolmogorov_e2"])
 def test_out_of_catalog_space_raises_kernel_error(call):
     # a rotationally symmetric surface has no k; the kernel gate must reject it
     # before anything reads space.k (an AttributeError would be a crash).

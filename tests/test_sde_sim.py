@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdl import sde_sim
-from rdl.estimators import drift_quadrature
+from rdl.estimators import _horizon_moments
 from rdl.heat_kernels import radial_fokker_planck
 from rdl.model_spaces import HalfPlane, ProfileFunction, builtin_profile
 from rdl.sde_sim import (
@@ -83,7 +83,7 @@ def test_halfplane_drift_matches_quadrature():
     paths = simulate_halfplane(cfg)
     d = np.array([p.hyperbolic_dist_from((0.0, 1.0))[-1] for p in paths])
     mc, se = d.mean() / t, d.std(ddof=1) / math.sqrt(len(d)) / t
-    quad_val = drift_quadrature(HalfPlane(), t)
+    quad_val = _horizon_moments(HalfPlane(), [5.0, 10.0, 15.0, t])[0][t] / t
     assert abs(mc - quad_val) <= 3 * se
 
 
