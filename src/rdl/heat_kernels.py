@@ -24,6 +24,17 @@ and the Laplacian by k^2, so
 including the density Jacobian k^d.  The scaling is validated by
 normalization and against the radial Fokker-Planck oracle in the tests
 rather than trusted from a one-line recipe.
+
+Every log_q rejects a negative or NaN distance with KernelError (_radii).
+
+The Chapman-Kolmogorov check int q(s, o, x) q(t, x, y) dx = q(s+t, o, y)
+runs on one fixed Gauss-Legendre rule, shared with the H^2 kernel through
+_gl(n), with no adaptive quadrature.  Its outer panels (radius on H^d, x on
+the line) split at the bridge centre rho s/(s+t) +- 4 and 8 bridge
+deviations sqrt(st/(s+t)), and on H^d at the ridge and the truncation
+radius.  Its angular panels are graded: their edges are the angles at which
+the law of cosines gives d = |r - rho| + sqrt(t) {1/4, 1/2, 1, 2, 3, 4, 6, 8}.
+The kernel values come from the array path in blocks of outer rows.
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ from ._csvblock import csv_block, shared_rows
 from ._lazy import lazy
 from .model_spaces import ModelManifold, ProfileFunction
 
-quad = lazy("scipy.integrate", "quad")
 brentq = lazy("scipy.optimize", "brentq")
 roots_legendre = lazy("scipy.special", "roots_legendre")
 
@@ -62,13 +72,22 @@ class KernelError(ValueError):
     """Kernel evaluated outside its domain of validity."""
 
 
+def _radii(dist) -> np.ndarray:
+    """dist as a float array of its shape, checked once for every catalog
+    kernel: a distance is >= 0 (inf included); negative values and NaN raise."""
+    r = np.asarray(dist, dtype=float)
+    if not r.min(initial=math.inf) >= 0:  # NaN propagates through min
+        raise KernelError(f"need dist >= 0, got {r[~(r >= 0)][0]}")
+    return r
+
+
 # ----------------------------------------------------------------- Euclidean
 
 
 def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
     if t <= 0:
         raise KernelError(f"need t > 0, got {t}")
-    r = np.asarray(dist, dtype=float)
+    r = _radii(dist)
     return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
 
 
@@ -89,10 +108,12 @@ def _log_q_h3_unit(t: float, r) -> np.ndarray:
 
 
 @functools.cache
-def _gl_rule():
-    """Gauss-Legendre panel for the H^2 inner integral; 256 nodes keep the
-    normalization error below 1e-10 for every time used in the test suite."""
-    return roots_legendre(256)
+def _gl(n: int):
+    """n-node Gauss-Legendre nodes and weights on [-1, 1].  The H^2 inner
+    integral takes 256 nodes, which keep the normalization error below 1e-10
+    for every time used in the test suite; the Chapman-Kolmogorov rule takes
+    its panels from here too."""
+    return roots_legendre(n)
 
 
 _H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per temporary
@@ -109,7 +130,7 @@ def _h2_terms(t: float, r, u_max):
     r and u_max are floats, or (rows, 1) columns for a block of radii; the
     same expressions in the same order give each row the scalar's terms.
     """
-    nodes, weights = _gl_rule()
+    nodes, weights = _gl(256)
     u = 0.5 * u_max * (nodes + 1.0)
     w = 0.5 * u_max * weights
     u2 = u * u
@@ -136,8 +157,6 @@ def _log_q_h2_unit(t: float, r: float) -> float:
     """log q_1(t, r) at one radius.  Where the u-range collapses (u_max is 0
     or not finite, from r ~ 1e10 on) q has long underflowed, so log q = -inf."""
     r = float(r)
-    if not r >= 0:
-        raise KernelError(f"need dist >= 0, got {r}")
     u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
     if not 0.0 < u_max < math.inf:
         return -math.inf
@@ -147,9 +166,6 @@ def _log_q_h2_unit(t: float, r: float) -> float:
 def _log_q_h2_many(t: float, r: np.ndarray) -> np.ndarray:
     """log q_1(t, r) over a 1-d array of radii, _H2_ROWS radii per (rows, 256)
     block; bit for bit the values of _log_q_h2_unit."""
-    bad = ~(r >= 0)
-    if bad.any():
-        raise KernelError(f"need dist >= 0, got {r[bad][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         u_max = np.sqrt(-r + np.sqrt(r * r + 2.0 * t * 50.0))
         ok = np.isfinite(u_max) & (u_max > 0.0)
@@ -172,7 +188,7 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     if k <= 0:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
-    r = np.asarray(dist, dtype=float)
+    r = _radii(dist)
     if dim == 3:
         return dim * math.log(k) + _log_q_h3_unit(t1, k * r)
     if r.ndim == 0:
@@ -384,36 +400,100 @@ def radial_fokker_planck(
 # ------------------------------------------------- Chapman-Kolmogorov check
 
 
+def _panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of n-node Gauss-Legendre panels between consecutive
+    edges along the last axis; a (rows, e) array of edges gives (rows, n (e-1))."""
+    x, w = _gl(n)
+    half = 0.5 * (edges[..., 1:, None] - edges[..., :-1, None])
+    nodes = edges[..., :-1, None] + half * (x + 1.0)
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), (half * w).reshape(shape)
+
+
+_CK_OUTER_NODES = 16  # per radial panel, or per panel in x on the line
+_CK_ANGLE_NODES = 12  # per angular panel
+_CK_BRIDGE = np.array([-8.0, -4.0, 4.0, 8.0])  # outer edges: x - c, in bridge deviations
+_CK_STEPS = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])  # angular edges: d - |r - rho|, in sqrt(t)
+_CK_RADII = 1024  # about the most radii per ker.q call
+
+
+def _ck_angular(ker: KernelEval, t: float, r: np.ndarray, rho: float) -> np.ndarray:
+    """int_0^pi q(t, d(r, theta)) w(theta) dtheta for a column r of radii,
+    w = sin theta on H^3 and 1 on H^2, d(r, theta) the law of cosines'
+    distance to a point at distance rho from the pole.
+
+    The panel edges are the angles where d = |r - rho| + sqrt(t) * _CK_STEPS,
+    and a last panel runs out to pi.  At k rho = 6 and t = 0.1 the kernel's
+    peak in theta is about 0.003 rad wide, so a flat rule in theta misses
+    it; where d grows like log(theta) / k, the steps 3 and 6 keep each
+    panel's ratio of end angles small enough for 12 nodes.
+    """
+    k = ker.space.k
+    base = np.abs(r - rho)
+    cross = np.sinh(k * r) * math.sinh(k * rho)
+    d = base + math.sqrt(t) * _CK_STEPS
+    # sin^2(theta/2) = (cosh kd - cosh k|r - rho|) / (2 sinh kr sinh k rho);
+    # at rho = 0 (cross = 0) d = r at every angle and the one panel is [0, pi];
+    # a d past r + rho (an overflow included) puts its edge at pi
+    with np.errstate(divide="ignore", over="ignore"):
+        half_sin2 = np.sinh(0.5 * k * (d + base)) * np.sinh(0.5 * k * (d - base)) / cross
+    cuts = 2.0 * np.arcsin(np.sqrt(np.minimum(half_sin2, 1.0)))
+    edges = np.concatenate([np.zeros_like(base), cuts, np.full_like(base, math.pi)], axis=1)
+    theta, w = _panels(edges, _CK_ANGLE_NODES)
+    # sinh^2(kd/2) = sinh^2(k(r - rho)/2) + sinh kr sinh k rho sin^2(theta/2), no cancellation near d = 0
+    dist = 2.0 / k * np.arcsinh(np.sqrt(np.sinh(0.5 * k * base) ** 2 + cross * np.sin(0.5 * theta) ** 2))
+    if ker.space.dim == 3:
+        w = w * np.sin(theta)
+    # edges past r + rho sit at pi; their empty panels need no kernel values
+    q = np.zeros_like(dist)
+    keep = w > 0.0
+    q[keep] = ker.q(t, dist[keep])
+    return np.sum(q * w, axis=1)
+
+
 def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: float) -> float:
     """Relative error of int q(s,o,x) q(t,x,y) dx against q(s+t,o,y), d(o,y) = rho.
 
-    Radial double quadrature using the law of cosines on hyperbolic spaces;
-    1-D convolution on the line.
+    One fixed Gauss-Legendre rule, scaled to the kernels; no adaptive
+    quadrature.  The outer panels put edges at c +- 4 and 8 bridge
+    deviations sqrt(st/(s+t)) about the bridge centre c = rho s/(s+t),
+    _CK_OUTER_NODES nodes each:
+      * on the line, a 1-D convolution over [-hi, hi], hi = 12 sqrt(max(s, t))
+        + rho, split also at 0, c and rho;
+      * on H^2 and H^3, a radial integral over [0, R], R the truncation
+        radius at s, split also at the ridge max(v s, sqrt(s)); at each
+        radial node an angular integral by the law of cosines on graded
+        panels (_ck_angular).
+    Every kernel value comes from the array path of ker, at most about
+    _CK_RADII radii per call.
     """
     ker = kernel_for(space)
+    if s <= 0 or t <= 0:
+        raise KernelError("need s > 0 and t > 0")
     dim, k = space.dim, space.k
+    centre = rho * s / (s + t)
+    bridge = centre + _CK_BRIDGE * math.sqrt(s * t / (s + t))
+
+    def outer(lo, hi, *cuts):
+        return _panels(np.unique(np.clip(np.concatenate([[lo, hi, *cuts], bridge]), lo, hi)),
+                       _CK_OUTER_NODES)
+
     if k == 0 and dim == 1:
-        def integrand(x):
-            return float(ker.q(s, abs(x))) * float(ker.q(t, abs(x - rho)))
         hi = 12.0 * math.sqrt(max(s, t)) + rho
-        val, _ = quad(integrand, -hi, hi, limit=300)
+        x, w = outer(-hi, hi, 0.0, centre, rho)
+        val = float(np.sum(ker.q(s, np.abs(x)) * ker.q(t, np.abs(x - rho)) * w))
     elif k > 0:
-        def inner(r):
-            def ang(theta):
-                cd = math.cosh(k * r) * math.cosh(k * rho) - math.sinh(k * r) * math.sinh(
-                    k * rho
-                ) * math.cos(theta)
-                d = math.acosh(max(cd, 1.0)) / k
-                w = math.sin(theta) if dim == 3 else 1.0
-                return float(ker.q(t, d)) * w
-
-            v, _ = quad(ang, 0.0, math.pi, limit=100)
-            sphere_factor = (
-                2.0 * math.pi * (math.sinh(k * r) / k) ** 2 if dim == 3 else 2.0 * math.sinh(k * r) / k
-            )
-            return v * float(ker.q(s, r)) * sphere_factor
-
-        val, _ = quad(inner, 0.0, truncation_radius(space, s), limit=200)
+        R = truncation_radius(space, s)
+        if k * (R + rho) > 700.0:
+            raise KernelError(f"sinh(k (R + rho)) overflows at s = {s}, rho = {rho}")
+        r, w = outer(0.0, R, max((dim - 1) * k / 2.0 * s, math.sqrt(s)))
+        # q(s, r) times the sphere factor: 2 sinh(kr)/k on H^2 (theta over
+        # [0, pi] is half the circle), 2 pi (sinh(kr)/k)^2 on H^3
+        log_sinh = k * r + np.log1p(-np.exp(-2.0 * k * r)) - math.log(2.0 * k)
+        w = w * np.exp(ker.log_q(s, r) + (dim - 1) * log_sinh) * (2.0 * math.pi if dim == 3 else 2.0)
+        rows = max(1, _CK_RADII // (_CK_ANGLE_NODES * (_CK_STEPS.size + 1)))
+        angular = [_ck_angular(ker, t, r[lo:lo + rows, None], rho) for lo in range(0, r.size, rows)]
+        val = float(np.sum(w * np.concatenate(angular)))
     else:
         raise KernelError(f"no Chapman-Kolmogorov quadrature for {space.label()}")
     ref = float(ker.q(s + t, rho))

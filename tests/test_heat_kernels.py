@@ -14,6 +14,7 @@ from scipy.special import erf
 from rdl.estimators import Ensemble, default_t_grid, inequality_report
 from rdl.heat_kernels import (
     KernelError,
+    KernelEval,
     chapman_kolmogorov_residual,
     gaussian_bound_constant,
     kernel_for,
@@ -191,11 +192,67 @@ def test_h2_log_q_rejects_negative_and_nan_dist(dist):
         ker.log_q(1.0, np.array([0.0, 1.0, dist]))
 
 
+@pytest.mark.parametrize("space", [Euclidean(1), Euclidean(2), Euclidean(3), Hyperbolic(3, 1.0),
+                                   Hyperbolic(2, 0.5), Hyperbolic(2, 2.0), HalfPlane()],
+                         ids=["E1", "E2", "E3", "H3", "H2_k0.5", "H2_k2", "halfplane"])
+@pytest.mark.parametrize("dist", [-1.0, -1e-9, math.nan])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_log_q_rejects_negative_and_nan_dist_on_every_kernel(space, dist, as_array):
+    # H^3 at dist = -1 read -3.92 and NaN passed through on H^3 and R^d
+    ker = kernel_for(space)
+    with pytest.raises(KernelError):
+        ker.log_q(1.0, np.array([[0.0, 1.0], [2.0, dist]]) if as_array else dist)
+
+
 def test_chapman_kolmogorov():
     for s, t in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)):
         assert chapman_kolmogorov_residual(Hyperbolic(3, 1.0), s, t, 1.0) < 1e-4
         assert chapman_kolmogorov_residual(Hyperbolic(2, 1.0), s, t, 1.0) < 1e-4
         assert chapman_kolmogorov_residual(Euclidean(1), s, t, 0.7) < 1e-4
+
+
+_CK_TWELVE = [(sp, s, t, rho)
+              for s, t in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0))
+              for sp, rho in ((Hyperbolic(3, 1.0), 1.0), (Hyperbolic(2, 1.0), 1.0), (Euclidean(1), 0.7))]
+_CK_TIMES = ((0.5, 0.5), (1.0, 2.0), (0.1, 0.1))
+_CK_EXTENDED = (
+    [(Hyperbolic(dim, k), s, t, rho)
+     for dim in (2, 3) for k in (0.5, 1.0, 2.0) for rho in (0.0, 1.0, 3.0) for s, t in _CK_TIMES]
+    + [(Euclidean(1), s, t, rho) for rho in (0.0, 0.7, 3.0) for s, t in _CK_TIMES]
+)
+
+
+def test_chapman_kolmogorov_extended_grid():
+    # small times far from the pole put q(s + t, rho) far below an absolute
+    # tolerance of 1e-8 (q(0.2, 3) on H^3 is 3.3e-11); the check must still
+    # resolve it, and reach rounding level on the kernel tests' grid
+    loose = [(sp.label(), s, t, rho, v) for sp, s, t, rho in _CK_EXTENDED
+             if not (v := chapman_kolmogorov_residual(sp, s, t, rho)) < 1e-6]
+    tight = [(sp.label(), s, t, rho, v) for sp, s, t, rho in _CK_TWELVE
+             if not (v := chapman_kolmogorov_residual(sp, s, t, rho)) < 1e-12]
+    assert loose == [] and tight == []
+
+
+@pytest.mark.parametrize("space, rho", [(Hyperbolic(2, 1.0), 1.0), (Hyperbolic(3, 1.0), 1.0),
+                                        (Euclidean(1), 0.7)], ids=["H2", "H3", "E1"])
+def test_chapman_kolmogorov_detects_a_wrong_kernel(monkeypatch, space, rho):
+    # q scaled by e^eps: the convolution of two such kernels is e^eps times
+    # the scaled q(s + t), so a working check reads e^eps - 1
+    eps = 1e-3
+    log_q = KernelEval.log_q
+    monkeypatch.setattr(KernelEval, "log_q", lambda self, t, dist: log_q(self, t, dist) + eps)
+    assert chapman_kolmogorov_residual(space, 1.0, 0.5, rho) == pytest.approx(math.expm1(eps), rel=0.1)
+
+
+@pytest.mark.parametrize("space, s, t", [
+    *((sp, s, t) for sp in (Hyperbolic(2, 1.0), Hyperbolic(3, 1.0), Euclidean(1))
+      for s, t in ((-0.5, 1.0), (0.0, 1.0), (1.0, 0.0))),
+    # at these s, sinh(k (R + rho)) at the truncation radius R is past the float range
+    (Hyperbolic(2, 1.0), 500.0, 1.0), (Hyperbolic(3, 1.0), 300.0, 1.0), (Hyperbolic(3, 2.0), 75.0, 1.0),
+])
+def test_chapman_kolmogorov_rejects_times_outside_its_rule(space, s, t):
+    with pytest.raises(KernelError):
+        chapman_kolmogorov_residual(space, s, t, 1.0)
 
 
 # --------------------------------------------------------- Gaussian bound
