@@ -36,7 +36,6 @@ from .estimators import (  # noqa: F401
     AsymptoticReport,
     Ensemble,
     drift_subadditive_limit,
-    ensemble_drift,
     entropy_quadrature,
     entropy_rate,
     inequality_report,

@@ -10,19 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def csv_block(lead: str, cols, rows=None) -> str:
+def csv_block(lead: str, cols, rows) -> str:
     """CSV rows `lead` + the row's values of `cols`, one % operation for the block.
 
     `rows` (from `shared_rows`) holds row templates in which the columns that
     every block of a file shares are already formatted; `cols` then lists
     only the other columns, in order.
     """
-    block = np.column_stack(cols)
-    if rows is None:
-        template = (lead + ",".join(["%.17g"] * block.shape[1]) + "\n") * block.shape[0]
-    else:
-        template = lead.join(["", *rows])  # lead before every row
-    return template % tuple(block.ravel().tolist())
+    template = lead.join(["", *rows])  # lead before every row
+    return template % tuple(np.column_stack(cols).ravel().tolist())
 
 
 def shared_rows(cols) -> list:

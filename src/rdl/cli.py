@@ -180,11 +180,7 @@ def _cmd_simulate(args) -> tuple[int, list]:
         _check_default(args.r0, _R0, "--r0", "--space halfplane")
         _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", "--space halfplane")
         paths = simulate_halfplane(cfg)
-        rows = shared_rows([paths[0].times, None, None])  # every path has the same times
-        with open(out, "w") as fh:
-            fh.write("path_id,t,x,y\n")
-            for i, p in enumerate(paths):
-                fh.write(csv_block(f"{i},", [p.x, p.y], rows))
+        columns = ("x", "y")
     else:
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         _check_kappa(args.kappa, profile.k, f"--profile {args.profile}")
@@ -192,11 +188,12 @@ def _cmd_simulate(args) -> tuple[int, list]:
         if r_cap is None:
             _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
-        rows = shared_rows([paths[0].times, None, None, None])
-        with open(out, "w") as fh:
-            fh.write("path_id,t,r,h_minus_t,theta\n")
-            for i, p in enumerate(paths):
-                fh.write(csv_block(f"{i},", [p.r, p.h_minus_t, p.theta], rows))
+        columns = ("r", "h_minus_t", "theta")
+    rows = shared_rows([paths[0].times, *[None] * len(columns)])  # every path has the same times
+    with open(out, "w") as fh:
+        fh.write(",".join(["path_id", "t", *columns]) + "\n")
+        for i, p in enumerate(paths):
+            fh.write(csv_block(f"{i},", [getattr(p, c) for c in columns], rows))
     print(f"wrote {out} ({len(paths)} paths)")
     return EXIT_OK, [out]
 

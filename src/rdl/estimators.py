@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from . import busemann
 from ._lazy import lazy
-from .heat_kernels import kernel_for, truncation_radius
+from .heat_kernels import _ridge, kernel_for, truncation_radius
 from .model_spaces import HalfPlane, ModelManifold, json_number, space_from_json
 
 quad = lazy("scipy.integrate", "quad")
@@ -34,7 +34,6 @@ quad = lazy("scipy.integrate", "quad")
 __all__ = [
     "EstimatorError",
     "EstimatorInputError",
-    "truncation_radius",
     "SubadditiveDriftFit",
     "drift_subadditive_limit",
     "entropy_quadrature",
@@ -42,7 +41,6 @@ __all__ = [
     "entropy_rate",
     "Ensemble",
     "DriftComponent",
-    "ensemble_drift",
     "InequalityStatus",
     "AsymptoticReport",
     "inequality_report",
@@ -88,8 +86,6 @@ def _radial_integral(space: ModelManifold, t: float, weights: tuple,
     nodes do not change.
     """
     ker = kernel_for(space)
-    v = (space.dim - 1) * space.k / 2.0
-    ridge = max(v * t, math.sqrt(t))
     known = {}
 
     def integrand(weight):
@@ -106,7 +102,7 @@ def _radial_integral(space: ModelManifold, t: float, weights: tuple,
         return f
 
     hi = r_hi if r_hi is not None else truncation_radius(space, t)
-    pieces = [0.0, min(ridge, hi), hi]
+    pieces = [0.0, min(_ridge(space, t), hi), hi]
     totals = []
     for weight in weights:
         total = 0.0
@@ -266,21 +262,6 @@ class Ensemble:
         except TypeError as e:
             raise EstimatorInputError(f"ensemble field of the wrong type: {e}") from e
         return cls(components=tuple(comps), weights=tuple(weights))
-
-
-def ensemble_drift(ensemble: Ensemble, component_drifts) -> tuple[float, float]:
-    """(ell, ell_plus) of a mixture from one drift per component:
-    ell = sum w_i ell_i, ell_plus = max ell_i.
-
-    Each component is itself ergodic, so the escape-rate radius ell_plus is
-    set by the fastest component in the support.
-    """
-    drifts = [float(d) for d in component_drifts]
-    if len(drifts) != len(ensemble.components):
-        raise EstimatorError("need one drift per component")
-    ell = sum(w * d for w, d in zip(ensemble.weights, drifts))
-    ell_plus = max(drifts)
-    return ell, ell_plus
 
 
 # ------------------------------------------------------------------- reports
@@ -458,16 +439,21 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
 
 
 def _ensemble_report(ensemble, t_grid, r_max):
+    """The mixture's report from one drift ell_i per component: ell = sum
+    w_i ell_i, and ell_plus = max ell_i, since each component is itself
+    ergodic and the fastest one in the support sets the escape-rate radius."""
+    ws = ensemble.weights
     if all(isinstance(c, DriftComponent) for c in ensemble.components):
-        ell, ell_plus = ensemble_drift(ensemble, [c.drift for c in ensemble.components])
+        drifts = [float(c.drift) for c in ensemble.components]
+        ell = sum(w * d for w, d in zip(ws, drifts))
         return AsymptoticReport(
             space={"kind": "ensemble",
                    "components": [{"drift": c.drift, "weight": w, "label": c.label}
-                                  for c, w in zip(ensemble.components, ensemble.weights)]},
+                                  for c, w in zip(ensemble.components, ws)]},
             ell=ell,
             ell_upper=ell,
             ell_ci=(ell, ell),
-            ell_plus=ell_plus,
+            ell_plus=max(drifts),
             entropy_h=math.nan,
             entropy_ratio=math.nan,
             entropy_ci=(math.nan, math.nan),
@@ -487,8 +473,7 @@ def _ensemble_report(ensemble, t_grid, r_max):
         raise EstimatorInputError("an ensemble report needs all components to be spaces, or all drifts")
     reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
     # the components' own increments, on the grid the caller passed
-    ell, ell_plus = ensemble_drift(ensemble, [r.ell for r in reports])
-    ws = ensemble.weights
+    ell = sum(w * r.ell for w, r in zip(ws, reports))
     h = sum(w * r.entropy_h for w, r in zip(ws, reports))
     v = sum(w * r.volume_v for w, r in zip(ws, reports))
     ell_up = sum(w * r.ell_upper for w, r in zip(ws, reports))
@@ -499,7 +484,7 @@ def _ensemble_report(ensemble, t_grid, r_max):
         ell=ell,
         ell_upper=ell_up,
         ell_ci=(min(ell, ell_up), max(ell, ell_up)),
-        ell_plus=ell_plus,
+        ell_plus=max(r.ell for r in reports),
         entropy_h=h,
         entropy_ratio=sum(w * r.entropy_ratio for w, r in zip(ws, reports)),
         entropy_ci=(h, h),

@@ -34,7 +34,7 @@ the line) split at the bridge centre rho s/(s+t) +- 4 and 8 bridge
 deviations sqrt(st/(s+t)), and on H^d at the ridge and the truncation
 radius.  Its angular panels are graded: their edges are the angles at which
 the law of cosines gives d = |r - rho| + sqrt(t) {1/4, 1/2, 1, 2, 3, 4, 6, 8}.
-The kernel values come from the array path in blocks of outer rows.
+The kernel values of all outer rows come from one call of the array path.
 """
 
 from __future__ import annotations
@@ -93,17 +93,16 @@ def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
 
 # ---------------------------------------------------------------- Hyperbolic
 
-# d/sinh(d) in a form stable for all d >= 0; series below 1e-6.
+# log(d/sinh(d)) in a form stable for all d >= 0; series below 1e-6.  d is
+# clamped at 1e300 so that d = inf does not read inf - inf: past 1.4e154 the
+# caller's -d^2/2t is -inf, so log q is -inf there, d = inf included.
 def _log_r_over_sinh(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    safe = np.maximum(r, 1e-6)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        main = np.log(safe) - (safe + np.log1p(-np.exp(-2.0 * safe)) - math.log(2.0))
+    safe = np.minimum(np.maximum(r, 1e-6), 1e300)
+    main = np.log(safe) - (safe + np.log1p(-np.exp(-2.0 * safe)) - math.log(2.0))
     return np.where(r < 1e-6, -r * r / 6.0, main)
 
 
-def _log_q_h3_unit(t: float, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
+def _log_q_h3_unit(t: float, r: np.ndarray) -> np.ndarray:
     return -1.5 * np.log(2.0 * math.pi * t) - t / 2.0 - r * r / (2.0 * t) + _log_r_over_sinh(r)
 
 
@@ -156,7 +155,6 @@ def _h2_assemble(t: float, r: float, factor: float) -> float:
 def _log_q_h2_unit(t: float, r: float) -> float:
     """log q_1(t, r) at one radius.  Where the u-range collapses (u_max is 0
     or not finite, from r ~ 1e10 on) q has long underflowed, so log q = -inf."""
-    r = float(r)
     u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
     if not 0.0 < u_max < math.inf:
         return -math.inf
@@ -269,6 +267,12 @@ def truncation_radius(space: ModelManifold, t: float) -> float:
     return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * 40.0) + 5.0
 
 
+def _ridge(space: ModelManifold, t: float) -> float:
+    """max(v t, sqrt(t)), v = (dim-1) k/2: where the radial kernel mass sits
+    at time t, and where the radial quadratures split their range."""
+    return max((space.dim - 1) * space.k / 2.0 * t, math.sqrt(t))
+
+
 @dataclass(frozen=True)
 class GaussianBoundResult:
     constant: float
@@ -372,21 +376,18 @@ def radial_fokker_planck(
     n_steps = int(round(t_max / dt))
     snap_every = max(1, n_steps // max(n_snapshots - 1, 1))
     times = [0.0]
-    snaps = [rho.copy()]
+    snaps = [rho]  # each step makes a new rho and never writes into the old one
     masses = [float(rho.sum() * dr)]
     leaked = 0.0
+    flux = np.zeros(n_cells + 1)  # flux[i] through the face at i dr; zero at r = 0
     for step in range(1, n_steps + 1):
-        flux = f_face * rho[:-1] - 0.5 * (rho[1:] - rho[:-1]) / dr
-        out = f_last * rho[-1] + 0.5 * rho[-1] / dr  # ghost cell rho = 0
-        div = np.empty(n_cells)
-        div[0] = flux[0] / dr
-        div[1:-1] = (flux[1:] - flux[:-1]) / dr
-        div[-1] = (out - flux[-1]) / dr
-        rho = rho - dt * div
-        leaked += out * dt
+        flux[1:-1] = f_face * rho[:-1] - 0.5 * (rho[1:] - rho[:-1]) / dr
+        flux[-1] = f_last * rho[-1] + 0.5 * rho[-1] / dr  # ghost cell rho = 0
+        rho = rho - dt * (np.diff(flux) / dr)
+        leaked += flux[-1] * dt
         if step % snap_every == 0 or step == n_steps:
             times.append(step * dt)
-            snaps.append(rho.copy())
+            snaps.append(rho)
             masses.append(float(rho.sum() * dr))
     return RadialDensityGrid(
         r_centers=centers,
@@ -414,7 +415,6 @@ _CK_OUTER_NODES = 16  # per radial panel, or per panel in x on the line
 _CK_ANGLE_NODES = 12  # per angular panel
 _CK_BRIDGE = np.array([-8.0, -4.0, 4.0, 8.0])  # outer edges: x - c, in bridge deviations
 _CK_STEPS = np.array([0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])  # angular edges: d - |r - rho|, in sqrt(t)
-_CK_RADII = 1024  # about the most radii per ker.q call
 
 
 def _ck_angular(ker: KernelEval, t: float, r: np.ndarray, rho: float) -> np.ndarray:
@@ -461,11 +461,11 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
       * on the line, a 1-D convolution over [-hi, hi], hi = 12 sqrt(max(s, t))
         + rho, split also at 0, c and rho;
       * on H^2 and H^3, a radial integral over [0, R], R the truncation
-        radius at s, split also at the ridge max(v s, sqrt(s)); at each
-        radial node an angular integral by the law of cosines on graded
-        panels (_ck_angular).
-    Every kernel value comes from the array path of ker, at most about
-    _CK_RADII radii per call.
+        radius at s, split also at the ridge (_ridge); at each radial node
+        an angular integral by the law of cosines on graded panels
+        (_ck_angular).
+    Every kernel value comes from the array path of ker: one call for the
+    angular integrals of all radial nodes.
     """
     ker = kernel_for(space)
     if s <= 0 or t <= 0:
@@ -486,14 +486,12 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
         R = truncation_radius(space, s)
         if k * (R + rho) > 700.0:
             raise KernelError(f"sinh(k (R + rho)) overflows at s = {s}, rho = {rho}")
-        r, w = outer(0.0, R, max((dim - 1) * k / 2.0 * s, math.sqrt(s)))
+        r, w = outer(0.0, R, _ridge(space, s))
         # q(s, r) times the sphere factor: 2 sinh(kr)/k on H^2 (theta over
         # [0, pi] is half the circle), 2 pi (sinh(kr)/k)^2 on H^3
         log_sinh = k * r + np.log1p(-np.exp(-2.0 * k * r)) - math.log(2.0 * k)
         w = w * np.exp(ker.log_q(s, r) + (dim - 1) * log_sinh) * (2.0 * math.pi if dim == 3 else 2.0)
-        rows = max(1, _CK_RADII // (_CK_ANGLE_NODES * (_CK_STEPS.size + 1)))
-        angular = [_ck_angular(ker, t, r[lo:lo + rows, None], rho) for lo in range(0, r.size, rows)]
-        val = float(np.sum(w * np.concatenate(angular)))
+        val = float(np.sum(w * _ck_angular(ker, t, r[:, None], rho)))
     else:
         raise KernelError(f"no Chapman-Kolmogorov quadrature for {space.label()}")
     ref = float(ker.q(s + t, rho))

@@ -205,13 +205,6 @@ class ModelManifold:
         """Area of the geodesic sphere of radius r about the basepoint."""
         raise NotImplementedError
 
-    def log_sphere_area(self, r: float) -> float:
-        """log sphere_area(r), stable for large r."""
-        a = self.sphere_area(r)
-        if a <= 0:
-            return -math.inf
-        return math.log(a)
-
     def ball_volume(self, r: float) -> float:
         if r < 0:
             raise GeometryError(f"radius must be >= 0, got {r}")
@@ -405,10 +398,6 @@ class RotSymSurface(ModelManifold):
 
     def __init__(self, profile: ProfileFunction):
         self.profile = profile
-
-    @property
-    def basepoint(self):
-        return np.array([0.0, 0.0])
 
     def validate_point(self, pt) -> np.ndarray:
         v = np.asarray(pt, dtype=float).reshape(-1)

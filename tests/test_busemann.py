@@ -196,3 +196,12 @@ def test_three_routes_to_drift_agree():
 def test_fd_laplacian_domain_check():
     with pytest.raises(GeometryError):
         fd_laplacian(BusemannField(None).value, (0.0, 1e-4), h=1e-3)
+
+
+@pytest.mark.parametrize("t, fragment", [(2.0, "beyond simulated horizon"),
+                                         (0.3, "not on the recorded time grid")],
+                         ids=["past-horizon", "off-grid"])
+def test_furstenberg_check_rejects_a_time_it_did_not_record(t, fragment):
+    cfg = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1, record_stride=5)
+    with pytest.raises(ValueError, match=fragment):
+        furstenberg_check(cfg, t=t)

@@ -203,6 +203,11 @@ def test_ensemble_weight_validation():
         Ensemble(components=(DriftComponent(1.0),), weights=(-1.0,))
 
 
+def test_ensemble_needs_one_weight_per_component():
+    with pytest.raises(EstimatorError, match="matching nonempty components and weights"):
+        Ensemble(components=(DriftComponent(1.0),), weights=(0.5, 0.5))
+
+
 def test_ensemble_from_json():
     ens = Ensemble.from_json_dict(
         {"components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]}

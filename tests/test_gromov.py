@@ -691,3 +691,23 @@ def test_space_json_basepoint_must_be_index_zero():
         FinitePointedSpace.from_json_dict({**blob, "basepoint": 1})
     clone = FinitePointedSpace.from_json_dict({k: v for k, v in blob.items() if k != "basepoint"})
     assert np.array_equal(clone.dist, sp.dist)
+
+
+_PAIR = FinitePointedSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: feasible(_PAIR, _PAIR, 0.0), MetricError, "eps must lie in"),
+    (lambda: feasible(_PAIR, _PAIR, 0.5), MetricError, "eps must lie in"),
+    (lambda: feasible(_PAIR, _PAIR, 0.7), MetricError, "eps must lie in"),
+    (lambda: chain_glue([_PAIR, _PAIR], []), GluingError, "need k spaces and k-1 crosses"),
+    (lambda: chain_glue([_PAIR], []), GluingError, "need k spaces and k-1 crosses"),
+    (lambda: net_from_manifold(Euclidean(2), 0.0, 0.5, 0), GeometryError, "need radius > 0 and mesh > 0"),
+    (lambda: net_from_manifold(Euclidean(2), 1.0, -0.5, 0), GeometryError, "need radius > 0 and mesh > 0"),
+    (lambda: AdmissibleExtension(np.ones((2, 3))).validate(_PAIR.dist, _PAIR.dist), MetricError,
+     "cross matrix shape"),
+], ids=["feasible-eps-0", "feasible-eps-half", "feasible-eps-0.7", "glue-no-cross", "glue-one-space",
+        "net-radius", "net-mesh", "cross-shape"])
+def test_gromov_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

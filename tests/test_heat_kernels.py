@@ -18,12 +18,13 @@ from rdl.heat_kernels import (
     chapman_kolmogorov_residual,
     gaussian_bound_constant,
     kernel_for,
+    log_q_euclidean,
     log_q_hyperbolic,
     radial_fokker_planck,
     truncation_radius,
     zero_two_defect,
 )
-from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
+from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, ProfileFunction, RotSymSurface, builtin_profile
 
 
 # ------------------------------------------------------------ closed forms
@@ -202,6 +203,22 @@ def test_log_q_rejects_negative_and_nan_dist_on_every_kernel(space, dist, as_arr
     ker = kernel_for(space)
     with pytest.raises(KernelError):
         ker.log_q(1.0, np.array([[0.0, 1.0], [2.0, dist]]) if as_array else dist)
+
+
+@pytest.mark.parametrize("space", [Euclidean(1), Euclidean(2), Euclidean(3),
+                                   Hyperbolic(2, 0.5), Hyperbolic(2, 1.0), Hyperbolic(2, 2.0), HalfPlane(),
+                                   Hyperbolic(3, 0.5), Hyperbolic(3, 1.0), Hyperbolic(3, 2.0)],
+                         ids=["E1", "E2", "E3", "H2_k0.5", "H2_k1", "H2_k2", "halfplane",
+                              "H3_k0.5", "H3_k1", "H3_k2"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_kernel_vanishes_at_infinite_distance(space, as_array):
+    # H^3 read log(inf) - inf = NaN in the r/sinh(r) factor
+    ker = kernel_for(space)
+    dist = np.array([[0.0, math.inf], [math.inf, 2.0]]) if as_array else math.inf
+    log_q, q = np.asarray(ker.log_q(1.0, dist)), np.asarray(ker.q(1.0, dist))
+    at_inf = np.isinf(dist)
+    assert np.all(log_q[at_inf] == -math.inf) and np.all(q[at_inf] == 0.0)
+    assert np.all(np.isfinite(log_q[~at_inf]))
 
 
 def test_chapman_kolmogorov():
@@ -428,6 +445,35 @@ def test_fp_rejects_coarse_grid_at_interior_start():
     with pytest.raises(KernelError):
         radial_fokker_planck(builtin_profile("euclid"), r0=1.0, dt=4e-5, dr=0.5,
                              t_max=0.1, r_max=4.0)
+
+
+# p = sin r, the round sphere's profile: its drift cot(r)/2 turns negative past pi/2
+_SPHERE = ProfileFunction(label="sphere", k=None, p=np.sin, drift=lambda r: 0.5 / np.tan(r),
+                          inv_p_sq=lambda r: 1.0 / np.sin(r) ** 2)
+
+
+def _small_fp_grid():
+    return radial_fokker_planck(builtin_profile("euclid"), r0=0.5, dt=1e-3, dr=0.05,
+                                t_max=0.1, r_max=2.0, n_snapshots=3)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: log_q_euclidean(0.0, 2, 1.0), "need t > 0"),
+    (lambda: log_q_hyperbolic(-1.0, 2, 1.0, 1.0), "need t > 0"),
+    (lambda: log_q_hyperbolic(1.0, 4, 1.0, 1.0), "closed-form only for dim 2, 3"),
+    (lambda: log_q_hyperbolic(1.0, 3, 0.0, 1.0), "need k > 0"),
+    (lambda: zero_two_defect(Hyperbolic(2), 0.0, 1.0), "need tau > 0 and t > 0"),
+    (lambda: zero_two_defect(Hyperbolic(2), 1.0, -1.0), "need tau > 0 and t > 0"),
+    (lambda: radial_fokker_planck(builtin_profile("euclid"), r0=0.0, dt=1e-3, dr=0.05,
+                                  t_max=0.1, r_max=2.0), "need r0 > 0"),
+    (lambda: radial_fokker_planck(_SPHERE, r0=0.5, dt=5e-4, dr=0.05, t_max=0.01, r_max=3.0),
+     "nonnegative drift"),
+    (lambda: _small_fp_grid().marginal(0.0123), "not on the stored grid"),
+], ids=["euclidean-t", "hyperbolic-t", "hyperbolic-dim", "hyperbolic-k", "zero_two-tau", "zero_two-t",
+        "fp-r0", "fp-negative-drift", "fp-marginal-off-grid"])
+def test_kernel_input_checks(call, fragment):
+    with pytest.raises(KernelError, match=fragment):
+        call()
 
 
 def test_fp_csv_export(tmp_path):

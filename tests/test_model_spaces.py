@@ -324,3 +324,13 @@ def test_space_from_json_rejects_bad_fields(obj):
 
 def test_space_from_json_accepts_integral_float_dim():
     assert space_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3
+
+
+@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich"))],
+                         ids=["euclidean", "hyperbolic", "rotsym"])
+@pytest.mark.parametrize("method", ["sphere_area", "ball_volume"])
+def test_radial_geometry_rejects_a_negative_radius(space, method):
+    # the message carries r itself: rotsym's ball_volume would otherwise fail
+    # later, inside its quadrature, at some node between r and 0
+    with pytest.raises(GeometryError, match=r"radius must be >= 0, got -1\.0$"):
+        getattr(space, method)(-1.0)

@@ -431,3 +431,19 @@ def test_overflow_message_independent_of_worker_count(seed, chunk):
     path = int(serial.split()[1])
     assert (path >= _SPLIT // 2) == bool(chunk)
     assert message(2) == message(16) == serial
+
+
+_SMALL = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: SimConfig(seed=1, n_paths=1, t_max=1.0, dt=0.1, record_stride=0), "record_stride must be >= 1"),
+    (lambda: simulate_radial(builtin_profile("euclid"), _SMALL, r0=0.0), "need r0 > 0"),
+    (lambda: radial_terminal(builtin_profile("hyperbolic"), _SMALL, r0=-1.0), "need r0 > 0"),
+    (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.5)), "need t_max >= 2"),
+    (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=2, t_max=2.5, dt=0.5)),
+     "t_max must be an integer number of time units"),
+], ids=["record-stride", "radial-r0", "terminal-r0", "tail-short", "tail-fractional"])
+def test_sim_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
