@@ -106,11 +106,11 @@ def furstenberg_check(cfg: SimConfig, t: float | None = None) -> FurstenbergResu
     xi(omega_t) = -log y_t and the exact expectation is t/2.
     """
     t = cfg.t_max if t is None else float(t)
-    if t > cfg.t_max:
+    if not t <= cfg.t_max:
         raise ValueError(f"t = {t} beyond simulated horizon {cfg.t_max}")
     paths = simulate_halfplane(cfg)
     idx = int(np.argmin(np.abs(paths[0].times - t)))
-    if abs(paths[0].times[idx] - t) > 1e-9:
+    if not abs(paths[0].times[idx] - t) <= 1e-9:
         raise ValueError(f"t = {t} not on the recorded time grid")
     vals = np.array([-math.log(p.y[idx]) for p in paths])
     mean = float(vals.mean())

@@ -19,9 +19,12 @@ Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
 4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
 >= 1; it is recorded in the manifest and caps the forked worker processes
 that run simulate's paths, which are also capped by the usable cores and
-get at least 256 paths each.  The output bytes do not depend on it.  An
-option that the run would ignore (--kappa, --r0 or --r-cap where the space
-or profile does not use it) may only repeat its default or the fixed value.
+get at least 256 paths each.  The output bytes do not depend on it.
+report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
+--kappa sets k on h2 and h3.  An option that the run would ignore may only
+repeat its default or the fixed value: --kappa where the space or profile
+fixes k and with --ensemble-file, --r0 or --r-cap where the space or
+profile does not use it, --t-grid and --r-max with a mixture of drifts.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
 number of steps; report and kernel a finite --r-max > 0; report --t-grid
 at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from ._csvblock import csv_block, shared_rows
-from .estimators import Ensemble, EstimatorError, inequality_report
+from .estimators import DriftComponent, Ensemble, EstimatorError, inequality_report
 from .gromov import (
     FinitePointedSpace,
     MetricError,
@@ -71,13 +74,12 @@ _SPACE_ALIASES = {
     "e3": {"kind": "euclidean", "dim": 3},
     "h2": {"kind": "hyperbolic", "dim": 2},
     "h3": {"kind": "hyperbolic", "dim": 3},
-    "halfplane": {"kind": "halfplane", "dim": 2},
-    "euclidean": {"kind": "euclidean"},
-    "hyperbolic": {"kind": "hyperbolic"},
+    "halfplane": {"kind": "halfplane"},
 }
 
-# Default starting radius of `simulate --profile` paths.
+# Default starting radius of `simulate --profile` paths, and default --r-max of `report`.
 _R0 = 1.0
+_REPORT_R_MAX = 40.0
 
 # Parsed options that are not configuration: the dispatch and the output paths.
 _NOT_CONFIG = ("func", "command", "out", "witness")
@@ -91,24 +93,18 @@ def _check_kappa(kappa, k, what):
 
 
 def _check_default(value, default, flag, what):
-    """An option that the run ignores may only keep its default."""
+    """An option that the run ignores may only keep its default (None: unset)."""
     if value != default:
-        raise UsageError(f"{flag} {value:g} has no effect with {what}; leave it at {default:g}")
+        keep = "unset" if default is None else f"at {default:g}"
+        raise UsageError(f"{flag} has no effect with {what}; leave it {keep}")
 
 
-def _space_from_args(name, dim, kappa):
-    name = name.lower()
-    if name not in _SPACE_ALIASES:
+def _space_from_args(name, kappa):
+    desc = _SPACE_ALIASES.get(name.lower())
+    if desc is None:
         raise UsageError(f"unknown space {name!r} (choose from {sorted(_SPACE_ALIASES)})")
-    desc = dict(_SPACE_ALIASES[name])
-    if dim is not None and desc.setdefault("dim", dim) != dim:
-        raise UsageError(f"--dim {dim} contradicts --space {name}, which has dimension {desc['dim']}")
-    if desc["kind"] == "euclidean":
-        desc.setdefault("dim", 2)
     if desc["kind"] == "hyperbolic":
-        if "dim" not in desc:
-            raise UsageError(f"--space {name} needs --dim")
-        desc["k"] = kappa if kappa is not None else 1.0
+        desc = {**desc, "k": kappa if kappa is not None else 1.0}
     space = space_from_json(desc)
     _check_kappa(kappa, space.k, f"--space {name}")
     return space
@@ -205,10 +201,14 @@ def _cmd_report(args) -> tuple[int, list]:
     if (args.space is None) == (args.ensemble_file is None):
         raise UsageError("give exactly one of --space or --ensemble-file")
     if args.ensemble_file:
+        _check_kappa(args.kappa, None, "--ensemble-file")
         with open(args.ensemble_file) as fh:
             target = Ensemble.from_json_dict(json.load(fh))
+        if all(isinstance(c, DriftComponent) for c in target.components):
+            _check_default(args.t_grid, None, "--t-grid", "a drift mixture")
+            _check_default(args.r_max, _REPORT_R_MAX, "--r-max", "a drift mixture")
     else:
-        target = _space_from_args(args.space, args.dim, args.kappa)
+        target = _space_from_args(args.space, args.kappa)
     report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
     print(report.render_table())
     outputs = []
@@ -266,7 +266,7 @@ def _cmd_kernel(args) -> tuple[int, list]:
         raise UsageError(f"--r-max must be finite and > 0, got {args.r_max:g}")
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    space = _space_from_args(args.space, args.dim, args.kappa)
+    space = _space_from_args(args.space, args.kappa)
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)
     rows = shared_rows([rs, None])
@@ -306,12 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="asymptotic invariants and inequality chains")
     r.add_argument("--space", default=None)
-    r.add_argument("--dim", type=int, default=None)
     r.add_argument("--kappa", type=float, default=None)
     r.add_argument("--ensemble-file", dest="ensemble_file", default=None)
     r.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None,
                    help="comma-separated horizons")
-    r.add_argument("--r-max", dest="r_max", type=float, default=40.0)
+    r.add_argument("--r-max", dest="r_max", type=float, default=_REPORT_R_MAX)
     r.add_argument("--out", default=None, help="write the report JSON here")
     r.set_defaults(func=_cmd_report)
 
@@ -324,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kernel", help="export q(t, r) tables")
     k.add_argument("--space", required=True)
-    k.add_argument("--dim", type=int, default=None)
     k.add_argument("--kappa", type=float, default=None)
     k.add_argument("--t", default="1.0", help="comma-separated times")
     k.add_argument("--r-max", dest="r_max", type=float, default=10.0)

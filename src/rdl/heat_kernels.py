@@ -26,6 +26,7 @@ normalization and against the radial Fokker-Planck oracle in the tests
 rather than trusted from a one-line recipe.
 
 Every log_q rejects a negative or NaN distance with KernelError (_radii).
+Each float guard is written `not x > 0` (or the like), so that NaN fails it.
 
 The Chapman-Kolmogorov check int q(s, o, x) q(t, x, y) dx = q(s+t, o, y)
 runs on one fixed Gauss-Legendre rule, shared with the H^2 kernel through
@@ -85,7 +86,7 @@ def _radii(dist) -> np.ndarray:
 
 
 def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
-    if t <= 0:
+    if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
     r = _radii(dist)
     return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
@@ -179,11 +180,11 @@ def _log_q_h2_many(t: float, r: np.ndarray) -> np.ndarray:
 def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     """log q on H^dim with curvature -k^2, as a function of distance; an
     array dist gives an array of its shape."""
-    if t <= 0:
+    if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
     if dim not in (2, 3):
         raise KernelError(f"hyperbolic kernels are closed-form only for dim 2, 3; got {dim}")
-    if k <= 0:
+    if not k > 0:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
     r = _radii(dist)
@@ -240,8 +241,8 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     """
     from .estimators import _mass, _radial_integral  # estimators imports this module
 
-    if tau <= 0 or t <= 0:
-        raise KernelError("need tau > 0 and t > 0")
+    if not (tau > 0 and t > 0):
+        raise KernelError(f"need tau > 0 and t > 0, got tau = {tau}, t = {t}")
     ker = kernel_for(space)
 
     def log_ratio(r):
@@ -263,6 +264,8 @@ def truncation_radius(space: ModelManifold, t: float) -> float:
     e^-40 with polynomial slop is far below the 1e-10 budget.
     """
     kernel_for(space)  # out-of-catalog spaces raise KernelError, not AttributeError
+    if not t > 0:
+        raise KernelError(f"need t > 0, got {t}")
     v = (space.dim - 1) * space.k / 2.0
     return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * 40.0) + 5.0
 
@@ -290,10 +293,10 @@ def gaussian_bound_constant(
     never a certified bound.  Overflow on the grid is reported as
     unbounded-at-resolution.
     """
-    if D <= 2:
+    if not D > 2:
         raise KernelError(f"the Gaussian bound needs D > 2, got {D}")
     t_lo, t_hi = t_range
-    if t_lo < 1.0:
+    if not t_lo >= 1.0:
         raise KernelError(f"the bound's domain is t >= 1, got t_lo = {t_lo}")
     ker = kernel_for(space)
     best, bt, br = -math.inf, t_lo, 0.0
@@ -328,7 +331,7 @@ class RadialDensityGrid:
 
     def marginal(self, t: float) -> np.ndarray:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 + 1e-6 * max(1.0, t):
+        if not abs(self.times[i] - t) <= 1e-9 + 1e-6 * max(1.0, t):
             raise KernelError(f"time {t} not on the stored grid")
         return self.rho[i]
 
@@ -356,10 +359,10 @@ def radial_fokker_planck(
     is enforced up front.  r0 <= dr is treated as a pole start (the initial
     delta goes in the first cell).
     """
-    if r0 <= 0:
+    if not r0 > 0:
         raise KernelError(f"need r0 > 0, got {r0}")
-    if dt > 0.4 * dr * dr:
-        raise KernelError(f"CFL violation: need dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
+    if not 0 < dt <= 0.4 * dr * dr:
+        raise KernelError(f"CFL violation: need 0 < dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
     if r0 > dr and dr > r0 / 10.0:
         raise KernelError(f"grid too coarse near r0: need dr <= r0/10 = {r0 / 10.0:.3g}, got {dr}")
     n_cells = int(round(r_max / dr))
@@ -468,8 +471,8 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
     angular integrals of all radial nodes.
     """
     ker = kernel_for(space)
-    if s <= 0 or t <= 0:
-        raise KernelError("need s > 0 and t > 0")
+    if not (s > 0 and t > 0):
+        raise KernelError(f"need s > 0 and t > 0, got s = {s}, t = {t}")
     dim, k = space.dim, space.k
     centre = rho * s / (s + t)
     bridge = centre + _CK_BRIDGE * math.sqrt(s * t / (s + t))

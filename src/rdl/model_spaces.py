@@ -16,9 +16,8 @@ Coordinate charts:
     coordinates at the basepoint (r = |v|, direction v/|v|); pairwise
     distances come from the hyperbolic law of cosines.
   * HalfPlane:      points are (x, y) with y > 0; basepoint (0, 1).
-  * RotSymSurface:  points are (r, theta) with r >= 0; only radial distances
-    are exact (radial rays are geodesics), general pairs get a flagged
-    upper bound.
+  * RotSymSurface:  no chart; only its radial geometry (sphere areas, ball
+    volumes, volume growth) is defined, and distance raises GeometryError.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -46,7 +45,6 @@ __all__ = [
     "Hyperbolic",
     "HalfPlane",
     "RotSymSurface",
-    "DistanceBound",
     "VolumeGrowthEstimate",
     "unit_sphere_area",
     "space_from_json",
@@ -137,12 +135,6 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
             inv_p_sq=_inv_p_sq,
         )
     raise GeometryError(f"unknown profile label {label!r}")
-
-
-@dataclass(frozen=True)
-class DistanceBound:
-    value: float
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -386,48 +378,14 @@ class HalfPlane(Hyperbolic):
 
 
 class RotSymSurface(ModelManifold):
-    """Surface ds^2 = dr^2 + p(r)^2 dtheta^2; chart (r, theta), pole r = 0.
-
-    Radial rays are geodesics, so pole-to-point distances (and distances
-    between points on a common ray) are exact; other pairs only get an upper
-    bound from explicit comparison paths.
-    """
+    """Surface ds^2 = dr^2 + p(r)^2 dtheta^2 about a pole, known through its
+    radial geometry; it has no pairwise distances."""
 
     dim = 2
     homogeneous = False
 
     def __init__(self, profile: ProfileFunction):
         self.profile = profile
-
-    def validate_point(self, pt) -> np.ndarray:
-        v = np.asarray(pt, dtype=float).reshape(-1)
-        if v.shape != (2,):
-            raise GeometryError(f"expected (r, theta), got shape {v.shape}")
-        if v[0] < 0:
-            raise GeometryError(f"radius must be >= 0, got r = {v[0]}")
-        return v
-
-    def distance(self, a, b) -> float:
-        """Exact distance along a radial ray; GeometryError off it."""
-        bound = self.distance_bound(a, b)
-        if not bound.exact:
-            raise GeometryError(f"{self.label()} has no exact distance for this pair")
-        return bound.value
-
-    def distance_bound(self, a, b) -> DistanceBound:
-        a, b = self.validate_point(a), self.validate_point(b)
-        r1, th1 = a
-        r2, th2 = b
-        if r1 == 0 or r2 == 0:
-            return DistanceBound(float(r1 + r2), True)
-        dth = abs(th1 - th2) % (2.0 * math.pi)
-        dth = min(dth, 2.0 * math.pi - dth)
-        if dth == 0.0:
-            return DistanceBound(abs(r1 - r2), True)
-        # comparison paths: radial + circular arc (either radius), or through the pole
-        arc_lo = abs(r1 - r2) + float(self.profile.p(min(r1, r2))) * dth
-        arc_hi = abs(r1 - r2) + float(self.profile.p(max(r1, r2))) * dth
-        return DistanceBound(min(r1 + r2, arc_lo, arc_hi), False)
 
     def sphere_area(self, r: float) -> float:
         if r < 0:

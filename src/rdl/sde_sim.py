@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .model_spaces import HalfPlane, ProfileFunction, builtin_profile
+from .model_spaces import ProfileFunction, builtin_profile
 
 __all__ = [
     "SimConfig",
@@ -183,9 +183,6 @@ class HalfPlanePath:
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def hyperbolic_dist_from(self, pt) -> np.ndarray:
-        return HalfPlane().dist_to_many(np.column_stack([self.x, self.y]), pt)
 
 
 def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:

@@ -36,7 +36,7 @@ from rdl.gromov import (
     identity_cross,
 )
 from rdl.heat_kernels import radial_fokker_planck, zero_two_defect
-from rdl.model_spaces import Euclidean, Hyperbolic, builtin_profile
+from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, builtin_profile
 from rdl.sde_sim import (
     SimConfig,
     kaimanovich_tail_limit,
@@ -62,7 +62,7 @@ def test_criterion_1_drift_of_h2():
     cfg = SimConfig(seed=101, n_paths=10_000, t_max=t, dt=0.01, record_stride=100)
     paths = simulate_halfplane(cfg)
     o = (0.0, 1.0)
-    d_all = np.stack([p.hyperbolic_dist_from(o) for p in paths])
+    d_all = np.stack([HalfPlane().dist_to_many(np.column_stack([p.x, p.y]), o) for p in paths])
     i20 = int(np.argmin(np.abs(paths[0].times - 20.0)))
     i19 = int(np.argmin(np.abs(paths[0].times - 19.0)))
     inc = d_all[:, i20] - d_all[:, i19]

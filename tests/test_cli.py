@@ -41,12 +41,11 @@ def test_simulate_halfplane_csv_and_manifest(tmp_path):
     assert "paths.csv" in manifest["outputs"]
 
 
-def test_simulate_deterministic_bytes(tmp_path, monkeypatch):
+def test_simulate_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--profile", "kaimanovich", "--t-max", "2", "--dt", "0.001",
             "--paths", "5", "--seed", "9", "--record-stride", "100"]
     assert main(args + ["--out", str(a)]) == EXIT_OK
-    monkeypatch.setenv("RDL_THREADS", "8")  # thread cap must not affect bytes
     assert main(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     ma = json.loads((tmp_path / "a.csv.manifest.json").read_text())
@@ -54,13 +53,15 @@ def test_simulate_deterministic_bytes(tmp_path, monkeypatch):
     assert ma["outputs"]["a.csv"] == mb["outputs"]["b.csv"]
 
 
-def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", [["--space", "halfplane"], ["--profile", "hyperbolic"]],
+                         ids=["halfplane", "hyperbolic"])
+def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch, kind):
     # 600 paths are two minimum chunks: on two or more cores --threads 2 and 16 fork workers
     monkeypatch.delenv("RDL_THREADS", raising=False)
     digests = set()
     for threads in ("1", "2", "16"):
         out = tmp_path / f"hp{threads}.csv"
-        assert main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
+        assert main(["--threads", threads, "simulate", *kind, "--t-max", "1",
                      "--paths", "600", "--seed", "3", "--out", str(out)]) == EXIT_OK
         manifest = json.loads((tmp_path / f"hp{threads}.csv.manifest.json").read_text())
         assert manifest["threads"] == manifest["config"]["threads"] == int(threads)
@@ -176,8 +177,7 @@ def test_report_h2(tmp_path, capsys):
 
 
 def test_report_euclidean_passes(tmp_path):
-    rc = main(["report", "--space", "euclidean", "--dim", "2",
-               "--t-grid", "500,1000,2400,2500"])
+    rc = main(["report", "--space", "e2", "--t-grid", "500,1000,2400,2500"])
     assert rc == EXIT_OK
 
 
@@ -269,6 +269,29 @@ def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content
     assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+_DRIFTS = [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]
+
+
+@pytest.mark.parametrize("components, argv, option", [
+    (_DRIFTS, ["--kappa", "0.5"], "--kappa"),
+    ([{"weight": 1.0, "space": {"kind": "euclidean", "dim": 1}}], ["--kappa", "2"], "--kappa"),
+    (_DRIFTS, ["--t-grid", "1,1,1,1"], "--t-grid"),
+    (_DRIFTS, ["--r-max", "nan"], "--r-max"),
+    (_DRIFTS, ["--r-max", "-5"], "--r-max"),
+], ids=["kappa-drifts", "kappa-spaces", "t-grid-drifts", "r-max-nan-drifts",
+        "r-max-negative-drifts"])
+def test_report_ensemble_option_the_run_ignores_is_usage_error(tmp_path, capsys, components,
+                                                               argv, option):
+    # each of these exited 0 and recorded the ignored option in the manifest
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"components": components}))
+    out = tmp_path / "rep.json"
+    assert main(["report", "--ensemble-file", str(mix), *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_report_short_t_grid_is_usage_error(capsys):
@@ -437,18 +460,6 @@ def test_kernel_h2_table_at_huge_radii_reads_zero(tmp_path, r_max):
     assert q[0] == pytest.approx(0.135056, rel=1e-5) and q[1:] == [0.0] * 4
 
 
-def test_kernel_out_of_catalog_dim_is_usage_error(tmp_path):
-    # KernelError is a ValueError: an unsupported dimension is an input error
-    out = tmp_path / "k.csv"
-    assert main(["kernel", "--space", "e1", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
-
-
-def test_kernel_out_of_catalog_euclidean_dim_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "k.csv"
-    assert main(["kernel", "--space", "euclidean", "--dim", "5", "--out", str(out)]) == EXIT_USAGE
-    assert "dim 1-3" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, output", [
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "nan"], "--witness"),
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "inf"], "--witness"),
@@ -486,18 +497,28 @@ def test_kernel_bad_times_are_usage_error_before_any_output(tmp_path, capsys, t)
     ["report", "--space", "e1", "--dim", "3"],
     ["kernel", "--space", "h3", "--dim", "2"],
     ["kernel", "--space", "halfplane", "--dim", "3"],
-])
-def test_dim_contradicting_alias_is_usage_error(tmp_path, capsys, argv):
-    if argv[0] == "kernel":
-        argv = argv + ["--out", str(tmp_path / "k.csv")]
-    assert main(argv) == EXIT_USAGE
-    assert "contradicts" in capsys.readouterr().err
+    ["kernel", "--space", "e1", "--dim", "5"],
+    ["kernel", "--space", "euclidean", "--dim", "5"],
+    ["kernel", "--space", "hyperbolic"],
+    ["report", "--space", "hyperbolic", "--dim", "3", "--kappa", "2"],
+    ["report", "--space", "euclidean"],
+    ["kernel", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--points", "3"],
+], ids=["report-h2-dim-3", "report-e1-dim-3", "kernel-h3-dim-2", "kernel-halfplane-dim-3",
+        "kernel-e1-dim-5", "kernel-euclidean-dim-5", "kernel-hyperbolic",
+        "report-hyperbolic-dim-3", "report-euclidean", "kernel-hyperbolic-dim-3"])
+def test_dim_and_long_space_names_are_usage_errors(tmp_path, capsys, argv):
+    # --dim and the names euclidean and hyperbolic only respelled e1-e3, h2 and h3
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --dim" in err or "unknown space" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "--space", "halfplane", "--kappa", "2"],
     ["kernel", "--space", "e2", "--kappa", "2"],
-    ["report", "--space", "euclidean", "--dim", "3", "--kappa", "0.5"],
+    ["report", "--space", "e3", "--kappa", "0.5"],
     ["simulate", "--space", "halfplane", "--kappa", "2"],
     ["simulate", "--profile", "euclid", "--kappa", "2"],
     ["simulate", "--profile", "kaimanovich", "--kappa", "1"],
@@ -596,18 +617,18 @@ _MANIFEST_RUNS = [
     (["report", "--space", "h2", "--kappa", "1", "--t-grid", "5,10,20,30,39,40",
       "--out", "{tmp}/rep.json"],
      "rep.json", None, None,
-     {"dim": None, "ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
+     {"ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
       "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0], "threads": 1}),
     (["report", "--ensemble-file", "{tmp}/mix.json", "--out", "{tmp}/mix_rep.json"],
      "mix_rep.json", "3", None,
-     {"dim": None, "ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
+     {"ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
       "space": None, "t_grid": None, "threads": 3}),
     (["gromov", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--witness", "{tmp}/w.json"],
      "w.json", None, None,
      {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "threads": 1, "tol": 0.001}),
     (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "{tmp}/k.csv"],
      "k.csv", None, None,
-     {"dim": None, "kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4",
+     {"kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4",
       "threads": 1}),
 ]
 
@@ -633,14 +654,6 @@ def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, seed, 
     assert manifest["seed"] == seed
     assert manifest["threads"] == config["threads"]
     assert list(manifest["outputs"]) == [output]
-
-
-def test_hyperbolic_space_needs_dim(tmp_path, capsys):
-    out = tmp_path / "k.csv"
-    assert main(["kernel", "--space", "hyperbolic", "--out", str(out)]) == EXIT_USAGE
-    assert "needs --dim" in capsys.readouterr().err
-    assert main(["kernel", "--space", "hyperbolic", "--dim", "3", "--t", "1", "--points", "3",
-                 "--out", str(out)]) == EXIT_OK
 
 
 def test_missing_file_is_usage_error(tmp_path):

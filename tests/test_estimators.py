@@ -250,7 +250,7 @@ def test_entropy_quadrature_agrees_with_mc_counterpart():
     paths = simulate_halfplane(cfg)
     hp = HalfPlane()
     ker = kernel_for(hp)
-    d = np.array([p.hyperbolic_dist_from((0.0, 1.0))[-1] for p in paths])
+    d = np.array([hp.dist_to_many(np.column_stack([p.x, p.y]), (0.0, 1.0))[-1] for p in paths])
     vals = np.array([-float(ker.log_q(t, di)) for di in d])
     mc, se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(mc - entropy_quadrature(hp, t)) <= 3 * se

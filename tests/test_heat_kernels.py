@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from rdl.estimators import Ensemble, default_t_grid, inequality_report
+from rdl.busemann import furstenberg_check
+from rdl.estimators import Ensemble, default_t_grid, entropy_quadrature, inequality_report
 from rdl.heat_kernels import (
     KernelError,
     KernelEval,
@@ -25,6 +26,7 @@ from rdl.heat_kernels import (
     zero_two_defect,
 )
 from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, ProfileFunction, RotSymSurface, builtin_profile
+from rdl.sde_sim import SimConfig
 
 
 # ------------------------------------------------------------ closed forms
@@ -473,6 +475,37 @@ def _small_fp_grid():
         "fp-r0", "fp-negative-drift", "fp-marginal-off-grid"])
 def test_kernel_input_checks(call, fragment):
     with pytest.raises(KernelError, match=fragment):
+        call()
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: log_q_euclidean(math.nan, 2, 1.0), KernelError, "need t > 0"),
+    (lambda: log_q_hyperbolic(math.nan, 2, 1.0, 1.0), KernelError, "need t > 0"),
+    (lambda: log_q_hyperbolic(math.nan, 3, 1.0, 1.0), KernelError, "need t > 0"),
+    (lambda: log_q_hyperbolic(1.0, 3, math.nan, 1.0), KernelError, "need k > 0"),
+    (lambda: gaussian_bound_constant(Hyperbolic(2), math.nan, (1.0, 2.0), 5.0), KernelError,
+     "needs D > 2"),
+    (lambda: gaussian_bound_constant(Hyperbolic(2), 3.0, (math.nan, 2.0), 5.0), KernelError,
+     "domain is t >= 1"),
+    (lambda: chapman_kolmogorov_residual(Hyperbolic(2), math.nan, 1.0, 1.0), KernelError,
+     "need s > 0 and t > 0"),
+    (lambda: zero_two_defect(Hyperbolic(2), math.nan, 1.0), KernelError, "need tau > 0 and t > 0"),
+    (lambda: truncation_radius(Euclidean(1), math.nan), KernelError, "need t > 0"),
+    (lambda: entropy_quadrature(Euclidean(1), math.nan), KernelError, "need t > 0"),
+    (lambda: _small_fp_grid().marginal(math.nan), KernelError, "not on the stored grid"),
+    (lambda: radial_fokker_planck(builtin_profile("euclid"), r0=0.5, dt=math.nan, dr=0.05,
+                                  t_max=0.1, r_max=2.0), KernelError, "CFL"),
+    (lambda: radial_fokker_planck(builtin_profile("euclid"), r0=0.5, dt=1e-3, dr=math.nan,
+                                  t_max=0.1, r_max=2.0), KernelError, "CFL"),
+    (lambda: furstenberg_check(SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1), t=math.nan),
+     ValueError, "beyond simulated horizon"),
+], ids=["euclidean-t", "h2-t", "h3-t", "hyperbolic-k", "gaussian-D", "gaussian-t_lo", "ck-s",
+        "zero_two-tau", "truncation-t", "entropy-t", "fp-marginal", "fp-dt", "fp-dr",
+        "furstenberg-t"])
+def test_nan_fails_every_float_guard(call, error, fragment):
+    # each guard was written x <= 0 and NaN compares false: the call went on
+    # and gave NaN, -inf, the t = 0 snapshot or a message about something else
+    with pytest.raises(error, match=fragment):
         call()
 
 

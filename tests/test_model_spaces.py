@@ -78,17 +78,8 @@ def test_halfplane_rejects_nonpositive_y():
         hp.distance((0.0, -1.0), (0.0, 1.0))
 
 
-def test_rotsym_radial_exact_and_flagged_bound():
+def test_rotsym_surface_has_no_pairwise_distances():
     surf = RotSymSurface(builtin_profile("kaimanovich"))
-    assert surf.distance((0.0, 0.3), (2.0, 1.0)) == 2.0
-    assert surf.distance((1.0, 0.7), (3.0, 0.7)) == 2.0
-    bound = surf.distance_bound((1.0, 0.0), (1.0, 1.0))
-    assert not bound.exact
-    assert bound.value <= 2.0  # through the pole at worst
-    with pytest.raises(GeometryError):
-        surf.distance((1.0, 0.0), (1.0, 1.0))
-    with pytest.raises(GeometryError):
-        surf.validate_point((-0.5, 0.0))
     with pytest.raises(GeometryError):
         surf.pairwise_distances([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
 

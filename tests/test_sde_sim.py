@@ -81,7 +81,8 @@ def test_halfplane_drift_matches_quadrature():
     t = 20.0
     cfg = SimConfig(seed=9, n_paths=4000, t_max=t, dt=0.01, record_stride=2000)
     paths = simulate_halfplane(cfg)
-    d = np.array([p.hyperbolic_dist_from((0.0, 1.0))[-1] for p in paths])
+    d = np.array([HalfPlane().dist_to_many(np.column_stack([p.x, p.y]), (0.0, 1.0))[-1]
+                  for p in paths])
     mc, se = d.mean() / t, d.std(ddof=1) / math.sqrt(len(d)) / t
     quad_val = _horizon_moments(HalfPlane(), [5.0, 10.0, 15.0, t])[0][t] / t
     assert abs(mc - quad_val) <= 3 * se
@@ -94,7 +95,8 @@ def test_halfplane_dt_consistency():
     for dt in (0.02, 0.01):
         cfg = SimConfig(seed=21, n_paths=4000, t_max=t, dt=dt, record_stride=int(t / dt))
         paths = simulate_halfplane(cfg)
-        d = np.array([p.hyperbolic_dist_from((0.0, 1.0))[-1] for p in paths])
+        d = np.array([HalfPlane().dist_to_many(np.column_stack([p.x, p.y]), (0.0, 1.0))[-1]
+                      for p in paths])
         res[dt] = (d.mean(), d.std(ddof=1) / math.sqrt(len(d)))
     assert abs(res[0.02][0] - res[0.01][0]) < max(res[0.02][1], res[0.01][1])
 
