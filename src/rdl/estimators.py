@@ -151,10 +151,11 @@ class SubadditiveDriftFit:
 
 
 def drift_subadditive_limit(ell_by_t: dict) -> SubadditiveDriftFit:
-    """Estimate ell from ell_t on a grid of horizons and audit L_{t+s} <= L_t + L_s.
+    """Estimate ell from ell_t on a grid of horizons and audit L_{t+s} <= L_t + L_s
+    and L_t/t non-increasing.
 
-    A subadditivity violation beyond quadrature tolerance indicates a kernel
-    bug and is reported, not swallowed.
+    A failed audit beyond quadrature tolerance indicates a kernel bug;
+    inequality_report raises EstimatorError on either.
     """
     ell = ell_by_t
     ts = sorted(ell)
@@ -250,13 +251,15 @@ class Ensemble:
                 raise EstimatorInputError("an ensemble is an object with a 'components' list of objects")
             for entry in entries:
                 weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
+                if ("space" in entry) == ("drift" in entry):
+                    raise EstimatorInputError("ensemble component needs 'space' or 'drift', not both")
                 if "space" in entry:
                     comps.append(space_from_json(entry["space"]))
-                elif "drift" in entry:
-                    drift = json_number(entry["drift"], "drift", EstimatorInputError)
-                    comps.append(DriftComponent(drift, entry.get("label", "")))
-                else:
-                    raise EstimatorInputError("ensemble component needs 'space' or 'drift'")
+                    continue
+                label = entry.get("label", "")
+                if not isinstance(label, str):
+                    raise EstimatorInputError(f"a component 'label' must be a string, got {label!r}")
+                comps.append(DriftComponent(json_number(entry["drift"], "drift", EstimatorInputError), label))
         except KeyError as e:
             raise EstimatorInputError(f"ensemble is missing the key {e}") from e
         except TypeError as e:
@@ -387,8 +390,9 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
     flags = []
 
     dfit = drift_subadditive_limit(ell_by_t)
-    if dfit.subadditivity_violations:
-        raise EstimatorError(f"subadditivity violated: {dfit.subadditivity_violations}")
+    if dfit.subadditivity_violations or not dfit.ratio_monotone:
+        raise EstimatorError(f"drift audit failed: subadditivity violations {dfit.subadditivity_violations}, "
+                             f"ell_t/t non-increasing: {dfit.ratio_monotone}")
     efit = entropy_rate(h_by_t)
     vfit = space.volume_growth(r_max)
     if not vfit.finite:
@@ -439,61 +443,45 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
 
 
 def _ensemble_report(ensemble, t_grid, r_max):
-    """The mixture's report from one drift ell_i per component: ell = sum
-    w_i ell_i, and ell_plus = max ell_i, since each component is itself
-    ergodic and the fastest one in the support sets the escape-rate radius."""
+    """The mixture's report as weighted sums of per-component columns ell,
+    ell_upper, h, h_ratio and v, with ell_plus = max ell_i, since each component
+    is itself ergodic and the fastest one in the support sets the escape-rate
+    radius.  A space's columns come from its own report, on the grid the caller
+    passed, and the mixture's chain is (1/2) ell^2 <= h.  A drift's ell and
+    ell_upper are the drift; h, h_ratio and v are NaN, and there is no chain."""
     ws = ensemble.weights
-    if all(isinstance(c, DriftComponent) for c in ensemble.components):
-        drifts = [float(c.drift) for c in ensemble.components]
-        ell = sum(w * d for w, d in zip(ws, drifts))
-        return AsymptoticReport(
-            space={"kind": "ensemble",
-                   "components": [{"drift": c.drift, "weight": w, "label": c.label}
-                                  for c, w in zip(ensemble.components, ws)]},
-            ell=ell,
-            ell_upper=ell,
-            ell_ci=(ell, ell),
-            ell_plus=max(drifts),
-            entropy_h=math.nan,
-            entropy_ratio=math.nan,
-            entropy_ci=(math.nan, math.nan),
-            volume_v=math.nan,
-            volume_finite=True,
-            k_functional=None,
-            inequality_status=[],
-            t_grid=[],
-            methods={"ell": "weighted component drifts", "ell_plus": "max component drift"},
-            converged=True,
-            flags=["abstract drift mixture: entropy/volume not defined"],
-        )
     spaces = [c for c in ensemble.components if not isinstance(c, DriftComponent)]
     for c in spaces:
         kernel_for(c)  # an out-of-catalog component raises KernelError before the mix is judged
-    if len(spaces) < len(ensemble.components):
+    if spaces and len(spaces) < len(ensemble.components):
         raise EstimatorInputError("an ensemble report needs all components to be spaces, or all drifts")
     reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
-    # the components' own increments, on the grid the caller passed
-    ell = sum(w * r.ell for w, r in zip(ws, reports))
-    h = sum(w * r.entropy_h for w, r in zip(ws, reports))
-    v = sum(w * r.volume_v for w, r in zip(ws, reports))
-    ell_up = sum(w * r.ell_upper for w, r in zip(ws, reports))
-    checks = [InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h)]
+    if reports:
+        rows = [(r.ell, r.ell_upper, r.entropy_h, r.entropy_ratio, r.volume_v) for r in reports]
+        entries = [{"space": r.space, "weight": w} for r, w in zip(reports, ws)]
+        method, flags = "weighted component increments", [f for r in reports for f in r.flags]
+    else:
+        rows = [(float(c.drift), float(c.drift), math.nan, math.nan, math.nan)
+                for c in ensemble.components]
+        entries = [{"drift": c.drift, "weight": w, "label": c.label}
+                   for c, w in zip(ensemble.components, ws)]
+        method, flags = "weighted component drifts", ["abstract drift mixture: entropy/volume not defined"]
+    ell, ell_up, h, h_ratio, v = (sum(w * x for w, x in zip(ws, col)) for col in zip(*rows))
     return AsymptoticReport(
-        space={"kind": "ensemble",
-               "components": [{"space": r.space, "weight": w} for r, w in zip(reports, ws)]},
+        space={"kind": "ensemble", "components": entries},
         ell=ell,
         ell_upper=ell_up,
         ell_ci=(min(ell, ell_up), max(ell, ell_up)),
-        ell_plus=max(r.ell for r in reports),
+        ell_plus=max(row[0] for row in rows),
         entropy_h=h,
-        entropy_ratio=sum(w * r.entropy_ratio for w, r in zip(ws, reports)),
+        entropy_ratio=h_ratio,
         entropy_ci=(h, h),
         volume_v=v,
         volume_finite=all(r.volume_finite for r in reports),
         k_functional=None,
-        inequality_status=checks,
-        t_grid=reports[0].t_grid,
-        methods={"ell": "weighted component increments", "ell_plus": "max component drift"},
+        inequality_status=[InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h)] if reports else [],
+        t_grid=reports[0].t_grid if reports else [],
+        methods={"ell": method, "ell_plus": "max component drift"},
         converged=all(r.converged for r in reports),
-        flags=[f for r in reports for f in r.flags],
+        flags=flags,
     )

@@ -8,10 +8,12 @@ Strict inequalities are handled by a delta = 1e-9 margin; the bisection
 reports its bracket so the strict/non-strict distinction stays below tol.
 
 Feasibility at a given eps: the per-point covering requirements are
-disjunctions ("some partner within eps").  For a fixed choice of partners
-("bridges"), the remaining conjunctive system has a greatest element
+disjunctions ("some partner within eps").  A bridge is a cross entry
+(xs, ys) capped at eps - delta: (p, y) covers a point p of X1, (x, p) a point
+of X2, and (o1, o2) is always one.  For a fixed choice of bridges, the
+remaining conjunctive system has a greatest element
 
-    m(x, y) = min over bridges (xs, ys, b) of d1(x, xs) + b + d2(ys, y)
+    m(x, y) = min over bridges (xs, ys) of d1(x, xs) + (eps - delta) + d2(ys, y)
 
 (the set of cross matrices satisfying the Lipschitz upper constraints and
 bridge caps is closed under pointwise min and max), so the system is
@@ -196,25 +198,17 @@ class FeasibilityResult:
     eps: float
 
 
-def _candidates(rho_self, rho_other, eps_margin):
-    """Partner indices within the exact radial window, nearest first."""
-    gaps = np.abs(rho_other - rho_self)
-    idx = np.where(gaps <= 2.0 * eps_margin + 1e-15)[0]
-    order = np.argsort(gaps[idx], kind="stable")
-    idx = idx[order]
-    truncated = idx.size > _K_NEAREST
-    return list(idx[:_K_NEAREST]), truncated
-
-
 def _partner_options(d1, d2, eps, cap):
-    """Candidate partners of every point of the 1/eps-balls, X1's points first.
+    """Bridge options of every point of the 1/eps-balls, X1's points first.
 
-    Returns (options, truncated): options lists (side, p, partners), side "r"
-    for a point p of X1 and "c" for a point of X2, and truncated says whether
-    the _K_NEAREST cap dropped a candidate.  options is None when no assignment
-    exists: cap < DELTA, below the lower bound DELTA of every cross distance
-    (so the basepoint bridge cannot hold), or some point has no partner in its
-    radial window.
+    Returns (options, truncated): options lists (row, p, bridges), row True for
+    a point p of X1 and False for a point of X2.  bridges lists the cross
+    entries (x, y) that would cover p, one per partner in its radial window
+    |d1(o1, x) - d2(o2, y)| <= 2 cap, nearest first and at most _K_NEAREST;
+    truncated says whether that cap dropped one.  options is None when no
+    assignment exists: cap < DELTA, below the lower bound DELTA of every cross
+    distance (so the basepoint bridge cannot hold), or some point has no
+    partner in its window.
     """
     if not (0.0 < eps < 0.5):
         raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
@@ -222,13 +216,15 @@ def _partner_options(d1, d2, eps, cap):
         return None, False
     rho1, rho2 = d1[0], d2[0]
     options, truncated = [], False
-    for side, rho_self, rho_other in (("r", rho1, rho2), ("c", rho2, rho1)):
-        for p in np.flatnonzero(rho_self <= 1.0 / eps):
-            partners, tr = _candidates(rho_self[p], rho_other, cap)
-            truncated |= tr
-            if not partners:
+    for row, rho_self, rho_other in ((True, rho1, rho2), (False, rho2, rho1)):
+        for p in map(int, np.flatnonzero(rho_self <= 1.0 / eps)):
+            gaps = np.abs(rho_other - rho_self[p])
+            idx = np.where(gaps <= 2.0 * cap + 1e-15)[0]
+            idx = idx[np.argsort(gaps[idx], kind="stable")]
+            if not idx.size:
                 return None, False
-            options.append((side, int(p), partners))
+            truncated |= idx.size > _K_NEAREST
+            options.append((row, p, [(p, q) if row else (q, p) for q in idx[:_K_NEAREST]]))
     return options, truncated
 
 
@@ -272,16 +268,6 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
     base = d1[:, [0]] + cap + d2[[0], :]
     nodes = 0
 
-    def bridge(side, p, q):
-        if side == "r":
-            return d1[:, [p]] + cap + d2[[q], :]
-        return d1[:, [q]] + cap + d2[[p], :]
-
-    def covered_already(side, p, m):
-        if side == "r":
-            return m[p].min() <= cap + 1e-15
-        return m[:, p].min() <= cap + 1e-15
-
     def search(i, m, lowered):
         nonlocal nodes
         nodes += 1
@@ -291,11 +277,11 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
             return None
         if i == len(cands):
             return m
-        side, p, options = cands[i]
-        if covered_already(side, p, m):
-            return search(i + 1, m, ([], []))  # m unchanged: nothing to recheck
-        for q in options:
-            new = np.minimum(m, bridge(side, p, q))
+        row, p, bridges = cands[i]
+        if (m[p] if row else m[:, p]).min() <= cap + 1e-15:
+            return search(i + 1, m, ([], []))  # already covered, m unchanged: nothing to recheck
+        for x, y in bridges:
+            new = np.minimum(m, d1[:, [x]] + cap + d2[[y], :])
             res = search(i + 1, new, np.nonzero(new < m))
             if res is not None:
                 return res
@@ -355,11 +341,8 @@ def feasible_lp(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Fea
     options, truncated_any = _partner_options(d1, d2, eps, eps - DELTA)
     if options is None:
         return FeasibilityResult(False, None, True, 0, eps)
-    bridge_lists = [
-        [(p, q) if side == "r" else (q, p) for q in partners] for side, p, partners in options
-    ]
     count = 0
-    for combo in itertools.product(*bridge_lists):
+    for combo in itertools.product(*(bridges for _, _, bridges in options)):
         count += 1
         if count > _MAX_ASSIGNMENTS:
             return FeasibilityResult(False, None, False, count, eps)
@@ -489,7 +472,7 @@ def net_from_manifold(
     """Greedy farthest-point net of the radius-ball: mesh-dense w.r.t. a dense
     candidate pool and mesh-separated, with the basepoint first and exact
     pairwise distances."""
-    if not space.homogeneous:
+    if space.k is None:
         raise GeometryError(f"{space.label()} has no exact pairwise distances")
     if radius <= 0 or mesh <= 0:
         raise GeometryError("need radius > 0 and mesh > 0")

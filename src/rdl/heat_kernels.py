@@ -215,9 +215,9 @@ class KernelEval:
 
 
 def kernel_for(space: ModelManifold) -> KernelEval:
-    """The gate to the kernel catalog: rejects inhomogeneous spaces and
+    """The gate to the kernel catalog: rejects spaces without a k and
     dimensions without a closed form, judged from (dim, k)."""
-    if not space.homogeneous:
+    if space.k is None:
         raise KernelError(f"{space.label()} has no closed-form kernel; use radial_fokker_planck")
     if space.k == 0:
         if space.dim not in (1, 2, 3):
@@ -241,8 +241,8 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     """
     from .estimators import _mass, _radial_integral  # estimators imports this module
 
-    if not (tau > 0 and t > 0):
-        raise KernelError(f"need tau > 0 and t > 0, got tau = {tau}, t = {t}")
+    if not (0 < tau < math.inf and 0 < t < math.inf):
+        raise KernelError(f"need tau > 0 and t > 0, both finite, got tau = {tau}, t = {t}")
     ker = kernel_for(space)
 
     def log_ratio(r):
@@ -298,6 +298,10 @@ def gaussian_bound_constant(
     t_lo, t_hi = t_range
     if not t_lo >= 1.0:
         raise KernelError(f"the bound's domain is t >= 1, got t_lo = {t_lo}")
+    if not t_lo <= t_hi < math.inf:
+        raise KernelError(f"need t_lo <= t_hi < inf, got t_lo = {t_lo}, t_hi = {t_hi}")
+    if not 0 < r_max < math.inf:
+        raise KernelError(f"need 0 < r_max < inf, got r_max = {r_max}")
     ker = kernel_for(space)
     best, bt, br = -math.inf, t_lo, 0.0
     r = np.linspace(0.0, r_max, 400)
@@ -363,6 +367,10 @@ def radial_fokker_planck(
         raise KernelError(f"need r0 > 0, got {r0}")
     if not 0 < dt <= 0.4 * dr * dr:
         raise KernelError(f"CFL violation: need 0 < dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
+    if not 0 < dr <= r_max < math.inf:
+        raise KernelError(f"need 0 < dr <= r_max < inf, got dr = {dr}, r_max = {r_max}")
+    if not 0 < t_max < math.inf:
+        raise KernelError(f"need 0 < t_max < inf, got t_max = {t_max}")
     if r0 > dr and dr > r0 / 10.0:
         raise KernelError(f"grid too coarse near r0: need dr <= r0/10 = {r0 / 10.0:.3g}, got {dr}")
     n_cells = int(round(r_max / dr))
@@ -471,8 +479,10 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
     angular integrals of all radial nodes.
     """
     ker = kernel_for(space)
-    if not (s > 0 and t > 0):
-        raise KernelError(f"need s > 0 and t > 0, got s = {s}, t = {t}")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise KernelError(f"need s > 0 and t > 0, both finite, got s = {s}, t = {t}")
+    if not 0 <= rho < math.inf:
+        raise KernelError(f"need 0 <= rho < inf, got rho = {rho}")
     dim, k = space.dim, space.k
     centre = rho * s / (s + t)
     bridge = centre + _CK_BRIDGE * math.sqrt(s * t / (s + t))

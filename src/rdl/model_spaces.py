@@ -7,8 +7,7 @@ symmetric surfaces ds^2 = dr^2 + p(r)^2 dtheta^2 given by a profile p.
 Every homogeneous catalog space carries its curvature parameter k
 (curvature -k^2): 0 on R^d, 1 on the half-plane, the given k on H^d.  The
 kernel, drift-scale and horizon code reads (dim, k) and nothing else;
-RotSymSurface has no k and homogeneous = False, which keeps it out of the
-kernel catalog.
+RotSymSurface has k = None, which keeps it out of the kernel catalog.
 
 Coordinate charts:
   * Euclidean(d):   points are length-d vectors.
@@ -150,7 +149,7 @@ class ModelManifold:
     """Base class; concrete spaces implement the chart-specific pieces."""
 
     dim: int
-    homogeneous: bool = True
+    k: float | None
 
     # -- chart ---------------------------------------------------------------
     @property
@@ -382,7 +381,7 @@ class RotSymSurface(ModelManifold):
     radial geometry; it has no pairwise distances."""
 
     dim = 2
-    homogeneous = False
+    k = None
 
     def __init__(self, profile: ProfileFunction):
         self.profile = profile

@@ -236,6 +236,21 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("component, message", [
+    ({"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2}, "drift": 0.5}, "not both"),
+    ({"weight": 1.0, "drift": 0.5, "label": {"x": [1, 2]}}, "'label' must be a string"),
+], ids=["space-and-drift", "label-object"])
+def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, component, message):
+    # both exited 0: the drift was dropped, or the object was copied into report.json
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"components": [component]}))
+    out = tmp_path / "rep.json"
+    assert main(["report", "--ensemble-file", str(mix), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     [1, 2],
     {"components": 5},
@@ -318,6 +333,21 @@ def test_report_failed_invariant_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(rdl.estimators, "_MASS_TOL", 2.0)  # no kernel can carry mass 2
     assert main(["report", "--space", "h2"]) == EXIT_INVARIANT
     assert capsys.readouterr().err.startswith("invariant failure: kernel mass")
+
+
+def test_report_rising_drift_ratio_exits_4(monkeypatch, tmp_path, capsys):
+    # subadditive, but ell_t/t rises from 0.75 at t = 2 to 0.8 at t = 3; the
+    # audit was computed and dropped, and the report went ahead
+    ell = {1.0: 1.0, 2.0: 1.5, 3.0: 2.4, 4.0: 2.5}
+    fit = rdl.estimators.drift_subadditive_limit(ell)
+    assert fit.subadditivity_violations == [] and not fit.ratio_monotone
+    h = {2.0: 1.0, 3.0: 1.5, 4.0: 2.0}
+    monkeypatch.setattr(rdl.estimators, "_horizon_moments", lambda space, t_grid: (ell, h))
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", "h2", "--out", str(out)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: drift audit failed") and "non-increasing: False" in err
+    assert not out.exists()
 
 
 def test_report_usage(tmp_path):

@@ -309,11 +309,6 @@ def _full_check_search(a, b, eps):
                     or ((m[:, None, :] + m[None, :, :]) - d1[:, :, None] < -tol).any()
                     or ((m[:, :, None] + m[:, None, :]) - d2[None, :, :] < -tol).any())
 
-    def bridge(side, p, q):
-        if side == "r":
-            return d1[:, [p]] + cap + d2[[q], :]
-        return d1[:, [q]] + cap + d2[[p], :]
-
     def search(i, m):
         nonlocal nodes
         nodes += 1
@@ -323,11 +318,11 @@ def _full_check_search(a, b, eps):
             return None
         if i == len(cands):
             return m
-        side, p, options = cands[i]
-        if (m[p] if side == "r" else m[:, p]).min() <= cap + 1e-15:
+        row, p, bridges = cands[i]
+        if (m[p] if row else m[:, p]).min() <= cap + 1e-15:
             return search(i + 1, m)
-        for q in options:
-            res = search(i + 1, np.minimum(m, bridge(side, p, q)))
+        for x, y in bridges:
+            res = search(i + 1, np.minimum(m, d1[:, [x]] + cap + d2[[y], :]))
             if res is not None:
                 return res
         return None
@@ -391,6 +386,41 @@ def test_feasible_matches_full_check_search(monkeypatch):
     a, b, eps = cases[2]
     got, want = feasible(a, b, eps), _full_check_search(a, b, eps)
     assert _same_result(got, want) and got.nodes == 101 and not got.exact
+
+
+def _unequal_pair(seed):
+    rng = np.random.default_rng(seed)
+    return tuple(_space_from_points(np.vstack([np.zeros(2), rng.uniform(-1, 1, (n - 1, 2))]))
+                 for n in (5 + seed % 3, 8 + seed % 2))
+
+
+# (seed of a random pair or "net", eps, feasible, exact, nodes, SHA-256 of the
+# witness bytes); X1 is the smaller space in the random pairs and the larger in
+# the net pair, so both orientations of a bridge are searched
+_SEARCH_GOLDEN = [
+    (1, 0.3, False, False, 562, None),
+    (1, 0.4, True, True, 29, "dac08e92d41f0c51f10f7e4a8276bbdb32d09565dce9245b01a960370dc17f77"),
+    (2, 0.1, False, True, 4, None),
+    (2, 0.3, True, True, 767, "d1bee64d05897d00a0928506044173c477bca83468a00a877aea885a4b5618ae"),
+    (8, 0.2, False, False, 82, None),
+    (8, 0.4, True, True, 285, "d2e3f5ac1a240c96e43339ecfb186f162539defcdb2b68bbb03e54f20436e724"),
+    ("net", 0.3, False, False, 230, None),
+    ("net", 0.4, True, True, 706, "0064e6afcf444d7154947576d7bcf6e8c3df1b913645fef48cf704834fb4bb2d"),
+]
+
+
+@pytest.mark.parametrize("pair, eps, is_feasible, exact, nodes, digest", _SEARCH_GOLDEN)
+def test_feasible_search_golden(pair, eps, is_feasible, exact, nodes, digest):
+    # pins the search order and the bridge orientation without reading
+    # _partner_options, which the full-check oracle above shares with feasible
+    if pair == "net":
+        a, b = (net_from_manifold(Euclidean(2), 1.0, 0.5, seed=s) for s in (1, 2))
+    else:
+        a, b = _unequal_pair(pair)
+    assert a.n != b.n
+    res = feasible(a, b, eps)
+    got = None if res.witness is None else hashlib.sha256(res.witness.tobytes()).hexdigest()
+    assert (res.feasible, res.exact, res.nodes, got) == (is_feasible, exact, nodes, digest)
 
 
 def _grid_feasible(a, b, eps, step):

@@ -509,6 +509,45 @@ def test_nan_fails_every_float_guard(call, error, fragment):
         call()
 
 
+def _fp(**kw):
+    args = dict(r0=0.5, dt=1e-3, dr=0.05, t_max=0.1, r_max=2.0) | kw
+    return radial_fokker_planck(builtin_profile("euclid"), **args)
+
+
+_H2 = Hyperbolic(2)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: zero_two_defect(_H2, 1.0, math.inf), "both finite, got tau = 1.0, t = inf"),
+    (lambda: zero_two_defect(_H2, math.inf, 1.0), "both finite, got tau = inf, t = 1.0"),
+    (lambda: chapman_kolmogorov_residual(_H2, 1.0, 1.0, math.nan), "need 0 <= rho < inf"),
+    (lambda: chapman_kolmogorov_residual(_H2, 1.0, 1.0, -1.0), "need 0 <= rho < inf"),
+    (lambda: chapman_kolmogorov_residual(_H2, 1.0, 1.0, math.inf), "need 0 <= rho < inf"),
+    (lambda: chapman_kolmogorov_residual(Euclidean(1), math.inf, 1.0, 1.0), "both finite, got s = inf"),
+    (lambda: chapman_kolmogorov_residual(Euclidean(1), 1.0, math.inf, 1.0), "both finite, got s = 1.0, t = inf"),
+    (lambda: gaussian_bound_constant(_H2, 3.0, (1.0, 2.0), math.nan), "need 0 < r_max < inf"),
+    (lambda: gaussian_bound_constant(_H2, 3.0, (1.0, 2.0), -1.0), "need 0 < r_max < inf"),
+    (lambda: gaussian_bound_constant(_H2, 3.0, (2.0, 1.0), 5.0), "need t_lo <= t_hi"),
+    (lambda: gaussian_bound_constant(_H2, 3.0, (1.0, math.inf), 5.0), "t_hi = inf"),
+    (lambda: gaussian_bound_constant(_H2, 3.0, (1.0, math.nan), 5.0), "t_hi = nan"),
+    (lambda: _fp(t_max=math.nan), "need 0 < t_max < inf"),
+    (lambda: _fp(t_max=math.inf), "need 0 < t_max < inf"),
+    (lambda: _fp(t_max=-1.0), "need 0 < t_max < inf"),
+    (lambda: _fp(r_max=math.nan), "need 0 < dr <= r_max < inf, got dr = 0.05, r_max ="),
+    (lambda: _fp(r_max=math.inf), "need 0 < dr <= r_max < inf, got dr = 0.05, r_max ="),
+    (lambda: _fp(r_max=0.01), "need 0 < dr <= r_max < inf, got dr = 0.05, r_max ="),
+    (lambda: _fp(dr=-0.05), "need 0 < dr <= r_max < inf, got dr = -0.05"),
+], ids=["zero_two-t-inf", "zero_two-tau-inf", "ck-rho-nan", "ck-rho-negative", "ck-rho-inf", "ck-s-inf",
+        "ck-t-inf", "gaussian-r_max-nan", "gaussian-r_max-negative", "gaussian-reversed", "gaussian-t_hi-inf",
+        "gaussian-t_hi-nan", "fp-t_max-nan", "fp-t_max-inf", "fp-t_max-negative", "fp-r_max-nan",
+        "fp-r_max-inf", "fp-r_max-below-dr", "fp-dr-negative"])
+def test_diagnostics_reject_infinite_horizons_and_bad_radii(call, fragment):
+    # each case returned a value, crashed inside numpy or scipy, or was
+    # rejected with the message of a check on another argument
+    with pytest.raises(KernelError, match=fragment):
+        call()
+
+
 def test_fp_csv_export(tmp_path):
     grid = radial_fokker_planck(builtin_profile("euclid"), r0=0.05, dt=4e-4, dr=0.05,
                                 t_max=0.2, r_max=3.0, n_snapshots=3)
@@ -553,8 +592,8 @@ _ROTSYM = RotSymSurface(builtin_profile("hyperbolic", 1.0))
 ], ids=["report", "report_t_grid", "truncation_radius", "default_t_grid", "zero_two",
         "gaussian_bound", "chapman_kolmogorov", "ensemble_report", "chapman_kolmogorov_e2"])
 def test_out_of_catalog_space_raises_kernel_error(call):
-    # a rotationally symmetric surface has no k; the kernel gate must reject it
-    # before anything reads space.k (an AttributeError would be a crash).
+    # a rotationally symmetric surface has k = None; the kernel gate must reject
+    # it before anything computes with space.k (a TypeError would be a crash).
     # Chapman-Kolmogorov has a flat quadrature on the line only.
     with pytest.raises(KernelError):
         call()
