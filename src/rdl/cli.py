@@ -26,14 +26,15 @@ repeat its default or the fixed value: --kappa where the space or profile
 fixes k and with --ensemble-file, --r0 or --r-cap where the space or
 profile does not use it, --t-grid and --r-max with a mixture of drifts.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
-number of steps; report and kernel a finite --r-max > 0; report --t-grid
+number of steps >= 1; report and kernel a finite --r-max > 0; report --t-grid
 at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
 finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
 integer field is an integral number, and k, weights, drifts and the entries
 of a dist matrix are finite numbers (never a bool or a string); an ensemble
 component has a space or a drift, not both, and a drift's label is a
-string.  A report's JSON is strict: a value that is not finite is written
-as "inf" or "nan".
+string; a model space or an ensemble component with a key that is not read
+is an error.  A report's JSON is strict: a value that is not finite is
+written as "inf" or "nan".
 """
 
 from __future__ import annotations

@@ -253,6 +253,10 @@ class Ensemble:
                 weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
                 if ("space" in entry) == ("drift" in entry):
                     raise EstimatorInputError("ensemble component needs 'space' or 'drift', not both")
+                keys = {"weight", "space"} if "space" in entry else {"weight", "drift", "label"}
+                unknown = sorted(set(entry) - keys)
+                if unknown:
+                    raise EstimatorInputError(f"unknown key {unknown[0]!r} in an ensemble component")
                 if "space" in entry:
                     comps.append(space_from_json(entry["space"]))
                     continue

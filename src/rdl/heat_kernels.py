@@ -293,8 +293,8 @@ def gaussian_bound_constant(
     never a certified bound.  Overflow on the grid is reported as
     unbounded-at-resolution.
     """
-    if not D > 2:
-        raise KernelError(f"the Gaussian bound needs D > 2, got {D}")
+    if not 2 < D < math.inf:
+        raise KernelError(f"the Gaussian bound needs D > 2 and finite, got {D}")
     t_lo, t_hi = t_range
     if not t_lo >= 1.0:
         raise KernelError(f"the bound's domain is t >= 1, got t_lo = {t_lo}")
@@ -371,6 +371,10 @@ def radial_fokker_planck(
         raise KernelError(f"need 0 < dr <= r_max < inf, got dr = {dr}, r_max = {r_max}")
     if not 0 < t_max < math.inf:
         raise KernelError(f"need 0 < t_max < inf, got t_max = {t_max}")
+    steps = t_max / dt
+    n_steps = round(steps)
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * steps:
+        raise KernelError(f"t_max/dt must be a whole number of steps, got {steps}")
     if r0 > dr and dr > r0 / 10.0:
         raise KernelError(f"grid too coarse near r0: need dr <= r0/10 = {r0 / 10.0:.3g}, got {dr}")
     n_cells = int(round(r_max / dr))
@@ -384,7 +388,6 @@ def radial_fokker_planck(
     rho = np.zeros(n_cells)
     rho[min(int(r0 / dr), n_cells - 1)] = 1.0 / dr
 
-    n_steps = int(round(t_max / dt))
     snap_every = max(1, n_steps // max(n_snapshots - 1, 1))
     times = [0.0]
     snaps = [rho]  # each step makes a new rho and never writes into the old one

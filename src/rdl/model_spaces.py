@@ -421,17 +421,25 @@ def json_number(value, name: str, error: type[ValueError] = GeometryError) -> fl
     raise error(f"{name!r} must be a number, got {value!r}")
 
 
+# The keys besides "kind" that space_from_json reads, per kind.
+_SPACE_KEYS = {"euclidean": {"dim"}, "hyperbolic": {"dim", "k"}, "halfplane": set(), "rotsym": {"profile", "k"}}
+
+
 def space_from_json(obj: dict) -> ModelManifold:
     """Inverse of ModelManifold.to_json_dict."""
     if not isinstance(obj, dict):
         raise GeometryError(f"a space is a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
+    keys = _SPACE_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise GeometryError(f"unknown space kind {kind!r}")
+    unknown = sorted(set(obj) - keys - {"kind"})
+    if unknown:
+        raise GeometryError(f"unknown key {unknown[0]!r} in a {kind} space")
     if kind == "euclidean":
         return Euclidean(json_int(obj["dim"], "dim"))
     if kind == "hyperbolic":
         return Hyperbolic(json_int(obj["dim"], "dim"), json_number(obj.get("k", 1.0), "k"))
     if kind == "halfplane":
         return HalfPlane()
-    if kind == "rotsym":
-        return RotSymSurface(builtin_profile(obj["profile"], json_number(obj.get("k", 1.0), "k")))
-    raise GeometryError(f"unknown space kind {kind!r}")
+    return RotSymSurface(builtin_profile(obj["profile"], json_number(obj.get("k", 1.0), "k")))

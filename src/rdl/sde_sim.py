@@ -10,14 +10,19 @@ Radial SDE on a surface with profile p:
   dr_t = dX_t + f(r_t) dt,  f = p'/(2p),
 with the angular clock tau_t = int_0^t p(r_s)^-2 ds and theta_t = Y_{tau_t}
 for an independent driving motion Y.  One integrator,
-_simulate_radial_block, advances all paths together and records every
-stride-th step; simulate_radial, radial_terminal and kaimanovich_tail_limit
-differ only in the stride and in whether tau and theta are integrated.
-The step loop carries r alone (and tau, theta when angles are recorded);
-H(r) - t is derived from the recorded radii after the loop, with a capped
-path's clock stopped at its cap time.
-Increments are drawn _STEP_BLOCK steps at a time, so memory is bounded by
-paths x (_STEP_BLOCK + records), never paths x steps.
+_simulate_radial_block, advances all paths together in one run.  It records
+every path's r every stride-th step, and traces the first `angles` paths:
+they also carry tau and theta and are recorded every cfg.record_stride
+steps.  simulate_radial traces every path, radial_terminal none, and
+kaimanovich_tail_limit records all paths once per time unit and traces the
+figure paths.  The step loop updates r in place, with no mask until a path
+freezes.  The traced radii of a step block are kept, and at the block's end
+tau and theta are summed over it in step order from the carried values,
+which adds exactly what a per-step update adds.  H(r) - t is derived from
+the recorded radii after the loop, with a capped path's clock stopped at its
+cap time.  Increments are drawn _STEP_BLOCK steps at a time, so the buffers
+take paths x (_STEP_BLOCK + records) plus traced paths x (4 _STEP_BLOCK +
+3 traced records), never paths x steps.
 
 Workers: the path range of each half-plane or radial run is cut into
 contiguous chunks, one per worker, and the chunks are concatenated in path
@@ -38,8 +43,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -93,8 +98,8 @@ class SimConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
             raise ValueError(f"dt and t_max must be finite and positive, got {self.dt} and {self.t_max}")
         steps = self.t_max / self.dt
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"t_max/dt must be an integer, got {steps}")
+        if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_max/dt must be a whole number of steps, got {steps}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.threads is not None and self.threads < 1:
@@ -172,10 +177,31 @@ def _in_chunks(job, cfg: SimConfig) -> list:
     return parts
 
 
+@cache
+def _philox_key() -> type:
+    """A seed sequence that hands Philox its key as given.  Philox(key=...)
+    would also build, and discard, a SeedSequence from OS entropy, which
+    costs more than the stream.  Built on first use, so that importing the
+    package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its two uint64 key words
+
+    return PhiloxKey
+
+
 def path_rng(seed: int, path_index: int, substream: int = 0) -> np.random.Generator:
-    """Counter-based stream for one path; independent of all other paths."""
+    """Counter-based stream for one path; independent of all other paths.
+
+    The stream of Generator(Philox(key=[seed, 2*path_index + substream])).
+    """
     key = np.array([seed, 2 * path_index + substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
 @dataclass(frozen=True)
@@ -233,14 +259,11 @@ def _h(r: np.ndarray) -> np.ndarray:
 class _RadialRun:
     """Output of _simulate_radial_block: recorded arrays are (records, paths)."""
 
-    steps: np.ndarray            # step index of each record
     r: np.ndarray
     h_minus_t: np.ndarray
-    tau: np.ndarray | None       # None unless angles were requested
-    theta: np.ndarray | None
     n_reflections: np.ndarray    # per path
     capped: np.ndarray
-    cap_time: np.ndarray         # NaN for paths never capped
+    traced: list[RadialProcess]  # the first `angles` paths, with tau and theta
 
 
 def _draw(rngs: list, out: np.ndarray) -> np.ndarray:
@@ -250,86 +273,145 @@ def _draw(rngs: list, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=False) -> _RadialRun:
+def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=0) -> _RadialRun:
     """Euler-Maruyama on dr = dX + f(r) dt with reflection at 0, all paths at once.
 
     A step proposal r <= 0 is reflected (|r|) and counted.  If r_cap is set, a
     path that reaches it has its whole state frozen there and is flagged
-    capped; if any path exceeds the float-safe range the run aborts.  The
-    state is recorded at every stride-th step and at the last; tau and theta
-    are integrated only when angles is set.  The paths run in chunks
-    (_radial_chunk), on workers when there are several (_in_chunks).
+    capped; if any path exceeds the float-safe range the run aborts.  Every
+    path's r is recorded at every stride-th step and at the last.  The first
+    `angles` paths also integrate tau and theta and come back as
+    RadialProcess objects recorded every cfg.record_stride steps.  The paths
+    run in chunks (_radial_chunk), on workers when there are several
+    (_in_chunks).
     """
     if r0 <= 0:
         raise ValueError(f"need r0 > 0, got {r0}")
     steps = cfg.record_steps(stride)
-    chunk = partial(_radial_chunk, profile, cfg, r0, r_cap, steps, angles)
-    # record arrays are (records, paths) and per-path arrays (paths,): join on the last axis
-    r_rec, tau_rec, theta_rec, reflections, frozen, cap_time = (
+    traced_steps = cfg.record_steps(cfg.record_stride)
+    chunk = partial(_radial_chunk, profile, cfg, r0, r_cap, steps, traced_steps, angles)
+    # record arrays are (..., records, paths) and per-path arrays (paths,): join on the last axis
+    r_rec, traced_rec, reflections, frozen, cap_time = (
         _join(parts, axis=-1) for parts in zip(*_in_chunks(chunk, cfg)))
-    # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
-    h_minus_t = _h(r_rec) - np.fmin(steps[:, None] * cfg.dt, cap_time)
-    return _RadialRun(
-        steps=steps,
-        r=r_rec,
-        h_minus_t=h_minus_t,
-        tau=tau_rec if angles else None,
-        theta=theta_rec if angles else None,
-        n_reflections=reflections,
-        capped=frozen,
-        cap_time=cap_time,
-    )
+
+    def h_minus_t(rec_steps, r):
+        # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
+        return _h(r) - np.fmin(rec_steps[:, None] * cfg.dt, cap_time[:r.shape[1]])
+
+    times = traced_steps * cfg.dt
+    r_tr, tau, theta = traced_rec
+    hmt_tr = h_minus_t(traced_steps, r_tr)
+    traced = [
+        RadialProcess(
+            times=times,
+            r=r_tr[:, i].copy(),
+            h_minus_t=hmt_tr[:, i].copy(),
+            tau=tau[:, i].copy(),
+            theta=theta[:, i].copy(),
+            n_reflections=int(reflections[i]),
+            capped=bool(frozen[i]),
+            cap_time=float(cap_time[i]) if frozen[i] else None,
+        )
+        for i in range(r_tr.shape[1])
+    ]
+    return _RadialRun(r=r_rec, h_minus_t=h_minus_t(steps, r_rec), n_reflections=reflections,
+                      capped=frozen, traced=traced)
 
 
-def _radial_chunk(profile, cfg, r0, r_cap, steps, angles, lo, hi):
+def _radial_chunk(profile, cfg, r0, r_cap, steps, traced_steps, angles, lo, hi):
     """The step loop of _simulate_radial_block over the streams of paths lo..hi-1.
 
-    Returns r, tau and theta at the recorded steps as (records, paths)
-    arrays, then per path the reflection count, the capped flag and the cap
-    time.  An overflow error carries .at = (step, path) for _in_chunks.
+    Returns r at the recorded steps as a (records, paths) array; r, tau and
+    theta of the chunk's paths below `angles` at traced_steps as a
+    (3, records, traced paths) array; then per path the reflection count,
+    the capped flag and the cap time.  An overflow error carries
+    .at = (step, path) for _in_chunks.
     """
     n, dt, m = cfg.n_steps, cfg.dt, hi - lo
+    a = min(max(angles - lo, 0), m)
     sqdt = math.sqrt(dt)
     rngs = [path_rng(cfg.seed, i, substream=0) for i in range(lo, hi)]
-    ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(lo, hi)] if angles else []
+    ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(lo, lo + a)]
 
     r = np.full(m, r0, dtype=float)
-    tau = np.zeros(m)
-    theta = np.zeros(m)
-    frozen = np.zeros(m, dtype=bool)
-    cap_time = np.full(m, np.nan)
+    active = np.ones(m, dtype=bool)
+    n_frozen = 0
+    cap_step = np.full(m, n)  # the step each path froze in, the last it moved in (n: none)
     reflections = np.zeros(m, dtype=int)
-    # the state arrays are replaced by every step, never written in place
-    rows = [(r, tau, theta)]
-    dX_buf = np.empty((min(_STEP_BLOCK, n), m))
-    ang_buf = np.empty((min(_STEP_BLOCK, n), m)) if angles else None
+    r_rec = np.empty((len(steps), m))
+    r_rec[0] = r0
+    traced_rec = np.zeros((3, len(traced_steps), a))
+    traced_rec[0, 0] = r0
+    rec = 1
+    proposal = np.empty(m)
+    flags = np.empty(m, dtype=bool)
+    size = min(_STEP_BLOCK, n)
+    dX_buf = np.empty((size, m))
+    ang_buf = np.empty((size, a))
+    # row i holds r, tau and theta of the traced paths after step start + i
+    track = np.zeros((3, size + 1, a))
     for start in range(0, n, _STEP_BLOCK):
         block = min(_STEP_BLOCK, n - start)
         dX = _draw(rngs, dX_buf[:block])
         dX *= sqdt
-        ang = _draw(ang_rngs, ang_buf[:block]) if angles else None
         for k in range(block):
-            active = ~frozen
-            proposal = r + profile.drift(r) * dt + dX[k]
-            reflections += active & (proposal <= 0.0)
-            r = np.where(active, np.abs(proposal), r)
-            t = (start + k + 1) * dt
-            if np.any(r > _R_ABORT):
+            np.multiply(profile.drift(r), dt, out=proposal)
+            proposal += r
+            proposal += dX[k]
+            if np.fmin.reduce(proposal) <= 0.0:  # some path reflects
+                np.less_equal(proposal, 0.0, out=flags)
+                if n_frozen:
+                    flags &= active
+                reflections += flags
+            if n_frozen:
+                np.abs(proposal, out=proposal)
+                np.copyto(r, proposal, where=active)
+            else:
+                np.abs(proposal, out=r)
+            top = np.fmax.reduce(r)
+            if top > _R_ABORT:
                 path = lo + int(np.argmax(r > _R_ABORT))
+                t = (start + k + 1) * dt
                 err = OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
                 err.at = (start + k, path)
                 raise err
-            if angles:
-                d_tau = profile.inv_p_sq(r) * dt
-                tau = np.where(active, tau + d_tau, tau)
-                theta = np.where(active, theta + np.sqrt(d_tau) * ang[k], theta)
-            if r_cap is not None:
-                newly = active & (r >= r_cap)
-                cap_time[newly] = t
-                frozen |= newly
-            if start + k + 1 == steps[len(rows)]:
-                rows.append((r, tau, theta))
-    return (*map(np.array, zip(*rows)), reflections, frozen, cap_time)
+            if a:
+                track[0, k + 1] = r[:a]
+            # a frozen path sits at r >= r_cap, so a count above n_frozen means a new one
+            if r_cap is not None and top >= r_cap and (
+                    np.count_nonzero(np.greater_equal(r, r_cap, out=flags)) > n_frozen):
+                flags &= active
+                cap_step[flags] = start + k
+                active ^= flags
+                n_frozen = m - np.count_nonzero(active)
+            if start + k + 1 == steps[rec]:
+                r_rec[rec] = r
+                rec += 1
+        if a:
+            _advance_clock(profile, dt, track[:, :block + 1], _draw(ang_rngs, ang_buf[:block]),
+                           start, cap_step[:a])
+            due = (traced_steps > start) & (traced_steps <= start + block)
+            traced_rec[:, due] = track[:, traced_steps[due] - start]
+            track[:, 0] = track[:, block]
+    frozen = ~active
+    return r_rec, traced_rec, reflections, frozen, np.where(frozen, (cap_step + 1) * dt, np.nan)
+
+
+def _advance_clock(profile, dt, track, ang, start, cap_step) -> None:
+    """Fill track[1:3, 1:] with tau and theta after each step of a block.
+
+    track[0, 1:] holds the radii after the block's steps, track[1:3, 0] the
+    carried tau and theta.  A path's increments stop after its cap step.
+    Each sum runs in step order, as one step at a time would add them.
+    """
+    d_tau, d_theta = track[1, 1:], track[2, 1:]
+    np.multiply(profile.inv_p_sq(track[0, 1:]), dt, out=d_tau)
+    np.sqrt(d_tau, out=d_theta)
+    d_theta *= ang
+    moved = np.arange(start, start + len(ang))[:, None] <= cap_step
+    if not moved.all():
+        np.copyto(track[1:, 1:], 0.0, where=~moved)
+    np.cumsum(track[1:], axis=1, out=track[1:])
 
 
 def simulate_radial(
@@ -337,21 +419,7 @@ def simulate_radial(
 ) -> list[RadialProcess]:
     """Radial paths (see _simulate_radial_block) recorded every
     cfg.record_stride steps, with their angular clock and angle."""
-    run = _simulate_radial_block(profile, cfg, r0, r_cap, cfg.record_stride, angles=True)
-    times = run.steps * cfg.dt
-    return [
-        RadialProcess(
-            times=times,
-            r=run.r[:, i].copy(),
-            h_minus_t=run.h_minus_t[:, i].copy(),
-            tau=run.tau[:, i].copy(),
-            theta=run.theta[:, i].copy(),
-            n_reflections=int(run.n_reflections[i]),
-            capped=bool(run.capped[i]),
-            cap_time=float(run.cap_time[i]) if run.capped[i] else None,
-        )
-        for i in range(cfg.n_paths)
-    ]
+    return _simulate_radial_block(profile, cfg, r0, r_cap, cfg.n_steps, angles=cfg.n_paths).traced
 
 
 @dataclass(frozen=True)
@@ -399,8 +467,10 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
     H(r) - t at t_max; paths whose last-unit increment exceeds
     _TAIL_CONVERGENCE_TOL are flagged non-converged and excluded from the
     ensemble statistics (count reported).  Optionally returns the first
-    n_trajectories as stride-recorded RadialProcess objects (the data behind
-    the ten-trajectory figure).
+    n_trajectories as RadialProcess objects recorded every cfg.record_stride
+    steps (the data behind the ten-trajectory figure).  They come from the
+    same run as L, so they equal simulate_radial's first n_trajectories
+    paths with the same cap; only they integrate the angular clock.
     """
     if cfg.t_max < 2.0:
         raise ValueError("need t_max >= 2 to form the last-unit-time diagnostic")
@@ -409,16 +479,12 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
     per_unit = 1.0 / cfg.dt
     if abs(per_unit - round(per_unit)) > 1e-9 * per_unit:
         raise ValueError(f"1/dt must be an integer number of steps, got {per_unit}")
-    profile = builtin_profile("kaimanovich")
-    run = _simulate_radial_block(profile, cfg, 1.0, KAIMANOVICH_R_CAP, int(round(per_unit)))
+    run = _simulate_radial_block(builtin_profile("kaimanovich"), cfg, 1.0, KAIMANOVICH_R_CAP,
+                                 int(round(per_unit)), angles=n_trajectories)
     L = run.h_minus_t[-1]
     diag = np.abs(L - run.h_minus_t[-2])
     converged = diag <= _TAIL_CONVERGENCE_TOL
     kept = L[converged]
-    trajectories = []
-    if n_trajectories > 0:
-        sub = replace(cfg, n_paths=min(n_trajectories, cfg.n_paths))
-        trajectories = simulate_radial(profile, sub, 1.0, r_cap=KAIMANOVICH_R_CAP)
     return TailLimitResult(
         L=L,
         diagnostic=diag,
@@ -428,5 +494,5 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
         n_excluded=int((~converged).sum()),
         n_capped=int(run.capped.sum()),
         n_reflections=int(run.n_reflections.sum()),
-        trajectories=trajectories,
+        trajectories=run.traced,
     )

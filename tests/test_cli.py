@@ -226,7 +226,11 @@ def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, 
     ([{"weight": 1.0}], "needs 'space' or 'drift'"),
     ([{"drift": 1.0}], "missing the key 'weight'"),
     (None, "missing the key 'components'"),
-], ids=["weights", "mixed", "neither", "no-weight", "no-components"])
+    # each key was dropped: {"kk": 3} gave a report on H^2 at k = 1
+    ([{"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2, "kk": 3}}], "unknown key 'kk'"),
+    ([{"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2}, "label": "H2"}], "unknown key 'label'"),
+    ([{"weight": 1.0, "drift": 0.5, "lable": "x"}], "unknown key 'lable'"),
+], ids=["weights", "mixed", "neither", "no-weight", "no-components", "space-kk", "space-label", "drift-lable"])
 def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, message):
     # bad input, not an invariant failure: exit 2, not 4
     mix = tmp_path / "mix.json"

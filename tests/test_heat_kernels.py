@@ -471,8 +471,14 @@ def _small_fp_grid():
     (lambda: radial_fokker_planck(_SPHERE, r0=0.5, dt=5e-4, dr=0.05, t_max=0.01, r_max=3.0),
      "nonnegative drift"),
     (lambda: _small_fp_grid().marginal(0.0123), "not on the stored grid"),
+    # at dt = 1e-3 these ran 0 and 12 steps: the t = 0 snapshot alone, and a grid ending at t = 0.012
+    (lambda: _fp(t_max=4e-4), "whole number of steps, got 0.4"),
+    (lambda: _fp(t_max=0.0125), "whole number of steps, got 12.5"),
+    # D = inf gave bounded=True with the constant sup q: r^2 / (D t) read as 0
+    (lambda: gaussian_bound_constant(Hyperbolic(2), math.inf, (1.0, 2.0), 5.0), "needs D > 2 and finite, got inf"),
 ], ids=["euclidean-t", "hyperbolic-t", "hyperbolic-dim", "hyperbolic-k", "zero_two-tau", "zero_two-t",
-        "fp-r0", "fp-negative-drift", "fp-marginal-off-grid"])
+        "fp-r0", "fp-negative-drift", "fp-marginal-off-grid", "fp-below-one-step", "fp-half-step",
+        "gaussian-D-inf"])
 def test_kernel_input_checks(call, fragment):
     with pytest.raises(KernelError, match=fragment):
         call()

@@ -306,8 +306,12 @@ def test_rotsym_json_dicts():
     {"kind": "hyperbolic", "dim": 2, "k": True},
     {"kind": "hyperbolic", "dim": 2, "k": "2"},
     {"kind": "rotsym", "profile": "hyperbolic", "k": "2"},
+    {"kind": "hyperbolic", "dim": 2, "kk": 3},  # read as H^2 with k = 1
+    {"kind": "euclidean", "dim": 2, "k": 0.0},
+    {"kind": "halfplane", "dim": 2},
+    {"kind": "rotsym", "profile": "kaimanovich", "label": "x"},
 ], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan",
-        "k-true", "k-string", "rotsym-k-string"])
+        "k-true", "k-string", "rotsym-k-string", "unknown-kk", "euclidean-k", "halfplane-dim", "rotsym-label"])
 def test_space_from_json_rejects_bad_fields(obj):
     with pytest.raises(GeometryError):
         space_from_json(obj)

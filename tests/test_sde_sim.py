@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rdl
 from rdl import sde_sim
 from rdl.estimators import _horizon_moments
 from rdl.heat_kernels import radial_fokker_planck
@@ -30,8 +34,9 @@ def test_config_validation():
         SimConfig(seed=1, n_paths=0, t_max=1.0, dt=0.1)
     with pytest.raises(ValueError):
         SimConfig(seed=-1, n_paths=1, t_max=1.0, dt=0.1)
-    # a non-finite t_max, dt or step count t_max/dt
-    for t_max, dt in [(math.inf, 0.01), (1.0, math.inf), (1.0, math.nan), (math.nan, 0.01), (1e300, 1e-300)]:
+    # a non-finite t_max, dt or step count t_max/dt, and a step count that rounds to 0
+    for t_max, dt in [(math.inf, 0.01), (1.0, math.inf), (1.0, math.nan), (math.nan, 0.01), (1e300, 1e-300),
+                      (1e-12, 1e-3)]:
         with pytest.raises(ValueError):
             SimConfig(seed=1, n_paths=1, t_max=t_max, dt=dt)
 
@@ -52,6 +57,26 @@ def test_path_streams_independent_of_batching():
     c = path_rng(3, 6).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+@pytest.mark.parametrize("substream", [0, 1])
+def test_path_rng_is_philox_keyed_by_seed_and_path(seed, substream):
+    for path in (0, 1, 7, 1000, 2 ** 40):
+        key = np.array([seed, 2 * path + substream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = path_rng(seed, path, substream)
+        assert np.array_equal(got.standard_normal(300), want.standard_normal(300))
+        assert got.integers(0, 2 ** 62, 5).tolist() == want.integers(0, 2 ** 62, 5).tolist()
+
+
+def test_import_loads_no_numpy_random():
+    # path_rng builds its seed-sequence type on first use, so start-up stays as it was
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdl.__file__)))
+    code = "import sys, rdl, rdl.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ half-plane
@@ -449,3 +474,62 @@ _SMALL = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1)
 def test_sim_input_checks(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
+
+
+# ------------------------------------------------- one run per tail limit
+
+
+@pytest.mark.parametrize("k", [1, 10, _SPLIT])
+def test_tail_limit_trajectories_are_the_radial_paths(k):
+    # one run gives L and the figure paths; the figure paths are the first k
+    # paths that simulate_radial gives on its own.  100 steps per unit and a
+    # stride of 7: the two record grids differ.  Two workers split the traced
+    # paths when k = _SPLIT.
+    cfg = SimConfig(seed=2024, n_paths=_SPLIT, t_max=12.0, dt=1e-2, record_stride=7, threads=2)
+    res = kaimanovich_tail_limit(cfg, n_trajectories=k)
+    sub = SimConfig(seed=2024, n_paths=k, t_max=12.0, dt=1e-2, record_stride=7, threads=2)
+    want = simulate_radial(builtin_profile("kaimanovich"), sub, r0=1.0, r_cap=KAIMANOVICH_R_CAP)
+    assert _radial_bytes(res.trajectories) == _radial_bytes(want)
+    assert res.trajectories[0].times[1] == 0.07
+    if k == _SPLIT:
+        assert 0 < sum(p.capped for p in want) < k
+        assert np.array_equal(res.L, [p.h_minus_t[-1] for p in want])
+
+
+def _stepwise_clock(profile, cfg, r0, r_cap):
+    """tau and theta at cfg's record steps, advanced one vectorised step at a
+    time under the step's active mask; and the capped flags."""
+    n, dt, m = cfg.n_steps, cfg.dt, cfg.n_paths
+    dX = np.array([path_rng(cfg.seed, i).standard_normal(n) for i in range(m)]).T * math.sqrt(dt)
+    ang = np.array([path_rng(cfg.seed, i, substream=1).standard_normal(n) for i in range(m)]).T
+    r, tau, theta = np.full(m, r0), np.zeros(m), np.zeros(m)
+    frozen = np.zeros(m, dtype=bool)
+    rows = [(tau, theta)]
+    for s in range(n):
+        active = ~frozen
+        r = np.where(active, np.abs(r + profile.drift(r) * dt + dX[s]), r)
+        d_tau = profile.inv_p_sq(r) * dt
+        tau = np.where(active, tau + d_tau, tau)
+        theta = np.where(active, theta + np.sqrt(d_tau) * ang[s], theta)
+        if r_cap is not None:
+            frozen |= active & (r >= r_cap)
+        rows.append((tau, theta))
+    tau, theta = (np.array(x)[cfg.record_steps(cfg.record_stride)] for x in zip(*rows))
+    return tau, theta, frozen
+
+
+@pytest.mark.parametrize("label, r0, r_cap", [
+    ("kaimanovich", 1.0, 4.0), ("hyperbolic", 0.05, 2.5), ("hyperbolic", 0.05, None)])
+def test_block_clock_matches_the_stepwise_loop(label, r0, r_cap):
+    # 4000 steps: four step blocks.  The capped paths freeze inside the second,
+    # third and fourth, where 1/p^2 is still above 0, so the step a path
+    # freezes in adds to its clock and the next one does not.
+    prof = builtin_profile(label)
+    cfg = SimConfig(seed=2024, n_paths=10, t_max=4.0, dt=1e-3, record_stride=9)
+    paths = simulate_radial(prof, cfg, r0=r0, r_cap=r_cap)
+    tau, theta, frozen = _stepwise_clock(prof, cfg, r0, r_cap)
+    assert np.array_equal(np.array([p.tau for p in paths]).T, tau)
+    assert np.array_equal(np.array([p.theta for p in paths]).T, theta)
+    assert np.array_equal([p.capped for p in paths], frozen)
+    if r_cap is not None:
+        assert 0 < frozen.sum() < len(frozen)
