@@ -106,8 +106,8 @@ def furstenberg_check(cfg: SimConfig, t: float | None = None) -> FurstenbergResu
     xi(omega_t) = -log y_t and the exact expectation is t/2.
     """
     t = cfg.t_max if t is None else float(t)
-    if not t <= cfg.t_max:
-        raise ValueError(f"t = {t} beyond simulated horizon {cfg.t_max}")
+    if not 0.0 < t <= cfg.t_max:
+        raise ValueError(f"t = {t} must be > 0 and not beyond simulated horizon {cfg.t_max}")
     paths = simulate_halfplane(cfg)
     idx = int(np.argmin(np.abs(paths[0].times - t)))
     if not abs(paths[0].times[idx] - t) <= 1e-9:

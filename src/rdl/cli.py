@@ -23,17 +23,17 @@ get at least 256 paths each.  The output bytes do not depend on it.
 report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
 --kappa sets k on h2 and h3.  An option that the run would ignore may only
 repeat its default or the fixed value: --kappa where the space or profile
-fixes k and with --ensemble-file, --r0 or --r-cap where the space or
-profile does not use it, --t-grid and --r-max with a mixture of drifts.
+fixes k and with --ensemble-file, and --r0 or --r-cap where the space or
+profile does not use it.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
 number of steps >= 1; report and kernel a finite --r-max > 0; report --t-grid
 at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
 finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
-integer field is an integral number, and k, weights, drifts and the entries
-of a dist matrix are finite numbers (never a bool or a string); an ensemble
-component has a space or a drift, not both, and a drift's label is a
-string; a model space or an ensemble component with a key that is not read
-is an error.  A report's JSON is strict: a value that is not finite is
+integer field is an integral number, and k, weights and the entries of a
+dist matrix are finite numbers (never a bool or a string); an ensemble
+component is a weight and a space; a model space or an ensemble component
+with a key that is not read is an error.  A report's JSON is strict: a
+value that is not finite, such as a volume growth past the float range, is
 written as "inf" or "nan".
 """
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from ._csvblock import csv_block, shared_rows
-from .estimators import DriftComponent, Ensemble, EstimatorError, inequality_report
+from .estimators import Ensemble, EstimatorError, inequality_report
 from .gromov import (
     FinitePointedSpace,
     MetricError,
@@ -80,9 +80,8 @@ _SPACE_ALIASES = {
     "halfplane": {"kind": "halfplane"},
 }
 
-# Default starting radius of `simulate --profile` paths, and default --r-max of `report`.
+# Default starting radius of `simulate --profile` paths.
 _R0 = 1.0
-_REPORT_R_MAX = 40.0
 
 # Parsed options that are not configuration: the dispatch and the output paths.
 _NOT_CONFIG = ("func", "command", "out", "witness")
@@ -96,10 +95,9 @@ def _check_kappa(kappa, k, what):
 
 
 def _check_default(value, default, flag, what):
-    """An option that the run ignores may only keep its default (None: unset)."""
+    """An option that the run ignores may only keep its default."""
     if value != default:
-        keep = "unset" if default is None else f"at {default:g}"
-        raise UsageError(f"{flag} has no effect with {what}; leave it {keep}")
+        raise UsageError(f"{flag} has no effect with {what}; leave it at {default:g}")
 
 
 def _space_from_args(name, kappa):
@@ -207,9 +205,6 @@ def _cmd_report(args) -> tuple[int, list]:
         _check_kappa(args.kappa, None, "--ensemble-file")
         with open(args.ensemble_file) as fh:
             target = Ensemble.from_json_dict(json.load(fh))
-        if all(isinstance(c, DriftComponent) for c in target.components):
-            _check_default(args.t_grid, None, "--t-grid", "a drift mixture")
-            _check_default(args.r_max, _REPORT_R_MAX, "--r-max", "a drift mixture")
     else:
         target = _space_from_args(args.space, args.kappa)
     report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
@@ -313,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--ensemble-file", dest="ensemble_file", default=None)
     r.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None,
                    help="comma-separated horizons")
-    r.add_argument("--r-max", dest="r_max", type=float, default=_REPORT_R_MAX)
+    r.add_argument("--r-max", dest="r_max", type=float, default=40.0)
     r.add_argument("--out", default=None, help="write the report JSON here")
     r.set_defaults(func=_cmd_report)
 

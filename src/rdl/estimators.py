@@ -40,7 +40,6 @@ __all__ = [
     "EntropyRateFit",
     "entropy_rate",
     "Ensemble",
-    "DriftComponent",
     "InequalityStatus",
     "AsymptoticReport",
     "inequality_report",
@@ -218,18 +217,6 @@ def entropy_rate(h_by_t: dict) -> EntropyRateFit:
 
 
 @dataclass(frozen=True)
-class DriftComponent:
-    """Abstract ensemble component given by its drift alone (mixture examples)."""
-
-    drift: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not math.isfinite(self.drift):
-            raise EstimatorInputError(f"a component drift must be finite, got {self.drift}")
-
-
-@dataclass(frozen=True)
 class Ensemble:
     components: tuple
     weights: tuple
@@ -251,19 +238,10 @@ class Ensemble:
                 raise EstimatorInputError("an ensemble is an object with a 'components' list of objects")
             for entry in entries:
                 weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
-                if ("space" in entry) == ("drift" in entry):
-                    raise EstimatorInputError("ensemble component needs 'space' or 'drift', not both")
-                keys = {"weight", "space"} if "space" in entry else {"weight", "drift", "label"}
-                unknown = sorted(set(entry) - keys)
+                comps.append(space_from_json(entry["space"]))
+                unknown = sorted(set(entry) - {"weight", "space"})
                 if unknown:
                     raise EstimatorInputError(f"unknown key {unknown[0]!r} in an ensemble component")
-                if "space" in entry:
-                    comps.append(space_from_json(entry["space"]))
-                    continue
-                label = entry.get("label", "")
-                if not isinstance(label, str):
-                    raise EstimatorInputError(f"a component 'label' must be a string, got {label!r}")
-                comps.append(DriftComponent(json_number(entry["drift"], "drift", EstimatorInputError), label))
         except KeyError as e:
             raise EstimatorInputError(f"ensemble is missing the key {e}") from e
         except TypeError as e:
@@ -450,42 +428,28 @@ def _ensemble_report(ensemble, t_grid, r_max):
     """The mixture's report as weighted sums of per-component columns ell,
     ell_upper, h, h_ratio and v, with ell_plus = max ell_i, since each component
     is itself ergodic and the fastest one in the support sets the escape-rate
-    radius.  A space's columns come from its own report, on the grid the caller
-    passed, and the mixture's chain is (1/2) ell^2 <= h.  A drift's ell and
-    ell_upper are the drift; h, h_ratio and v are NaN, and there is no chain."""
+    radius.  Each component's columns come from its own report, on the grid the
+    caller passed, and the mixture's chain is (1/2) ell^2 <= h."""
     ws = ensemble.weights
-    spaces = [c for c in ensemble.components if not isinstance(c, DriftComponent)]
-    for c in spaces:
-        kernel_for(c)  # an out-of-catalog component raises KernelError before the mix is judged
-    if spaces and len(spaces) < len(ensemble.components):
-        raise EstimatorInputError("an ensemble report needs all components to be spaces, or all drifts")
-    reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in spaces]
-    if reports:
-        rows = [(r.ell, r.ell_upper, r.entropy_h, r.entropy_ratio, r.volume_v) for r in reports]
-        entries = [{"space": r.space, "weight": w} for r, w in zip(reports, ws)]
-        method, flags = "weighted component increments", [f for r in reports for f in r.flags]
-    else:
-        rows = [(float(c.drift), float(c.drift), math.nan, math.nan, math.nan)
-                for c in ensemble.components]
-        entries = [{"drift": c.drift, "weight": w, "label": c.label}
-                   for c, w in zip(ensemble.components, ws)]
-        method, flags = "weighted component drifts", ["abstract drift mixture: entropy/volume not defined"]
+    reports = [inequality_report(c, t_grid=t_grid, r_max=r_max) for c in ensemble.components]
+    rows = [(r.ell, r.ell_upper, r.entropy_h, r.entropy_ratio, r.volume_v) for r in reports]
     ell, ell_up, h, h_ratio, v = (sum(w * x for w, x in zip(ws, col)) for col in zip(*rows))
     return AsymptoticReport(
-        space={"kind": "ensemble", "components": entries},
+        space={"kind": "ensemble",
+               "components": [{"space": r.space, "weight": w} for r, w in zip(reports, ws)]},
         ell=ell,
         ell_upper=ell_up,
         ell_ci=(min(ell, ell_up), max(ell, ell_up)),
-        ell_plus=max(row[0] for row in rows),
+        ell_plus=max(r.ell for r in reports),
         entropy_h=h,
         entropy_ratio=h_ratio,
         entropy_ci=(h, h),
         volume_v=v,
         volume_finite=all(r.volume_finite for r in reports),
         k_functional=None,
-        inequality_status=[InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h)] if reports else [],
-        t_grid=reports[0].t_grid if reports else [],
-        methods={"ell": method, "ell_plus": "max component drift"},
+        inequality_status=[InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h)],
+        t_grid=reports[0].t_grid,
+        methods={"ell": "weighted component increments", "ell_plus": "max component drift"},
         converged=all(r.converged for r in reports),
-        flags=flags,
+        flags=[f for r in reports for f in r.flags],
     )

@@ -474,8 +474,8 @@ def net_from_manifold(
     pairwise distances."""
     if space.k is None:
         raise GeometryError(f"{space.label()} has no exact pairwise distances")
-    if radius <= 0 or mesh <= 0:
-        raise GeometryError("need radius > 0 and mesh > 0")
+    if not (0 < radius < math.inf and 0 < mesh < math.inf):  # NaN fails too
+        raise GeometryError(f"need radius > 0 and mesh > 0, both finite; got {radius} and {mesh}")
     rng = np.random.default_rng(seed)
     est = space.ball_volume(radius + mesh) / max(space.ball_volume(mesh / 2.0), 1e-12)
     pool_size = int(min(20000, max(500, 40 * est)))

@@ -69,6 +69,11 @@ def unit_sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0)
 
 
+def _check_radius(r: float) -> None:
+    if not r >= 0:  # NaN fails too
+        raise GeometryError(f"radius must be >= 0, got {r}")
+
+
 @dataclass(frozen=True)
 class ProfileFunction:
     """Warping profile of a rotationally symmetric surface.
@@ -197,8 +202,7 @@ class ModelManifold:
         raise NotImplementedError
 
     def ball_volume(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         if r == 0:
             return 0.0
         with np.errstate(over="ignore"):
@@ -246,8 +250,7 @@ class Euclidean(ModelManifold):
         return np.linalg.norm(np.asarray(points, dtype=float) - self.validate_point(pt), axis=1)
 
     def sphere_area(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         return unit_sphere_area(self.dim) * r ** (self.dim - 1)
 
     def log_sphere_area(self, r: float) -> float:
@@ -256,8 +259,7 @@ class Euclidean(ModelManifold):
         return math.log(unit_sphere_area(self.dim)) + (self.dim - 1) * math.log(r)
 
     def ball_volume(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         return math.pi ** (self.dim / 2.0) / gamma(self.dim / 2.0 + 1.0) * r ** self.dim
 
     def label(self) -> str:
@@ -299,8 +301,7 @@ class Hyperbolic(ModelManifold):
         return _hyperbolic_dist(self.k, r1, r2, np.clip(cosang, -1.0, 1.0))
 
     def sphere_area(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         return unit_sphere_area(self.dim) * (math.sinh(self.k * r) / self.k) ** (self.dim - 1)
 
     def log_sphere_area(self, r: float) -> float:
@@ -312,16 +313,18 @@ class Hyperbolic(ModelManifold):
         return math.log(unit_sphere_area(self.dim)) + (self.dim - 1) * log_p
 
     def ball_volume(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         k = self.k
         if self.dim == 1:
             return 2.0 * r
-        if self.dim == 2:
-            return 2.0 * math.pi * (math.cosh(k * r) - 1.0) / k ** 2
-        if self.dim == 3:
-            return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
-        return super().ball_volume(r)
+        try:
+            if self.dim == 2:
+                return 2.0 * math.pi * (math.cosh(k * r) - 1.0) / k ** 2
+            if self.dim == 3:
+                return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
+            return super().ball_volume(r)
+        except OverflowError:  # math.cosh and math.sinh raise past k r ~ 710
+            return math.inf
 
     def label(self) -> str:
         return f"hyperbolic(dim={self.dim},k={self.k:g})"
@@ -387,8 +390,7 @@ class RotSymSurface(ModelManifold):
         self.profile = profile
 
     def sphere_area(self, r: float) -> float:
-        if r < 0:
-            raise GeometryError(f"radius must be >= 0, got {r}")
+        _check_radius(r)
         return 2.0 * math.pi * float(self.profile.p(r))
 
     def label(self) -> str:

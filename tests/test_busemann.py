@@ -199,8 +199,11 @@ def test_fd_laplacian_domain_check():
 
 
 @pytest.mark.parametrize("t, fragment", [(2.0, "beyond simulated horizon"),
-                                         (0.3, "not on the recorded time grid")],
-                         ids=["past-horizon", "off-grid"])
+                                         (0.3, "not on the recorded time grid"),
+                                         # t = 0 gave z_score = inf for an exact match
+                                         (0.0, "must be > 0"),
+                                         (-1.0, "must be > 0")],
+                         ids=["past-horizon", "off-grid", "zero", "negative"])
 def test_furstenberg_check_rejects_a_time_it_did_not_record(t, fragment):
     cfg = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1, record_stride=5)
     with pytest.raises(ValueError, match=fragment):

@@ -187,50 +187,67 @@ def test_report_nonconverged_exit_code():
     assert rc == EXIT_NONCONVERGED
 
 
-def test_report_ensemble_mixture(tmp_path, capsys):
+_H2 = {"kind": "hyperbolic", "dim": 2}
+_H2_H3 = [{"weight": 0.5, "space": _H2}, {"weight": 0.5, "space": {"kind": "hyperbolic", "dim": 3}}]
+
+
+def test_report_ensemble_mixture(tmp_path):
     mix = tmp_path / "mix.json"
-    mix.write_text(json.dumps({
-        "components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]
-    }))
+    mix.write_text(json.dumps({"components": _H2_H3}))
     out = tmp_path / "rep.json"
     rc = main(["report", "--ensemble-file", str(mix), "--out", str(out)])
     assert rc == EXIT_OK
+    rep = json.loads(out.read_text())
+    # H^2 has ell = 1/2, h = 1/2; H^3 has ell = 1, h = 2
+    assert rep["ell"] == pytest.approx(0.75, abs=1e-2)
+    assert rep["ell_plus"] == pytest.approx(1.0, abs=1e-2)
+    assert rep["entropy_h"] == pytest.approx(1.25, abs=2e-2)
+    assert [c["space"]["dim"] for c in rep["space"]["components"]] == [2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "h3", "--r-max", "400"],
+    # math.cosh raised OverflowError in the ball volume: exit 4, "math range error"
+    ["--space", "h2", "--r-max", "800"],
+    ["--space", "h2", "--kappa", "30"],
+    ["--space", "halfplane", "--r-max", "800"],
+], ids=["h3-r-max-400", "h2-r-max-800", "h2-kappa-30", "halfplane-r-max-800"])
+def test_report_volume_overflow_is_flagged_in_strict_json(tmp_path, capsys, argv):
+    out = tmp_path / "rep.json"
+    assert main(["report", *argv, "--out", str(out)]) == EXIT_OK
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    # strict JSON: the undefined entropy and volume are the string "nan", not NaN
+    # strict JSON: the infinite volume growth is the string "inf", not Infinity
     rep = json.loads(out.read_text(), parse_constant=reject)
-    assert rep["ell"] == pytest.approx(1.5)
-    assert rep["ell_plus"] == pytest.approx(2.0)
-    assert rep["entropy_h"] == rep["entropy_ratio"] == rep["volume_v"] == "nan"
-    assert rep["entropy_ci"] == ["nan", "nan"]
+    assert rep["volume_v"] == "inf" and rep["volume_finite"] is False
+    assert rep["flags"] == ["volume growth not finite: inequality chain vacuous"]
     v_row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("v "))
-    assert v_row.split()[1] == "nan"
+    assert v_row.split()[1] == "inf"
 
 
 def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, capsys):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps({"components": [
         {"weight": 0.5, "space": {"kind": "rotsym", "profile": "kaimanovich"}},
-        {"weight": 0.5, "drift": 1.0},
+        {"weight": 0.5, "space": {"kind": "hyperbolic", "dim": 2}},
     ]}))
     assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
     assert "no closed-form kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("components, message", [
-    ([{"weight": 0.5, "drift": 1.0}, {"weight": 0.6, "drift": 2.0}], "sum to 1"),
-    ([{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "space": {"kind": "hyperbolic", "dim": 2}}],
-     "all components to be spaces, or all drifts"),
-    ([{"weight": 1.0}], "needs 'space' or 'drift'"),
-    ([{"drift": 1.0}], "missing the key 'weight'"),
+    ([{"weight": 0.5, "space": _H2}, {"weight": 0.6, "space": _H2}], "sum to 1"),
+    ([{"weight": 1.0}], "missing the key 'space'"),
+    # a mixture of bare drifts was a second kind of ensemble; a component is now a space
+    ([{"weight": 1.0, "drift": 0.5}], "missing the key 'space'"),
+    ([{"space": _H2}], "missing the key 'weight'"),
     (None, "missing the key 'components'"),
     # each key was dropped: {"kk": 3} gave a report on H^2 at k = 1
     ([{"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2, "kk": 3}}], "unknown key 'kk'"),
-    ([{"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2}, "label": "H2"}], "unknown key 'label'"),
-    ([{"weight": 1.0, "drift": 0.5, "lable": "x"}], "unknown key 'lable'"),
-], ids=["weights", "mixed", "neither", "no-weight", "no-components", "space-kk", "space-label", "drift-lable"])
+    ([{"weight": 1.0, "space": _H2, "label": "H2"}], "unknown key 'label'"),
+], ids=["weights", "neither", "drift", "no-weight", "no-components", "space-kk", "space-label"])
 def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, message):
     # bad input, not an invariant failure: exit 2, not 4
     mix = tmp_path / "mix.json"
@@ -241,11 +258,10 @@ def test_report_bad_ensemble_file_is_usage_error(tmp_path, capsys, components, m
 
 
 @pytest.mark.parametrize("component, message", [
-    ({"weight": 1.0, "space": {"kind": "hyperbolic", "dim": 2}, "drift": 0.5}, "not both"),
-    ({"weight": 1.0, "drift": 0.5, "label": {"x": [1, 2]}}, "'label' must be a string"),
-], ids=["space-and-drift", "label-object"])
+    ({"weight": 1.0, "space": _H2, "drift": 0.5}, "unknown key 'drift'"),
+], ids=["space-and-drift"])
 def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, component, message):
-    # both exited 0: the drift was dropped, or the object was copied into report.json
+    # it exited 0 and the drift was dropped
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps({"components": [component]}))
     out = tmp_path / "rep.json"
@@ -259,11 +275,9 @@ def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, co
     [1, 2],
     {"components": 5},
     {"components": [{"space": [1], "weight": 1}]},
-    {"components": [{"weight": [1], "drift": 1}]},
-    {"components": [{"weight": math.nan, "drift": 1}]},
-    {"components": [{"weight": 0.5, "drift": 1}, {"weight": math.nan, "drift": 2}]},
-    {"components": [{"weight": 1, "drift": math.nan}]},
-    {"components": [{"weight": 1, "drift": math.inf}]},
+    {"components": [{"weight": [1], "space": _H2}]},
+    {"components": [{"weight": math.nan, "space": _H2}]},
+    {"components": [{"weight": 0.5, "space": _H2}, {"weight": math.nan, "space": _H2}]},
     # int() used to read these dims as 2, 1 and 2, and the report went ahead
     {"components": [{"weight": 1, "space": {"kind": "euclidean", "dim": 2.9}}]},
     {"components": [{"weight": 1, "space": {"kind": "euclidean", "dim": True}}]},
@@ -274,14 +288,13 @@ def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, co
     # float() used to read these bools and strings as numbers, and the report went ahead
     {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": True}}]},
     {"components": [{"weight": 1, "space": {"kind": "hyperbolic", "dim": 2, "k": "2"}}]},
-    {"components": [{"weight": "1", "drift": "0.5"}]},
-    {"components": [{"weight": 1, "drift": "0.5"}]},
-    {"components": [{"weight": True, "drift": 0.5}]},
+    {"components": [{"weight": "1", "space": _H2}]},
+    {"components": [{"weight": True, "space": _H2}]},
     # an integer beyond the float range used to raise OverflowError (exit 4)
-    {"components": [{"weight": 10 ** 400, "drift": 0.5}]},
+    {"components": [{"weight": 10 ** 400, "space": _H2}]},
 ], ids=["list", "components-int", "space-list", "weight-list", "weight-nan", "second-weight-nan",
-        "drift-nan", "drift-inf", "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf",
-        "k-true", "k-string", "weight-drift-strings", "drift-string", "weight-true", "weight-huge"])
+        "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-true", "k-string",
+        "weight-string", "weight-true", "weight-huge"])
 def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps(content))
@@ -290,20 +303,12 @@ def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-_DRIFTS = [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]
-
-
 @pytest.mark.parametrize("components, argv, option", [
-    (_DRIFTS, ["--kappa", "0.5"], "--kappa"),
     ([{"weight": 1.0, "space": {"kind": "euclidean", "dim": 1}}], ["--kappa", "2"], "--kappa"),
-    (_DRIFTS, ["--t-grid", "1,1,1,1"], "--t-grid"),
-    (_DRIFTS, ["--r-max", "nan"], "--r-max"),
-    (_DRIFTS, ["--r-max", "-5"], "--r-max"),
-], ids=["kappa-drifts", "kappa-spaces", "t-grid-drifts", "r-max-nan-drifts",
-        "r-max-negative-drifts"])
+], ids=["kappa-spaces"])
 def test_report_ensemble_option_the_run_ignores_is_usage_error(tmp_path, capsys, components,
                                                                argv, option):
-    # each of these exited 0 and recorded the ignored option in the manifest
+    # it exited 0 and recorded the ignored option in the manifest
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps({"components": components}))
     out = tmp_path / "rep.json"
@@ -675,8 +680,7 @@ def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, seed, 
         monkeypatch.delenv("RDL_THREADS", raising=False)
     else:
         monkeypatch.setenv("RDL_THREADS", env)
-    (tmp_path / "mix.json").write_text(json.dumps({
-        "components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]}))
+    (tmp_path / "mix.json").write_text(json.dumps({"components": _H2_H3}))
     _write_space(tmp_path / "a.json", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     _write_space(tmp_path / "b.json", [[0.0, 0.0], [1.1, 0.0], [0.0, 0.9]])
     assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_OK

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rdl.estimators import (
-    DriftComponent,
     Ensemble,
     EstimatorError,
     _horizon_moments,
@@ -175,45 +174,26 @@ def test_finite_dim_bound_check():
 # -------------------------------------------------------------- ensembles
 
 
-def test_ensemble_drift_two_curvature_example():
-    ens = Ensemble(
-        components=(DriftComponent(1.0, "slow"), DriftComponent(2.0, "fast")),
-        weights=(0.5, 0.5),
-    )
-    rep = inequality_report(ens)
-    ell, ell_plus = rep.ell, rep.ell_plus
-    assert ell == pytest.approx(1.5)
-    assert ell_plus == pytest.approx(2.0)
-
-
-def test_ensemble_drift_linearity_and_single_component():
-    ens = Ensemble(components=(DriftComponent(3.0), DriftComponent(7.0)), weights=(0.25, 0.75))
-    rep = inequality_report(ens)
-    assert rep.ell == pytest.approx(0.25 * 3.0 + 0.75 * 7.0)
-    single = Ensemble(components=(DriftComponent(1.3),), weights=(1.0,))
-    rep = inequality_report(single)
-    ell, ell_plus = rep.ell, rep.ell_plus
-    assert ell == ell_plus == pytest.approx(1.3)
-
-
 def test_ensemble_weight_validation():
     with pytest.raises(EstimatorError):
-        Ensemble(components=(DriftComponent(1.0), DriftComponent(2.0)), weights=(0.5, 0.6))
+        Ensemble(components=(Hyperbolic(2), Hyperbolic(3)), weights=(0.5, 0.6))
     with pytest.raises(EstimatorError):
-        Ensemble(components=(DriftComponent(1.0),), weights=(-1.0,))
+        Ensemble(components=(Hyperbolic(2),), weights=(-1.0,))
 
 
 def test_ensemble_needs_one_weight_per_component():
     with pytest.raises(EstimatorError, match="matching nonempty components and weights"):
-        Ensemble(components=(DriftComponent(1.0),), weights=(0.5, 0.5))
+        Ensemble(components=(Hyperbolic(2),), weights=(0.5, 0.5))
 
 
 def test_ensemble_from_json():
-    ens = Ensemble.from_json_dict(
-        {"components": [{"weight": 0.5, "drift": 1.0}, {"weight": 0.5, "drift": 2.0}]}
-    )
-    rep = inequality_report(ens)
-    assert (rep.ell, rep.ell_plus) == (pytest.approx(1.5), pytest.approx(2.0))
+    ens = Ensemble.from_json_dict({"components": [
+        {"weight": 0.25, "space": {"kind": "hyperbolic", "dim": 2}},
+        {"weight": 0.75, "space": {"kind": "hyperbolic", "dim": 3, "k": 0.5}},
+    ]})
+    assert [c.to_json_dict() for c in ens.components] == [
+        Hyperbolic(2).to_json_dict(), Hyperbolic(3, 0.5).to_json_dict()]
+    assert ens.weights == (0.25, 0.75)
 
 
 # ---------------------------------------------------------------- report
@@ -337,32 +317,17 @@ def test_report_json_schema():
 
 
 # SHA-256 of json.dumps(to_json_dict(), indent=2, sort_keys=True), as the
-# field-by-field writer produced it; the drift mixture's undefined entropy and
-# volume are the string "nan" (its bytes differ from the NaN-token form in
-# those five values only)
+# field-by-field writer produced it
 @pytest.mark.parametrize("make, digest", [
     (lambda: inequality_report(HalfPlane()),
      "997e8962a76e57429e188169069afd1383ecb96759b7641b6425ce780739c5d7"),
-    (lambda: inequality_report(Ensemble(components=(DriftComponent(1.0), DriftComponent(2.0)),
-                                        weights=(0.5, 0.5))),
-     "37f3cb99ce221ce99695dcf9f3ef4e7fa62c3dac95cd376ad771a44cf64f1fbb"),
     (lambda: inequality_report(Ensemble(components=(Hyperbolic(2), Hyperbolic(3)),
                                         weights=(0.4, 0.6)), t_grid=[5.0, 10.0, 15.0, 20.0]),
      "00eb08df29122f8955d5bf022c9a94bd86b1fa80e62365b2843499132d1cb529"),
-], ids=["halfplane", "drift-mixture", "h2-h3-mixture"])
+], ids=["halfplane", "h2-h3-mixture"])
 def test_report_json_golden_bytes(make, digest):
     blob = json.dumps(make().to_json_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
-
-
-def test_report_abstract_mixture():
-    ens = Ensemble(
-        components=(DriftComponent(1.0), DriftComponent(2.0)), weights=(0.5, 0.5)
-    )
-    rep = inequality_report(ens)
-    assert rep.ell == pytest.approx(1.5)
-    assert rep.ell_plus == pytest.approx(2.0)
-    assert math.isnan(rep.entropy_h)
 
 
 @pytest.mark.parametrize("components, weights, t_grid", [
@@ -381,13 +346,10 @@ def test_ensemble_report_drift_mixes_the_component_reports(components, weights, 
     assert rep.t_grid == parts[0].t_grid
 
 
-def test_ensemble_report_rejects_a_mix_of_drifts_and_spaces():
-    drift = DriftComponent(1.0)
-    with pytest.raises(EstimatorError, match="all components"):
-        inequality_report(Ensemble(components=(drift, Hyperbolic(2)), weights=(0.5, 0.5)))
-    # an out-of-catalog space is named first, in either order
+def test_ensemble_report_rejects_an_out_of_catalog_component():
+    # in either order
     surf = RotSymSurface(builtin_profile("kaimanovich"))
-    for comps in ((drift, surf), (surf, drift)):
+    for comps in ((Hyperbolic(2), surf), (surf, Hyperbolic(2))):
         with pytest.raises(KernelError, match="no closed-form kernel"):
             inequality_report(Ensemble(components=comps, weights=(0.5, 0.5)))
 

@@ -734,10 +734,14 @@ _PAIR = FinitePointedSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     (lambda: chain_glue([_PAIR], []), GluingError, "need k spaces and k-1 crosses"),
     (lambda: net_from_manifold(Euclidean(2), 0.0, 0.5, 0), GeometryError, "need radius > 0 and mesh > 0"),
     (lambda: net_from_manifold(Euclidean(2), 1.0, -0.5, 0), GeometryError, "need radius > 0 and mesh > 0"),
+    # each of these passed the guard, and the greedy loop never ended
+    (lambda: net_from_manifold(Hyperbolic(2), float("nan"), 0.5, 0), GeometryError, "both finite"),
+    (lambda: net_from_manifold(Hyperbolic(2), 1.0, float("nan"), 0), GeometryError, "both finite"),
+    (lambda: net_from_manifold(Hyperbolic(2), float("inf"), 0.5, 0), GeometryError, "both finite"),
     (lambda: AdmissibleExtension(np.ones((2, 3))).validate(_PAIR.dist, _PAIR.dist), MetricError,
      "cross matrix shape"),
 ], ids=["feasible-eps-0", "feasible-eps-half", "feasible-eps-0.7", "glue-no-cross", "glue-one-space",
-        "net-radius", "net-mesh", "cross-shape"])
+        "net-radius", "net-mesh", "net-radius-nan", "net-mesh-nan", "net-radius-inf", "cross-shape"])
 def test_gromov_input_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

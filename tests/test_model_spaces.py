@@ -321,11 +321,22 @@ def test_space_from_json_accepts_integral_float_dim():
     assert space_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3
 
 
-@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich"))],
-                         ids=["euclidean", "hyperbolic", "rotsym"])
+@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich")),
+                                   Hyperbolic(4), HalfPlane()],
+                         ids=["euclidean", "hyperbolic", "rotsym", "hyperbolic-4", "halfplane"])
 @pytest.mark.parametrize("method", ["sphere_area", "ball_volume"])
 def test_radial_geometry_rejects_a_negative_radius(space, method):
     # the message carries r itself: rotsym's ball_volume would otherwise fail
     # later, inside its quadrature, at some node between r and 0
     with pytest.raises(GeometryError, match=r"radius must be >= 0, got -1\.0$"):
         getattr(space, method)(-1.0)
+    # NaN passed the guards when they were written r < 0: Hyperbolic(4).ball_volume
+    # gave 0.0, and the other calls gave NaN
+    with pytest.raises(GeometryError, match=r"radius must be >= 0, got nan$"):
+        getattr(space, method)(math.nan)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_hyperbolic_ball_volume_overflow_is_inf(dim):
+    # math.cosh and math.sinh raised OverflowError past k r ~ 710
+    assert Hyperbolic(dim).ball_volume(800.0) == math.inf

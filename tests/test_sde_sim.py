@@ -470,7 +470,13 @@ _SMALL = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1)
     (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.5)), "need t_max >= 2"),
     (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=2, t_max=2.5, dt=0.5)),
      "t_max must be an integer number of time units"),
-], ids=["record-stride", "radial-r0", "terminal-r0", "tail-short", "tail-fractional"])
+    # these returned 5 and 0 figure paths
+    (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=5, t_max=2.0, dt=0.5), n_trajectories=20),
+     r"n_trajectories must be in \[0, 5\], got 20"),
+    (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=5, t_max=2.0, dt=0.5), n_trajectories=-3),
+     r"n_trajectories must be in \[0, 5\], got -3"),
+], ids=["record-stride", "radial-r0", "terminal-r0", "tail-short", "tail-fractional",
+        "tail-too-many-trajectories", "tail-negative-trajectories"])
 def test_sim_input_checks(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
