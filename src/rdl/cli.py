@@ -26,7 +26,8 @@ repeat its default or the fixed value: --kappa where the space or profile
 fixes k and with --ensemble-file, and --r0 or --r-cap where the space or
 profile does not use it.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
-number of steps >= 1; report and kernel a finite --r-max > 0; report --t-grid
+number of steps >= 1, and a finite --r0 > 0 below --r-cap where the cap
+applies; report and kernel a finite --r-max > 0; report --t-grid
 at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
 finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
 integer field is an integral number, and k, weights and the entries of a

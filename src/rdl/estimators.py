@@ -448,7 +448,7 @@ def _ensemble_report(ensemble, t_grid, r_max):
         volume_finite=all(r.volume_finite for r in reports),
         k_functional=None,
         inequality_status=[InequalityStatus.check("half_ell_sq_le_h", 0.5 * ell * ell, h)],
-        t_grid=reports[0].t_grid,
+        t_grid=[r.t_grid for r in reports],
         methods={"ell": "weighted component increments", "ell_plus": "max component drift"},
         converged=all(r.converged for r in reports),
         flags=[f for r in reports for f in r.flags],

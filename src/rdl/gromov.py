@@ -477,7 +477,10 @@ def net_from_manifold(
     if not (0 < radius < math.inf and 0 < mesh < math.inf):  # NaN fails too
         raise GeometryError(f"need radius > 0 and mesh > 0, both finite; got {radius} and {mesh}")
     rng = np.random.default_rng(seed)
-    est = space.ball_volume(radius + mesh) / max(space.ball_volume(mesh / 2.0), 1e-12)
+    vol = space.ball_volume(radius + mesh)
+    if not math.isfinite(vol):
+        raise GeometryError(f"the ball of radius {radius} + {mesh} has a volume past the float range")
+    est = vol / max(space.ball_volume(mesh / 2.0), 1e-12)
     pool_size = int(min(20000, max(500, 40 * est)))
 
     rs = _sample_radii(space, radius, pool_size, rng)

@@ -363,12 +363,12 @@ def radial_fokker_planck(
     is enforced up front.  r0 <= dr is treated as a pole start (the initial
     delta goes in the first cell).
     """
-    if not r0 > 0:
-        raise KernelError(f"need r0 > 0, got {r0}")
     if not 0 < dt <= 0.4 * dr * dr:
         raise KernelError(f"CFL violation: need 0 < dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
     if not 0 < dr <= r_max < math.inf:
         raise KernelError(f"need 0 < dr <= r_max < inf, got dr = {dr}, r_max = {r_max}")
+    if not 0 < r0 < r_max:  # NaN fails too
+        raise KernelError(f"need r0 > 0 and r0 < r_max, got r0 = {r0}, r_max = {r_max}")
     if not 0 < t_max < math.inf:
         raise KernelError(f"need 0 < t_max < inf, got t_max = {t_max}")
     steps = t_max / dt

@@ -270,11 +270,16 @@ class Euclidean(ModelManifold):
 
 
 def _hyperbolic_dist(k: float, r1, r2, cos_angle):
-    """Hyperbolic law of cosines, curvature -k^2.
+    """Hyperbolic law of cosines, curvature -k^2; a GeometryError where it
+    overflows, since a wrong distance would pass on silently.
 
     cosh(k d) = cosh(k r1) cosh(k r2) - sinh(k r1) sinh(k r2) cos(angle)
     """
-    arg = np.cosh(k * r1) * np.cosh(k * r2) - np.sinh(k * r1) * np.sinh(k * r2) * cos_angle
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = np.cosh(k * r1) * np.cosh(k * r2) - np.sinh(k * r1) * np.sinh(k * r2) * cos_angle
+    if not np.isfinite(arg).all():
+        raise GeometryError(f"hyperbolic law of cosines overflows: cosh(k r) cosh(k r') is past "
+                            f"the float range at k r = {k * max(np.max(r1), r2):g}")
     return np.arccosh(np.maximum(arg, 1.0)) / k
 
 
@@ -302,7 +307,10 @@ class Hyperbolic(ModelManifold):
 
     def sphere_area(self, r: float) -> float:
         _check_radius(r)
-        return unit_sphere_area(self.dim) * (math.sinh(self.k * r) / self.k) ** (self.dim - 1)
+        try:
+            return unit_sphere_area(self.dim) * (math.sinh(self.k * r) / self.k) ** (self.dim - 1)
+        except OverflowError:  # math.sinh and the power raise past the float range
+            return math.inf if self.dim > 1 else unit_sphere_area(1)
 
     def log_sphere_area(self, r: float) -> float:
         if r <= 0:

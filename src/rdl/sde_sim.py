@@ -15,14 +15,15 @@ every path's r every stride-th step, and traces the first `angles` paths:
 they also carry tau and theta and are recorded every cfg.record_stride
 steps.  simulate_radial traces every path, radial_terminal none, and
 kaimanovich_tail_limit records all paths once per time unit and traces the
-figure paths.  The step loop updates r in place, with no mask until a path
-freezes.  The traced radii of a step block are kept, and at the block's end
-tau and theta are summed over it in step order from the carried values,
+figure paths.  Increments are drawn _STEP_BLOCK steps at a time into one
+(_STEP_BLOCK + 1, paths) array, the only radial state: each step overwrites
+its increment's row with r after the step, so the step loop only steps.
+Once per block the records are read from its rows, and tau and theta of the
+traced paths are summed over it in step order from the carried values,
 which adds exactly what a per-step update adds.  H(r) - t is derived from
 the recorded radii after the loop, with a capped path's clock stopped at its
-cap time.  Increments are drawn _STEP_BLOCK steps at a time, so the buffers
-take paths x (_STEP_BLOCK + records) plus traced paths x (4 _STEP_BLOCK +
-3 traced records), never paths x steps.
+cap time.  The buffers take paths x (_STEP_BLOCK + records) plus traced
+paths x (3 _STEP_BLOCK + 3 traced records), never paths x steps.
 
 Workers: the path range of each half-plane or radial run is cut into
 contiguous chunks, one per worker, and the chunks are concatenated in path
@@ -285,14 +286,18 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=0) -> _Radial
     run in chunks (_radial_chunk), on workers when there are several
     (_in_chunks).
     """
-    if r0 <= 0:
-        raise ValueError(f"need r0 > 0, got {r0}")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"need r0 > 0 and finite, got {r0}")
+    if r_cap is not None and not r0 < r_cap:  # NaN fails too
+        raise ValueError(f"need r_cap > r0, got r_cap = {r_cap} and r0 = {r0}")
     steps = cfg.record_steps(stride)
     traced_steps = cfg.record_steps(cfg.record_stride)
     chunk = partial(_radial_chunk, profile, cfg, r0, r_cap, steps, traced_steps, angles)
     # record arrays are (..., records, paths) and per-path arrays (paths,): join on the last axis
-    r_rec, traced_rec, reflections, frozen, cap_time = (
+    r_rec, traced_rec, reflections, cap_step = (
         _join(parts, axis=-1) for parts in zip(*_in_chunks(chunk, cfg)))
+    frozen = cap_step < cfg.n_steps
+    cap_time = np.where(frozen, (cap_step + 1) * cfg.dt, np.nan)
 
     def h_minus_t(rec_steps, r):
         # a frozen path keeps H(r) - cap_time: r is frozen and cap_time is the same product
@@ -321,10 +326,12 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=0) -> _Radial
 def _radial_chunk(profile, cfg, r0, r_cap, steps, traced_steps, angles, lo, hi):
     """The step loop of _simulate_radial_block over the streams of paths lo..hi-1.
 
+    rows[0] carries r into a step block and rows[k + 1] holds the increment of
+    step start + k until that step overwrites it with r after the step.
     Returns r at the recorded steps as a (records, paths) array; r, tau and
     theta of the chunk's paths below `angles` at traced_steps as a
-    (3, records, traced paths) array; then per path the reflection count,
-    the capped flag and the cap time.  An overflow error carries
+    (3, records, traced paths) array; then per path the reflection count and
+    the step it froze in (n_steps: none).  An overflow error carries
     .at = (step, path) for _in_chunks.
     """
     n, dt, m = cfg.n_steps, cfg.dt, hi - lo
@@ -333,85 +340,76 @@ def _radial_chunk(profile, cfg, r0, r_cap, steps, traced_steps, angles, lo, hi):
     rngs = [path_rng(cfg.seed, i, substream=0) for i in range(lo, hi)]
     ang_rngs = [path_rng(cfg.seed, i, substream=1) for i in range(lo, lo + a)]
 
-    r = np.full(m, r0, dtype=float)
-    active = np.ones(m, dtype=bool)
+    frozen = np.zeros(m, dtype=bool)
     n_frozen = 0
     cap_step = np.full(m, n)  # the step each path froze in, the last it moved in (n: none)
     reflections = np.zeros(m, dtype=int)
     r_rec = np.empty((len(steps), m))
-    r_rec[0] = r0
-    traced_rec = np.zeros((3, len(traced_steps), a))
-    traced_rec[0, 0] = r0
-    rec = 1
-    proposal = np.empty(m)
+    traced_rec = np.empty((3, len(traced_steps), a))
+    move = np.empty(m)
     flags = np.empty(m, dtype=bool)
     size = min(_STEP_BLOCK, n)
-    dX_buf = np.empty((size, m))
+    rows = np.empty((size + 1, m))
+    rows[0] = r0
+    clock = np.zeros((2, size + 1, a))  # tau and theta of the traced paths, row for row
     ang_buf = np.empty((size, a))
-    # row i holds r, tau and theta of the traced paths after step start + i
-    track = np.zeros((3, size + 1, a))
     for start in range(0, n, _STEP_BLOCK):
         block = min(_STEP_BLOCK, n - start)
-        dX = _draw(rngs, dX_buf[:block])
+        dX = _draw(rngs, rows[1:block + 1])
         dX *= sqdt
         for k in range(block):
-            np.multiply(profile.drift(r), dt, out=proposal)
-            proposal += r
-            proposal += dX[k]
-            if np.fmin.reduce(proposal) <= 0.0:  # some path reflects
-                np.less_equal(proposal, 0.0, out=flags)
-                if n_frozen:
-                    flags &= active
-                reflections += flags
+            r, nxt = rows[k], rows[k + 1]
+            np.multiply(profile.drift(r), dt, out=move)
+            move += r
+            nxt += move
             if n_frozen:
-                np.abs(proposal, out=proposal)
-                np.copyto(r, proposal, where=active)
-            else:
-                np.abs(proposal, out=r)
-            top = np.fmax.reduce(r)
+                np.copyto(nxt, r, where=frozen)
+            if np.fmin.reduce(nxt) <= 0.0:  # some path reflects; a frozen one sits at r_cap > 0
+                reflections += np.less_equal(nxt, 0.0, out=flags)
+            np.abs(nxt, out=nxt)
+            top = np.fmax.reduce(nxt)
             if top > _R_ABORT:
-                path = lo + int(np.argmax(r > _R_ABORT))
+                path = lo + int(np.argmax(nxt > _R_ABORT))
                 t = (start + k + 1) * dt
                 err = OverflowError(f"path {path} exceeded r = {_R_ABORT:g} at t = {t:g}")
                 err.at = (start + k, path)
                 raise err
-            if a:
-                track[0, k + 1] = r[:a]
             # a frozen path sits at r >= r_cap, so a count above n_frozen means a new one
             if r_cap is not None and top >= r_cap and (
-                    np.count_nonzero(np.greater_equal(r, r_cap, out=flags)) > n_frozen):
-                flags &= active
+                    np.count_nonzero(np.greater_equal(nxt, r_cap, out=flags)) > n_frozen):
+                flags ^= frozen  # the new ones
                 cap_step[flags] = start + k
-                active ^= flags
-                n_frozen = m - np.count_nonzero(active)
-            if start + k + 1 == steps[rec]:
-                r_rec[rec] = r
-                rec += 1
+                frozen |= flags
+                n_frozen = np.count_nonzero(frozen)
+        # rows 0..block hold r after steps start..start + block; an edge record is read twice
+        due = (steps >= start) & (steps <= start + block)
+        r_rec[due] = rows[steps[due] - start]
         if a:
-            _advance_clock(profile, dt, track[:, :block + 1], _draw(ang_rngs, ang_buf[:block]),
-                           start, cap_step[:a])
-            due = (traced_steps > start) & (traced_steps <= start + block)
-            traced_rec[:, due] = track[:, traced_steps[due] - start]
-            track[:, 0] = track[:, block]
-    frozen = ~active
-    return r_rec, traced_rec, reflections, frozen, np.where(frozen, (cap_step + 1) * dt, np.nan)
+            _advance_clock(profile, dt, rows[1:block + 1, :a], clock[:, :block + 1],
+                           _draw(ang_rngs, ang_buf[:block]), start, cap_step[:a])
+            due = (traced_steps >= start) & (traced_steps <= start + block)
+            traced_rec[0, due] = rows[traced_steps[due] - start, :a]
+            traced_rec[1:, due] = clock[:, traced_steps[due] - start]
+            clock[:, 0] = clock[:, block]
+        rows[0] = rows[block]
+    return r_rec, traced_rec, reflections, cap_step
 
 
-def _advance_clock(profile, dt, track, ang, start, cap_step) -> None:
-    """Fill track[1:3, 1:] with tau and theta after each step of a block.
+def _advance_clock(profile, dt, r, clock, ang, start, cap_step) -> None:
+    """Fill clock[:, 1:] with tau and theta after each step of a block.
 
-    track[0, 1:] holds the radii after the block's steps, track[1:3, 0] the
-    carried tau and theta.  A path's increments stop after its cap step.
-    Each sum runs in step order, as one step at a time would add them.
+    r holds the radii after the block's steps, clock[:, 0] the carried tau
+    and theta.  A path's increments stop after its cap step.  Each sum runs
+    in step order, as one step at a time would add them.
     """
-    d_tau, d_theta = track[1, 1:], track[2, 1:]
-    np.multiply(profile.inv_p_sq(track[0, 1:]), dt, out=d_tau)
+    d_tau, d_theta = clock[0, 1:], clock[1, 1:]
+    np.multiply(profile.inv_p_sq(r), dt, out=d_tau)
     np.sqrt(d_tau, out=d_theta)
     d_theta *= ang
     moved = np.arange(start, start + len(ang))[:, None] <= cap_step
     if not moved.all():
-        np.copyto(track[1:, 1:], 0.0, where=~moved)
-    np.cumsum(track[1:], axis=1, out=track[1:])
+        np.copyto(clock[:, 1:], 0.0, where=~moved)
+    np.cumsum(clock, axis=1, out=clock)
 
 
 def simulate_radial(

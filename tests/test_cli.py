@@ -608,6 +608,22 @@ def test_option_the_run_ignores_is_usage_error(tmp_path, capsys, argv, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["--profile", "euclid", "--r0", "nan"], "need r0 > 0"),
+    (["--profile", "euclid", "--r0", "inf"], "need r0 > 0"),
+    (["--profile", "kaimanovich", "--r-cap", "nan"], "need r_cap > r0"),
+    (["--profile", "kaimanovich", "--r-cap", "-1"], "need r_cap > r0"),
+    (["--profile", "kaimanovich", "--r-cap", "0.5"], "need r_cap > r0"),
+], ids=["r0-nan", "r0-inf", "r-cap-nan", "r-cap-negative", "r-cap-below-r0"])
+def test_simulate_bad_start_or_cap_is_usage_error(tmp_path, capsys, argv, fragment):
+    # r0 = nan wrote NaN rows and r0 = inf exited 4; a NaN cap never capped, and a cap
+    # at or below r0 froze every path after its first step, both with exit 0
+    out = tmp_path / "o.csv"
+    assert main(_SIM + argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {fragment}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--space", "halfplane", "--r0", "1", "--r-cap", "200"],
     ["--profile", "euclid", "--r0", "2", "--r-cap", "200"],

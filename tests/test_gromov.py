@@ -738,10 +738,15 @@ _PAIR = FinitePointedSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     (lambda: net_from_manifold(Hyperbolic(2), float("nan"), 0.5, 0), GeometryError, "both finite"),
     (lambda: net_from_manifold(Hyperbolic(2), 1.0, float("nan"), 0), GeometryError, "both finite"),
     (lambda: net_from_manifold(Hyperbolic(2), float("inf"), 0.5, 0), GeometryError, "both finite"),
+    # the first raised OverflowError from the radius sampler; the second never returned,
+    # since the overflowing distances read NaN and the greedy loop re-picked one point
+    (lambda: net_from_manifold(Hyperbolic(2), 800.0, 400.0, 0), GeometryError, "past the float range"),
+    (lambda: net_from_manifold(Hyperbolic(2), 400.0, 200.0, 0), GeometryError, "law of cosines overflows"),
     (lambda: AdmissibleExtension(np.ones((2, 3))).validate(_PAIR.dist, _PAIR.dist), MetricError,
      "cross matrix shape"),
 ], ids=["feasible-eps-0", "feasible-eps-half", "feasible-eps-0.7", "glue-no-cross", "glue-one-space",
-        "net-radius", "net-mesh", "net-radius-nan", "net-mesh-nan", "net-radius-inf", "cross-shape"])
+        "net-radius", "net-mesh", "net-radius-nan", "net-mesh-nan", "net-radius-inf", "net-volume-overflow",
+        "net-distance-overflow", "cross-shape"])
 def test_gromov_input_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

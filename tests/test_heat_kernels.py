@@ -470,6 +470,11 @@ def _small_fp_grid():
                                   t_max=0.1, r_max=2.0), "need r0 > 0"),
     (lambda: radial_fokker_planck(_SPHERE, r0=0.5, dt=5e-4, dr=0.05, t_max=0.01, r_max=3.0),
      "nonnegative drift"),
+    # r0 past r_max was moved into the last cell, and r0 = inf raised OverflowError
+    (lambda: radial_fokker_planck(builtin_profile("euclid"), r0=5.0, dt=1e-3, dr=0.05,
+                                  t_max=0.1, r_max=2.0), "need r0 > 0 and r0 < r_max"),
+    (lambda: radial_fokker_planck(builtin_profile("euclid"), r0=math.inf, dt=1e-3, dr=0.05,
+                                  t_max=0.1, r_max=2.0), "need r0 > 0 and r0 < r_max"),
     (lambda: _small_fp_grid().marginal(0.0123), "not on the stored grid"),
     # at dt = 1e-3 these ran 0 and 12 steps: the t = 0 snapshot alone, and a grid ending at t = 0.012
     (lambda: _fp(t_max=4e-4), "whole number of steps, got 0.4"),
@@ -477,7 +482,7 @@ def _small_fp_grid():
     # D = inf gave bounded=True with the constant sup q: r^2 / (D t) read as 0
     (lambda: gaussian_bound_constant(Hyperbolic(2), math.inf, (1.0, 2.0), 5.0), "needs D > 2 and finite, got inf"),
 ], ids=["euclidean-t", "hyperbolic-t", "hyperbolic-dim", "hyperbolic-k", "zero_two-tau", "zero_two-t",
-        "fp-r0", "fp-negative-drift", "fp-marginal-off-grid", "fp-below-one-step", "fp-half-step",
+        "fp-r0", "fp-negative-drift", "fp-r0-past-r-max", "fp-r0-inf", "fp-marginal-off-grid", "fp-below-one-step", "fp-half-step",
         "gaussian-D-inf"])
 def test_kernel_input_checks(call, fragment):
     with pytest.raises(KernelError, match=fragment):

@@ -340,3 +340,16 @@ def test_radial_geometry_rejects_a_negative_radius(space, method):
 def test_hyperbolic_ball_volume_overflow_is_inf(dim):
     # math.cosh and math.sinh raised OverflowError past k r ~ 710
     assert Hyperbolic(dim).ball_volume(800.0) == math.inf
+
+
+@pytest.mark.parametrize("dim, area", [(1, 2.0), (2, math.inf), (3, math.inf), (4, math.inf)])
+def test_hyperbolic_sphere_area_overflow_is_inf(dim, area):
+    # math.sinh raised OverflowError past k r ~ 710, and the power past the float range
+    assert Hyperbolic(dim).sphere_area(800.0) == area
+
+
+def test_hyperbolic_distance_overflow_is_an_error():
+    # the law of cosines read inf - inf: the distance came back NaN, with a numpy
+    # warning, which the pytest configuration turns into an error
+    with pytest.raises(GeometryError, match="law of cosines overflows"):
+        Hyperbolic(2).dist_to_many(np.array([[400.0, 0.0]]), [0.0, 380.0])

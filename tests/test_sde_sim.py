@@ -475,8 +475,18 @@ _SMALL = SimConfig(seed=1, n_paths=2, t_max=1.0, dt=0.1)
      r"n_trajectories must be in \[0, 5\], got 20"),
     (lambda: kaimanovich_tail_limit(SimConfig(seed=1, n_paths=5, t_max=2.0, dt=0.5), n_trajectories=-3),
      r"n_trajectories must be in \[0, 5\], got -3"),
+    # NaN passed the r0 guard, inf overflowed; a NaN cap never capped, and a cap at
+    # or below r0 froze every path after its first step
+    (lambda: simulate_radial(builtin_profile("euclid"), _SMALL, r0=math.nan), "need r0 > 0"),
+    (lambda: radial_terminal(builtin_profile("euclid"), _SMALL, r0=math.inf), "need r0 > 0"),
+    (lambda: simulate_radial(builtin_profile("kaimanovich"), _SMALL, r0=1.0, r_cap=math.nan),
+     "need r_cap > r0"),
+    (lambda: simulate_radial(builtin_profile("kaimanovich"), _SMALL, r0=1.0, r_cap=-1.0), "need r_cap > r0"),
+    (lambda: radial_terminal(builtin_profile("kaimanovich"), _SMALL, r0=1.0, r_cap=0.5), "need r_cap > r0"),
+    (lambda: radial_terminal(builtin_profile("kaimanovich"), _SMALL, r0=1.0, r_cap=1.0), "need r_cap > r0"),
 ], ids=["record-stride", "radial-r0", "terminal-r0", "tail-short", "tail-fractional",
-        "tail-too-many-trajectories", "tail-negative-trajectories"])
+        "tail-too-many-trajectories", "tail-negative-trajectories", "radial-r0-nan", "terminal-r0-inf",
+        "radial-cap-nan", "radial-cap-negative", "terminal-cap-below-r0", "terminal-cap-at-r0"])
 def test_sim_input_checks(call, fragment):
     with pytest.raises(ValueError, match=fragment):
         call()
@@ -526,16 +536,19 @@ def _stepwise_clock(profile, cfg, r0, r_cap):
 
 @pytest.mark.parametrize("label, r0, r_cap", [
     ("kaimanovich", 1.0, 4.0), ("hyperbolic", 0.05, 2.5), ("hyperbolic", 0.05, None)])
-def test_block_clock_matches_the_stepwise_loop(label, r0, r_cap):
+def test_block_clock_matches_the_stepwise_loop(monkeypatch, label, r0, r_cap):
     # 4000 steps: four step blocks.  The capped paths freeze inside the second,
     # third and fourth, where 1/p^2 is still above 0, so the step a path
-    # freezes in adds to its clock and the next one does not.
+    # freezes in adds to its clock and the next one does not.  With blocks of
+    # 9 steps every traced record falls on a block edge.
     prof = builtin_profile(label)
     cfg = SimConfig(seed=2024, n_paths=10, t_max=4.0, dt=1e-3, record_stride=9)
-    paths = simulate_radial(prof, cfg, r0=r0, r_cap=r_cap)
     tau, theta, frozen = _stepwise_clock(prof, cfg, r0, r_cap)
-    assert np.array_equal(np.array([p.tau for p in paths]).T, tau)
-    assert np.array_equal(np.array([p.theta for p in paths]).T, theta)
-    assert np.array_equal([p.capped for p in paths], frozen)
+    for block in (sde_sim._STEP_BLOCK, 9):
+        monkeypatch.setattr(sde_sim, "_STEP_BLOCK", block)
+        paths = simulate_radial(prof, cfg, r0=r0, r_cap=r_cap)
+        assert np.array_equal(np.array([p.tau for p in paths]).T, tau), block
+        assert np.array_equal(np.array([p.theta for p in paths]).T, theta), block
+        assert np.array_equal([p.capped for p in paths], frozen), block
     if r_cap is not None:
         assert 0 < frozen.sum() < len(frozen)
