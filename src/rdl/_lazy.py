@@ -1,7 +1,7 @@
 """Deferred imports of scipy functions.
 
 scipy takes most of the time of `import rdl`, and `rdl simulate`, `rdl gromov`
-and `rdl kernel --space h3` never call it.  A module binds
+and `rdl kernel` on h2, h3 and halfplane never call it.  A module binds
 `quad = lazy("scipy.integrate", "quad")` in place of the import, so every
 call site and every patch point stays a module attribute.
 """

@@ -8,18 +8,24 @@ Subcommands:
 
 Every command writes a run manifest (<out>.manifest.json) echoing the full
 configuration and the SHA-256 digests of its outputs; identical manifests
-(minus wall time) imply identical output bytes.  CSV floats use 17
-significant digits so regression files are bit-stable; a column that every
-path or time block shares (simulate's t, kernel's r) is formatted once.
+(minus wall time) imply identical output bytes.  The manifest is written
+once the outputs are complete: a run that fails part way writes none.  CSV
+floats use 17 significant digits so regression files are bit-stable; a
+column that every path or time block shares (simulate's t, kernel's r) is
+formatted once.  simulate --space halfplane formats its rows in the
+workers and writes them in path order as they come, a block of paths at a
+time, so it never holds the whole file.
 
 Start-up loads no scipy: each scipy function is imported by its first call,
-so simulate, gromov and kernel --space h3 run without it.
+so simulate, gromov and kernel --space h2 and h3 run without it (the H^2
+kernel's Gauss-Legendre rule is stored in the package).
 
 Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
-4 internal invariant failure.  --threads (or RDL_THREADS) must be an integer
->= 1; it is recorded in the manifest and caps the forked worker processes
-that run simulate's paths, which are also capped by the usable cores and
-get at least 256 paths each.  The output bytes do not depend on it.
+4 internal invariant failure.  --threads (or RDL_THREADS; without either,
+the usable core count) must be an integer >= 1; it is recorded in the
+manifest and caps the forked worker processes that run simulate's paths,
+which are also capped by the usable cores and get at least 256 paths each.
+The output bytes do not depend on it.
 report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
 --kappa sets k on h2 and h3.  An option that the run would ignore may only
 repeat its default or the fixed value: --kappa where the space or profile
@@ -60,7 +66,7 @@ from .gromov import (
 )
 from .heat_kernels import kernel_for
 from .model_spaces import GeometryError, HalfPlane, builtin_profile, space_from_json
-from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, simulate_halfplane, simulate_radial
+from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, _usable_cores, halfplane_blocks, simulate_radial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,10 +145,10 @@ def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> N
 
 
 def _threads(flag) -> int:
-    """The thread count: --threads, else RDL_THREADS, else 1; an integer >= 1."""
+    """The thread count: --threads, else RDL_THREADS, else the usable cores; an integer >= 1."""
     name, value = "--threads", flag
     if flag is None:
-        name, value = "RDL_THREADS", os.environ.get("RDL_THREADS") or "1"
+        name, value = "RDL_THREADS", os.environ.get("RDL_THREADS") or _usable_cores()
     try:
         count = int(value)
     except ValueError:
@@ -150,6 +156,13 @@ def _threads(flag) -> int:
     if count < 1:
         raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
     return count
+
+
+def _write_csv(out: str, header: list, blocks) -> None:
+    """The header row, then each block of rows as it comes."""
+    with open(out, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
 
 
 def _float_list(text: str) -> list:
@@ -177,8 +190,11 @@ def _cmd_simulate(args) -> tuple[int, list]:
         _check_kappa(args.kappa, HalfPlane.k, "--space halfplane")
         _check_default(args.r0, _R0, "--r0", "--space halfplane")
         _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", "--space halfplane")
-        paths = simulate_halfplane(cfg)
         columns = ("x", "y")
+        # built before the workers fork; each worker formats its own paths' rows
+        rows = shared_rows([cfg.record_steps(cfg.record_stride) * cfg.dt, None, None])
+        blocks = halfplane_blocks(cfg, lambda lo, x, y: "".join(
+            csv_block(f"{lo + i},", [x[i], y[i]], rows) for i in range(len(x))))
     else:
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         _check_kappa(args.kappa, profile.k, f"--profile {args.profile}")
@@ -187,12 +203,11 @@ def _cmd_simulate(args) -> tuple[int, list]:
             _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
         columns = ("r", "h_minus_t", "theta")
-    rows = shared_rows([paths[0].times, *[None] * len(columns)])  # every path has the same times
-    with open(out, "w") as fh:
-        fh.write(",".join(["path_id", "t", *columns]) + "\n")
-        for i, p in enumerate(paths):
-            fh.write(csv_block(f"{i},", [getattr(p, c) for c in columns], rows))
-    print(f"wrote {out} ({len(paths)} paths)")
+        rows = shared_rows([paths[0].times, None, None, None])  # every path has the same times
+        blocks = (csv_block(f"{i},", [getattr(p, c) for c in columns], rows)
+                  for i, p in enumerate(paths))
+    _write_csv(out, ["path_id", "t", *columns], blocks)
+    print(f"wrote {out} ({cfg.n_paths} paths)")
     return EXIT_OK, [out]
 
 
@@ -269,10 +284,8 @@ def _cmd_kernel(args) -> tuple[int, list]:
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)
     rows = shared_rows([rs, None])
-    with open(args.out, "w") as fh:
-        fh.write("t,r,q\n")
-        for t in times:
-            fh.write(csv_block("%.17g," % t, [ker.q(t, rs)], rows))
+    _write_csv(args.out, ["t", "r", "q"],
+               (csv_block("%.17g," % t, [ker.q(t, rs)], rows) for t in times))
     print(f"wrote {args.out}")
     return EXIT_OK, [args.out]
 
@@ -284,8 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rdl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--threads", type=int, default=None,
-                   help="an integer >= 1 (default RDL_THREADS, else 1); simulate's worker "
-                        "processes at most; recorded in the manifest, never changes the output")
+                   help="an integer >= 1 (default RDL_THREADS, else the usable cores); "
+                        "simulate's worker processes at most; recorded in the manifest, "
+                        "never changes the output")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run SDE paths and dump a trajectory CSV")

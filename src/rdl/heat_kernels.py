@@ -47,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvblock import csv_block, shared_rows
+from ._gauss_legendre import HALVES
 from ._lazy import lazy
 from .model_spaces import ModelManifold, ProfileFunction
 
 brentq = lazy("scipy.optimize", "brentq")
-roots_legendre = lazy("scipy.special", "roots_legendre")
 
 __all__ = [
     "KernelEval",
@@ -109,11 +109,14 @@ def _log_q_h3_unit(t: float, r: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _gl(n: int):
-    """n-node Gauss-Legendre nodes and weights on [-1, 1].  The H^2 inner
-    integral takes 256 nodes, which keep the normalization error below 1e-10
-    for every time used in the test suite; the Chapman-Kolmogorov rule takes
-    its panels from here too."""
-    return roots_legendre(n)
+    """n-node Gauss-Legendre nodes and weights on [-1, 1], n in 12, 16 and 256,
+    read from the stored halves of scipy's rules.  The H^2 inner integral
+    takes 256 nodes, which keep the normalization error below 1e-10 for every
+    time used in the test suite; the Chapman-Kolmogorov rule takes its panels
+    (12 and 16 nodes) from here too."""
+    x, w = np.array([[float.fromhex(v) for v in line.split()]
+                     for line in HALVES[n].strip().splitlines()]).T
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 _H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per temporary

@@ -53,6 +53,10 @@ __all__ = [
 _QUAD_EPSABS = 1e-10
 _QUAD_EPSREL = 1e-8
 
+# Largest radius at which HalfPlane.points_at_radii lands within 1e-6 of it
+# (3.8e-7 at r = 22 over 2e6 angles; 1.1e-6 at r = 23).
+_HALFPLANE_R_MAX = 22.0
+
 
 class GeometryError(ValueError):
     """Invalid coordinates or an operation outside a chart's domain."""
@@ -374,7 +378,12 @@ class HalfPlane(Hyperbolic):
 
     def points_at_radii(self, rs: np.ndarray, rng) -> np.ndarray:
         """Geodesic polar coordinates about i mapped into half-plane coordinates
-        through the Poincare disk (w = tanh(r/2) e^{i phi}, z = i (1+w)/(1-w))."""
+        through the Poincare disk (w = tanh(r/2) e^{i phi}, z = i (1+w)/(1-w)).
+        tanh(r/2) rounds ever closer to 1, so past r = _HALFPLANE_R_MAX a point
+        may land more than 1e-6 from its radius: such radii raise GeometryError."""
+        if not rs.max(initial=0.0) <= _HALFPLANE_R_MAX:  # NaN fails too
+            raise GeometryError(f"the half-plane chart places points within 1e-6 of their radius "
+                                f"only up to r = {_HALFPLANE_R_MAX:g}, got r = {rs.max()}")
         phi = rng.uniform(0.0, 2.0 * math.pi, rs.size)
         w = np.tanh(rs / 2.0) * np.exp(1j * phi)
         z = 1j * (1.0 + w) / (1.0 - w)

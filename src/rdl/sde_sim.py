@@ -25,9 +25,11 @@ the recorded radii after the loop, with a capped path's clock stopped at its
 cap time.  The buffers take paths x (_STEP_BLOCK + records) plus traced
 paths x (3 _STEP_BLOCK + 3 traced records), never paths x steps.
 
-Workers: the path range of each half-plane or radial run is cut into
-contiguous chunks, one per worker, and the chunks are concatenated in path
-order.  The worker count is min(cfg.threads, usable cores, n_paths //
+Workers: the path range of each run is cut into contiguous chunks, taken in
+path order: one per worker for a radial run, and for a half-plane run
+blocks of at most _BLOCK_ROWS records (halfplane_blocks), which a caller
+such as the CLI's CSV writer can format on the workers and consume one at a
+time.  The worker count is min(cfg.threads, usable cores, n_paths //
 _MIN_CHUNK), and cfg.threads = None means every usable core.  More than one
 worker runs the chunks on a pool of forked processes that exists only for
 the call.  One worker runs the same chunk body in-process, and so does every
@@ -58,6 +60,7 @@ __all__ = [
     "TailLimitResult",
     "path_rng",
     "simulate_halfplane",
+    "halfplane_blocks",
     "simulate_radial",
     "kaimanovich_tail_limit",
     "KAIMANOVICH_R_CAP",
@@ -80,6 +83,12 @@ _STEP_BLOCK = 1024
 # Fewest paths worth a worker: a run of fewer than 2 * _MIN_CHUNK paths stays
 # in one process, where forking would cost more than it saves.
 _MIN_CHUNK = 256
+
+# Records per streamed half-plane block (about 4 MB of CSV at 17 digits), and
+# the paths (at most) and path-steps per tile of _halfplane_chunk.
+_BLOCK_ROWS = 1 << 16
+_TILE = 64
+_TILE_STEPS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -154,28 +163,43 @@ def _join(parts: tuple, axis: int = 0) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def _in_chunks(job, cfg: SimConfig) -> list:
-    """job(lo, hi) over contiguous path ranges that cover 0..n_paths-1, in path order.
+def _in_chunks(job, cfg: SimConfig, block: int | None = None):
+    """Yield job(lo, hi) over contiguous path ranges that cover 0..n_paths-1, in path order.
 
+    Without `block` there is one range per worker, and every result is in
+    before the first is yielded.  With it the ranges hold at most `block`
+    paths, and each result is yielded once it and those before it are in.
     Only path ranges and job results cross the pipes.  If chunks overflow,
     the one raised is the one a single process would meet first: the
-    earliest step, then the lowest path (job errors carry this as .at).
+    earliest step, then the lowest path (job errors carry this as .at);
+    a streamed run raises the first in path order.
     """
     m, w = cfg.n_paths, _n_workers(cfg)
+    size = min(block or m, -(-m // w))
+    bounds = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
     if w == 1:
-        return [job(0, m)]
+        yield from (job(lo, hi) for lo, hi in bounds)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [(m * i // w, m * (i + 1) // w) for i in range(w)]
-    # leaving the block joins every worker; a killed worker raises BrokenProcessPool
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(w, mp_context=fork, initializer=_set_job, initargs=(job,)) as pool:
-        parts = list(pool.map(_run_chunk, bounds))
-    errors = [p for p in parts if isinstance(p, OverflowError)]
-    if errors:
-        raise min(errors, key=lambda e: e.at)
-    return parts
+    pool = ProcessPoolExecutor(w, mp_context=fork, initializer=_set_job, initargs=(job,))
+    # the shutdown joins every worker, also when the caller stops early;
+    # a killed worker raises BrokenProcessPool
+    try:
+        parts = pool.map(_run_chunk, bounds)
+        if block is None:
+            parts = list(parts)
+            errors = [p for p in parts if isinstance(p, OverflowError)]
+            if errors:
+                raise min(errors, key=lambda e: e.at)
+        for part in parts:
+            if isinstance(part, OverflowError):
+                raise part
+            yield part
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @cache
@@ -214,29 +238,52 @@ class HalfPlanePath:
 
 def simulate_halfplane(cfg: SimConfig) -> list[HalfPlanePath]:
     """Paths from the basepoint (0, 1), recorded every cfg.record_stride steps."""
-    rec = cfg.record_steps(cfg.record_stride)
-    x, y = (_join(parts) for parts in zip(*_in_chunks(
-        partial(_halfplane_chunk, cfg, rec), cfg)))
-    times = rec * cfg.dt
+    x, y = (_join(parts) for parts in zip(*halfplane_blocks(cfg, lambda lo, x, y: (x, y))))
+    times = cfg.record_steps(cfg.record_stride) * cfg.dt
     return [HalfPlanePath(times=times, x=x[i], y=y[i]) for i in range(cfg.n_paths)]
 
 
+def halfplane_blocks(cfg: SimConfig, fmt):
+    """fmt(lo, x, y) for blocks of consecutive paths, in path order.
+
+    x and y are the (paths, records) arrays of paths lo, lo + 1, ... at the
+    steps cfg.record_steps(cfg.record_stride).  A block holds at most
+    _BLOCK_ROWS records, and at least one path.  fmt runs on the workers, so
+    only its results cross the pipes, and each is yielded as it comes.
+    """
+    rec = cfg.record_steps(cfg.record_stride)
+
+    def job(lo, hi):
+        return fmt(lo, *_halfplane_chunk(cfg, rec, lo, hi))
+
+    return _in_chunks(job, cfg, max(1, _BLOCK_ROWS // len(rec)))
+
+
 def _halfplane_chunk(cfg: SimConfig, rec: np.ndarray, lo: int, hi: int):
-    """x and y of paths lo..hi-1 at the recorded steps, as (paths, records) arrays."""
+    """x and y of paths lo..hi-1 at the recorded steps, as (paths, records) arrays.
+
+    The paths run in tiles of at most _TILE paths and _TILE_STEPS path-steps:
+    each path draws its increments into its own row of the tile, and the sums
+    run along the rows, so every path gets the values a path alone would.
+    """
     n, dt = cfg.n_steps, cfg.dt
     sqdt = math.sqrt(dt)
     xs, ys = np.empty((2, hi - lo, len(rec)))
-    for i in range(lo, hi):
-        rng = path_rng(cfg.seed, i)
-        db = rng.standard_normal((n, 2)) * sqdt
+    tile = max(1, min(_TILE, _TILE_STEPS // n))
+    for t0 in range(lo, hi, tile):
+        t1 = min(t0 + tile, hi)
+        db = np.empty((t1 - t0, n, 2))
+        for i in range(t0, t1):
+            path_rng(cfg.seed, i).standard_normal(out=db[i - t0])
+        db *= sqdt
         # y is geometric Brownian motion: exact update in law
-        log_y = np.zeros(n + 1)
-        log_y[1:] = np.cumsum(db[:, 1] - dt / 2.0)
+        log_y = np.zeros((t1 - t0, n + 1))
+        log_y[:, 1:] = np.cumsum(db[:, :, 1] - dt / 2.0, axis=1)
         y = np.exp(log_y)
-        y_mid = 0.5 * (y[:-1] + y[1:])
-        x = np.zeros(n + 1)
-        x[1:] = np.cumsum(y_mid * db[:, 0])
-        xs[i - lo], ys[i - lo] = x[rec], y[rec]
+        y_mid = 0.5 * (y[:, :-1] + y[:, 1:])
+        x = np.zeros((t1 - t0, n + 1))
+        x[:, 1:] = np.cumsum(y_mid * db[:, :, 0], axis=1)
+        xs[t0 - lo:t1 - lo], ys[t0 - lo:t1 - lo] = x[:, rec], y[:, rec]
     return xs, ys
 
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import rdl
+import rdl.cli
 import rdl.estimators
+import rdl.sde_sim
 from rdl._csvblock import csv_block, shared_rows
 from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
 from rdl.gromov import AdmissibleExtension, FinitePointedSpace
@@ -53,22 +55,66 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert ma["outputs"]["a.csv"] == mb["outputs"]["b.csv"]
 
 
+# the default thread count: every usable core
+CORES = len(os.sched_getaffinity(0))
+
+
 @pytest.mark.parametrize("kind", [["--space", "halfplane"], ["--profile", "hyperbolic"]],
                          ids=["halfplane", "hyperbolic"])
 def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch, kind):
-    # 600 paths are two minimum chunks: on two or more cores --threads 2 and 16 fork workers
+    # 600 paths are two minimum chunks: on two or more cores the default count, --threads 2
+    # and 16 fork workers
     monkeypatch.delenv("RDL_THREADS", raising=False)
     digests = set()
-    for threads in ("1", "2", "16"):
+    for threads in (None, "1", "2", "16"):
         out = tmp_path / f"hp{threads}.csv"
-        assert main(["--threads", threads, "simulate", *kind, "--t-max", "1",
+        flag = [] if threads is None else ["--threads", threads]
+        assert main([*flag, "simulate", *kind, "--t-max", "1",
                      "--paths", "600", "--seed", "3", "--out", str(out)]) == EXIT_OK
         manifest = json.loads((tmp_path / f"hp{threads}.csv.manifest.json").read_text())
-        assert manifest["threads"] == manifest["config"]["threads"] == int(threads)
+        assert manifest["threads"] == manifest["config"]["threads"] == int(threads or CORES)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert manifest["outputs"][out.name] == digest
         digests.add(digest)
     assert len(digests) == 1
+
+
+def test_halfplane_bytes_independent_of_block_size(tmp_path, monkeypatch):
+    # 101 records per path: blocks of 7 paths leave a last block of 5 of the 600
+    monkeypatch.delenv("RDL_THREADS", raising=False)
+    argv = ["simulate", "--space", "halfplane", "--t-max", "1", "--paths", "600", "--seed", "3"]
+    ref = tmp_path / "ref.csv"
+    assert main(["--threads", "1", *argv, "--out", str(ref)]) == EXIT_OK
+    monkeypatch.setattr(rdl.sde_sim, "_BLOCK_ROWS", 7 * 101)
+    for threads in ("1", "2"):
+        out = tmp_path / f"hp{threads}.csv"
+        assert main(["--threads", threads, *argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_failing_mid_stream_leaves_no_manifest(tmp_path, monkeypatch, threads):
+    import multiprocessing
+
+    calls = 0
+
+    def full_disk(lead, cols, rows):
+        nonlocal calls
+        calls += 1
+        if calls > 3:
+            raise OSError(28, "No space left on device")
+        return csv_block(lead, cols, rows)
+
+    monkeypatch.setattr(rdl.cli, "csv_block", full_disk)  # forked workers inherit it
+    monkeypatch.setattr(rdl.sde_sim, "_BLOCK_ROWS", 101)  # a block per path
+    out = tmp_path / "hp.csv"
+    with pytest.raises(OSError, match="No space left"):
+        main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
+              "--paths", "600", "--out", str(out)])
+    rows = out.read_text().count("\n") - 1  # whole paths in path order, then the failure
+    assert rows % 101 == 0 and 3 * 101 <= rows < 600 * 101
+    assert not (tmp_path / "hp.csv.manifest.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, math.nan, math.inf, -math.inf]
@@ -123,8 +169,9 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
     ["simulate", "--space", "halfplane", "--paths", "2", "--t-max", "1"],
     ["simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1"],
     ["kernel", "--space", "h3", "--t", "1,4", "--points", "5"],
+    ["kernel", "--space", "h2", "--t", "1,4", "--points", "5"],
     ["gromov", "--a", "a.json", "--b", "b.json"],
-], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel-h3", "gromov"])
+], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel-h3", "kernel-h2", "gromov"])
 def test_commands_that_need_no_scipy_do_not_load_it(tmp_path, argv):
     """scipy is most of the start-up time of a process; only the calls that use it load it."""
     _write_space(tmp_path / "a.json", [[0.0], [1.0]])
@@ -662,7 +709,7 @@ _MANIFEST_RUNS = [
       "--out", "{tmp}/hp.csv"],
      "hp.csv", None, 0,
      {"dt": 0.01, "kappa": None, "paths": 3, "profile": None, "r0": 1.0, "r_cap": 200.0,
-      "record_stride": 7, "seed": 0, "space": "halfplane", "t_max": 1.0, "threads": 1}),
+      "record_stride": 7, "seed": 0, "space": "halfplane", "t_max": 1.0, "threads": CORES}),
     (["--threads", "2", "simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1",
       "--dt", "0.001", "--record-stride", "100", "--seed", "5", "--out", "{tmp}/ka.csv"],
      "ka.csv", None, 5,
@@ -673,18 +720,18 @@ _MANIFEST_RUNS = [
       "--out", "{tmp}/rep.json"],
      "rep.json", None, None,
      {"ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
-      "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0], "threads": 1}),
+      "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0], "threads": CORES}),
     (["report", "--ensemble-file", "{tmp}/mix.json", "--out", "{tmp}/mix_rep.json"],
      "mix_rep.json", "3", None,
      {"ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
       "space": None, "t_grid": None, "threads": 3}),
     (["gromov", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--witness", "{tmp}/w.json"],
      "w.json", None, None,
-     {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "threads": 1, "tol": 0.001}),
+     {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "threads": CORES, "tol": 0.001}),
     (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "{tmp}/k.csv"],
      "k.csv", None, None,
      {"kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4",
-      "threads": 1}),
+      "threads": CORES}),
 ]
 
 

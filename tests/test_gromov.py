@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl.gromov
+import rdl.model_spaces
 from rdl.gromov import (
     DELTA,
     AdmissibleExtension,
@@ -686,6 +688,17 @@ def test_halfplane_net_roundtrip_distances():
     net.validate()
 
 
+def test_halfplane_chart_holds_radii_up_to_its_bound():
+    hp = HalfPlane()
+    r_max = rdl.model_spaces._HALFPLANE_R_MAX
+    rng = np.random.default_rng(4)
+    pts = hp.points_at_radii(np.full(4000, r_max), rng)
+    assert np.abs(hp.dist_to_many(pts, (0.0, 1.0)) - r_max).max() <= 1e-6
+    for r in (np.nextafter(r_max, math.inf), 38.0, math.nan):
+        with pytest.raises(GeometryError, match="half-plane chart"):
+            hp.points_at_radii(np.array([1.0, r]), rng)
+
+
 @pytest.mark.parametrize("space, radius, seed, n, digest", [
     (HalfPlane(), 1.5, 1, 25, "875912cdf7ed82b9fe7e6a49ac668a3eb02fe7d1e44231544028aa0a63737d20"),
     (Hyperbolic(2), 2.0, 1, 60, "5d16a6598afbe362ad63dcc98fa940c1348432d7ef61210c7735eea8ae95cb02"),
@@ -742,11 +755,13 @@ _PAIR = FinitePointedSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     # since the overflowing distances read NaN and the greedy loop re-picked one point
     (lambda: net_from_manifold(Hyperbolic(2), 800.0, 400.0, 0), GeometryError, "past the float range"),
     (lambda: net_from_manifold(Hyperbolic(2), 400.0, 200.0, 0), GeometryError, "law of cosines overflows"),
+    # tanh(r/2) rounds to 1 past r = 38, so the half-plane points all sat at the y clamp
+    (lambda: net_from_manifold(HalfPlane(), 400.0, 200.0, 0), GeometryError, "half-plane chart"),
     (lambda: AdmissibleExtension(np.ones((2, 3))).validate(_PAIR.dist, _PAIR.dist), MetricError,
      "cross matrix shape"),
 ], ids=["feasible-eps-0", "feasible-eps-half", "feasible-eps-0.7", "glue-no-cross", "glue-one-space",
         "net-radius", "net-mesh", "net-radius-nan", "net-mesh-nan", "net-radius-inf", "net-volume-overflow",
-        "net-distance-overflow", "cross-shape"])
+        "net-distance-overflow", "net-halfplane-chart", "cross-shape"])
 def test_gromov_input_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

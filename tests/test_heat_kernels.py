@@ -125,6 +125,16 @@ def test_halfplane_and_h2_share_kernel_horizons_and_truncation_bitwise():
         assert got.tobytes() == want.tobytes(), method
 
 
+@pytest.mark.parametrize("n", [12, 16, 256])
+def test_stored_gauss_legendre_rules_are_scipys_bit_for_bit(n):
+    from scipy.special import roots_legendre
+
+    from rdl.heat_kernels import _gl
+
+    for got, want in zip(_gl(n), roots_legendre(n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 _H2_SPACES = [Hyperbolic(2, 0.5), Hyperbolic(2, 1.0), Hyperbolic(2, 2.0), HalfPlane()]
 
 
