@@ -9,7 +9,8 @@ Subcommands:
 Every command writes a run manifest (<out>.manifest.json) echoing the full
 configuration and the SHA-256 digests of its outputs; identical manifests
 (minus wall time) imply identical output bytes.  The manifest is written
-once the outputs are complete: a run that fails part way writes none.  CSV
+once the outputs are complete, and a manifest of an earlier run to the same
+path is deleted first: a run that fails part way leaves none.  CSV
 floats use 17 significant digits so regression files are bit-stable; a
 column that every path or time block shares (simulate's t, kernel's r) is
 formatted once.  simulate --space halfplane formats its rows in the
@@ -20,10 +21,12 @@ Start-up loads no scipy: each scipy function is imported by its first call,
 so simulate, gromov and kernel --space h2 and h3 run without it (the H^2
 kernel's Gauss-Legendre rule is stored in the package).
 
-Exit codes: 0 ok, 2 usage/input error, 3 non-converged estimator,
-4 internal invariant failure.  --threads (or RDL_THREADS; without either,
-the usable core count) must be an integer >= 1; it is recorded in the
-manifest and caps the forked worker processes that run simulate's paths,
+Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
+disk or an --out that names a directory), 3 non-converged estimator or a
+gromov result that is not exact (the witness and manifest are still
+written), 4 internal invariant failure.  --threads (or RDL_THREADS; without
+either, the usable core count) must be an integer >= 1; it is recorded in
+the manifest and caps the forked worker processes that run simulate's paths,
 which are also capped by the usable cores and get at least 256 paths each.
 The output bytes do not depend on it.
 report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
@@ -47,6 +50,7 @@ written as "inf" or "nan".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -252,8 +256,6 @@ def _cmd_gromov(args) -> tuple[int, list]:
     b = _load_space(args.b)
     res = gromov_distance(a, b, tol=args.tol)
     print(f"d_GS in [{res.lo:.9f}, {res.hi:.9f}]  (value = {res.value:.9f})  exact={res.exact}")
-    if not res.exact:
-        print("partner search truncated: the lower end of the bracket may be wrong", file=sys.stderr)
     outputs = []
     if args.witness:
         if res.witness is None:
@@ -262,6 +264,9 @@ def _cmd_gromov(args) -> tuple[int, list]:
             with open(args.witness, "w") as fh:
                 json.dump({"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()}, fh)
             outputs.append(args.witness)
+    if not res.exact:
+        print("partner search truncated: the lower end of the bracket may be wrong", file=sys.stderr)
+        return EXIT_NONCONVERGED, outputs
     return EXIT_OK, outputs
 
 
@@ -353,17 +358,22 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         args.threads = _threads(args.threads)
+        # a manifest from an earlier run must not vouch for what this one leaves
+        first = getattr(args, "out", None) or getattr(args, "witness", None)
+        if first:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(first + ".manifest.json")
         t0 = time.time()
         code, outputs = args.func(args)
-    except (UsageError, GeometryError, MetricError, FileNotFoundError, json.JSONDecodeError,
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        _write_manifest(args.command, config, outputs, time.time() - t0)
+    except (UsageError, GeometryError, MetricError, OSError, json.JSONDecodeError,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (EstimatorError, OverflowError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
-    _write_manifest(args.command, config, outputs, time.time() - t0)
     return code
 
 

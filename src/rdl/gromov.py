@@ -28,12 +28,29 @@ are pruned to the window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is
 implied by any feasible cross matrix, and capped at the _K_NEAREST radially
 closest; only the cap can lose solutions and results carry an `exact` flag.
 
+Forward checking (Haralick and Elliott, Artif. Intell. 14, 1980): a bridge
+(x, y) of any option list is viable at m while its own cone entry, put at
+(x, y), passes the floor and the lower triangle constraints against m's
+column y and row x.  A node whose m leaves some point still to come
+uncovered, with none of the bridges whose cone covers it viable, is a dead
+end and returns before it branches.  This is safe: a solution below the node
+picks a bridge covering that point, and its m sits below both m and that
+bridge's cone, so its own constraint checks would fail as the bridge's did
+(m only falls down the tree, and the sums are rounded monotonically).  The
+order of the depth-first search is unchanged, so the first witness found is
+the same array, in fewer nodes.  A dead bridge stays dead, so a node rechecks
+only the viable bridges in a row or column that it lowered.
+
 A cross c is admissible iff [[d1, c], [cᵀ, d2]] is a metric: its triangle
 inequalities that mix X1 and X2 are the Lipschitz and lower constraints on c,
-and its positivity is c > 0, so one slab-wise _check_metric serves both
-validate methods.  chain_glue gives scipy's Floyd–Warshall a sparse graph:
-from a dense array scipy drops entries within 1e-8 of zero as missing edges,
-identity_cross's 1e-12 bridges among them.
+and its positivity is c > 0, so one _check_metric serves both validate
+methods.  It scans the n³ triangle inequalities in slabs of rows sized to
+about _SLAB_ENTRIES floats (1 MB, at least one row), so that a slab stays in
+cache; the error names the first worst triple whatever the slab size.
+
+chain_glue gives scipy's Floyd–Warshall a sparse graph: from a dense array
+scipy drops entries within 1e-8 of zero as missing edges, identity_cross's
+1e-12 bridges among them.
 
 `feasible_lp` decides the same question by an independent route: for each
 assignment of partners it hands the conjunctive system to scipy's HiGHS LP
@@ -76,7 +93,7 @@ __all__ = [
 
 DELTA = 1e-9  # margin standing in for the strict inequalities in the d_GS definition
 _METRIC_TOL = 1e-12  # slack of the zero-diagonal, symmetry and triangle checks
-_TRIANGLE_SLAB = 8  # rows per slab of the triangle check in _check_metric
+_SLAB_ENTRIES = 1 << 17  # floats per slab of the triangle check in _check_metric, 1 MB
 _K_NEAREST = 4  # partners kept per point, radially closest first
 _SEARCH_TOL = 1e-11  # slack of the lower triangle constraints in feasible()
 _CHECK_BLOCK = 256  # cross entries per block of a search node's check
@@ -108,12 +125,14 @@ def _check_metric(d: np.ndarray, tol: float) -> None:
             i, j = np.argwhere((d <= 0) & mask)[0]
             raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
     # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time in one
-    # reused buffer so that memory stays O(n^2); the strict > keeps the first
-    # maximum, as argmax would
+    # reused buffer of about _SLAB_ENTRIES floats (one row of n^2 at least), so
+    # that it stays in cache; the strict > keeps the first maximum, as argmax
+    # would, whatever the slab size
     worst, at = -np.inf, None
-    buf, dT = np.empty((_TRIANGLE_SLAB,) + d.shape), d.T.copy()
-    for s in range(0, d.shape[0], _TRIANGLE_SLAB):
-        rows = d[s : s + _TRIANGLE_SLAB]
+    slab = max(1, _SLAB_ENTRIES // d.size)
+    buf, dT = np.empty((slab,) + d.shape), d.T.copy()
+    for s in range(0, d.shape[0], slab):
+        rows = d[s : s + slab]
         viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
         viol -= dT
         flat = np.argmax(viol)
@@ -228,29 +247,48 @@ def _partner_options(d1, d2, eps, cap):
     return options, truncated
 
 
-def _breaks(m, ci, cj, d1, d2):
-    """True if an entry (x, y) = (ci[k], cj[k]) of m is below the floor DELTA
-    or breaks a lower triangle constraint m(x, y) + m(x', y) >= d1(x, x') or
-    m(x, y) + m(x, y') >= d2(y, y').  d1 and d2 must be symmetric, so that the
-    pairs (x', x) and (y', y) are covered as well.  Entries are checked
-    _CHECK_BLOCK at a time, so memory stays O(_CHECK_BLOCK (n1 + n2)) and the
-    check stops at the first block that breaks."""
+def _failing(m, ci, cj, c, d1, d2):
+    """Yield, _CHECK_BLOCK entries at a time, whether the value c[k] at the
+    entry (x, y) = (ci[k], cj[k]) of m is below the floor DELTA or breaks a
+    lower triangle constraint c[k] + m(x', y) >= d1(x, x') or
+    c[k] + m(x, y') >= d2(y, y').  d1 and d2 must be symmetric, so that the
+    pairs (x', x) and (y', y) are covered as well; memory stays
+    O(_CHECK_BLOCK (n1 + n2))."""
     for s in range(0, len(ci), _CHECK_BLOCK):
-        i, j = ci[s : s + _CHECK_BLOCK], cj[s : s + _CHECK_BLOCK]
-        c = m[i, j][:, None]
-        if (c < DELTA - 1e-15).any():
-            return True
+        i, j, v = (a[s : s + _CHECK_BLOCK] for a in (ci, cj, c))
+        v = v[:, None]
         rows = m[:, j].T  # rows[k, x'] = m[x', j[k]], a fresh array
-        rows += c
+        rows += v
         rows -= d1[i, :]
-        if (rows < -_SEARCH_TOL).any():
-            return True
         cols = m[i, :]
-        cols += c
+        cols += v
         cols -= d2[j, :]
-        if (cols < -_SEARCH_TOL).any():
-            return True
-    return False
+        yield ((v[:, 0] < DELTA - 1e-15) | (rows < -_SEARCH_TOL).any(axis=1)
+               | (cols < -_SEARCH_TOL).any(axis=1))
+
+
+def _breaks(m, ci, cj, d1, d2):
+    """True if an entry (ci[k], cj[k]) of m fails _failing against m itself;
+    the check stops at the first block that breaks."""
+    return any(f.any() for f in _failing(m, ci, cj, m[ci, cj], d1, d2))
+
+
+def _bridge_cover(cands, d1, d2, cap):
+    """The distinct bridges (bx, by) of all option lists and covers[b, q]:
+    bridge b covers the point of cands[q].  That is read off b's cone
+    d1[:, [x]] + cap + d2[[y], :], whose row p (column p) has its minimum
+    (d1(p, x) + cap) + min d2(y, :) ((min d1(:, x) + cap) + d2(y, p)) since
+    rounding is monotone; a point's own bridges count whatever the rounding."""
+    index = {b: k for k, b in enumerate(dict.fromkeys(b for _, _, bs in cands for b in bs))}
+    bx, by = np.array(list(index)).T
+    row = np.array([e[0] for e in cands])
+    point = np.array([e[1] for e in cands])
+    covers = np.empty((len(index), len(cands)), dtype=bool)
+    covers[:, row] = (d1[np.ix_(bx, point[row])] + cap) + d2.min(axis=1)[by, None] <= cap + 1e-15
+    covers[:, ~row] = (d1.min(axis=0)[bx, None] + cap) + d2[np.ix_(by, point[~row])] <= cap + 1e-15
+    for q, (_, _, bridges) in enumerate(cands):
+        covers[[index[b] for b in bridges], q] = True
+    return covers, bx, by, row, point
 
 
 def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> FeasibilityResult:
@@ -264,11 +302,35 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
     if cands is None:
         return FeasibilityResult(False, None, True, 0, eps)
     cands.sort(key=lambda e: (len(e[2]), e[0], e[1]))  # most constrained first
+    covers, bx, by, prow, pidx = _bridge_cover(cands, d1, d2, cap)
+    own = (d1[bx, bx] + cap) + d2[by, by]  # each bridge's entry of its own cone
+
+    def forward(i, m, lowered, viable, alive):
+        """The bridges still viable at m, and per point how many of them cover
+        it; None if a point of cands[i:] that m leaves uncovered has none.  Only
+        bridges in a row or column that m lowered can newly fail."""
+        rows, cols = np.zeros(m.shape[0], dtype=bool), np.zeros(m.shape[1], dtype=bool)
+        rows[lowered[0]], cols[lowered[1]] = True, True
+        k = np.flatnonzero(viable & (rows[bx] | cols[by]))
+        if not k.size:
+            return viable, alive
+        dead = k[np.concatenate(list(_failing(m, bx[k], by[k], own[k], sym1, sym2)))]
+        if not dead.size:
+            return viable, alive
+        viable = viable.copy()
+        viable[dead] = False
+        lost = covers[dead].sum(axis=0)
+        alive = alive - lost
+        q = i + np.flatnonzero((alive[i:] == 0) & (lost[i:] > 0))
+        r, c = pidx[q[prow[q]]], pidx[q[~prow[q]]]
+        if (m[r].min(axis=1) > cap + 1e-15).any() or (m[:, c].min(axis=0) > cap + 1e-15).any():
+            return None
+        return viable, alive
 
     base = d1[:, [0]] + cap + d2[[0], :]
     nodes = 0
 
-    def search(i, m, lowered):
+    def search(i, m, lowered, viable, alive):
         nonlocal nodes
         nodes += 1
         if nodes > _MAX_NODES:
@@ -277,18 +339,23 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
             return None
         if i == len(cands):
             return m
+        state = forward(i, m, lowered, viable, alive)
+        if state is None:
+            return None
         row, p, bridges = cands[i]
         if (m[p] if row else m[:, p]).min() <= cap + 1e-15:
-            return search(i + 1, m, ([], []))  # already covered, m unchanged: nothing to recheck
+            # already covered, m unchanged: nothing to recheck
+            return search(i + 1, m, ([], []), *state)
         for x, y in bridges:
             new = np.minimum(m, d1[:, [x]] + cap + d2[[y], :])
-            res = search(i + 1, new, np.nonzero(new < m))
+            res = search(i + 1, new, np.nonzero(new < m), *state)
             if res is not None:
                 return res
         return None
 
     try:
-        witness = search(0, base, np.nonzero(np.ones(base.shape, dtype=bool)))
+        witness = search(0, base, np.nonzero(np.ones(base.shape, dtype=bool)),
+                         np.ones(len(bx), dtype=bool), covers.sum(axis=0))
     except _SearchTruncated:
         return FeasibilityResult(False, None, False, nodes, eps)
     if witness is None:

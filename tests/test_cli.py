@@ -16,7 +16,8 @@ import rdl.estimators
 import rdl.sde_sim
 from rdl._csvblock import csv_block, shared_rows
 from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
-from rdl.gromov import AdmissibleExtension, FinitePointedSpace
+from rdl.gromov import AdmissibleExtension, FinitePointedSpace, gromov_distance, net_from_manifold
+from rdl.model_spaces import Euclidean
 
 
 def _write_space(path, pts):
@@ -92,29 +93,53 @@ def test_halfplane_bytes_independent_of_block_size(tmp_path, monkeypatch):
         assert out.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_failing_mid_stream_leaves_no_manifest(tmp_path, monkeypatch, threads):
-    import multiprocessing
-
+def _full_disk_after(monkeypatch, paths):
+    """Make csv_block raise ENOSPC once it has formatted `paths` paths."""
     calls = 0
 
     def full_disk(lead, cols, rows):
         nonlocal calls
         calls += 1
-        if calls > 3:
+        if calls > paths:
             raise OSError(28, "No space left on device")
         return csv_block(lead, cols, rows)
 
     monkeypatch.setattr(rdl.cli, "csv_block", full_disk)  # forked workers inherit it
     monkeypatch.setattr(rdl.sde_sim, "_BLOCK_ROWS", 101)  # a block per path
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_failing_mid_stream_leaves_no_manifest(tmp_path, monkeypatch, capsys, threads):
+    import multiprocessing
+
+    _full_disk_after(monkeypatch, 3)
     out = tmp_path / "hp.csv"
-    with pytest.raises(OSError, match="No space left"):
-        main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
-              "--paths", "600", "--out", str(out)])
+    assert main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
+                 "--paths", "600", "--out", str(out)]) == EXIT_USAGE
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
     rows = out.read_text().count("\n") - 1  # whole paths in path order, then the failure
     assert rows % 101 == 0 and 3 * 101 <= rows < 600 * 101
     assert not (tmp_path / "hp.csv.manifest.json").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_failing_rerun_removes_the_earlier_manifest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "hp.csv"
+    argv = ["--threads", "1", "simulate", "--space", "halfplane", "--t-max", "1",
+            "--paths", "5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "hp.csv.manifest.json").exists()
+    _full_disk_after(monkeypatch, 2)
+    assert main([*argv, "--seed", "9"]) == EXIT_USAGE
+    assert "No space left" in capsys.readouterr().err
+    assert out.read_text().count("\n") - 1 == 2 * 101
+    assert not (tmp_path / "hp.csv.manifest.json").exists()
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["kernel", "--space", "h2", "--points", "3", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert os.listdir(tmp_path) == []
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, math.nan, math.inf, -math.inf]
@@ -430,7 +455,7 @@ def test_gromov_cli_reports_exactness(tmp_path, capsys):
     _write_space(a, np.vstack([[0.0, 0.0], hexagon]))
     _write_space(b, np.vstack([[0.0, 0.0], 1.3 * (hexagon @ [[np.cos(0.3), np.sin(0.3)],
                                                              [-np.sin(0.3), np.cos(0.3)]])]))
-    assert main(["gromov", "--a", str(a), "--b", str(b), "--tol", "1e-3"]) == EXIT_OK
+    assert main(["gromov", "--a", str(a), "--b", str(b), "--tol", "1e-3"]) == EXIT_NONCONVERGED
     cap = capsys.readouterr()
     assert "(value = 0.500000000)  exact=False" in cap.out
     assert "truncated" in cap.err and "lower end" in cap.err
@@ -441,6 +466,24 @@ def test_gromov_cli_reports_exactness(tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.out.rstrip().endswith("exact=True")
     assert "truncated" not in cap.err
+
+
+def test_gromov_cli_inexact_result_exits_3_with_witness_and_manifest(tmp_path, capsys):
+    spaces = [net_from_manifold(Euclidean(2), 1.0, 0.5, seed=s) for s in (1, 2)]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, sp in zip(paths, spaces):
+        path.write_text(json.dumps(sp.to_json_dict()))
+    w = tmp_path / "w.json"
+    assert main(["gromov", "--a", str(paths[0]), "--b", str(paths[1]), "--tol", "1e-3",
+                 "--witness", str(w)]) == EXIT_NONCONVERGED
+    assert "exact=False" in capsys.readouterr().out
+    res = gromov_distance(*(FinitePointedSpace.from_json_dict(json.loads(p.read_text()))
+                            for p in paths), tol=1e-3)
+    assert not res.exact and res.witness is not None
+    blob = {"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()}
+    assert w.read_text() == json.dumps(blob)
+    manifest = json.loads((tmp_path / "w.json.manifest.json").read_text())
+    assert manifest["outputs"] == {"w.json": hashlib.sha256(w.read_bytes()).hexdigest()}
 
 
 def test_gromov_cli_witness_roundtrip(tmp_path):

@@ -101,6 +101,17 @@ def test_space_triangle_error_names_first_worst_triple(n, pair, discrete):
     assert f"violated by {full.max():.3g} at (i={i}, j={j}, k={k})" in str(err.value)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 5, 43])  # the last row count puts all rows in one slab
+def test_space_triangle_error_does_not_depend_on_slab_size(monkeypatch, rows):
+    d = 1.0 - np.eye(43)
+    d[2, 20] = d[20, 2] = 4.0  # equal worst violations in rows 2 and 20
+    monkeypatch.setattr(rdl.gromov, "_SLAB_ENTRIES", rows * d.size)
+    with pytest.raises(MetricError) as err:
+        FinitePointedSpace(d)
+    assert str(err.value) == ("triangle inequality violated by 2 at (i=2, j=20, k=0): "
+                              "d(2,20) > d(2,0) + d(0,20)")
+
+
 def test_admissible_extension_validator():
     a = _space_from_points([[0.0], [1.0]])
     b = _space_from_points([[0.0]])
@@ -339,7 +350,9 @@ def _full_check_search(a, b, eps):
 
 
 def _same_result(got, want):
-    return ((got.feasible, got.exact, got.nodes) == (want.feasible, want.exact, want.nodes)
+    # forward checking prunes nodes, never solutions: the same first witness
+    return ((got.feasible, got.exact) == (want.feasible, want.exact)
+            and got.nodes <= want.nodes
             and (got.witness is None) == (want.witness is None)
             and (got.witness is None or got.witness.tobytes() == want.witness.tobytes()))
 
@@ -355,8 +368,9 @@ _NET_PAIRS = [
 
 
 def test_feasible_matches_full_check_search(monkeypatch):
-    # a node re-checks only the entries its bridge lowered; the full check at
-    # every node must give the same decisions, node counts and witness bytes
+    # a node re-checks only the entries its bridge lowered and prunes by
+    # forward checking; the full check at every node, without pruning, must
+    # give the same decisions and witness bytes in at least as many nodes
     cases = []
     for (space, radius), eps_values in _NET_PAIRS:
         a, b = (net_from_manifold(space, radius, 0.5, seed=s) for s in (1, 2))
@@ -384,10 +398,27 @@ def test_feasible_matches_full_check_search(monkeypatch):
                 seen.add("backtracked")  # more nodes than points to cover
     assert seen == {"feasible", "infeasible", "backtracked"}
 
-    monkeypatch.setattr(rdl.gromov, "_MAX_NODES", 100)  # the cap cuts both at the same node
-    a, b, eps = cases[2]
+    monkeypatch.setattr(rdl.gromov, "_MAX_NODES", 40)  # the cap cuts both at the same node
+    a, b, eps = cases[2]  # feasible in 54 pruned nodes
     got, want = feasible(a, b, eps), _full_check_search(a, b, eps)
-    assert _same_result(got, want) and got.nodes == 101 and not got.exact
+    assert _same_result(got, want) and got.nodes == want.nodes == 41 and not got.exact
+
+
+def test_feasible_matches_full_check_search_on_random_pairs():
+    rng = np.random.default_rng(2025)
+    pruned = total = 0
+    seen = set()
+    for _ in range(300):
+        dim, n1, n2 = (int(rng.integers(1, 4)), *(int(n) for n in rng.integers(1, 9, 2)))
+        a, b = (_space_from_points(np.vstack([np.zeros(dim), rng.uniform(-1, 1, (n - 1, dim))]))
+                for n in (n1, n2))
+        eps = float(rng.uniform(0.02, 0.5))
+        got, want = feasible(a, b, eps), _full_check_search(a, b, eps)
+        assert _same_result(got, want), (a.n, b.n, eps, got.nodes, want.nodes)
+        pruned, total = pruned + got.nodes, total + want.nodes
+        seen.add((got.feasible, got.exact))
+    assert seen == {(True, True), (False, True), (False, False)}
+    assert pruned < total
 
 
 def _unequal_pair(seed):
@@ -400,14 +431,14 @@ def _unequal_pair(seed):
 # witness bytes); X1 is the smaller space in the random pairs and the larger in
 # the net pair, so both orientations of a bridge are searched
 _SEARCH_GOLDEN = [
-    (1, 0.3, False, False, 562, None),
-    (1, 0.4, True, True, 29, "dac08e92d41f0c51f10f7e4a8276bbdb32d09565dce9245b01a960370dc17f77"),
-    (2, 0.1, False, True, 4, None),
-    (2, 0.3, True, True, 767, "d1bee64d05897d00a0928506044173c477bca83468a00a877aea885a4b5618ae"),
-    (8, 0.2, False, False, 82, None),
-    (8, 0.4, True, True, 285, "d2e3f5ac1a240c96e43339ecfb186f162539defcdb2b68bbb03e54f20436e724"),
-    ("net", 0.3, False, False, 230, None),
-    ("net", 0.4, True, True, 706, "0064e6afcf444d7154947576d7bcf6e8c3df1b913645fef48cf704834fb4bb2d"),
+    (1, 0.3, False, False, 95, None),
+    (1, 0.4, True, True, 25, "dac08e92d41f0c51f10f7e4a8276bbdb32d09565dce9245b01a960370dc17f77"),
+    (2, 0.1, False, True, 3, None),
+    (2, 0.3, True, True, 67, "d1bee64d05897d00a0928506044173c477bca83468a00a877aea885a4b5618ae"),
+    (8, 0.2, False, False, 18, None),
+    (8, 0.4, True, True, 37, "d2e3f5ac1a240c96e43339ecfb186f162539defcdb2b68bbb03e54f20436e724"),
+    ("net", 0.3, False, False, 50, None),
+    ("net", 0.4, True, True, 54, "0064e6afcf444d7154947576d7bcf6e8c3df1b913645fef48cf704834fb4bb2d"),
 ]
 
 
