@@ -393,18 +393,31 @@ def radial_fokker_planck(
 
     snap_every = max(1, n_steps // max(n_snapshots - 1, 1))
     times = [0.0]
-    snaps = [rho]  # each step makes a new rho and never writes into the old one
+    snaps = [rho.copy()]  # rho is stepped in place
     masses = [float(rho.sum() * dr)]
     leaked = 0.0
     flux = np.zeros(n_cells + 1)  # flux[i] through the face at i dr; zero at r = 0
+    inner = flux[1:-1]
+    grad = np.empty(n_cells - 1)
+    update = np.empty(n_cells)
     for step in range(1, n_steps + 1):
-        flux[1:-1] = f_face * rho[:-1] - 0.5 * (rho[1:] - rho[:-1]) / dr
-        flux[-1] = f_last * rho[-1] + 0.5 * rho[-1] / dr  # ghost cell rho = 0
-        rho = rho - dt * (np.diff(flux) / dr)
-        leaked += flux[-1] * dt
+        # flux[1:-1] = f_face rho[:-1] - 0.5 (rho[1:] - rho[:-1]) / dr, in that order
+        np.subtract(rho[1:], rho[:-1], out=grad)
+        np.multiply(grad, 0.5, out=grad)
+        np.divide(grad, dr, out=grad)
+        np.multiply(f_face, rho[:-1], out=inner)
+        np.subtract(inner, grad, out=inner)
+        last = float(rho[-1])
+        flux[-1] = outflow = f_last * last + 0.5 * last / dr  # ghost cell rho = 0
+        # rho -= dt (diff(flux) / dr)
+        np.subtract(flux[1:], flux[:-1], out=update)
+        np.divide(update, dr, out=update)
+        np.multiply(update, dt, out=update)
+        np.subtract(rho, update, out=rho)
+        leaked += outflow * dt
         if step % snap_every == 0 or step == n_steps:
             times.append(step * dt)
-            snaps.append(rho)
+            snaps.append(rho.copy())
             masses.append(float(rho.sum() * dr))
     return RadialDensityGrid(
         r_centers=centers,

@@ -18,7 +18,7 @@ from rdl.estimators import (
     inequality_report,
     truncation_radius,
 )
-from rdl.heat_kernels import KernelError
+from rdl.heat_kernels import KernelError, _ridge, kernel_for, zero_two_defect
 from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
 
 
@@ -279,6 +279,112 @@ def test_report_moments_equal_one_quantity_at_a_time(space):
     assert rep.ell_upper == ell_t / t
     assert rep.entropy_h == (h_t - h_s) / (t - s)
     assert rep.entropy_ratio == h_t / t
+
+
+def _scalar_radial_integral(space, t, weights, r_hi=None):
+    """The radial integrand with one kernel call per radius, as quad asks for
+    it, passed to scipy.integrate.quad on the same pieces (test oracle)."""
+    from scipy.integrate import quad
+
+    ker = kernel_for(space)
+    known = {}
+
+    def integrand(weight):
+        def f(r):
+            if r not in known:
+                la = space.log_sphere_area(r)
+                lq = -math.inf if la == -math.inf else float(ker.log_q(t, r))
+                known[r] = (lq, lq + la)
+            lq, val = known[r]
+            return 0.0 if val < -745.0 else weight(r, lq) * math.exp(val)
+
+        return f
+
+    hi = r_hi if r_hi is not None else truncation_radius(space, t)
+    edges = [0.0, min(_ridge(space, t), hi), hi]
+    return tuple(sum(quad(integrand(w), a, b, limit=300)[0]
+                     for a, b in zip(edges[:-1], edges[1:]) if b > a) for w in weights)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("space", _CHAINS_SPACES, ids=lambda sp: sp.label())
+def test_radial_integral_equals_the_scalar_oracle_bitwise(space):
+    # _radial_integral reads each QUADPACK panel's kernel values in one array
+    # call; every moment must be the float of one kernel call per radius
+    from rdl.estimators import _dist, _mass, _radial_integral, _surprisal
+
+    weights = (_mass, _dist, _surprisal)
+    for t in default_t_grid(space):
+        assert _hex(_radial_integral(space, t, weights)) == _hex(_scalar_radial_integral(space, t, weights))
+
+
+@pytest.mark.parametrize("space", _CHAINS_SPACES, ids=lambda sp: sp.label())
+def test_radial_integral_equals_the_scalar_oracle_on_the_zero_two_cut(space, monkeypatch):
+    # zero_two_defect integrates the mass up to the kernels' crossing r*
+    import rdl.estimators as estimators
+
+    calls = []
+    real = estimators._radial_integral
+
+    def recorded(sp, t, weights, r_hi=None):
+        out = real(sp, t, weights, r_hi)
+        calls.append((sp, t, weights, r_hi, out))
+        return out
+
+    monkeypatch.setattr(estimators, "_radial_integral", recorded)
+    for tau, t in ((1.0, 1.0), (0.5, 4.0), (2.0, 0.5)):
+        zero_two_defect(space, tau, t)
+    assert len(calls) == 6 and all(c[3] is not None for c in calls)
+    for sp, t, weights, r_hi, out in calls:
+        assert _hex(out) == _hex(_scalar_radial_integral(sp, t, weights, r_hi))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_entropy_quadrature_equals_the_scalar_oracle_bitwise(dim):
+    from rdl.estimators import _mass, _surprisal
+
+    sp = Euclidean(dim)
+    for t in (0.5, 1.7):
+        _, h = _scalar_radial_integral(sp, t, (_mass, _surprisal))
+        assert entropy_quadrature(sp, t).hex() == h.hex()
+
+
+def test_kronrod_table_is_the_nodes_quad_visits():
+    # QAGS visits a panel's centre, then centre -/+ half-length * xgk(j) for
+    # j = 2, 4, ..., 10 and j = 1, 3, ..., 9; on [-1, 1] those are -/+ xgk(j)
+    from scipy.integrate import quad
+
+    from rdl._gauss_legendre import KRONROD_21
+    from rdl.estimators import _KRONROD
+
+    xgk = [float.fromhex(v) for v in KRONROD_21.split()]
+    assert list(_KRONROD) == xgk and len(xgk) == 10
+    visited = []
+    quad(lambda x: visited.append(x) or 1.0, -1.0, 1.0)
+    expected = [0.0] + [s * x for x in xgk[1::2] + xgk[0::2] for s in (-1.0, 1.0)]
+    assert _hex(visited) == _hex(expected)
+
+
+@pytest.mark.parametrize("space", [Hyperbolic(2), Hyperbolic(3, 2.0), Euclidean(2), HalfPlane()],
+                         ids=lambda sp: sp.label())
+def test_report_reads_every_kernel_value_by_panel(space, monkeypatch):
+    # a radius quad asks for that is not a predicted panel's node costs a 0-d
+    # kernel call; a QUADPACK whose node order changed would make every call 0-d
+    from rdl.heat_kernels import KernelEval
+
+    real = KernelEval.log_q
+    shapes = []
+
+    def counted(self, t, dist):
+        shapes.append(np.ndim(dist))
+        return real(self, t, dist)
+
+    monkeypatch.setattr(KernelEval, "log_q", counted)
+    inequality_report(space)
+    assert shapes and 0 not in shapes
 
 
 def test_report_records_the_sorted_grid():
