@@ -1,6 +1,6 @@
 """Gauss-Legendre rules on [-1, 1] as float.hex text: the positive half of
 each rule the package uses, one "node weight" line per node, nodes ascending.
-Below them, the abscissae of QUADPACK's 21-point Kronrod rule.
+Below them, the abscissae and weights of QUADPACK's 21-point Kronrod rule.
 
 The rules are symmetric bit for bit, so the half gives the whole rule.  The
 text was generated once from scipy.special.roots_legendre(n), as
@@ -161,11 +161,12 @@ HALVES = {
 
 # The positive abscissae xgk(1..10) of QUADPACK's 21-point Gauss-Kronrod rule
 # (dqk21; Piessens et al., QUADPACK, 1983), descending; xgk(11) = 0 is the
-# panel centre and the even entries are the 10-point Gauss nodes.  QAGS, the
-# routine behind scipy.integrate.quad on a finite interval, evaluates a panel
-# at its centre, then at centre -/+ half-length * xgk(j) for j = 2, 4, ..., 10
-# and then j = 1, 3, ..., 9.  The values are the positive points that quad
-# visits for a constant on [-1, 1]; the tests check them against scipy.
+# panel centre and the even entries are the 10-point Gauss nodes.  QAGS (rdl's
+# _quadpack, and the routine behind scipy.integrate.quad on a finite interval)
+# evaluates a panel at its centre, then at centre -/+ half-length * xgk(j) for
+# j = 2, 4, ..., 10 and then j = 1, 3, ..., 9.  The values are the positive
+# points that scipy's quad visits for a constant on [-1, 1]; the tests check
+# them against scipy.
 KRONROD_21 = """
 0x1.fdc6c69272ae5p-1
 0x1.f2a3e062af2d8p-1
@@ -177,4 +178,28 @@ KRONROD_21 = """
 0x1.bbcc009016adcp-2
 0x1.2d755295ea137p-2
 0x1.30e507891e27ap-3
+"""
+
+# The weights of that rule, as float.hex of the decimals in dqk21's data
+# statements: wgk(1..11), the Kronrod weights of xgk(1..10) and of the centre,
+# and wg(1..5), the 10-point Gauss weights of xgk(2), xgk(4), ..., xgk(10).
+KRONROD_21_WGK = """
+0x1.7f35bdbca883fp-7
+0x1.0ab76a4a94042p-5
+0x1.c08f7021999a2p-5
+0x1.335ccd53722e5p-4
+0x1.7d711dddcb389p-4
+0x1.c00cbfda8818fp-4
+0x1.f9d2b8f5d2ddep-4
+0x1.13e26d16948d4p-3
+0x1.2467b616c0e05p-3
+0x1.2e91d6ff21eb5p-3
+0x1.321082b7cd10fp-3
+"""
+GAUSS_10_WG = """
+0x1.1115f8b62dc1fp-4
+0x1.32138c878efe5p-3
+0x1.c0b059d00bc31p-3
+0x1.13baa7a559bfep-2
+0x1.2e9de7014d6efp-2
 """

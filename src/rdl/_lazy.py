@@ -1,9 +1,10 @@
 """Deferred imports of scipy functions.
 
-scipy takes most of the time of `import rdl`, and `rdl simulate`, `rdl gromov`
-and `rdl kernel` on h2, h3 and halfplane never call it.  A module binds
-`quad = lazy("scipy.integrate", "quad")` in place of the import, so every
-call site and every patch point stays a module attribute.
+scipy takes most of the time of `import rdl`, and `rdl simulate`, `rdl gromov`,
+and `rdl kernel` and `rdl report` on the catalog spaces and ensembles never
+call it.  A module binds `brentq = lazy("scipy.optimize", "brentq")` in place
+of the import, so every call site and every patch point stays a module
+attribute.
 """
 
 from __future__ import annotations

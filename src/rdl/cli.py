@@ -18,8 +18,9 @@ workers and writes them in path order as they come, a block of paths at a
 time, so it never holds the whole file.
 
 Start-up loads no scipy: each scipy function is imported by its first call,
-so simulate, gromov and kernel --space h2 and h3 run without it (the H^2
-kernel's Gauss-Legendre rule is stored in the package).
+so simulate, gromov, and kernel and report on the catalog spaces and
+ensembles run without it (the H^2 kernel's Gauss-Legendre rule and
+Gamma(m/2) are stored in the package, and the quadrature is rdl's QAGS).
 
 Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
 disk or an --out that names a directory), 3 non-converged estimator or a

@@ -9,9 +9,10 @@ Estimator conventions (all for the transition density q(t) = p(t/2)):
 
 A report reads ell_t and h_t from one moment table: one radial quadrature
 call per horizon, ell_t at every horizon and h_t (with the kernel mass) at
-the last three.  The radial quadrature is scipy's quad (QUADPACK's QAGS),
-fed a whole 21-node panel of kernel values from one array call of the
-kernel, bit for bit the values of one call per radius.  Two drift estimates
+the last three.  The radial quadrature is QUADPACK's QAGS, ported in
+_quadpack (scipy's quad bit for bit, without importing scipy), fed a whole
+21-node panel of kernel values from one array call of the kernel, bit for
+bit the values of one call per radius.  Two drift estimates
 are reported: the subadditive ratio ell_t/t (an upper bound, non-increasing
 in t) and the increment (ell_T - ell_S) / (T - S) over the last step S < T
 of the horizon grid, 1/k^2 on the default grid of a curved space and 50 on
@@ -29,13 +30,10 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import busemann
-from ._gauss_legendre import KRONROD_21
-from ._lazy import lazy
+from ._quadpack import XGK as _KRONROD  # noqa: F401  (the tests read the abscissae here)
+from ._quadpack import nodes, quad
 from .heat_kernels import _ridge, kernel_for, truncation_radius
 from .model_spaces import HalfPlane, ModelManifold, json_number, space_from_json
-
-quad = lazy("scipy.integrate", "quad")
-_KRONROD = tuple(float.fromhex(v) for v in KRONROD_21.split())
 
 __all__ = [
     "EstimatorError",
@@ -53,6 +51,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 0.999
+_QUAD_TOL = 1.49e-8  # epsabs and epsrel of the radial quadratures (scipy quad's defaults)
 _SLACK_TOL = 1e-3  # normalized slack tolerance for the inequality chain
 _SUBADDITIVE_TOL = 1e-6  # quadrature slack of the subadditivity and monotonicity audits
 _CAUCHY_REL_TOL = 0.10  # entropy increments: relative Cauchy tolerance
@@ -83,66 +82,38 @@ def _surprisal(r, lq):
 def _radial_integral(space: ModelManifold, t: float, weights: tuple,
                      r_hi: float | None = None) -> tuple[float, ...]:
     """int_0^R w(r, log_q(r)) exp(log_q + log_area) dr for each w in weights,
-    split at the ridge, by scipy's quad (QUADPACK's QAGS).
+    split at the ridge, by QUADPACK's QAGS (_quadpack.quad, scipy's quad bit
+    for bit).
 
-    Every quad call reads one dict r -> (log q, log q + log area), local to
-    this call, so the moments share the kernel evaluations at their common
-    nodes; each quad sees the values a call per weight would see, so its
-    nodes do not change.
-
-    The dict is filled a panel at a time.  QAGS evaluates the 21 Kronrod
-    nodes of every panel it visits, centre first, and each panel after a
-    piece's first is a half of one it has visited.  So `panels` maps the
-    centre of each panel QAGS may visit next (the pieces, then both halves
-    of every panel read) to its ends, and when quad asks for such a centre
-    the panel's nodes, in QUADPACK's own arithmetic, go to the kernel in one
-    array call.  Any other radius is evaluated alone.  The kernel's array
-    path gives the bits of its scalar path, so a wrong prediction costs time,
-    never a bit.
+    QAGS asks for the integrand a panel at a time.  A panel's 21 nodes go to
+    the kernel in one array call, whose values are the bits of one call per
+    radius, and the panel's (r, log q, exp(log q + log area)) rows are kept
+    by its ends, local to this call, so the moments share the kernel values
+    of the panels their quads have in common.
     """
     ker = kernel_for(space)
-    known = {}
-    panels = {}
+    rows_by_panel = {}
 
-    def expect(a, b):
-        panels[0.5 * (a + b)] = (a, b)
+    def rows(a, b):
+        if (a, b) not in rows_by_panel:
+            rs = nodes(a, b)
+            out = rows_by_panel[(a, b)] = []
+            for r, lq in zip(rs, ker.log_q(t, np.array(rs)).tolist()):
+                val = lq + space.log_sphere_area(r)
+                out.append((r, lq, None if val < -745.0 else math.exp(val)))  # None: integrand 0
+        return rows_by_panel[(a, b)]
 
-    def read_panel(a, b):
-        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-        absc = [hlgth * x for x in _KRONROD]
-        nodes = [centr, *(centr - d for d in absc), *(centr + d for d in absc)]
-        new = [r for r in dict.fromkeys(nodes) if r not in known]
-        for r, lq in zip(new, ker.log_q(t, np.array(new)).tolist()):
-            known[r] = (lq, lq + space.log_sphere_area(r))
-        expect(a, centr)
-        expect(centr, b)
-
-    def integrand(weight):
-        def f(r):
-            if r not in known:
-                if r in panels:
-                    read_panel(*panels.pop(r))
-                else:
-                    la = space.log_sphere_area(r)
-                    lq = -math.inf if la == -math.inf else float(ker.log_q(t, r))
-                    known[r] = (lq, lq + la)
-            lq, val = known[r]
-            if val < -745.0:
-                return 0.0
-            return weight(r, lq) * math.exp(val)
-
-        return f
+    def panel(weight):
+        return lambda a, b: [0.0 if e is None else weight(r, lq) * e for r, lq, e in rows(a, b)]
 
     hi = r_hi if r_hi is not None else truncation_radius(space, t)
     edges = [0.0, min(_ridge(space, t), hi), hi]
     pieces = [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    for a, b in pieces:
-        expect(a, b)
     totals = []
     for weight in weights:
         total = 0.0
         for a, b in pieces:
-            val, _ = quad(integrand(weight), a, b, limit=300)
+            val, _ = quad(panel(weight), a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=300)
             total += val
         totals.append(total)
     return tuple(totals)

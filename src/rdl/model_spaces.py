@@ -31,9 +31,32 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import lazy
+from ._quadpack import nodes, quad
 
-quad = lazy("scipy.integrate", "quad")
 gamma = lazy("scipy.special", "gamma")
+
+# Gamma(m/2) for m = 1, 2, ..., 16, one line each: float.hex of
+# scipy.special.gamma(m / 2), which math.gamma and the recurrence from sqrt(pi)
+# miss in the last bit at some half-integers (Gamma(1.5), Gamma(3.5)); the
+# tests check it against scipy.  Larger m call scipy.
+_GAMMA_HALVES = tuple(float.fromhex(v) for v in """
+0x1.c5bf891b4ef6ap+0
+0x1.0000000000000p+0
+0x1.c5bf891b4ef6ap-1
+0x1.0000000000000p+0
+0x1.544fa6d47b390p+0
+0x1.0000000000000p+1
+0x1.a96390899a075p+1
+0x1.8000000000000p+2
+0x1.74371e7866c66p+3
+0x1.8000000000000p+4
+0x1.a2be0247739f2p+5
+0x1.e000000000000p+6
+0x1.1fe2a1911f7d6p+8
+0x1.6800000000000p+9
+0x1.d3d0468bd32bdp+10
+0x1.3b00000000000p+12
+""".split())
 
 __all__ = [
     "GeometryError",
@@ -62,6 +85,11 @@ class GeometryError(ValueError):
     """Invalid coordinates or an operation outside a chart's domain."""
 
 
+def _gamma_half(m: int) -> float:
+    """Gamma(m/2), scipy.special.gamma's float."""
+    return _GAMMA_HALVES[m - 1] if m <= len(_GAMMA_HALVES) else float(gamma(m / 2.0))
+
+
 @functools.cache
 def unit_sphere_area(dim: int) -> float:
     """Surface area of the unit sphere S^{dim-1} in R^dim (cached: ball-volume
@@ -70,7 +98,7 @@ def unit_sphere_area(dim: int) -> float:
         raise GeometryError(f"dimension must be >= 1, got {dim}")
     if dim == 1:
         return 2.0  # S^0 = two points
-    return 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / _gamma_half(dim)
 
 
 def _check_radius(r: float) -> None:
@@ -210,7 +238,8 @@ class ModelManifold:
         if r == 0:
             return 0.0
         with np.errstate(over="ignore"):
-            val, _ = quad(self.sphere_area, 0.0, r, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
+            val, _ = quad(lambda a, b: [self.sphere_area(x) for x in nodes(a, b)], 0.0, r,
+                          epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
         return val
 
     def volume_growth(self, r_max: float) -> VolumeGrowthEstimate:
@@ -264,7 +293,7 @@ class Euclidean(ModelManifold):
 
     def ball_volume(self, r: float) -> float:
         _check_radius(r)
-        return math.pi ** (self.dim / 2.0) / gamma(self.dim / 2.0 + 1.0) * r ** self.dim
+        return math.pi ** (self.dim / 2.0) / _gamma_half(self.dim + 2) * r ** self.dim
 
     def label(self) -> str:
         return f"euclidean(dim={self.dim})"

@@ -196,11 +196,18 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy
     ["kernel", "--space", "h3", "--t", "1,4", "--points", "5"],
     ["kernel", "--space", "h2", "--t", "1,4", "--points", "5"],
     ["gromov", "--a", "a.json", "--b", "b.json"],
-], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel-h3", "kernel-h2", "gromov"])
+    ["report", "--space", "h2"],
+    ["report", "--space", "h3"],
+    ["report", "--space", "e3"],
+    ["report", "--space", "halfplane"],
+    ["report", "--ensemble-file", "mix.json"],
+], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel-h3", "kernel-h2", "gromov",
+        "report-h2", "report-h3", "report-e3", "report-halfplane", "report-ensemble"])
 def test_commands_that_need_no_scipy_do_not_load_it(tmp_path, argv):
     """scipy is most of the start-up time of a process; only the calls that use it load it."""
     _write_space(tmp_path / "a.json", [[0.0], [1.0]])
     _write_space(tmp_path / "b.json", [[0.0], [0.5], [1.5]])
+    (tmp_path / "mix.json").write_text(json.dumps({"components": _H2_H3}))
     if argv and argv[0] != "gromov":
         argv = argv + ["--out", "out.csv"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdl.__file__)))

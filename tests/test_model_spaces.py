@@ -156,6 +156,31 @@ def test_rotsym_ball_volume_quadrature():
     )
 
 
+@pytest.mark.parametrize("label", ["euclid", "hyperbolic", "kaimanovich"])
+def test_rotsym_ball_volume_equals_scipy_quad_bitwise(label):
+    # ball_volume integrates by rdl's QAGS port, scipy's quad bit for bit, also
+    # past the radius where sphere_area overflows (kaimanovich ~38, hyperbolic ~710)
+    from scipy.integrate import quad
+
+    surf = RotSymSurface(builtin_profile(label))
+    radii = (0.5, 3.0, 40.0, 500.0, 800.0)
+    with np.errstate(over="ignore"):
+        for r in radii:
+            want, _ = quad(surf.sphere_area, 0.0, r, epsabs=1e-10, epsrel=1e-8, limit=200)
+            assert surf.ball_volume(r).hex() == want.hex(), r
+        assert math.isinf(surf.sphere_area(radii[-1])) == (label != "euclid")
+
+
+def test_gamma_table_is_scipys_bit_for_bit():
+    # math.gamma misses scipy's Gamma(m/2) in the last bit at some m (Gamma(1.5) here)
+    from scipy.special import gamma
+
+    from rdl.model_spaces import _GAMMA_HALVES, _gamma_half
+
+    ms = range(1, len(_GAMMA_HALVES) + 3)  # the table, then scipy past it
+    assert [_gamma_half(m).hex() for m in ms] == [float(gamma(m / 2)).hex() for m in ms]
+
+
 # --------------------------------------------------------- volume growth
 
 
