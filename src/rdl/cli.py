@@ -25,11 +25,12 @@ Gamma(m/2) are stored in the package, and the quadrature is rdl's QAGS).
 Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
 disk or an --out that names a directory), 3 non-converged estimator or a
 gromov result that is not exact (the witness and manifest are still
-written), 4 internal invariant failure.  --threads (or RDL_THREADS; without
-either, the usable core count) must be an integer >= 1; it is recorded in
-the manifest and caps the forked worker processes that run simulate's paths,
-which are also capped by the usable cores and get at least 256 paths each.
-The output bytes do not depend on it.
+written), 4 internal invariant failure.  simulate --threads (or
+RDL_THREADS; without either, the usable core count) must be an integer >= 1;
+its manifest config records it, and it caps the forked worker processes that
+run the paths, which are also capped by the usable cores and get at least 256
+paths each.  The output bytes do not depend on it; the other commands run in
+one process and neither read nor record it.
 report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
 --kappa sets k on h2 and h3.  An option that the run would ignore may only
 repeat its default or the fixed value: --kappa where the space or profile
@@ -135,12 +136,10 @@ def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> N
     if not outputs:
         return
     manifest = {
-        "schema": "v1",
+        "schema": "v2",
         "command": command,
         "config": config,
-        "seed": config.get("seed"),
         "version": __version__,
-        "threads": config["threads"],
         "wall_time_s": wall,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
@@ -178,6 +177,7 @@ def _float_list(text: str) -> list:
 
 
 def _cmd_simulate(args) -> tuple[int, list]:
+    args.threads = _threads(args.threads)  # resolved before any work; the manifest records it
     if (args.space is None) == (args.profile is None):
         raise UsageError("give exactly one of --space or --profile")
     cfg = SimConfig(
@@ -302,10 +302,6 @@ def _cmd_kernel(args) -> tuple[int, list]:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rdl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=None,
-                   help="an integer >= 1 (default RDL_THREADS, else the usable cores); "
-                        "simulate's worker processes at most; recorded in the manifest, "
-                        "never changes the output")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run SDE paths and dump a trajectory CSV")
@@ -320,6 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r-cap", dest="r_cap", type=float, default=KAIMANOVICH_R_CAP,
                    help="radius at which paths freeze (--profile kaimanovich only)")
     s.add_argument("--record-stride", dest="record_stride", type=int, default=1)
+    s.add_argument("--threads", type=int, default=None,
+                   help="worker processes at most, an integer >= 1 (default RDL_THREADS, "
+                        "else the usable cores); never changes the output")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
 
@@ -358,7 +357,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        args.threads = _threads(args.threads)
         # a manifest from an earlier run must not vouch for what this one leaves
         first = getattr(args, "out", None) or getattr(args, "witness", None)
         if first:

@@ -145,7 +145,10 @@ def _h2_terms(t: float, r, u_max):
 
 
 def _h2_assemble(t: float, r: float, factor: float) -> float:
-    """log q_1(t, r) from I(t, r), one radius at a time with math.log."""
+    """log q_1(t, r) from I(t, r), one radius at a time with math.log.  Where
+    I underflows to 0 (t ~ 1e300) q is 0, so log q = -inf."""
+    if factor == 0.0:
+        return -math.inf
     return (
         0.5 * math.log(2.0)
         - 1.5 * math.log(2.0 * math.pi * t)

@@ -247,7 +247,8 @@ class ModelManifold:
         radius grid.
 
         Non-finite volumes (profile overflow) are reported via the `finite`
-        flag, never silently clipped.
+        flag, never silently clipped; a fitted volume of 0 (r_max too small
+        for the float resolution of the volume) raises GeometryError.
         """
         if not 0 < r_max < math.inf:
             raise GeometryError(f"need a finite r_max > 0, got {r_max}")
@@ -258,7 +259,11 @@ class ModelManifold:
             return VolumeGrowthEstimate(value=math.inf, finite=False,
                                         first_overflow_radius=float(r_grid[bad][0]))
         top = r_grid >= r_max / 2
-        x, y = r_grid[top], np.log(vols[top])
+        x, vols = r_grid[top], vols[top]
+        if not vols.all():
+            raise GeometryError(f"ball volume is 0 at the fitted radius r = {x[vols == 0][0]:g}; "
+                                f"r_max = {r_max:g} is too small to fit a growth rate")
+        y = np.log(vols)
         design = np.vstack([x, np.ones_like(x)]).T
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         return VolumeGrowthEstimate(value=float(coef[0]), finite=True)
@@ -349,8 +354,11 @@ class Hyperbolic(ModelManifold):
         if r <= 0:
             return -math.inf
         kr = self.k * r
-        # log(sinh(kr)/k) without overflow
-        log_p = kr + math.log1p(-math.exp(-2.0 * kr)) - math.log(2.0 * self.k)
+        shrink = math.exp(-2.0 * kr)
+        if shrink == 1.0:  # kr below the float resolution: sinh(kr)/k is r
+            log_p = math.log(r)
+        else:  # log(sinh(kr)/k) without overflow
+            log_p = kr + math.log1p(-shrink) - math.log(2.0 * self.k)
         return math.log(unit_sphere_area(self.dim)) + (self.dim - 1) * log_p
 
     def ball_volume(self, r: float) -> float:
@@ -490,4 +498,7 @@ def space_from_json(obj: dict) -> ModelManifold:
         return Hyperbolic(json_int(obj["dim"], "dim"), json_number(obj.get("k", 1.0), "k"))
     if kind == "halfplane":
         return HalfPlane()
-    return RotSymSurface(builtin_profile(obj["profile"], json_number(obj.get("k", 1.0), "k")))
+    profile = obj["profile"]
+    if "k" in obj and profile != "hyperbolic":
+        raise GeometryError(f"key 'k' is not read by the rotsym profile {profile!r}")
+    return RotSymSurface(builtin_profile(profile, json_number(obj.get("k", 1.0), "k")))

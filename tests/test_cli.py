@@ -13,6 +13,7 @@ import pytest
 import rdl
 import rdl.cli
 import rdl.estimators
+import rdl.model_spaces
 import rdl.sde_sim
 from rdl._csvblock import csv_block, shared_rows
 from rdl.cli import EXIT_INVARIANT, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
@@ -70,10 +71,10 @@ def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch, kind)
     for threads in (None, "1", "2", "16"):
         out = tmp_path / f"hp{threads}.csv"
         flag = [] if threads is None else ["--threads", threads]
-        assert main([*flag, "simulate", *kind, "--t-max", "1",
+        assert main(["simulate", *flag, *kind, "--t-max", "1",
                      "--paths", "600", "--seed", "3", "--out", str(out)]) == EXIT_OK
         manifest = json.loads((tmp_path / f"hp{threads}.csv.manifest.json").read_text())
-        assert manifest["threads"] == manifest["config"]["threads"] == int(threads or CORES)
+        assert manifest["config"]["threads"] == int(threads or CORES)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert manifest["outputs"][out.name] == digest
         digests.add(digest)
@@ -85,11 +86,11 @@ def test_halfplane_bytes_independent_of_block_size(tmp_path, monkeypatch):
     monkeypatch.delenv("RDL_THREADS", raising=False)
     argv = ["simulate", "--space", "halfplane", "--t-max", "1", "--paths", "600", "--seed", "3"]
     ref = tmp_path / "ref.csv"
-    assert main(["--threads", "1", *argv, "--out", str(ref)]) == EXIT_OK
+    assert main([*argv, "--threads", "1", "--out", str(ref)]) == EXIT_OK
     monkeypatch.setattr(rdl.sde_sim, "_BLOCK_ROWS", 7 * 101)
     for threads in ("1", "2"):
         out = tmp_path / f"hp{threads}.csv"
-        assert main(["--threads", threads, *argv, "--out", str(out)]) == EXIT_OK
+        assert main([*argv, "--threads", threads, "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == ref.read_bytes()
 
 
@@ -114,7 +115,7 @@ def test_run_failing_mid_stream_leaves_no_manifest(tmp_path, monkeypatch, capsys
 
     _full_disk_after(monkeypatch, 3)
     out = tmp_path / "hp.csv"
-    assert main(["--threads", threads, "simulate", "--space", "halfplane", "--t-max", "1",
+    assert main(["simulate", "--threads", threads, "--space", "halfplane", "--t-max", "1",
                  "--paths", "600", "--out", str(out)]) == EXIT_USAGE
     assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
     rows = out.read_text().count("\n") - 1  # whole paths in path order, then the failure
@@ -125,7 +126,7 @@ def test_run_failing_mid_stream_leaves_no_manifest(tmp_path, monkeypatch, capsys
 
 def test_failing_rerun_removes_the_earlier_manifest(tmp_path, monkeypatch, capsys):
     out = tmp_path / "hp.csv"
-    argv = ["--threads", "1", "simulate", "--space", "halfplane", "--t-max", "1",
+    argv = ["simulate", "--threads", "1", "--space", "halfplane", "--t-max", "1",
             "--paths", "5", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert (tmp_path / "hp.csv.manifest.json").exists()
@@ -304,6 +305,27 @@ def test_report_volume_overflow_is_flagged_in_strict_json(tmp_path, capsys, argv
     assert rep["flags"] == ["volume growth not finite: inequality chain vacuous"]
     v_row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("v "))
     assert v_row.split()[1] == "inf"
+
+
+def test_report_r_max_too_small_for_a_ball_volume_is_usage_error(tmp_path, capsys):
+    # cosh(r) - 1 is 0 in floats below r ~ 1e-8: the fit took log 0, reported v = nan,
+    # printed it as rhs=inf and exited 4, "internal invariant failure"
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", "h2", "--r-max", "1e-9", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ball volume is 0 at the fitted radius r = 5.05e-10;")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("v, rhs", [(math.nan, "nan"), (-math.inf, "-inf")])
+def test_report_table_prints_a_non_finite_rhs_as_python_does(monkeypatch, capsys, v, rhs):
+    # every right-hand side that was not finite printed as "inf", and h <= ell v
+    # passed with a right-hand side of -inf
+    monkeypatch.setattr(rdl.model_spaces.ModelManifold, "volume_growth",
+                        lambda self, r_max: rdl.model_spaces.VolumeGrowthEstimate(v, True))
+    assert main(["report", "--space", "h2"]) == EXIT_INVARIANT
+    row = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("h_le_ell_v"))
+    assert f" rhs={rhs} [FAIL]" in row
 
 
 def test_report_ensemble_with_out_of_catalog_component_is_usage_error(tmp_path, capsys):
@@ -596,6 +618,15 @@ def test_kernel_h2_table_at_huge_radii_reads_zero(tmp_path, r_max):
     assert q[0] == pytest.approx(0.135056, rel=1e-5) and q[1:] == [0.0] * 4
 
 
+def test_kernel_h2_table_at_a_huge_time_reads_zero(tmp_path):
+    # the Gauss-Legendre sum underflowed to 0 and math.log(0) exited 2, "math domain
+    # error", where --space h3 wrote q = 0
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", "h2", "--t", "1e300", "--points", "3",
+                 "--out", str(out)]) == EXIT_OK
+    assert [ln.split(",")[2] for ln in out.read_text().splitlines()[1:]] == ["0"] * 3
+
+
 @pytest.mark.parametrize("argv, output", [
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "nan"], "--witness"),
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "inf"], "--witness"),
@@ -746,49 +777,50 @@ def test_bad_thread_count_is_usage_error_before_any_work(tmp_path, capsys, monke
     else:
         monkeypatch.setenv("RDL_THREADS", env)
     out = tmp_path / "hp.csv"
-    argv = (["--threads", flag] if flag is not None else []) + _SIM + [
+    argv = _SIM + (["--threads", flag] if flag is not None else []) + [
         "--space", "halfplane", "--out", str(out)]
     assert main(argv) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-# Manifest config of each command as the hand-written echo lists produced it
+# Manifest config of each command as the hand-written echo lists produced it; only
+# simulate reads the thread count, so only its config records it, and the other
+# commands run with an RDL_THREADS that simulate would refuse (they exited 2 on it)
 _MANIFEST_RUNS = [
     (["simulate", "--space", "halfplane", "--paths", "3", "--t-max", "1", "--record-stride", "7",
       "--out", "{tmp}/hp.csv"],
-     "hp.csv", None, 0,
+     "hp.csv", None,
      {"dt": 0.01, "kappa": None, "paths": 3, "profile": None, "r0": 1.0, "r_cap": 200.0,
       "record_stride": 7, "seed": 0, "space": "halfplane", "t_max": 1.0, "threads": CORES}),
-    (["--threads", "2", "simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1",
+    (["simulate", "--threads", "2", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1",
       "--dt", "0.001", "--record-stride", "100", "--seed", "5", "--out", "{tmp}/ka.csv"],
-     "ka.csv", None, 5,
+     "ka.csv", None,
      {"dt": 0.001, "kappa": None, "paths": 2, "profile": "kaimanovich", "r0": 1.0,
       "r_cap": 200.0, "record_stride": 100, "seed": 5, "space": None, "t_max": 1.0,
       "threads": 2}),
     (["report", "--space", "h2", "--kappa", "1", "--t-grid", "5,10,20,30,39,40",
       "--out", "{tmp}/rep.json"],
-     "rep.json", None, None,
+     "rep.json", "abc",
      {"ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
-      "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0], "threads": CORES}),
+      "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0]}),
     (["report", "--ensemble-file", "{tmp}/mix.json", "--out", "{tmp}/mix_rep.json"],
-     "mix_rep.json", "3", None,
+     "mix_rep.json", "abc",
      {"ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
-      "space": None, "t_grid": None, "threads": 3}),
+      "space": None, "t_grid": None}),
     (["gromov", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--witness", "{tmp}/w.json"],
-     "w.json", None, None,
-     {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "threads": CORES, "tol": 0.001}),
+     "w.json", "abc",
+     {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "tol": 0.001}),
     (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "{tmp}/k.csv"],
-     "k.csv", None, None,
-     {"kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4",
-      "threads": CORES}),
+     "k.csv", "abc",
+     {"kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4"}),
 ]
 
 
-@pytest.mark.parametrize("argv, output, env, seed, config", _MANIFEST_RUNS,
+@pytest.mark.parametrize("argv, output, env, config", _MANIFEST_RUNS,
                          ids=["simulate-halfplane", "simulate-kaimanovich", "report-space",
                               "report-ensemble", "gromov", "kernel"])
-def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, seed, config):
+def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, config):
     if env is None:
         monkeypatch.delenv("RDL_THREADS", raising=False)
     else:
@@ -799,12 +831,20 @@ def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, seed, 
     assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_OK
     manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
     config = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in config.items()}
-    assert manifest["command"] == next(a for a in argv if a in ("simulate", "report", "gromov",
-                                                                "kernel"))
+    assert manifest["command"] == argv[0]
     assert manifest["config"] == config
-    assert manifest["seed"] == seed
-    assert manifest["threads"] == config["threads"]
+    # each fact once: the seed and the thread count are in config alone
+    assert sorted(manifest) == ["command", "config", "outputs", "schema", "version",
+                                "wall_time_s"]
+    assert manifest["schema"] == "v2"
     assert list(manifest["outputs"]) == [output]
+
+
+def test_thread_count_is_an_option_of_simulate_alone(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["--threads", "2", "report", "--space", "h2", "--out", str(out)]) == EXIT_USAGE
+    assert "rdl: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_is_usage_error(tmp_path):

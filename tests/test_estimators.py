@@ -358,10 +358,10 @@ def test_kronrod_table_is_the_nodes_quad_visits():
     from scipy.integrate import quad
 
     from rdl._gauss_legendre import KRONROD_21
-    from rdl.estimators import _KRONROD
+    from rdl._quadpack import XGK
 
     xgk = [float.fromhex(v) for v in KRONROD_21.split()]
-    assert list(_KRONROD) == xgk and len(xgk) == 10
+    assert list(XGK) == xgk and len(xgk) == 10
     visited = []
     quad(lambda x: visited.append(x) or 1.0, -1.0, 1.0)
     expected = [0.0] + [s * x for x in xgk[1::2] + xgk[0::2] for s in (-1.0, 1.0)]

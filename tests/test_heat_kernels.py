@@ -186,6 +186,17 @@ def test_h2_log_q_is_minus_inf_where_the_u_range_collapses(k):
         assert np.isfinite(got[rs < 1e7]).all()
 
 
+def test_h2_log_q_is_minus_inf_where_the_inner_integral_underflows():
+    # at t = 1e300 the Gauss-Legendre sum is 0, and math.log(0) raised a math domain
+    # error on the scalar and the array path alike
+    ker = kernel_for(Hyperbolic(2, 1.0))
+    rs = np.array([0.0, 5.0, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [ker.log_q(1e300, float(r)) for r in rs] == [-math.inf] * 3
+        assert np.array_equal(ker.log_q(1e300, rs), np.full(3, -math.inf))
+
+
 @pytest.mark.parametrize("space", [Hyperbolic(2, 1.0), HalfPlane(), Hyperbolic(3, 1.0), Euclidean(2)],
                          ids=lambda sp: sp.label())
 def test_log_q_keeps_the_shape_of_dist(space):

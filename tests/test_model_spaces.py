@@ -121,6 +121,15 @@ def test_sphere_area_euclidean_small_r_limit():
     assert Euclidean(2).sphere_area(0.0) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hyperbolic_log_sphere_area_below_the_float_resolution(dim):
+    # exp(-2kr) rounds to 1 and log1p(-1) raised "math domain error"
+    r = 1e-17
+    want = math.log(unit_sphere_area(dim)) + (dim - 1) * math.log(r)
+    assert Hyperbolic(dim, 2.0).log_sphere_area(r) == pytest.approx(want, rel=1e-15)
+    assert Hyperbolic(2).log_sphere_area(r) == pytest.approx(-37.306, abs=1e-3)
+
+
 # ----------------------------------------------------------- ball volumes
 
 
@@ -335,8 +344,11 @@ def test_rotsym_json_dicts():
     {"kind": "euclidean", "dim": 2, "k": 0.0},
     {"kind": "halfplane", "dim": 2},
     {"kind": "rotsym", "profile": "kaimanovich", "label": "x"},
+    {"kind": "rotsym", "profile": "kaimanovich", "k": 5},  # loaded, and k dropped
+    {"kind": "rotsym", "profile": "euclid", "k": -3},
 ], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan",
-        "k-true", "k-string", "rotsym-k-string", "unknown-kk", "euclidean-k", "halfplane-dim", "rotsym-label"])
+        "k-true", "k-string", "rotsym-k-string", "unknown-kk", "euclidean-k", "halfplane-dim", "rotsym-label",
+        "kaimanovich-k", "euclid-k"])
 def test_space_from_json_rejects_bad_fields(obj):
     with pytest.raises(GeometryError):
         space_from_json(obj)
