@@ -41,7 +41,6 @@ from .estimators import (  # noqa: F401
     inequality_report,
 )
 from .busemann import (  # noqa: F401
-    BusemannField,
     furstenberg_check,
     k_functional_and_equality,
 )

@@ -1,10 +1,11 @@
 """Exact boundary theory on the hyperbolic half-plane.
 
-Busemann functions xi(x, y) (normalized to vanish at the basepoint (0, 1))
-and their Poisson kernels k_xi = e^{-xi} (`BusemannField.poisson_kernel`),
-the drift formulas that express the linear drift as E(xi increment) = t * ell
-and as E((1/2) Delta xi), and the k functional with the equality condition of
-the sharp entropy lower bound, read off |grad xi| = 1.
+The Monte Carlo drift check E(xi(omega_t)) = t * ell for the Busemann
+function xi of the point at infinity, and the k functional with the
+equality condition of the sharp entropy lower bound, in closed form from
+|grad xi| = 1.  The Busemann functions xi(x, y) (normalized to vanish at the
+basepoint (0, 1)) and their Poisson kernels k_xi = e^{-xi} live in
+tests/test_busemann.py, the oracle that audits the identities below.
 
 All gradients, norms, and Laplacians are with respect to the hyperbolic
 metric ds^2 = y^{-2}(dx^2 + dy^2):
@@ -12,7 +13,7 @@ metric ds^2 = y^{-2}(dx^2 + dy^2):
     grad f = y^2 (f_x, f_y),   |grad f|^2 = y^2 (f_x^2 + f_y^2),
     Delta f = y^2 (f_xx + f_yy).
 
-Closed forms used here (basepoint o = (0, 1)):
+Closed forms (basepoint o = (0, 1)):
   * boundary point at infinity:  xi = -log y,        k_xi = y
   * finite boundary point b:     xi = log(((x-b)^2 + y^2) / (y (b^2 + 1))),
                                  k_xi = y (b^2 + 1) / ((x-b)^2 + y^2)
@@ -27,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_spaces import HalfPlane
 from .sde_sim import SimConfig, simulate_halfplane
 
 __all__ = [
-    "BusemannField",
     "FurstenbergResult",
     "furstenberg_check",
     "k_functional_and_equality",
@@ -39,54 +38,6 @@ __all__ = [
 ]
 
 HALF_PLANE_DRIFT = 0.5  # ell of the hyperbolic plane, generator Delta/2
-
-_HP = HalfPlane()
-
-
-@dataclass(frozen=True)
-class BusemannField:
-    """Busemann function of a boundary point: None means the point at infinity,
-    a float b means the finite boundary point (b, 0)."""
-
-    boundary_point: float | None = None
-
-    def value(self, pt) -> float:
-        x, y = _HP.validate_point(pt)
-        if self.boundary_point is None:
-            return -math.log(y)
-        b = self.boundary_point
-        return math.log(((x - b) ** 2 + y ** 2) / (y * (b * b + 1.0)))
-
-    def gradient(self, pt) -> np.ndarray:
-        """Riemannian gradient y^2 (dxi/dx, dxi/dy)."""
-        x, y = _HP.validate_point(pt)
-        if self.boundary_point is None:
-            return np.array([0.0, -y])
-        b = self.boundary_point
-        s = (x - b) ** 2 + y ** 2
-        return y * y * np.array([2.0 * (x - b) / s, 2.0 * y / s - 1.0 / y])
-
-    def gradient_norm(self, pt) -> float:
-        g = self.gradient(pt)
-        _, y = _HP.validate_point(pt)
-        return float(np.sqrt(g @ g) / y)  # |v|_hyp = |v|_eucl / y
-
-    def laplacian(self, pt) -> float:
-        """Delta xi = 1 identically (computed in closed form for both charts:
-        for xi = -log y, y^2 * d_yy(-log y) = y^2 / y^2 = 1; the finite-point
-        fields are isometric images)."""
-        _HP.validate_point(pt)
-        return 1.0
-
-    def poisson_kernel(self, pt) -> float:
-        """Positive harmonic (Martin) function k_xi = e^{-xi} of the same
-        boundary point, normalized to 1 at the basepoint.  Its log-gradient is
-        grad log k_xi = -grad xi, so |grad log k_xi| = |grad xi| = 1."""
-        x, y = _HP.validate_point(pt)
-        if self.boundary_point is None:
-            return y
-        b = self.boundary_point
-        return y * (b * b + 1.0) / ((x - b) ** 2 + y ** 2)
 
 
 @dataclass(frozen=True)
@@ -128,7 +79,7 @@ def k_functional_and_equality() -> tuple[float, float]:
     On the half-plane |grad log k_xi| = |grad xi| = 1 everywhere, so k = 1/2;
     the sharp-bound equality condition grad log k_xi = -2 ell grad xi has gap
     sup |grad log k_xi + 2 ell grad xi| = |1 - 2 ell| |grad xi| = 0 since
-    2 ell = 1.  Both are read off the field at the basepoint.
+    2 ell = 1.  Both are the closed forms at |grad xi| = 1, which
+    tests/test_busemann.py audits on sample points of every boundary point.
     """
-    norm = BusemannField(None).gradient_norm(_HP.basepoint)
-    return 0.5 * norm ** 2, abs(1.0 - 2.0 * HALF_PLANE_DRIFT) * norm
+    return 0.5, abs(1.0 - 2.0 * HALF_PLANE_DRIFT)

@@ -55,6 +55,10 @@ _SLACK_TOL = 1e-3  # normalized slack tolerance for the inequality chain
 _SUBADDITIVE_TOL = 1e-6  # quadrature slack of the subadditivity and monotonicity audits
 _CAUCHY_REL_TOL = 0.10  # entropy increments: relative Cauchy tolerance
 _CAUCHY_ABS_TOL = 1e-3  # entropy increments: absolute Cauchy tolerance, for rates near zero
+# smallest sqrt(t) / R, R the truncation radius: below 2.05e-4 (R^3, H^3) to
+# 2.33e-4 (R^1) the first 21-node rule on [ridge, R] reads only zeros, so ell_t
+# comes out up to 61% low, and further down the kernel mass drops below _MASS_TOL
+_MIN_SPREAD = 2.5e-4
 
 
 class EstimatorError(RuntimeError):
@@ -129,13 +133,20 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
 def _horizon_moments(space: ModelManifold, t_grid) -> tuple[dict, dict]:
     """(ell_by_t, h_by_t): ell_t at every horizon of the sorted grid and h_t at
     the last three, from one _radial_integral call per horizon.  The kernel
-    mass is checked where h is read."""
+    mass is checked where h is read.  A horizon with sqrt(t) < _MIN_SPREAD R
+    is rejected before any quadrature runs."""
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 4:
         raise EstimatorInputError("t_grid needs >= 4 points")
     # NaN does not sort, so every horizon is checked, not just the ends
     if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) < len(ts):
         raise EstimatorInputError(f"t_grid needs distinct finite horizons > 0, got {ts}")
+    for t in ts:
+        big = truncation_radius(space, t)
+        if math.sqrt(t) < _MIN_SPREAD * big:
+            raise EstimatorInputError(
+                f"horizon t = {t:.6g} is too small on {space.label()}: sqrt(t) = {math.sqrt(t):.3g} "
+                f"is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, R = {big:.6g} the truncation radius")
     ell, h = {}, {}
     for t in ts[:-3]:
         (ell[t],) = _radial_integral(space, t, (_dist,))

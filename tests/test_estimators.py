@@ -10,6 +10,7 @@ import pytest
 from rdl.estimators import (
     Ensemble,
     EstimatorError,
+    EstimatorInputError,
     _horizon_moments,
     default_t_grid,
     drift_subadditive_limit,
@@ -20,6 +21,8 @@ from rdl.estimators import (
 )
 from rdl.heat_kernels import KernelError, _ridge, kernel_for, zero_two_defect
 from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
+
+from test_heat_kernels import log_q_h2_scalar
 
 
 # ----------------------------------------------------------------- drift
@@ -32,6 +35,16 @@ def test_drift_euclidean_closed_form():
         ell, _ = _horizon_moments(Euclidean(d), [25.0, 50.0, 75.0, 100.0])
         got = ell[100.0] / 100.0
         assert got == pytest.approx(c / 10.0, rel=1e-8)
+
+
+def test_horizon_moments_rejects_a_horizon_too_small_to_resolve():
+    # on R^1 ell_t read 61% low up to sqrt(t) = 2.33e-4 R, R the truncation
+    # radius, with the kernel mass still 1; t = 1.1e-6 sits at 2.09e-4 R, under
+    # the cut at 2.5e-4, and t = 2e-6 at 2.82e-4 R, above it
+    with pytest.raises(EstimatorInputError, match=r"^horizon t = 1.1e-06 is too small on euclidean\(dim=1\)"):
+        _horizon_moments(Euclidean(1), [2e-6, 1.1e-6, 3e-6, 4e-6])
+    ell, _ = _horizon_moments(Euclidean(1), [2e-6, 3e-6, 4e-6, 5e-6])
+    assert ell[2e-6] == pytest.approx(math.sqrt(2 * 2e-6 / math.pi), rel=1e-8)
 
 
 def test_drift_euclidean_scaling_ratio_sqrt2():
@@ -282,18 +295,21 @@ def test_report_moments_equal_one_quantity_at_a_time(space):
 
 
 def _scalar_radial_integral(space, t, weights, r_hi=None):
-    """The radial integrand with one kernel call per radius, as quad asks for
-    it, passed to scipy.integrate.quad on the same pieces (test oracle)."""
+    """The radial integrand with one kernel value per radius, as quad asks for
+    it, passed to scipy.integrate.quad on the same pieces (test oracle).  On
+    H^2 the values come from the tests' scalar kernel oracle."""
     from scipy.integrate import quad
 
     ker = kernel_for(space)
+    h2 = space.dim == 2 and space.k > 0
     known = {}
 
     def integrand(weight):
         def f(r):
             if r not in known:
                 la = space.log_sphere_area(r)
-                lq = -math.inf if la == -math.inf else float(ker.log_q(t, r))
+                lq = (-math.inf if la == -math.inf
+                      else float(log_q_h2_scalar(t, space.k, r) if h2 else ker.log_q(t, r)))
                 known[r] = (lq, lq + la)
             lq, val = known[r]
             return 0.0 if val < -745.0 else weight(r, lq) * math.exp(val)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, roots_legendre
 
 from rdl.busemann import furstenberg_check
 from rdl.estimators import Ensemble, default_t_grid, entropy_quadrature, inequality_report
@@ -135,22 +136,58 @@ def test_stored_gauss_legendre_rules_are_scipys_bit_for_bit(n):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@functools.cache
+def _legendre_256():
+    return roots_legendre(256)
+
+
+def log_q_h2_scalar(t: float, k: float, r: float) -> np.float64:
+    """log q(t, r) on H^2 with curvature -k^2, one radius at a time: the
+    scalar oracle of the library's block path.  It takes the 256-node rule
+    from scipy, and evaluates the library's integral (see rdl.heat_kernels)
+    in the same expressions in the same order, in floats and 1-d arrays of
+    256, with the k scaling of log_q_hyperbolic: log q_k(t, r) =
+    log q_1(k^2 t, k r) + 2 log k."""
+    t, r = k * k * t, k * r
+    # where the u-range collapses (u_max 0 or not finite) q has underflowed
+    u_max = math.sqrt(-r + math.sqrt(r * r + 2.0 * t * 50.0))
+    factor = 0.0
+    if 0.0 < u_max < math.inf:
+        nodes, weights = _legendre_256()
+        u = 0.5 * u_max * (nodes + 1.0)
+        w = 0.5 * u_max * weights
+        u2 = u * u
+        with np.errstate(over="ignore"):
+            num = 2.0 * u * (r + u2) * np.exp(-(2.0 * r * u2 + u2 * u2) / (2.0 * t))
+            den = np.sqrt(np.expm1(u2) / 2.0) * np.sqrt(-np.expm1(-2.0 * r - u2))
+            vals = np.where(num == 0.0, 0.0, num / den)
+        factor = float(np.sum(w * vals))
+    if factor == 0.0:  # the inner integral underflows too (t ~ 1e300)
+        log_q1 = -math.inf
+    else:
+        log_q1 = (0.5 * math.log(2.0) - 1.5 * math.log(2.0 * math.pi * t) - t / 8.0
+                  - r * r / (2.0 * t) - r / 2.0 + math.log(factor))
+    return np.float64(log_q1) + 2 * math.log(k)
+
+
 _H2_SPACES = [Hyperbolic(2, 0.5), Hyperbolic(2, 1.0), Hyperbolic(2, 2.0), HalfPlane()]
 
 
 @pytest.mark.parametrize("space", _H2_SPACES, ids=lambda sp: sp.label())
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 401])
 def test_h2_array_path_equals_scalar_path_bitwise(space, n):
-    # the array path evaluates blocks of radii; block edges fall at 32, 64, ...
+    # the array path evaluates blocks of radii; block edges fall at 32, 64, ...;
+    # a single distance is an array of one
     ker = kernel_for(space)
     for t in (0.3, 1.0, 7.0):
         big = truncation_radius(space, t)
         edge = [0.0, 1e-12, big * (1 - 1e-12), big, big * (1 + 1e-12)]
         rs = np.concatenate([edge, np.linspace(1e-3, 1.2 * big, max(n - len(edge), 0))])[:n]
         got = np.asarray(ker.log_q(t, rs))
-        want = np.array([ker.log_q(t, float(r)) for r in rs])
+        want = np.array([log_q_h2_scalar(t, space.k, float(r)) for r in rs])
         assert got.shape == (n,)
         assert np.array_equal(got, want)
+        assert np.array_equal(np.array([ker.log_q(t, float(r)) for r in rs]), want)
 
 
 def test_h2_array_path_memory_is_chunked():
@@ -174,25 +211,26 @@ def test_h2_log_q_is_minus_inf_where_the_u_range_collapses(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in huge:
-            assert ker.log_q(1.0, r) == -math.inf
+            assert ker.log_q(1.0, r) == log_q_h2_scalar(1.0, k, r) == -math.inf
         assert np.array_equal(ker.log_q(1.0, np.array(huge)), np.full(3, -math.inf))
         assert np.array_equal(ker.q(1.0, np.array(huge)), np.zeros(3))
         # in the noisy range before the collapse the values stay finite, and
-        # each radius of the array agrees with its scalar
+        # each radius of the array agrees with the scalar oracle
         rs = np.logspace(0.0, 12.0, 97)
         got = np.asarray(ker.log_q(1.0, rs))
-        assert np.array_equal(got, np.array([ker.log_q(1.0, float(r)) for r in rs]))
+        assert np.array_equal(got, np.array([log_q_h2_scalar(1.0, k, float(r)) for r in rs]))
         assert not np.isnan(got).any()
         assert np.isfinite(got[rs < 1e7]).all()
 
 
 def test_h2_log_q_is_minus_inf_where_the_inner_integral_underflows():
     # at t = 1e300 the Gauss-Legendre sum is 0, and math.log(0) raised a math domain
-    # error on the scalar and the array path alike
+    # error on a single distance and an array alike
     ker = kernel_for(Hyperbolic(2, 1.0))
     rs = np.array([0.0, 5.0, 10.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert [log_q_h2_scalar(1e300, 1.0, float(r)) for r in rs] == [-math.inf] * 3
         assert [ker.log_q(1e300, float(r)) for r in rs] == [-math.inf] * 3
         assert np.array_equal(ker.log_q(1e300, rs), np.full(3, -math.inf))
 
@@ -235,13 +273,16 @@ def test_log_q_rejects_negative_and_nan_dist_on_every_kernel(space, dist, as_arr
                               "H3_k0.5", "H3_k1", "H3_k2"])
 @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
 def test_kernel_vanishes_at_infinite_distance(space, as_array):
-    # H^3 read log(inf) - inf = NaN in the r/sinh(r) factor
+    # H^3 read log(inf) - inf = NaN in the r/sinh(r) factor; at a finite 1e200,
+    # r * r overflowed with a RuntimeWarning on R^d and H^3, and at 1e308 so did
+    # k * r on H^2 and H^3 with k = 2
     ker = kernel_for(space)
-    dist = np.array([[0.0, math.inf], [math.inf, 2.0]]) if as_array else math.inf
-    log_q, q = np.asarray(ker.log_q(1.0, dist)), np.asarray(ker.q(1.0, dist))
-    at_inf = np.isinf(dist)
-    assert np.all(log_q[at_inf] == -math.inf) and np.all(q[at_inf] == 0.0)
-    assert np.all(np.isfinite(log_q[~at_inf]))
+    for far in (math.inf, 1e200, 1e308):
+        dist = np.array([[0.0, far], [far, 2.0]]) if as_array else far
+        log_q, q = np.asarray(ker.log_q(1.0, dist)), np.asarray(ker.q(1.0, dist))
+        at_far = np.asarray(dist) == far
+        assert np.all(log_q[at_far] == -math.inf) and np.all(q[at_far] == 0.0)
+        assert np.all(np.isfinite(log_q[~at_far]))
 
 
 def test_chapman_kolmogorov():
@@ -407,6 +448,22 @@ def test_zero_two_defect_h2_strictly_below_two():
     val = zero_two_defect(Hyperbolic(2, 1.0), tau=1.0, t=1.0)
     assert val < 1.0  # recorded anchor ~ 0.60
     assert val == pytest.approx(0.6012, abs=2e-3)
+
+
+# float.hex of zero_two_defect at (tau, t) = (1, 1) and (0.5, 2): its brentq
+# evaluates the kernel at one distance per call
+_ZERO_TWO_H2_GOLDEN = {
+    "hyperbolic(dim=2,k=0.5)": ("0x1.0e3ee9d12ae0ap-1", "0x1.6d25e94532178p-3"),
+    "hyperbolic(dim=2,k=1)": ("0x1.33d179cae4da2p-1", "0x1.b82f465441690p-3"),
+    "hyperbolic(dim=2,k=2)": ("0x1.a092433240580p-1", "0x1.44dbe796abf4cp-2"),
+    "halfplane": ("0x1.33d179cae4da2p-1", "0x1.b82f465441690p-3"),
+}
+
+
+@pytest.mark.parametrize("space", _H2_SPACES, ids=lambda sp: sp.label())
+def test_zero_two_defect_h2_golden_bits(space):
+    got = tuple(zero_two_defect(space, tau=tau, t=t).hex() for tau, t in ((1.0, 1.0), (0.5, 2.0)))
+    assert got == _ZERO_TWO_H2_GOLDEN[space.label()]
 
 
 def test_zero_two_defect_non_increasing_in_t():
