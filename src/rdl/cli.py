@@ -25,12 +25,12 @@ Gamma(m/2) are stored in the package, and the quadrature is rdl's QAGS).
 Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
 disk or an --out that names a directory), 3 non-converged estimator or a
 gromov result that is not exact (the witness and manifest are still
-written), 4 internal invariant failure.  simulate --threads (or
-RDL_THREADS; without either, the usable core count) must be an integer >= 1;
-its manifest config records it, and it caps the forked worker processes that
-run the paths, which are also capped by the usable cores and get at least 256
-paths each.  The output bytes do not depend on it; the other commands run in
-one process and neither read nor record it.
+written), 4 internal invariant failure.  simulate --threads (default: the
+usable core count) must be an integer >= 1; its manifest config records it,
+and it caps the forked worker processes that run the paths, which are also
+capped by the usable cores and get at least 256 paths each.  The output bytes
+do not depend on it; the other commands run in one process and take no
+--threads.
 report and kernel name their --space e1, e2, e3, h2, h3 or halfplane, and
 --kappa sets k on h2 and h3.  An option that the run would ignore may only
 repeat its default or the fixed value: --kappa where the space or profile
@@ -43,10 +43,10 @@ at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
 finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
 integer field is an integral number, and k, weights and the entries of a
 dist matrix are finite numbers (never a bool or a string); an ensemble
-component is a weight and a space; a model space or an ensemble component
-with a key that is not read is an error.  A report's JSON is strict: a
-value that is not finite, such as a volume growth past the float range, is
-written as "inf" or "nan".
+component is a weight and a space; a pointed space, a model space, an
+ensemble or an ensemble component with a key that is not read is an error.
+A report's JSON is strict: a value that is not finite, such as a volume
+growth past the float range, is written as "inf" or "nan".
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .gromov import (
 )
 from .heat_kernels import kernel_for
 from .model_spaces import GeometryError, HalfPlane, builtin_profile, space_from_json
-from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, _usable_cores, halfplane_blocks, simulate_radial
+from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, halfplane_blocks, simulate_radial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,20 +148,6 @@ def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> N
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _threads(flag) -> int:
-    """The thread count: --threads, else RDL_THREADS, else the usable cores; an integer >= 1."""
-    name, value = "--threads", flag
-    if flag is None:
-        name, value = "RDL_THREADS", os.environ.get("RDL_THREADS") or _usable_cores()
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
-
-
 def _write_csv(out: str, header: list, blocks) -> None:
     """The header row, then each block of rows as it comes."""
     with open(out, "w") as fh:
@@ -177,9 +163,6 @@ def _float_list(text: str) -> list:
 
 
 def _cmd_simulate(args) -> tuple[int, list]:
-    args.threads = _threads(args.threads)  # resolved before any work; the manifest records it
-    if (args.space is None) == (args.profile is None):
-        raise UsageError("give exactly one of --space or --profile")
     cfg = SimConfig(
         seed=args.seed,
         n_paths=args.paths,
@@ -188,6 +171,9 @@ def _cmd_simulate(args) -> tuple[int, list]:
         record_stride=args.record_stride,
         threads=args.threads,
     )
+    args.threads = cfg.threads  # the manifest records the cap the run used
+    if (args.space is None) == (args.profile is None):
+        raise UsageError("give exactly one of --space or --profile")
     out = args.out
     if args.space is not None:
         if args.space.lower() != "halfplane":
@@ -317,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="radius at which paths freeze (--profile kaimanovich only)")
     s.add_argument("--record-stride", dest="record_stride", type=int, default=1)
     s.add_argument("--threads", type=int, default=None,
-                   help="worker processes at most, an integer >= 1 (default RDL_THREADS, "
-                        "else the usable cores); never changes the output")
+                   help="worker processes at most, an integer >= 1 (default: the usable "
+                        "cores); never changes the output")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
 

@@ -130,11 +130,20 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
         )
 
 
+def _check_resolvable(space: ModelManifold, t: float) -> None:
+    """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius."""
+    big = truncation_radius(space, t)
+    if math.sqrt(t) < _MIN_SPREAD * big:
+        raise EstimatorInputError(
+            f"horizon t = {t:.6g} is too small on {space.label()}: sqrt(t) = {math.sqrt(t):.3g} "
+            f"is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, R = {big:.6g} the truncation radius")
+
+
 def _horizon_moments(space: ModelManifold, t_grid) -> tuple[dict, dict]:
     """(ell_by_t, h_by_t): ell_t at every horizon of the sorted grid and h_t at
     the last three, from one _radial_integral call per horizon.  The kernel
-    mass is checked where h is read.  A horizon with sqrt(t) < _MIN_SPREAD R
-    is rejected before any quadrature runs."""
+    mass is checked where h is read.  Every horizon passes _check_resolvable
+    before any quadrature runs."""
     ts = sorted(float(t) for t in t_grid)
     if len(ts) < 4:
         raise EstimatorInputError("t_grid needs >= 4 points")
@@ -142,11 +151,7 @@ def _horizon_moments(space: ModelManifold, t_grid) -> tuple[dict, dict]:
     if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) < len(ts):
         raise EstimatorInputError(f"t_grid needs distinct finite horizons > 0, got {ts}")
     for t in ts:
-        big = truncation_radius(space, t)
-        if math.sqrt(t) < _MIN_SPREAD * big:
-            raise EstimatorInputError(
-                f"horizon t = {t:.6g} is too small on {space.label()}: sqrt(t) = {math.sqrt(t):.3g} "
-                f"is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, R = {big:.6g} the truncation radius")
+        _check_resolvable(space, t)
     ell, h = {}, {}
     for t in ts[:-3]:
         (ell[t],) = _radial_integral(space, t, (_dist,))
@@ -195,7 +200,9 @@ def drift_subadditive_limit(ell_by_t: dict) -> SubadditiveDriftFit:
 
 
 def entropy_quadrature(space: ModelManifold, t: float) -> float:
-    """h_t = -int q log q dx by radial quadrature."""
+    """h_t = -int q log q dx by radial quadrature, at a horizon that passes
+    _check_resolvable."""
+    _check_resolvable(space, t)
     mass, h = _radial_integral(space, t, (_mass, _surprisal))
     _check_mass(space, t, mass)
     return h
@@ -252,6 +259,9 @@ class Ensemble:
             entries = obj["components"] if isinstance(obj, dict) else None
             if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
                 raise EstimatorInputError("an ensemble is an object with a 'components' list of objects")
+            unknown = sorted(set(obj) - {"components"})
+            if unknown:
+                raise EstimatorInputError(f"unknown key {unknown[0]!r} in an ensemble")
             for entry in entries:
                 weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
                 comps.append(space_from_json(entry["space"]))

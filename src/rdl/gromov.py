@@ -175,6 +175,9 @@ class FinitePointedSpace:
     def from_json_dict(cls, obj: dict) -> "FinitePointedSpace":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
+        unknown = sorted(set(obj) - {"n", "basepoint", "dist"})
+        if unknown:
+            raise MetricError(f"unknown key {unknown[0]!r} in a pointed space")
         rows = obj["dist"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise MetricError("'dist' must be a matrix: a list of rows of numbers")

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvblock import csv_block, shared_rows
 from ._gauss_legendre import HALVES
 from ._lazy import lazy
 from .model_spaces import ModelManifold, ProfileFunction
@@ -342,13 +341,6 @@ class RadialDensityGrid:
         if not abs(self.times[i] - t) <= 1e-9 + 1e-6 * max(1.0, t):
             raise KernelError(f"time {t} not on the stored grid")
         return self.rho[i]
-
-    def to_csv(self, path) -> None:
-        rows = shared_rows([self.r_centers, None])
-        with open(path, "w") as fh:
-            fh.write("t,r,rho\n")
-            for t, rho in zip(self.times.tolist(), self.rho):
-                fh.write(csv_block("%.17g," % t, [rho], rows))
 
 
 def radial_fokker_planck(

@@ -30,10 +30,11 @@ path order: one per worker for a radial run, and for a half-plane run
 blocks of at most _BLOCK_ROWS records (halfplane_blocks), which a caller
 such as the CLI's CSV writer can format on the workers and consume one at a
 time.  The worker count is min(cfg.threads, usable cores, n_paths //
-_MIN_CHUNK), and cfg.threads = None means every usable core.  More than one
-worker runs the chunks on a pool of forked processes that exists only for
-the call.  One worker runs the same chunk body in-process, and so does every
-run where fork is missing, or unsafe because the caller runs other threads.
+_MIN_CHUNK); SimConfig turns threads = None into the usable core count and
+refuses a cap below 1.  More than one worker runs the chunks on a pool of
+forked processes that exists only for the call.  One worker runs the same
+chunk body in-process, and so does every run where fork is missing, or
+unsafe because the caller runs other threads.
 Each worker allocates only its chunk's share of the step block.
 
 Reproducibility: every path owns a counter-based Philox stream keyed by
@@ -98,7 +99,7 @@ class SimConfig:
     t_max: float
     dt: float = 1e-2
     record_stride: int = 1
-    threads: int | None = None   # worker cap; None means every usable core
+    threads: int | None = None   # worker cap; None becomes the usable core count
 
     def __post_init__(self):
         if not (0 <= self.seed < 2 ** 63):
@@ -112,8 +113,10 @@ class SimConfig:
             raise ValueError(f"t_max/dt must be a whole number of steps, got {steps}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1 or None")
+        if self.threads is None:
+            object.__setattr__(self, "threads", _usable_cores())
+        if self.threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
     @property
     def n_steps(self) -> int:
@@ -136,9 +139,7 @@ def _n_workers(cfg: SimConfig) -> int:
     where fork is missing, or unsafe because the caller runs other threads."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    cores = _usable_cores()
-    threads = cores if cfg.threads is None else cfg.threads
-    return max(1, min(threads, cores, cfg.n_paths // _MIN_CHUNK))
+    return max(1, min(cfg.threads, _usable_cores(), cfg.n_paths // _MIN_CHUNK))
 
 
 # The chunk job of the running pool: set in each forked worker by the pool

@@ -326,21 +326,28 @@ def test_criterion_9_sde_pde_cross_validation():
 # -------------------------------------------------------------- criterion 10
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
-    def run_script(tag: str) -> dict:
+def test_criterion_10_determinism(tmp_path):
+    def run_script(tag: str, threads: str) -> dict:
         out = {}
         traj = tmp_path / f"traj_{tag}.csv"
-        rc = cli_main(["simulate", "--profile", "kaimanovich", "--paths", "10",
-                       "--t-max", "10", "--dt", "0.001", "--seed", "7",
+        rc = cli_main(["simulate", "--threads", threads, "--profile", "kaimanovich",
+                       "--paths", "10", "--t-max", "10", "--dt", "0.001", "--seed", "7",
                        "--record-stride", "100", "--out", str(traj)])
         assert rc == 0
         out["traj"] = traj.read_bytes()
         hp = tmp_path / f"hp_{tag}.csv"
-        rc = cli_main(["simulate", "--space", "halfplane", "--paths", "50",
-                       "--t-max", "5", "--dt", "0.01", "--seed", "11",
+        rc = cli_main(["simulate", "--threads", threads, "--space", "halfplane",
+                       "--paths", "50", "--t-max", "5", "--dt", "0.01", "--seed", "11",
                        "--record-stride", "50", "--out", str(hp)])
         assert rc == 0
         out["hp"] = hp.read_bytes()
+        # 600 paths are two minimum chunks: at --threads 2 two workers write them
+        # on a multi-core host, where the runs above stay in one process
+        split = tmp_path / f"split_{tag}.csv"
+        rc = cli_main(["simulate", "--threads", threads, "--space", "halfplane",
+                       "--paths", "600", "--t-max", "1", "--seed", "3", "--out", str(split)])
+        assert rc == 0
+        out["split"] = split.read_bytes()
         rep = tmp_path / f"rep_{tag}.json"
         rc = cli_main(["report", "--space", "h2", "--t-grid", "5,10,20,30,39,40",
                        "--out", str(rep)])
@@ -356,10 +363,8 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         out["witness"] = w.read_bytes()
         return out
 
-    monkeypatch.setenv("RDL_THREADS", "1")
-    first = run_script("one")
-    monkeypatch.setenv("RDL_THREADS", "16")
-    second = run_script("two")
+    first = run_script("one", "1")
+    second = run_script("two", "2")
     ok = all(first[k] == second[k] for k in first)
     _line(10, ok, "CSV/JSON artifacts byte-identical across reruns and thread caps "
                   f"({len(first)} artifacts)")

@@ -63,10 +63,9 @@ CORES = len(os.sched_getaffinity(0))
 
 @pytest.mark.parametrize("kind", [["--space", "halfplane"], ["--profile", "hyperbolic"]],
                          ids=["halfplane", "hyperbolic"])
-def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch, kind):
+def test_simulate_bytes_independent_of_thread_count(tmp_path, kind):
     # 600 paths are two minimum chunks: on two or more cores the default count, --threads 2
     # and 16 fork workers
-    monkeypatch.delenv("RDL_THREADS", raising=False)
     digests = set()
     for threads in (None, "1", "2", "16"):
         out = tmp_path / f"hp{threads}.csv"
@@ -83,7 +82,6 @@ def test_simulate_bytes_independent_of_thread_count(tmp_path, monkeypatch, kind)
 
 def test_halfplane_bytes_independent_of_block_size(tmp_path, monkeypatch):
     # 101 records per path: blocks of 7 paths leave a last block of 5 of the 600
-    monkeypatch.delenv("RDL_THREADS", raising=False)
     argv = ["simulate", "--space", "halfplane", "--t-max", "1", "--paths", "600", "--seed", "3"]
     ref = tmp_path / "ref.csv"
     assert main([*argv, "--threads", "1", "--out", str(ref)]) == EXIT_OK
@@ -393,9 +391,11 @@ def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, co
     {"components": [{"weight": True, "space": _H2}]},
     # an integer beyond the float range used to raise OverflowError (exit 4)
     {"components": [{"weight": 10 ** 400, "space": _H2}]},
+    # a top-level key besides 'components' was dropped, and the report went ahead
+    {"components": [{"weight": 1, "space": _H2}], "extra": 1},
 ], ids=["list", "components-int", "space-list", "weight-list", "weight-nan", "second-weight-nan",
         "dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-true", "k-string",
-        "weight-string", "weight-true", "weight-huge"])
+        "weight-string", "weight-true", "weight-huge", "top-level-extra"])
 def test_report_malformed_ensemble_file_is_usage_error(tmp_path, capsys, content):
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps(content))
@@ -600,8 +600,10 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
     # np.asarray(..., dtype=float) used to read these as [[0, 1], [1, 0]], and d_GS came out
     {"dist": [["0", "1"], ["1", "0"]]},
     {"dist": [[False, True], [True, False]]},
+    # a key that is not read was dropped, and d_GS came out
+    {"dist": [[0, 1], [1, 0]], "lable": "x"},
 ], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional",
-        "n-true", "basepoint-false", "dist-ragged", "dist-strings", "dist-bools"])
+        "n-true", "basepoint-false", "dist-ragged", "dist-strings", "dist-bools", "unknown-key"])
 def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(content))
@@ -787,69 +789,67 @@ def test_option_the_run_uses_or_left_at_default_is_accepted(tmp_path, argv):
 
 
 @pytest.mark.parametrize("flag, env, message", [
-    (None, "abc", "RDL_THREADS must be an integer >= 1, got 'abc'"),
-    (None, "0", "RDL_THREADS must be an integer >= 1, got '0'"),
-    ("-3", None, "--threads must be an integer >= 1, got -3"),
-    ("0", "4", "--threads must be an integer >= 1, got 0"),
+    ("-3", None, "threads must be an integer >= 1, got -3"),
+    ("0", "4", "threads must be an integer >= 1, got 0"),
     ("abc", None, "argument --threads"),
-], ids=["env-abc", "env-zero", "flag-negative", "flag-zero-over-env", "flag-abc"])
+], ids=["flag-negative", "flag-zero-over-env", "flag-abc"])
 def test_bad_thread_count_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
                                                          flag, env, message):
-    # the count used to be read after the work: RDL_THREADS=abc left hp.csv behind
-    # with no manifest, and --threads -3 was recorded as 1
-    if env is None:
-        monkeypatch.delenv("RDL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("RDL_THREADS", env)
+    # the count used to be read after the work: --threads -3 was recorded as 1
+    if env is not None:
+        monkeypatch.setenv("RDL_THREADS", env)  # not read: the flag alone is checked
     out = tmp_path / "hp.csv"
-    argv = _SIM + (["--threads", flag] if flag is not None else []) + [
-        "--space", "halfplane", "--out", str(out)]
+    argv = _SIM + ["--threads", flag, "--space", "halfplane", "--out", str(out)]
     assert main(argv) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_ignores_rdl_threads(tmp_path, monkeypatch):
+    # RDL_THREADS was a second way to set the cap: "abc" exited 2 before any work
+    monkeypatch.setenv("RDL_THREADS", "abc")
+    out = tmp_path / "hp.csv"
+    assert main(_SIM + ["--space", "halfplane", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "hp.csv.manifest.json").read_text())
+    assert manifest["config"]["threads"] == CORES
+
+
 # Manifest config of each command as the hand-written echo lists produced it; only
-# simulate reads the thread count, so only its config records it, and the other
-# commands run with an RDL_THREADS that simulate would refuse (they exited 2 on it)
+# simulate has a thread count, so only its config records it
 _MANIFEST_RUNS = [
     (["simulate", "--space", "halfplane", "--paths", "3", "--t-max", "1", "--record-stride", "7",
       "--out", "{tmp}/hp.csv"],
-     "hp.csv", None,
+     "hp.csv",
      {"dt": 0.01, "kappa": None, "paths": 3, "profile": None, "r0": 1.0, "r_cap": 200.0,
       "record_stride": 7, "seed": 0, "space": "halfplane", "t_max": 1.0, "threads": CORES}),
     (["simulate", "--threads", "2", "--profile", "kaimanovich", "--paths", "2", "--t-max", "1",
       "--dt", "0.001", "--record-stride", "100", "--seed", "5", "--out", "{tmp}/ka.csv"],
-     "ka.csv", None,
+     "ka.csv",
      {"dt": 0.001, "kappa": None, "paths": 2, "profile": "kaimanovich", "r0": 1.0,
       "r_cap": 200.0, "record_stride": 100, "seed": 5, "space": None, "t_max": 1.0,
       "threads": 2}),
     (["report", "--space", "h2", "--kappa", "1", "--t-grid", "5,10,20,30,39,40",
       "--out", "{tmp}/rep.json"],
-     "rep.json", "abc",
+     "rep.json",
      {"ensemble_file": None, "kappa": 1.0, "r_max": 40.0, "space": "h2",
       "t_grid": [5.0, 10.0, 20.0, 30.0, 39.0, 40.0]}),
     (["report", "--ensemble-file", "{tmp}/mix.json", "--out", "{tmp}/mix_rep.json"],
-     "mix_rep.json", "abc",
+     "mix_rep.json",
      {"ensemble_file": "{tmp}/mix.json", "kappa": None, "r_max": 40.0,
       "space": None, "t_grid": None}),
     (["gromov", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--witness", "{tmp}/w.json"],
-     "w.json", "abc",
+     "w.json",
      {"a": "{tmp}/a.json", "b": "{tmp}/b.json", "tol": 0.001}),
     (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "{tmp}/k.csv"],
-     "k.csv", "abc",
+     "k.csv",
      {"kappa": None, "points": 11, "r_max": 10.0, "space": "h3", "t": "1,4"}),
 ]
 
 
-@pytest.mark.parametrize("argv, output, env, config", _MANIFEST_RUNS,
+@pytest.mark.parametrize("argv, output, config", _MANIFEST_RUNS,
                          ids=["simulate-halfplane", "simulate-kaimanovich", "report-space",
                               "report-ensemble", "gromov", "kernel"])
-def test_manifest_config_golden(tmp_path, monkeypatch, argv, output, env, config):
-    if env is None:
-        monkeypatch.delenv("RDL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("RDL_THREADS", env)
+def test_manifest_config_golden(tmp_path, argv, output, config):
     (tmp_path / "mix.json").write_text(json.dumps({"components": _H2_H3}))
     _write_space(tmp_path / "a.json", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     _write_space(tmp_path / "b.json", [[0.0, 0.0], [1.1, 0.0], [0.0, 0.9]])

@@ -45,6 +45,10 @@ def test_horizon_moments_rejects_a_horizon_too_small_to_resolve():
         _horizon_moments(Euclidean(1), [2e-6, 1.1e-6, 3e-6, 4e-6])
     ell, _ = _horizon_moments(Euclidean(1), [2e-6, 3e-6, 4e-6, 5e-6])
     assert ell[2e-6] == pytest.approx(math.sqrt(2 * 2e-6 / math.pi), rel=1e-8)
+    # entropy_quadrature shares the cut; below it, it raised EstimatorError
+    # "kernel mass 0.393469 < 0.999 ... kernel or truncation bug"
+    with pytest.raises(EstimatorInputError, match=r"^horizon t = 1e-08 is too small on euclidean\(dim=2\)"):
+        entropy_quadrature(Euclidean(2), 1e-8)
 
 
 def test_drift_euclidean_scaling_ratio_sqrt2():

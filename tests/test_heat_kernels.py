@@ -637,27 +637,19 @@ def test_diagnostics_reject_infinite_horizons_and_bad_radii(call, fragment):
         call()
 
 
-def test_fp_csv_export(tmp_path):
-    grid = radial_fokker_planck(builtin_profile("euclid"), r0=0.05, dt=4e-4, dr=0.05,
-                                t_max=0.2, r_max=3.0, n_snapshots=3)
-    out = tmp_path / "grid.csv"
-    grid.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,r,rho"
-    assert len(lines) == 1 + len(grid.times) * len(grid.r_centers)
-
-
-# SHA-256 of each grid's CSV as a per-row f"{x:.17g}" writer produces it
+# SHA-256 of each grid's times, r_centers, rho and mass, each as .tobytes(), in that order
 @pytest.mark.parametrize("label, kw, digest", [
     ("euclid", dict(r0=0.05, dt=4e-4, dr=0.05, t_max=0.2, r_max=3.0, n_snapshots=3),
-     "7162dcc7019b8f13323498453ed4f12b48dd0bbf9e2e988362d2ce67c716a352"),
+     "403d5428b6a8398097c37ecb64e84110a8a27a42e49a3b1297d2c3848fb9a3b8"),
     ("hyperbolic", dict(r0=0.01, dt=1e-4, dr=0.02, t_max=0.5, r_max=4.0, n_snapshots=6),
-     "5aecd8c84f2712a375fdd0963736c588f77c7756f0ea4e7a6d79e0b9fdbb69b5"),
+     "062682129dfa624ad02abd81db0b7aee3bd9ec3b9d2715e2891bf438a9fc0504"),
 ])
-def test_fp_csv_golden_bytes(tmp_path, label, kw, digest):
-    out = tmp_path / "grid.csv"
-    radial_fokker_planck(builtin_profile(label), **kw).to_csv(out)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def test_fp_grid_golden_bytes(label, kw, digest):
+    grid = radial_fokker_planck(builtin_profile(label), **kw)
+    h = hashlib.sha256()
+    for a in (grid.times, grid.r_centers, grid.rho, grid.mass):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_rotsym_has_no_closed_form_kernel():

@@ -434,8 +434,9 @@ def test_one_worker_while_other_threads_run():
 
 
 def test_threads_must_be_positive():
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
         SimConfig(seed=1, n_paths=1, t_max=1.0, threads=0)
+    assert SimConfig(seed=1, n_paths=1, t_max=1.0).threads == sde_sim._usable_cores()
 
 
 # p = r exp(r^3): drift 1/(2r) + 3r^2/2 explodes in finite time from r0 = 1
