@@ -25,6 +25,7 @@ chain h <= ell*v takes the ratio, everything else takes increments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -131,12 +132,20 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
 
 
 def _check_resolvable(space: ModelManifold, t: float) -> None:
-    """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius."""
+    """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius.
+
+    R = 3 v t + S + 5, S = sqrt(9 v^2 t^2 + 120 t), v = (dim-1) k/2.  sqrt(t)/R
+    falls as t grows where R < 2 t R', that is where S (5 - 3 v t) < 9 v^2 t^2
+    (never on R^d): there the horizon is too large, elsewhere too small."""
     big = truncation_radius(space, t)
     if math.sqrt(t) < _MIN_SPREAD * big:
+        v = (space.dim - 1) * space.k / 2.0
+        vt = v * t
+        falling = math.sqrt(9.0 * vt * vt + 120.0 * t) * (5.0 - 3.0 * vt) < 9.0 * vt * vt
         raise EstimatorInputError(
-            f"horizon t = {t:.6g} is too small on {space.label()}: sqrt(t) = {math.sqrt(t):.3g} "
-            f"is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, R = {big:.6g} the truncation radius")
+            f"horizon t = {t:.6g} is too {'large' if falling else 'small'} on {space.label()}: "
+            f"sqrt(t) = {math.sqrt(t):.3g} is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, "
+            f"R = {big:.6g} the truncation radius")
 
 
 def _horizon_moments(space: ModelManifold, t_grid) -> tuple[dict, dict]:
@@ -378,6 +387,9 @@ def default_t_grid(space: ModelManifold) -> list[float]:
     if space.k == 0:
         return [100.0, 500.0, 1000.0, 1500.0, 2000.0, 2400.0, 2450.0, 2500.0]
     k = space.k
+    if not sys.float_info.min <= k * k < math.inf:
+        raise EstimatorInputError(
+            f"the default horizons t / k^2 need k^2 to be a normal float, got k = {k:g}")
     base = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 38.0, 39.0, 40.0]
     return [t / (k * k) for t in base]
 

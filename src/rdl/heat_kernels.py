@@ -14,8 +14,10 @@ Closed forms:
     evaluated after the substitution s = r + u^2, which removes the
     inverse-square-root endpoint singularity, by a 256-node Gauss-Legendre
     rule.  Every distance, a single one included, is evaluated as a 1-d
-    array in blocks of 32 radii, one (32, 256) array per block; the tests
-    check it bit for bit against a scalar oracle, one radius at a time.
+    array in blocks of 32 radii.  One call allocates five (32, 256) buffers
+    and runs every block's ufunc passes into them with out=, so their
+    number, not the radii, sets its memory; the tests check it bit for bit
+    against a scalar oracle, one radius at a time.
 
 Curvature -k^2 via rescaling: the metric g/k^2 multiplies distances by 1/k
 and the Laplacian by k^2, so
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,67 +126,92 @@ def _gl(n: int):
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-_H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per temporary
+_H2_ROWS = 32  # radii per block of the array path: 32 x 256 floats per buffer
 
 
-def _h2_terms(t: float, r: np.ndarray, u_max: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre terms of I(t, r), after s = r + u^2 and factoring the
-    exponential envelope:
+def _h2_integrals(t: float, r: np.ndarray, u_max: np.ndarray) -> np.ndarray:
+    """I(t, r) for 1-d arrays of radii and their u_max, after s = r + u^2 and
+    factoring the exponential envelope:
 
     q_1(t, r) = sqrt(2) (2 pi t)^(-3/2) exp(-t/8 - r^2/2t - r/2) I(t, r)
     I(t, r) = int_0^umax 2u (r + u^2) e^{-(2 r u^2 + u^4)/2t}
               / ( sqrt(expm1(u^2)/2) sqrt(1 - e^{-2r - u^2}) ) du
 
-    r and u_max are (rows, 1) columns of a block of radii; row i of the
-    (rows, 256) terms depends on radius i alone.
+    Row i of a block depends on radius i alone.  The passes are the scalar
+    oracle's (tests/test_heat_kernels.py), in its order, with rewrites that
+    are exact on normal floats: x / -(2t) for -x / 2t, and the 2 of 2u
+    dropped from num and from den (as expm1(u^2) / 8 under the root), so
+    num / den is one rounding of the same quotient.  For t at least the
+    smallest normal float (log_q_hyperbolic refuses less) u^2 is normal and
+    den > 0, so the oracle's guard for num = 0 never changes a value and is
+    left out.
     """
     nodes, weights = _gl(256)
-    u = 0.5 * u_max * (nodes + 1.0)
-    w = 0.5 * u_max * weights
-    u2 = u * u
+    nodes1 = nodes + 1.0
+    n = r.size
+    factor = np.empty(n)
+    bufs = np.empty((5, min(n, _H2_ROWS), 256))
     with np.errstate(over="ignore"):
-        num = 2.0 * u * (r + u2) * np.exp(-(2.0 * r * u2 + u2 * u2) / (2.0 * t))
-        den = np.sqrt(np.expm1(u2) / 2.0) * np.sqrt(-np.expm1(-2.0 * r - u2))
-        vals = np.where(num == 0.0, 0.0, num / den)
-    return w * vals
-
-
-def _h2_assemble(t: float, r: float, factor: float) -> float:
-    """log q_1(t, r) from factor = I(t, r), one radius of a block at a time
-    with math.log.  Where I underflows to 0 (t ~ 1e300) q is 0: -inf."""
-    if factor == 0.0:
-        return -math.inf
-    return (
-        0.5 * math.log(2.0)
-        - 1.5 * math.log(2.0 * math.pi * t)
-        - t / 8.0
-        - r * r / (2.0 * t)
-        - r / 2.0
-        + math.log(factor)
-    )
+        for lo in range(0, n, _H2_ROWS):
+            m = min(_H2_ROWS, n - lo)
+            rc, half = r[lo:lo + m, None], 0.5 * u_max[lo:lo + m, None]
+            u, u2, num, den, tmp = bufs[:, :m]
+            np.multiply(half, nodes1, out=u)
+            np.multiply(u, u, out=u2)
+            np.add(rc, u2, out=num)
+            num *= u
+            np.multiply(2.0 * rc, u2, out=den)
+            np.multiply(u2, u2, out=tmp)
+            den += tmp
+            den /= -(2.0 * t)
+            np.exp(den, out=den)
+            num *= den  # u (r + u^2) e^(...): the oracle's num / 2
+            np.expm1(u2, out=den)
+            den *= 0.125
+            np.sqrt(den, out=den)
+            np.subtract(-2.0 * rc, u2, out=tmp)
+            np.expm1(tmp, out=tmp)
+            np.negative(tmp, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            den *= tmp  # the oracle's den / 2
+            num /= den
+            np.multiply(half, weights, out=tmp)
+            num *= tmp
+            num.sum(axis=1, out=factor[lo:lo + m])
+    return factor
 
 
 def _log_q_h2_many(t: float, r: np.ndarray) -> np.ndarray:
-    """log q_1(t, r) over a 1-d array of radii, _H2_ROWS radii per (rows, 256)
-    block, the one H^2 path (a single radius is an array of one).  The inner
-    integral runs over u in [0, u_max], u_max = sqrt(-r + sqrt(r^2 + 100 t));
-    where that range collapses (u_max is 0 or not finite, from r ~ 1e10 on)
-    q has long underflowed, so log q = -inf."""
+    """log q_1(t, r) over a 1-d array of radii, the one H^2 path (a single
+    radius is an array of one).  The inner integral runs over u in
+    [0, u_max], u_max = sqrt(-r + sqrt(r^2 + 100 t)); where that range
+    collapses (u_max is 0 or not finite, from r ~ 1e10 on) q has long
+    underflowed, so log q = -inf, and where I underflows to 0 (t ~ 1e300) q
+    is 0 too.  math.log takes I one radius at a time (np.log may differ in
+    the last bit); the rest of the assembly is array arithmetic."""
     with np.errstate(over="ignore", invalid="ignore"):
         u_max = np.sqrt(-r + np.sqrt(r * r + 2.0 * t * 50.0))
         ok = np.isfinite(u_max) & (u_max > 0.0)
-    factor = np.zeros_like(r)
-    idx = np.flatnonzero(ok)
-    for lo in range(0, idx.size, _H2_ROWS):
-        rows = idx[lo:lo + _H2_ROWS]
-        factor[rows] = np.sum(_h2_terms(t, r[rows, None], u_max[rows, None]), axis=1)
-    return np.array([_h2_assemble(t, ri, fi) if oki else -math.inf
-                     for ri, fi, oki in zip(r.tolist(), factor.tolist(), ok.tolist())])
+    every = bool(ok.all())
+    if not every:
+        idx = np.flatnonzero(ok)
+        r, u_max = r[idx], u_max[idx]
+    log_i = np.array([math.log(f) if f != 0.0 else -math.inf
+                      for f in _h2_integrals(t, r, u_max).tolist()])
+    c0 = 0.5 * math.log(2.0) - 1.5 * math.log(2.0 * math.pi * t) - t / 8.0
+    log_q = c0 - r * r / (2.0 * t) - r * 0.5 + log_i
+    if every:
+        return log_q
+    out = np.full(ok.shape, -math.inf)
+    out[idx] = log_q
+    return out
 
 
 def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     """log q on H^dim with curvature -k^2, as a function of distance; an
-    array dist gives an array of its shape."""
+    array dist gives an array of its shape.  k^2 t must be a normal float:
+    at k^2 t = 1e-320 the H^2 value is already 3e-5 off the flat kernel, and
+    where k^2 t underflows to 0, H^2 read q = 0 and H^3 NaN."""
     if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
     if dim not in (2, 3):
@@ -191,6 +219,9 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     if not k > 0:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
+    if not t1 >= sys.float_info.min:
+        raise KernelError(f"need k^2 t to be a normal float (>= {sys.float_info.min:g}), "
+                          f"got k = {k:g}, t = {t:g}")
     r = _radii(dist)
     with np.errstate(over="ignore"):  # k r or (k r)^2 past the float range is inf: log q = -inf
         if dim == 3:

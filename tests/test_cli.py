@@ -455,6 +455,35 @@ def test_report_horizon_too_small_to_resolve_is_usage_error(tmp_path, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+def test_report_horizon_too_large_to_resolve_says_so(tmp_path, capsys):
+    # on H^2, sqrt(t) / R falls as t grows: t = 2e6 is under the cut because
+    # it is large, and the message called it too small
+    out = tmp_path / "rep.json"
+    argv = ["report", "--space", "h2", "--t-grid", "1e6,2e6,3e6,4e6", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon t = 2e+06 is too large on hyperbolic(dim=2,k=1): ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["kernel", "--space", "h2", "--kappa", "1e-200", "--t", "1", "--points", "3"], "need k^2 t to be a normal"),
+    (["kernel", "--space", "h3", "--kappa", "1e-170", "--t", "1", "--points", "3"], "need k^2 t to be a normal"),
+    (["kernel", "--space", "h2", "--kappa", "1e-160", "--t", "1", "--points", "3"], "need k^2 t to be a normal"),
+    (["report", "--space", "h2", "--kappa", "1e-200"], "need k^2 to be a normal float"),
+    (["report", "--space", "h3", "--kappa", "1e200"], "need k^2 to be a normal float"),
+], ids=["kernel-h2-1e-200", "kernel-h3-1e-170", "kernel-h2-1e-160", "report-h2-1e-200", "report-h3-1e200"])
+def test_curvature_whose_square_is_not_a_normal_float_is_usage_error(tmp_path, capsys, argv, fragment):
+    # kernel wrote q = 0 (h2) or NaN (h3) and exited 0; report raised
+    # ZeroDivisionError from the default grid's t / k^2 (exit 1)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
 def test_report_at_the_largest_default_kappa_that_resolves_keeps_its_bytes(tmp_path):
     # the first default horizon of --kappa 1000 sits at sqrt(t) = 4.4e-4 of the
     # truncation radius, above the cut of too-small horizons

@@ -51,6 +51,17 @@ def test_horizon_moments_rejects_a_horizon_too_small_to_resolve():
         entropy_quadrature(Euclidean(2), 1e-8)
 
 
+def test_horizon_moments_calls_a_large_unresolvable_horizon_too_large():
+    # on H^2, sqrt(t) / R falls as t grows, so t = 2e6 is cut for being large;
+    # the message said "too small".  R^d has no such horizon.
+    with pytest.raises(EstimatorInputError, match=r"^horizon t = 2e\+06 is too large on hyperbolic\(dim=2,k=1\)"):
+        _horizon_moments(Hyperbolic(2), [1e6, 2e6, 3e6, 4e6])
+    with pytest.raises(EstimatorInputError, match=r"^horizon t = 2e\+06 is too large on hyperbolic\(dim=3,k=0.5\)"):
+        _horizon_moments(Hyperbolic(3, 0.5), [1e6, 2e6, 3e6, 4e6])
+    with pytest.raises(EstimatorInputError, match=r"^horizon t = 1e-30 is too small on hyperbolic\(dim=2,k=1\)"):
+        _horizon_moments(Hyperbolic(2), [1e-30, 2e-30, 3e-30, 4e-30])
+
+
 def test_drift_euclidean_scaling_ratio_sqrt2():
     ell, _ = _horizon_moments(Euclidean(2), [50.0, 100.0, 150.0, 200.0])
     a, b = ell[100.0] / 100.0, ell[200.0] / 200.0

@@ -12,8 +12,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf, roots_legendre
 
+from rdl import heat_kernels
 from rdl.busemann import furstenberg_check
-from rdl.estimators import Ensemble, default_t_grid, entropy_quadrature, inequality_report
+from rdl.estimators import (
+    Ensemble,
+    EstimatorInputError,
+    default_t_grid,
+    entropy_quadrature,
+    inequality_report,
+)
 from rdl.heat_kernels import (
     KernelError,
     KernelEval,
@@ -188,6 +195,23 @@ def test_h2_array_path_equals_scalar_path_bitwise(space, n):
         assert got.shape == (n,)
         assert np.array_equal(got, want)
         assert np.array_equal(np.array([ker.log_q(t, float(r)) for r in rs]), want)
+
+
+@pytest.mark.parametrize("space", _H2_SPACES, ids=lambda sp: sp.label())
+def test_h2_array_path_equals_scalar_path_at_every_block_size(monkeypatch, space):
+    # the block path fills reused buffers _H2_ROWS radii at a time: a partial
+    # last block, radii whose u-range collapses (1e10, 1e200, inf) between
+    # in-range ones, t = 1e300 where every inner integral is 0, and an array
+    # with every radius in range all give the scalar oracle's bits
+    ker = kernel_for(space)
+    inside = list(np.linspace(0.05, 12.0, 37))
+    mixed = np.array([0.0, 5e-324, 1e-12, *inside[:20], 1e10, *inside[20:], 1e200, math.inf])
+    for t in (0.3, 7.0, 1e300):
+        for rs in (mixed, np.array(inside)):
+            want = np.array([log_q_h2_scalar(t, space.k, float(r)) for r in rs])
+            for rows in (1, 7, 32, 1000):
+                monkeypatch.setattr(heat_kernels, "_H2_ROWS", rows)
+                assert np.array_equal(ker.log_q(t, rs), want), (t, rows)
 
 
 def test_h2_array_path_memory_is_chunked():
@@ -565,6 +589,23 @@ def _small_fp_grid():
 def test_kernel_input_checks(call, fragment):
     with pytest.raises(KernelError, match=fragment):
         call()
+
+
+def test_curvature_too_small_for_a_normal_k2t_is_refused():
+    # where k^2 t underflowed to 0, H^2 read q = 0 and H^3 NaN; at the subnormal
+    # k^2 t = 1e-320 (k = 1e-160) H^2 was 3e-5 off; the default grid divided by k^2 = 0
+    for dim, k in ((2, 1e-200), (2, 1e-160), (3, 1e-170)):
+        with pytest.raises(KernelError, match=r"need k\^2 t to be a normal float"):
+            log_q_hyperbolic(1.0, dim, k, np.array([0.0, 5.0, 10.0]))
+    with pytest.raises(KernelError, match=r"need k\^2 t to be a normal float"):
+        kernel_for(Hyperbolic(2, 1.0)).log_q(1e-310, 1.0)
+    for k in (1e-200, 1e200):
+        with pytest.raises(EstimatorInputError, match=r"need k\^2 to be a normal float"):
+            default_t_grid(Hyperbolic(2, k))
+    # at k^2 t = 1e-300 both kernels still read the flat one
+    flat = -math.log(2.0 * math.pi)
+    assert float(log_q_hyperbolic(1.0, 2, 1e-150, 0.0)) == pytest.approx(flat, rel=1e-12)
+    assert float(log_q_hyperbolic(1.0, 3, 1e-150, 0.0)) == pytest.approx(1.5 * flat, rel=1e-12)
 
 
 @pytest.mark.parametrize("call, error, fragment", [
