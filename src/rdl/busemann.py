@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sde_sim import SimConfig, simulate_halfplane
+if TYPE_CHECKING:
+    from .sde_sim import SimConfig
 
 __all__ = [
     "FurstenbergResult",
@@ -59,6 +61,8 @@ def furstenberg_check(cfg: SimConfig, t: float | None = None) -> FurstenbergResu
     t = cfg.t_max if t is None else float(t)
     if not 0.0 < t <= cfg.t_max:
         raise ValueError(f"t = {t} must be > 0 and not beyond simulated horizon {cfg.t_max}")
+    from .sde_sim import simulate_halfplane  # the k functional and the report need no simulator
+
     paths = simulate_halfplane(cfg)
     idx = int(np.argmin(np.abs(paths[0].times - t)))
     if not abs(paths[0].times[idx] - t) <= 1e-9:

@@ -17,10 +17,14 @@ formatted once.  simulate --space halfplane formats its rows in the
 workers and writes them in path order as they come, a block of paths at a
 time, so it never holds the whole file.
 
-Start-up loads no scipy: each scipy function is imported by its first call,
-so simulate, gromov, and kernel and report on the catalog spaces and
-ensembles run without it (the H^2 kernel's Gauss-Legendre rule and
-Gamma(m/2) are stored in the package, and the quadrature is rdl's QAGS).
+Start-up loads only the command's own modules: simulate loads the
+simulator, kernel the heat kernels, gromov the distance search and report the
+estimators, each on top of the model spaces.  No scipy loads at start-up
+either: each scipy function is imported by its first call, so simulate,
+gromov, and kernel and report on the catalog spaces and ensembles run without
+it (the H^2 kernel's Gauss-Legendre rule and Gamma(m/2) are stored in the
+package, and the quadrature is rdl's QAGS).  Each output is hashed as it is
+written, so the manifest reads no file back.
 
 Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
 disk or an --out that names a directory), 3 non-converged estimator or a
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -64,15 +69,7 @@ import numpy as np
 
 from . import __version__
 from ._csvblock import csv_block, shared_rows
-from .estimators import Ensemble, EstimatorError, inequality_report
-from .gromov import (
-    FinitePointedSpace,
-    MetricError,
-    gromov_distance,
-)
-from .heat_kernels import kernel_for
-from .model_spaces import GeometryError, HalfPlane, builtin_profile, space_from_json
-from .sde_sim import KAIMANOVICH_R_CAP, SimConfig, halfplane_blocks, simulate_radial
+from .model_spaces import KAIMANOVICH_R_CAP, HalfPlane, builtin_profile, space_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,15 +121,8 @@ def _space_from_args(name, kappa):
     return space
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> None:
+def _write_manifest(command: str, config: dict, outputs: dict, wall: float) -> None:
+    """The manifest of `outputs`, {path: SHA-256}, beside the first path."""
     if not outputs:
         return
     manifest = {
@@ -141,18 +131,30 @@ def _write_manifest(command: str, config: dict, outputs: list, wall: float) -> N
         "config": config,
         "version": __version__,
         "wall_time_s": wall,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(p): digest for p, digest in outputs.items()},
     }
-    path = outputs[0] + ".manifest.json"
+    path = next(iter(outputs)) + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _write_csv(out: str, header: list, blocks) -> None:
-    """The header row, then each block of rows as it comes."""
-    with open(out, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(blocks)
+def _write(path: str, chunks) -> str:
+    """Write each chunk of bytes as it comes; the SHA-256 of the file."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            h.update(chunk)
+            fh.write(chunk)
+    return h.hexdigest()
+
+
+def _write_csv(out: str, header: list, blocks) -> str:
+    """The header row, then each block of rows (bytes) as it comes."""
+    return _write(out, itertools.chain([(",".join(header) + "\n").encode()], blocks))
+
+
+def _write_json(path: str, obj, **kwargs) -> str:
+    return _write(path, [json.dumps(obj, **kwargs).encode()])
 
 
 def _float_list(text: str) -> list:
@@ -162,7 +164,9 @@ def _float_list(text: str) -> list:
 # ------------------------------------------------------------------ simulate
 
 
-def _cmd_simulate(args) -> tuple[int, list]:
+def _cmd_simulate(args) -> tuple[int, dict]:
+    from .sde_sim import SimConfig, halfplane_blocks, simulate_radial
+
     cfg = SimConfig(
         seed=args.seed,
         n_paths=args.paths,
@@ -185,7 +189,7 @@ def _cmd_simulate(args) -> tuple[int, list]:
         # built before the workers fork; each worker formats its own paths' rows
         rows = shared_rows([cfg.record_steps(cfg.record_stride) * cfg.dt, None, None])
         blocks = halfplane_blocks(cfg, lambda lo, x, y: "".join(
-            csv_block(f"{lo + i},", [x[i], y[i]], rows) for i in range(len(x))))
+            csv_block(f"{lo + i},", [x[i], y[i]], rows) for i in range(len(x))).encode())
     else:
         profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
         _check_kappa(args.kappa, profile.k, f"--profile {args.profile}")
@@ -195,17 +199,19 @@ def _cmd_simulate(args) -> tuple[int, list]:
         paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
         columns = ("r", "h_minus_t", "theta")
         rows = shared_rows([paths[0].times, None, None, None])  # every path has the same times
-        blocks = (csv_block(f"{i},", [getattr(p, c) for c in columns], rows)
+        blocks = (csv_block(f"{i},", [getattr(p, c) for c in columns], rows).encode()
                   for i, p in enumerate(paths))
-    _write_csv(out, ["path_id", "t", *columns], blocks)
+    digest = _write_csv(out, ["path_id", "t", *columns], blocks)
     print(f"wrote {out} ({cfg.n_paths} paths)")
-    return EXIT_OK, [out]
+    return EXIT_OK, {out: digest}
 
 
 # -------------------------------------------------------------------- report
 
 
-def _cmd_report(args) -> tuple[int, list]:
+def _cmd_report(args) -> tuple[int, dict]:
+    from .estimators import Ensemble, inequality_report
+
     if (args.space is None) == (args.ensemble_file is None):
         raise UsageError("give exactly one of --space or --ensemble-file")
     if args.ensemble_file:
@@ -216,11 +222,10 @@ def _cmd_report(args) -> tuple[int, list]:
         target = _space_from_args(args.space, args.kappa)
     report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
     print(report.render_table())
-    outputs = []
+    outputs = {}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        outputs.append(args.out)
+        outputs[args.out] = _write_json(args.out, report.to_json_dict(), indent=2, sort_keys=True,
+                                        allow_nan=False)
     if not report.converged:
         print("non-converged estimate; rerun with a longer --t-grid", file=sys.stderr)
         return EXIT_NONCONVERGED, outputs
@@ -233,24 +238,24 @@ def _cmd_report(args) -> tuple[int, list]:
 # -------------------------------------------------------------------- gromov
 
 
-def _load_space(path: str) -> FinitePointedSpace:
-    with open(path) as fh:
-        return FinitePointedSpace.from_json_dict(json.load(fh))
+def _cmd_gromov(args) -> tuple[int, dict]:
+    from .gromov import FinitePointedSpace, gromov_distance
 
+    def load(path):
+        with open(path) as fh:
+            return FinitePointedSpace.from_json_dict(json.load(fh))
 
-def _cmd_gromov(args) -> tuple[int, list]:
-    a = _load_space(args.a)
-    b = _load_space(args.b)
+    a = load(args.a)
+    b = load(args.b)
     res = gromov_distance(a, b, tol=args.tol)
     print(f"d_GS in [{res.lo:.9f}, {res.hi:.9f}]  (value = {res.value:.9f})  exact={res.exact}")
-    outputs = []
+    outputs = {}
     if args.witness:
         if res.witness is None:
             print("no witness at the final bracket (distance = 1/2)", file=sys.stderr)
         else:
-            with open(args.witness, "w") as fh:
-                json.dump({"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()}, fh)
-            outputs.append(args.witness)
+            outputs[args.witness] = _write_json(
+                args.witness, {"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()})
     if not res.exact:
         print("partner search truncated: the lower end of the bracket may be wrong", file=sys.stderr)
         return EXIT_NONCONVERGED, outputs
@@ -260,7 +265,9 @@ def _cmd_gromov(args) -> tuple[int, list]:
 # -------------------------------------------------------------------- kernel
 
 
-def _cmd_kernel(args) -> tuple[int, list]:
+def _cmd_kernel(args) -> tuple[int, dict]:
+    from .heat_kernels import kernel_for
+
     # parsed here, not by argparse, so that the manifest keeps the --t string
     try:
         times = _float_list(args.t)
@@ -276,10 +283,10 @@ def _cmd_kernel(args) -> tuple[int, list]:
     ker = kernel_for(space)
     rs = np.linspace(0.0, args.r_max, args.points)
     rows = shared_rows([rs, None])
-    _write_csv(args.out, ["t", "r", "q"],
-               (csv_block("%.17g," % t, [ker.q(t, rs)], rows) for t in times))
+    digest = _write_csv(args.out, ["t", "r", "q"],
+                        (csv_block("%.17g," % t, [ker.q(t, rs)], rows).encode() for t in times))
     print(f"wrote {args.out}")
-    return EXIT_OK, [args.out]
+    return EXIT_OK, {args.out: digest}
 
 
 # --------------------------------------------------------------------- main
@@ -336,6 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _estimator_errors() -> tuple:
+    """(EstimatorError,) once a command has loaded the estimators, and () before,
+    when none can have been raised.  Any other RuntimeError, such as a
+    BrokenProcessPool, propagates out of main."""
+    estimators = sys.modules.get(f"{__package__}.estimators")
+    return (estimators.EstimatorError,) if estimators else ()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -352,11 +367,11 @@ def main(argv=None) -> int:
         code, outputs = args.func(args)
         config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
         _write_manifest(args.command, config, outputs, time.time() - t0)
-    except (UsageError, GeometryError, MetricError, OSError, json.JSONDecodeError,
-            ValueError) as e:
+    except (OSError, ValueError) as e:
+        # UsageError, GeometryError, MetricError, JSONDecodeError and EstimatorInputError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (EstimatorError, OverflowError) as e:
+    except (OverflowError, *_estimator_errors()) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     return code

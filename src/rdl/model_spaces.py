@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from ._lazy import lazy
-from ._quadpack import nodes, quad
 
 gamma = lazy("scipy.special", "gamma")
 
@@ -70,11 +69,23 @@ __all__ = [
     "VolumeGrowthEstimate",
     "unit_sphere_area",
     "space_from_json",
+    "KAIMANOVICH_R_CAP",
 ]
 
 # Quadrature tolerances for ball volumes (closed-form checks demand these).
 _QUAD_EPSABS = 1e-10
 _QUAD_EPSREL = 1e-8
+
+# Below this k r, cosh(k r) - 1 and sinh(k r) cosh(k r) - k r lose digits to
+# cancellation (all of them below k r ~ 1e-8), so Hyperbolic.ball_volume takes
+# forms without the subtraction.  The radii of the report grids and of the
+# nets' mesh balls (k r >= 0.125) stay on the closed-form side.
+_SMALL_KR = 0.1
+
+# 1/(2n+1)! for n = 6, 5, ..., 1: the Horner coefficients of
+# (sinh y - y) / y^3 = sum of y^(2n-2) / (2n+1)!, whose seventh term is below
+# 1e-19 of the sum for y <= 2 _SMALL_KR.
+_SINH_SERIES = tuple(1.0 / math.factorial(2 * n + 1) for n in range(6, 0, -1))
 
 # Largest radius at which HalfPlane.points_at_radii lands within 1e-6 of it
 # (3.8e-7 at r = 22 over 2e6 angles; 1.1e-6 at r = 23).
@@ -133,6 +144,11 @@ class ProfileFunction:
                 f"profile {self.label!r} violates p(0)=0, p'(0)=1 "
                 f"(p({eps})={p0:.3g}, p'({eps})={dp0:.3g})"
             )
+
+
+# Beyond this radius the H(r)-t increments of the Kaimanovich profile are below
+# 1e-2 per unit time and a path's state is frozen (sde_sim.kaimanovich_tail_limit).
+KAIMANOVICH_R_CAP = 200.0
 
 
 def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
@@ -234,6 +250,10 @@ class ModelManifold:
         raise NotImplementedError
 
     def ball_volume(self, r: float) -> float:
+        # imported here: the catalog spaces of dimension <= 3 have closed
+        # forms, so a process that reads only those loads no quadrature
+        from ._quadpack import nodes, quad
+
         _check_radius(r)
         if r == 0:
             return 0.0
@@ -247,8 +267,9 @@ class ModelManifold:
         radius grid.
 
         Non-finite volumes (profile overflow) are reported via the `finite`
-        flag, never silently clipped; a fitted volume of 0 (r_max too small
-        for the float resolution of the volume) raises GeometryError.
+        flag, never silently clipped; a fitted volume of 0, or radii too
+        small for the fit to resolve a slope (r_max below about 1e-13),
+        raise GeometryError.
         """
         if not 0 < r_max < math.inf:
             raise GeometryError(f"need a finite r_max > 0, got {r_max}")
@@ -265,7 +286,9 @@ class ModelManifold:
                                 f"r_max = {r_max:g} is too small to fit a growth rate")
         y = np.log(vols)
         design = np.vstack([x, np.ones_like(x)]).T
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < 2:  # the radii are too small against 1 to resolve a slope
+            raise GeometryError(f"r_max = {r_max:g} is too small to fit a growth rate")
         return VolumeGrowthEstimate(value=float(coef[0]), finite=True)
 
     # -- misc ----------------------------------------------------------------
@@ -366,10 +389,18 @@ class Hyperbolic(ModelManifold):
         k = self.k
         if self.dim == 1:
             return 2.0 * r
+        small = k * r < _SMALL_KR
         try:
             if self.dim == 2:
+                if small:  # cosh(kr) - 1 = 2 sinh^2(kr/2)
+                    return 4.0 * math.pi * (math.sinh(k * r / 2.0) / k) ** 2
                 return 2.0 * math.pi * (math.cosh(k * r) - 1.0) / k ** 2
             if self.dim == 3:
+                if small:  # sinh(kr) cosh(kr) - kr = 4 (kr)^3 g(2 kr), g(y) = (sinh y - y) / y^3
+                    z, g = (2.0 * k * r) ** 2, 0.0
+                    for c in _SINH_SERIES:
+                        g = g * z + c
+                    return 8.0 * math.pi * r ** 3 * g
                 return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
             return super().ball_volume(r)
         except OverflowError:  # math.cosh and math.sinh raise past k r ~ 710

@@ -52,7 +52,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .model_spaces import ProfileFunction, builtin_profile
+from .model_spaces import KAIMANOVICH_R_CAP, ProfileFunction, builtin_profile
 
 __all__ = [
     "SimConfig",
@@ -66,10 +66,6 @@ __all__ = [
     "kaimanovich_tail_limit",
     "KAIMANOVICH_R_CAP",
 ]
-
-# Beyond this radius the H(r)-t increments are below 1e-2 per unit time and
-# the path state is frozen (see kaimanovich_tail_limit).
-KAIMANOVICH_R_CAP = 200.0
 
 # A tail-limit path has converged when H(r)-t moved at most this much over
 # its last unit of time.

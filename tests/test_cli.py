@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -90,6 +91,57 @@ def test_halfplane_bytes_independent_of_block_size(tmp_path, monkeypatch):
         out = tmp_path / f"hp{threads}.csv"
         assert main([*argv, "--threads", threads, "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["simulate", "--threads", "1", "--space", "halfplane", "--t-max", "1", "--paths", "600",
+      "--out", "hp.csv"], "hp.csv"),
+    (["simulate", "--threads", "2", "--space", "halfplane", "--t-max", "1", "--paths", "600",
+      "--out", "hp.csv"], "hp.csv"),
+    (["simulate", "--profile", "kaimanovich", "--t-max", "2", "--paths", "5", "--record-stride", "10",
+      "--out", "ka.csv"], "ka.csv"),
+    (["kernel", "--space", "h3", "--t", "1,4", "--points", "11", "--out", "k3.csv"], "k3.csv"),
+    (["report", "--space", "halfplane", "--out", "rep.json"], "rep.json"),
+    (["gromov", "--a", "a.json", "--b", "b.json", "--witness", "w.json"], "w.json"),
+], ids=["halfplane-threads-1", "halfplane-threads-2", "kaimanovich", "kernel", "report", "gromov"])
+def test_manifest_digest_is_the_sha256_of_the_written_file(tmp_path, monkeypatch, argv, output):
+    # the writers hash each block as they write it; 7 paths a block streams 86 half-plane blocks
+    monkeypatch.setattr(rdl.sde_sim, "_BLOCK_ROWS", 7 * 101)
+    monkeypatch.chdir(tmp_path)
+    _write_space(tmp_path / "a.json", [[0.0], [1.0]])
+    _write_space(tmp_path / "b.json", [[0.0], [0.5], [1.5]])
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / f"{output}.manifest.json").read_text())
+    assert manifest["outputs"] == {output: hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("error, code", [
+    (rdl.estimators.EstimatorError("audit"), EXIT_INVARIANT),
+    (rdl.estimators.EstimatorInputError("horizon"), EXIT_USAGE),
+], ids=["estimator-error", "estimator-input-error"])
+def test_estimator_errors_keep_their_exit_codes(monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(rdl.estimators, "inequality_report", fail)
+    assert main(["report", "--space", "h2"]) == code
+    assert capsys.readouterr().err.endswith(f"{error}\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("plain"), BrokenProcessPool("a worker died")],
+                         ids=["runtime-error", "broken-pool"])
+@pytest.mark.parametrize("module, name, argv", [
+    (rdl.estimators, "inequality_report", ["report", "--space", "h2"]),
+    (rdl.sde_sim, "halfplane_blocks", ["simulate", "--space", "halfplane", "--t-max", "1"]),
+], ids=["report", "simulate"])
+def test_other_runtime_errors_propagate_out_of_main(tmp_path, monkeypatch, module, name, argv, error):
+    # only EstimatorError is an invariant failure; a dead worker is not one of rdl's
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(type(error), match=str(error)):
+        main([*argv, "--out", str(tmp_path / "out")])
 
 
 def _full_disk_after(monkeypatch, paths):
@@ -217,6 +269,51 @@ def test_commands_that_need_no_scipy_do_not_load_it(tmp_path, argv):
     assert loaded == []
 
 
+# Runs `import rdl`, then main(argv) from rdl.cli if argv is not empty, and
+# prints the exit code and the rdl submodules loaded.
+_MODULE_PROBE = """
+import json, sys
+import rdl
+rc = 0
+if sys.argv[1:]:
+    import rdl.cli
+    rc = rdl.cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m.split(".")[1] for m in sys.modules if m.startswith("rdl."))]))
+"""
+
+_ALL_MODULES = {"busemann", "cli", "estimators", "gromov", "heat_kernels", "model_spaces", "sde_sim"}
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    ([], set(), _ALL_MODULES),
+    (["simulate", "--space", "halfplane", "--paths", "2", "--t-max", "1", "--out", "o.csv"],
+     {"sde_sim"}, {"estimators", "heat_kernels", "gromov", "busemann", "_quadpack"}),
+    (["simulate", "--profile", "kaimanovich", "--paths", "2", "--t-max", "2", "--out", "o.csv"],
+     {"sde_sim"}, {"estimators", "heat_kernels", "gromov", "busemann", "_quadpack"}),
+    (["kernel", "--space", "h2", "--points", "5", "--out", "o.csv"],
+     {"heat_kernels"}, {"sde_sim", "estimators", "gromov", "_quadpack"}),
+    (["gromov", "--a", "a.json", "--b", "b.json", "--witness", "w.json"],
+     {"gromov"}, {"sde_sim", "estimators", "heat_kernels", "_quadpack"}),
+    (["report", "--space", "h2", "--out", "o.json"], {"estimators"}, {"gromov", "sde_sim"}),
+    (["report", "--space", "halfplane", "--out", "o.json"], {"estimators", "busemann"},
+     {"gromov", "sde_sim"}),
+], ids=["import", "simulate-halfplane", "simulate-kaimanovich", "kernel", "gromov", "report-h2",
+        "report-halfplane"])
+def test_each_command_loads_only_its_own_modules(tmp_path, argv, loads, skips):
+    """Without cached bytecode a process compiles every module it loads, so a
+    command loads its own modules and the model spaces, and no other; only
+    report integrates with rdl's QAGS."""
+    _write_space(tmp_path / "a.json", [[0.0], [1.0]])
+    _write_space(tmp_path / "b.json", [[0.0], [0.5], [1.5]])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == EXIT_OK
+    assert loads <= set(loaded)
+    assert not skips & set(loaded)
+
+
 def test_simulate_usage_errors(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["simulate", "--t-max", "1", "--out", out]) == EXIT_USAGE
@@ -306,12 +403,30 @@ def test_report_volume_overflow_is_flagged_in_strict_json(tmp_path, capsys, argv
 
 
 def test_report_r_max_too_small_for_a_ball_volume_is_usage_error(tmp_path, capsys):
-    # cosh(r) - 1 is 0 in floats below r ~ 1e-8: the fit took log 0, reported v = nan,
-    # printed it as rhs=inf and exited 4, "internal invariant failure"
+    # a fitted volume of 0 took log 0, reported v = nan, printed it as rhs=inf and exited 4,
+    # "internal invariant failure"; pi r^2 is 0 in floats below r ~ 1e-162
     out = tmp_path / "rep.json"
-    assert main(["report", "--space", "h2", "--r-max", "1e-9", "--out", str(out)]) == EXIT_USAGE
+    assert main(["report", "--space", "h2", "--r-max", "1e-170", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: ball volume is 0 at the fitted radius r = 5.05e-10;")
+    assert err.startswith("error: ball volume is 0 at the fitted radius r = 5e-171;")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space", ["h2", "h3"])
+def test_report_at_a_tiny_kappa_fits_the_flat_volume_growth(tmp_path, space):
+    # the ball volumes cancelled to 0 and the run exited 2: "r_max = 40 is too small"
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", space, "--kappa", "1e-20", "--out", str(out)]) == EXIT_OK
+    dim = int(space[1])  # log of r^dim over [20, 40]: a slope of about dim log(2) / 20
+    assert json.loads(out.read_text())["volume_v"] == pytest.approx(dim * math.log(2) / 20, rel=0.1)
+
+
+def test_report_r_max_too_small_to_resolve_a_slope_is_usage_error(tmp_path, capsys):
+    # radii this small against 1 fitted the slope v = 0, and h <= ell v failed with exit 4
+    out = tmp_path / "rep.json"
+    assert main(["report", "--space", "h2", "--r-max", "1e-150", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: r_max = 1e-150 is too small to fit a growth rate")
     assert not out.exists()
 
 

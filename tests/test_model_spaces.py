@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdl.model_spaces import (
+    _SMALL_KR,
     Euclidean,
     GeometryError,
     HalfPlane,
@@ -155,6 +156,35 @@ def test_ball_volume_strictly_increasing():
     rs = np.linspace(0.1, 5.0, 20)
     vols = [sp.ball_volume(r) for r in rs]
     assert all(b > a for a, b in zip(vols, vols[1:]))
+
+
+def _closed_form_ball_volume(dim, k, r):
+    """The closed forms that cancel to 0 at small k r."""
+    if dim == 2:
+        return 2.0 * math.pi * (math.cosh(k * r) - 1.0) / k ** 2
+    return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1e-20, 1e-8])
+def test_hyperbolic_ball_volume_at_small_k_is_the_euclidean_one(dim, k):
+    # the closed forms read 0.0 at k = 1e-20, and 1283.54 and 34593.4 against the flat
+    # 1281.90 and 34525.7 at k = 1e-8; the curvature moves these by (k r)^2 / 12 ~ 1e-15
+    assert _closed_form_ball_volume(dim, 1e-20, 20.2) == 0.0
+    assert Hyperbolic(dim, k).ball_volume(20.2) == pytest.approx(Euclidean(dim).ball_volume(20.2),
+                                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hyperbolic_ball_volume_across_the_small_kr_cut(dim):
+    for k in (0.5, 1.0, 2.0):
+        # at and above the cut: the closed form, bit for bit
+        for kr in (_SMALL_KR, 0.125, 0.25, 1.0):
+            assert Hyperbolic(dim, k).ball_volume(kr / k) == _closed_form_ball_volume(dim, k, kr / k)
+        # below it: the closed form's value, without the digits it cancels away
+        for kr in (np.nextafter(_SMALL_KR, 0.0), 0.09, 0.05):
+            assert Hyperbolic(dim, k).ball_volume(kr / k) == pytest.approx(
+                _closed_form_ball_volume(dim, k, kr / k), rel=1e-13)
 
 
 def test_rotsym_ball_volume_quadrature():
