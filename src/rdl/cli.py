@@ -210,7 +210,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 
 
 def _cmd_report(args) -> tuple[int, dict]:
-    from .estimators import Ensemble, inequality_report
+    from .estimators import Ensemble, EstimatorError, EstimatorInputError, inequality_report
 
     if (args.space is None) == (args.ensemble_file is None):
         raise UsageError("give exactly one of --space or --ensemble-file")
@@ -220,7 +220,13 @@ def _cmd_report(args) -> tuple[int, dict]:
             target = Ensemble.from_json_dict(json.load(fh))
     else:
         target = _space_from_args(args.space, args.kappa)
-    report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
+    try:
+        report = inequality_report(target, t_grid=args.t_grid, r_max=args.r_max)
+    except EstimatorInputError:
+        raise  # a ValueError: main makes it a usage error
+    except EstimatorError as e:  # an audit or mass check failed
+        print(f"invariant failure: {e}", file=sys.stderr)
+        return EXIT_INVARIANT, {}
     print(report.render_table())
     outputs = {}
     if args.out:
@@ -343,14 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _estimator_errors() -> tuple:
-    """(EstimatorError,) once a command has loaded the estimators, and () before,
-    when none can have been raised.  Any other RuntimeError, such as a
-    BrokenProcessPool, propagates out of main."""
-    estimators = sys.modules.get(f"{__package__}.estimators")
-    return (estimators.EstimatorError,) if estimators else ()
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
         # UsageError, GeometryError, MetricError, JSONDecodeError and EstimatorInputError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OverflowError, *_estimator_errors()) as e:
+    except OverflowError as e:  # any other RuntimeError, such as a BrokenProcessPool, propagates
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     return code

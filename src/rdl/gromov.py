@@ -66,12 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import lazy
 from .model_spaces import GeometryError, ModelManifold, json_int, json_number
-
-linprog = lazy("scipy.optimize", "linprog")
-csgraph_from_dense = lazy("scipy.sparse.csgraph", "csgraph_from_dense")
-floyd_warshall = lazy("scipy.sparse.csgraph", "floyd_warshall")
 
 __all__ = [
     "MetricError",
@@ -407,6 +402,8 @@ def feasible_lp(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Fea
 
     Raises RuntimeError when HiGHS stops without deciding an LP.
     """
+    from scipy.optimize import linprog
+
     d1, d2 = a.dist, b.dist
     options, truncated_any = _partner_options(d1, d2, eps, eps - DELTA)
     if options is None:
@@ -500,6 +497,8 @@ def chain_glue(spaces: list, crosses: list) -> ChainGlueResult:
     depth N), whose ball is within the remaining certificates
     sum_{n >= N-1} 2^-n = 2^-(N-2) of the true limit ball.
     """
+    from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
+
     if len(spaces) < 2 or len(crosses) != len(spaces) - 1:
         raise GluingError("need k spaces and k-1 crosses, k >= 2")
     for n, (x1, x2, cr) in enumerate(zip(spaces[:-1], spaces[1:], crosses)):

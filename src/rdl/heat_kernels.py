@@ -53,10 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gauss_legendre import HALVES
-from ._lazy import lazy
 from .model_spaces import ModelManifold, ProfileFunction
-
-brentq = lazy("scipy.optimize", "brentq")
 
 __all__ = [
     "KernelEval",
@@ -271,13 +268,19 @@ def zero_two_defect(space: ModelManifold, tau: float, t: float) -> float:
     log q(t+tau, r) - log q(t, r) changes sign once on [0, R], R the
     truncation radius, at r*.  Then by Scheffe's identity the defect is
     2 |M_t(r*) - M_{t+tau}(r*)|, M_s(r) the kernel mass in the ball of
-    radius r.  With no sign change on [0, R], r* = R.
+    radius r.  With no sign change on [0, R], r* = R.  A horizon t or t + tau
+    that the report would refuse raises EstimatorInputError.
     """
-    from .estimators import _mass, _radial_integral  # estimators imports this module
+    from scipy.optimize import brentq
+
+    from .estimators import _check_resolvable, _mass, _radial_integral  # estimators imports this module
 
     if not (0 < tau < math.inf and 0 < t < math.inf):
         raise KernelError(f"need tau > 0 and t > 0, both finite, got tau = {tau}, t = {t}")
     ker = kernel_for(space)
+    # the horizon cut of entropy_quadrature: inside it r* >= ~1e-3, far above brentq's xtol
+    _check_resolvable(space, t)
+    _check_resolvable(space, t + tau)
 
     def log_ratio(r):
         return float(ker.log_q(t + tau, r)) - float(ker.log_q(t, r))

@@ -30,10 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._lazy import lazy
-
-gamma = lazy("scipy.special", "gamma")
-
 # Gamma(m/2) for m = 1, 2, ..., 16, one line each: float.hex of
 # scipy.special.gamma(m / 2), which math.gamma and the recurrence from sqrt(pi)
 # miss in the last bit at some half-integers (Gamma(1.5), Gamma(3.5)); the
@@ -98,7 +94,11 @@ class GeometryError(ValueError):
 
 def _gamma_half(m: int) -> float:
     """Gamma(m/2), scipy.special.gamma's float."""
-    return _GAMMA_HALVES[m - 1] if m <= len(_GAMMA_HALVES) else float(gamma(m / 2.0))
+    if m <= len(_GAMMA_HALVES):
+        return _GAMMA_HALVES[m - 1]
+    from scipy.special import gamma
+
+    return float(gamma(m / 2.0))
 
 
 @functools.cache

@@ -25,15 +25,17 @@ the recorded radii after the loop, with a capped path's clock stopped at its
 cap time.  The buffers take paths x (_STEP_BLOCK + records) plus traced
 paths x (3 _STEP_BLOCK + 3 traced records), never paths x steps.
 
-Workers: the path range of each run is cut into contiguous chunks, taken in
-path order: one per worker for a radial run, and for a half-plane run
-blocks of at most _BLOCK_ROWS records (halfplane_blocks), which a caller
-such as the CLI's CSV writer can format on the workers and consume one at a
-time.  The worker count is min(cfg.threads, usable cores, n_paths //
-_MIN_CHUNK); SimConfig turns threads = None into the usable core count and
-refuses a cap below 1.  More than one worker runs the chunks on a pool of
-forked processes that exists only for the call.  One worker runs the same
-chunk body in-process, and so does every run where fork is missing, or
+Workers: the path range of each run is cut into contiguous chunks, and their
+results are yielded in path order as they come (_in_chunks): one chunk per
+worker for a radial run, and for a half-plane run blocks of at most
+_BLOCK_ROWS records (halfplane_blocks), which a caller such as the CLI's CSV
+writer can format on the workers and consume one at a time.  A radial chunk
+returns its overflow error, and the run raises the one a single process
+would meet first.  The worker count is min(cfg.threads, usable cores,
+n_paths // _MIN_CHUNK); SimConfig turns threads = None into the usable core
+count and refuses a cap below 1.  More than one worker runs the chunks on a
+pool of forked processes that exists only for the call.  One worker runs the
+same chunk body in-process, and so does every run where fork is missing, or
 unsafe because the caller runs other threads.
 Each worker allocates only its chunk's share of the step block.
 
@@ -48,7 +50,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -149,10 +151,7 @@ def _set_job(job) -> None:
 
 
 def _run_chunk(bounds):
-    try:
-        return _JOB(*bounds)
-    except OverflowError as e:  # the parent picks the one a single process would raise
-        return e
+    return _JOB(*bounds)
 
 
 def _join(parts: tuple, axis: int = 0) -> np.ndarray:
@@ -163,13 +162,10 @@ def _join(parts: tuple, axis: int = 0) -> np.ndarray:
 def _in_chunks(job, cfg: SimConfig, block: int | None = None):
     """Yield job(lo, hi) over contiguous path ranges that cover 0..n_paths-1, in path order.
 
-    Without `block` there is one range per worker, and every result is in
-    before the first is yielded.  With it the ranges hold at most `block`
-    paths, and each result is yielded once it and those before it are in.
-    Only path ranges and job results cross the pipes.  If chunks overflow,
-    the one raised is the one a single process would meet first: the
-    earliest step, then the lowest path (job errors carry this as .at);
-    a streamed run raises the first in path order.
+    The ranges hold at most `block` paths, and without it there is one range
+    per worker.  Each result is yielded once it and those before it are in;
+    only path ranges and job results cross the pipes.  A job that raises
+    raises here when its result is due.
     """
     m, w = cfg.n_paths, _n_workers(cfg)
     size = min(block or m, -(-m // w))
@@ -185,16 +181,7 @@ def _in_chunks(job, cfg: SimConfig, block: int | None = None):
     # the shutdown joins every worker, also when the caller stops early;
     # a killed worker raises BrokenProcessPool
     try:
-        parts = pool.map(_run_chunk, bounds)
-        if block is None:
-            parts = list(parts)
-            errors = [p for p in parts if isinstance(p, OverflowError)]
-            if errors:
-                raise min(errors, key=lambda e: e.at)
-        for part in parts:
-            if isinstance(part, OverflowError):
-                raise part
-            yield part
+        yield from pool.map(_run_chunk, bounds)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -336,10 +323,19 @@ def _simulate_radial_block(profile, cfg, r0, r_cap, stride, angles=0) -> _Radial
         raise ValueError(f"need r_cap > r0, got r_cap = {r_cap} and r0 = {r0}")
     steps = cfg.record_steps(stride)
     traced_steps = cfg.record_steps(cfg.record_stride)
-    chunk = partial(_radial_chunk, profile, cfg, r0, r_cap, steps, traced_steps, angles)
+
+    def chunk(lo, hi):
+        try:
+            return _radial_chunk(profile, cfg, r0, r_cap, steps, traced_steps, angles, lo, hi)
+        except OverflowError as e:  # the run raises the one a single process would meet
+            return e
+
+    parts = list(_in_chunks(chunk, cfg))
+    errors = [p for p in parts if isinstance(p, OverflowError)]
+    if errors:  # the earliest step, then the lowest path
+        raise min(errors, key=lambda e: e.at)
     # record arrays are (..., records, paths) and per-path arrays (paths,): join on the last axis
-    r_rec, traced_rec, reflections, cap_step = (
-        _join(parts, axis=-1) for parts in zip(*_in_chunks(chunk, cfg)))
+    r_rec, traced_rec, reflections, cap_step = (_join(p, axis=-1) for p in zip(*parts))
     frozen = cap_step < cfg.n_steps
     cap_time = np.where(frozen, (cap_step + 1) * cfg.dt, np.nan)
 
@@ -376,7 +372,7 @@ def _radial_chunk(profile, cfg, r0, r_cap, steps, traced_steps, angles, lo, hi):
     theta of the chunk's paths below `angles` at traced_steps as a
     (3, records, traced paths) array; then per path the reflection count and
     the step it froze in (n_steps: none).  An overflow error carries
-    .at = (step, path) for _in_chunks.
+    .at = (step, path) for _simulate_radial_block.
     """
     n, dt, m = cfg.n_steps, cfg.dt, hi - lo
     a = min(max(angles - lo, 0), m)

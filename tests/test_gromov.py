@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,7 +298,7 @@ def test_lp_oracle_raises_when_highs_gives_up(monkeypatch):
     def iteration_limit(*args, **kwargs):
         return SimpleNamespace(status=1, x=None, message="Iteration limit reached.")
 
-    monkeypatch.setattr(rdl.gromov, "linprog", iteration_limit)
+    monkeypatch.setattr(scipy.optimize, "linprog", iteration_limit)  # feasible_lp imports it when called
     with pytest.raises(RuntimeError, match="Iteration limit"):
         feasible_lp(a, b, 0.3)
 

@@ -495,6 +495,19 @@ def test_zero_two_defect_non_increasing_in_t():
     assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.parametrize("space, tau, t", [
+    (Euclidean(1), 1e-30, 1e-30),
+    (Euclidean(2), 1.0, 1e-30),
+    (Hyperbolic(2, 1.0), 1e-200, 1e-200),
+], ids=["e1", "e2", "h2"])
+def test_zero_two_defect_refuses_unresolvable_horizons(space, tau, t):
+    # brentq's absolute xtol of 2e-12 exceeded r* ~ sqrt(2 t ln 2): these read
+    # 0.0, 0.0 and 4.6e-14, where E^1's closed form is 0.33213 at every t and
+    # E^2's defect at (1, 1e-30) is about 2
+    with pytest.raises(EstimatorInputError, match=f"horizon t = {t:.6g} is too small"):
+        zero_two_defect(space, tau, t)
+
+
 # ----------------------------------------------------------- Fokker-Planck
 
 
