@@ -43,12 +43,15 @@ profile does not use it.
 simulate needs finite --t-max and --dt > 0 whose ratio is a finite whole
 number of steps >= 1, and a finite --r0 > 0 below --r-cap where the cap
 applies; report and kernel a finite --r-max > 0; report --t-grid
-at least 4 distinct finite horizons > 0; kernel --points >= 1; gromov a
-finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
+at least 4 distinct finite horizons > 0; kernel --points >= 1, each 2 pi t
+finite, and on h2 and h3 each k^2 t a normal float with 2 pi k^2 t finite;
+gromov a finite --tol >= 1e-6.  Space and ensemble files are read strictly: an
 integer field is an integral number, and k, weights and the entries of a
 dist matrix are finite numbers (never a bool or a string); an ensemble
 component is a weight and a space; a pointed space, a model space, an
-ensemble or an ensemble component with a key that is not read is an error.
+ensemble or an ensemble component with a key that is not read is an error,
+and so are a model space without its dim or profile and a dim with no
+kernel (euclidean takes 1-3, hyperbolic 2-3).
 A report's JSON is strict: a value that is not finite, such as a volume
 growth past the float range, is written as "inf" or "nan".
 """

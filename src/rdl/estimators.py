@@ -30,10 +30,9 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from . import busemann
 from ._quadpack import nodes, quad
 from .heat_kernels import _ridge, kernel_for, truncation_radius
-from .model_spaces import HalfPlane, ModelManifold, json_number, space_from_json
+from .model_spaces import ModelManifold, json_number, space_from_json
 
 __all__ = [
     "EstimatorError",
@@ -134,13 +133,12 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
 def _check_resolvable(space: ModelManifold, t: float) -> None:
     """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius.
 
-    R = 3 v t + S + 5, S = sqrt(9 v^2 t^2 + 120 t), v = (dim-1) k/2.  sqrt(t)/R
+    R = 3 v t + S + 5, S = sqrt(9 v^2 t^2 + 120 t), v the drift_scale.  sqrt(t)/R
     falls as t grows where R < 2 t R', that is where S (5 - 3 v t) < 9 v^2 t^2
     (never on R^d): there the horizon is too large, elsewhere too small."""
     big = truncation_radius(space, t)
     if math.sqrt(t) < _MIN_SPREAD * big:
-        v = (space.dim - 1) * space.k / 2.0
-        vt = v * t
+        vt = space.drift_scale() * t
         falling = math.sqrt(9.0 * vt * vt + 120.0 * t) * (5.0 - 3.0 * vt) < 9.0 * vt * vt
         raise EstimatorInputError(
             f"horizon t = {t:.6g} is too {'large' if falling else 'small'} on {space.label()}: "
@@ -418,10 +416,7 @@ def inequality_report(target, t_grid=None, r_max: float = 40.0) -> AsymptoticRep
     if not vfit.finite:
         flags.append("volume growth not finite: inequality chain vacuous")
 
-    k_val = None
-    if isinstance(space, HalfPlane):
-        k_val, _ = busemann.k_functional_and_equality()
-
+    k_val = space.k_functional()
     ell, ell_up = dfit.increment, dfit.value
     h_inc, h_ratio = efit.increment, efit.ratio
     v = vfit.value

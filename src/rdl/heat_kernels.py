@@ -28,7 +28,8 @@ including the density Jacobian k^d.  The scaling is validated by
 normalization and against the radial Fokker-Planck oracle in the tests
 rather than trusted from a one-line recipe.
 
-Every log_q rejects a negative or NaN distance with KernelError (_radii).
+Every log_q rejects a negative or NaN distance with KernelError (_radii),
+and a horizon whose 2 pi t (k^2 t on H^d) is past the float range.
 Each float guard is written `not x > 0` (or the like), so that NaN fails it.
 Past r ~ 1.3e154, r * r overflows to inf (near 1.8e308, k r too) and log q
 reads -inf, as it should; np.errstate(over="ignore") keeps that silent.
@@ -90,6 +91,8 @@ def _radii(dist) -> np.ndarray:
 def log_q_euclidean(t: float, dim: int, dist) -> np.ndarray:
     if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
+    if not 2.0 * math.pi * t < math.inf:  # past it, log q read NaN where r * r is inf
+        raise KernelError(f"need 2 pi t to be finite, got t = {t:g}")
     r = _radii(dist)
     with np.errstate(over="ignore"):  # r * r past 1.3e154 is inf: log q = -inf
         return -0.5 * dim * np.log(2.0 * math.pi * t) - r * r / (2.0 * t)
@@ -208,7 +211,8 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     """log q on H^dim with curvature -k^2, as a function of distance; an
     array dist gives an array of its shape.  k^2 t must be a normal float:
     at k^2 t = 1e-320 the H^2 value is already 3e-5 off the flat kernel, and
-    where k^2 t underflows to 0, H^2 read q = 0 and H^3 NaN."""
+    where k^2 t underflows to 0, H^2 read q = 0 and H^3 NaN.  2 pi k^2 t
+    must be finite too: past it H^3 read NaN at the far radii."""
     if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
     if dim not in (2, 3):
@@ -216,9 +220,9 @@ def log_q_hyperbolic(t: float, dim: int, k: float, dist) -> np.ndarray:
     if not k > 0:
         raise KernelError(f"need k > 0, got {k}")
     t1 = k * k * t
-    if not t1 >= sys.float_info.min:
-        raise KernelError(f"need k^2 t to be a normal float (>= {sys.float_info.min:g}), "
-                          f"got k = {k:g}, t = {t:g}")
+    if not (t1 >= sys.float_info.min and 2.0 * math.pi * t1 < math.inf):
+        raise KernelError(f"need k^2 t to be a normal float (>= {sys.float_info.min:g}) with "
+                          f"2 pi k^2 t finite, got k = {k:g}, t = {t:g}")
     r = _radii(dist)
     with np.errstate(over="ignore"):  # k r or (k r)^2 past the float range is inf: log q = -inf
         if dim == 3:
@@ -242,19 +246,15 @@ class KernelEval:
         return log_q_hyperbolic(t, sp.dim, sp.k, dist)
 
     def q(self, t: float, dist) -> np.ndarray:
-        return np.exp(self.log_q(t, dist))
+        with np.errstate(over="ignore"):  # log q past 709.8 (tiny t at r = 0): q = inf
+            return np.exp(self.log_q(t, dist))
 
 
 def kernel_for(space: ModelManifold) -> KernelEval:
-    """The gate to the kernel catalog: rejects spaces without a k and
-    dimensions without a closed form, judged from (dim, k)."""
+    """The gate to the kernel catalog: rejects spaces without a k.  The
+    constructors admit only the dimensions that have a closed form."""
     if space.k is None:
         raise KernelError(f"{space.label()} has no closed-form kernel; use radial_fokker_planck")
-    if space.k == 0:
-        if space.dim not in (1, 2, 3):
-            raise KernelError(f"kernel ops accept dim 1-3 only, got {space.dim}")
-    elif space.dim not in (2, 3):
-        raise KernelError(f"hyperbolic kernels need dim 2 or 3, got {space.dim}")
     return KernelEval(space)
 
 
@@ -296,21 +296,21 @@ def truncation_radius(space: ModelManifold, t: float) -> float:
     """Radius beyond which q * sphere_area is below e^-40.
 
     Derived from the Gaussian upper bound with D = 3: the bounding integrand
-    exp(-r^2/3t + 2 v r) (v = (dim-1) k/2, the asymptotic radial drift) falls
-    below the tail budget e^-40 at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * 40);
-    e^-40 with polynomial slop is far below the 1e-10 budget.
+    exp(-r^2/3t + 2 v r) (v the space's drift_scale) falls below the tail
+    budget e^-40 at r = 3 v t + sqrt(9 v^2 t^2 + 3 t * 40); e^-40 with
+    polynomial slop is far below the 1e-10 budget.
     """
     kernel_for(space)  # out-of-catalog spaces raise KernelError, not AttributeError
     if not t > 0:
         raise KernelError(f"need t > 0, got {t}")
-    v = (space.dim - 1) * space.k / 2.0
+    v = space.drift_scale()
     return 3.0 * v * t + math.sqrt(9.0 * v * v * t * t + 3.0 * t * 40.0) + 5.0
 
 
 def _ridge(space: ModelManifold, t: float) -> float:
-    """max(v t, sqrt(t)), v = (dim-1) k/2: where the radial kernel mass sits
-    at time t, and where the radial quadratures split their range."""
-    return max((space.dim - 1) * space.k / 2.0 * t, math.sqrt(t))
+    """max(v t, sqrt(t)), v the space's drift_scale: where the radial kernel
+    mass sits at time t, and where the radial quadratures split their range."""
+    return max(space.drift_scale() * t, math.sqrt(t))
 
 
 @dataclass(frozen=True)

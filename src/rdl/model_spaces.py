@@ -8,6 +8,8 @@ Every homogeneous catalog space carries its curvature parameter k
 (curvature -k^2): 0 on R^d, 1 on the half-plane, the given k on H^d.  The
 kernel, drift-scale and horizon code reads (dim, k) and nothing else;
 RotSymSurface has k = None, which keeps it out of the kernel catalog.
+Construction admits only the dimensions with a closed-form kernel (R^1-R^3,
+H^2-H^3): any other dimension raises GeometryError.
 
 Coordinate charts:
   * Euclidean(d):   points are length-d vectors.
@@ -30,27 +32,16 @@ from typing import Callable
 
 import numpy as np
 
-# Gamma(m/2) for m = 1, 2, ..., 16, one line each: float.hex of
-# scipy.special.gamma(m / 2), which math.gamma and the recurrence from sqrt(pi)
-# miss in the last bit at some half-integers (Gamma(1.5), Gamma(3.5)); the
-# tests check it against scipy.  Larger m call scipy.
+# Gamma(m/2) for m = 1, ..., 5 (dim for sphere areas, dim + 2 for Euclidean
+# ball volumes), one line each: float.hex of scipy.special.gamma(m / 2), which
+# math.gamma and the recurrence from sqrt(pi) miss in the last bit at some
+# half-integers (Gamma(1.5)); the tests check it against scipy.
 _GAMMA_HALVES = tuple(float.fromhex(v) for v in """
 0x1.c5bf891b4ef6ap+0
 0x1.0000000000000p+0
 0x1.c5bf891b4ef6ap-1
 0x1.0000000000000p+0
 0x1.544fa6d47b390p+0
-0x1.0000000000000p+1
-0x1.a96390899a075p+1
-0x1.8000000000000p+2
-0x1.74371e7866c66p+3
-0x1.8000000000000p+4
-0x1.a2be0247739f2p+5
-0x1.e000000000000p+6
-0x1.1fe2a1911f7d6p+8
-0x1.6800000000000p+9
-0x1.d3d0468bd32bdp+10
-0x1.3b00000000000p+12
 """.split())
 
 __all__ = [
@@ -92,24 +83,15 @@ class GeometryError(ValueError):
     """Invalid coordinates or an operation outside a chart's domain."""
 
 
-def _gamma_half(m: int) -> float:
-    """Gamma(m/2), scipy.special.gamma's float."""
-    if m <= len(_GAMMA_HALVES):
-        return _GAMMA_HALVES[m - 1]
-    from scipy.special import gamma
-
-    return float(gamma(m / 2.0))
-
-
 @functools.cache
 def unit_sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^{dim-1} in R^dim (cached: ball-volume
-    integrands call it at every node)."""
-    if dim < 1:
-        raise GeometryError(f"dimension must be >= 1, got {dim}")
+    """Surface area of the unit sphere S^{dim-1} in R^dim, dim 1-3 (cached:
+    radial quadrature integrands call it at every node)."""
+    if dim not in (1, 2, 3):
+        raise GeometryError(f"unit sphere areas cover the catalog dimensions 1-3, got {dim}")
     if dim == 1:
         return 2.0  # S^0 = two points
-    return 2.0 * math.pi ** (dim / 2.0) / _gamma_half(dim)
+    return 2.0 * math.pi ** (dim / 2.0) / _GAMMA_HALVES[dim - 1]
 
 
 def _check_radius(r: float) -> None:
@@ -249,19 +231,6 @@ class ModelManifold:
         """Area of the geodesic sphere of radius r about the basepoint."""
         raise NotImplementedError
 
-    def ball_volume(self, r: float) -> float:
-        # imported here: the catalog spaces of dimension <= 3 have closed
-        # forms, so a process that reads only those loads no quadrature
-        from ._quadpack import nodes, quad
-
-        _check_radius(r)
-        if r == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            val, _ = quad(lambda a, b: [self.sphere_area(x) for x in nodes(a, b)], 0.0, r,
-                          epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
-        return val
-
     def volume_growth(self, r_max: float) -> VolumeGrowthEstimate:
         """Least-squares slope of log vol(B_r) over the top half of a 200-point
         radius grid.
@@ -291,6 +260,14 @@ class ModelManifold:
             raise GeometryError(f"r_max = {r_max:g} is too small to fit a growth rate")
         return VolumeGrowthEstimate(value=float(coef[0]), finite=True)
 
+    def drift_scale(self) -> float:
+        """v = (dim - 1) k / 2, the radial drift far from the basepoint."""
+        return (self.dim - 1) * self.k / 2.0
+
+    def k_functional(self) -> float | None:
+        """The k functional where it has a closed form; None elsewhere."""
+        return None
+
     # -- misc ----------------------------------------------------------------
     def label(self) -> str:
         raise NotImplementedError
@@ -303,8 +280,8 @@ class Euclidean(ModelManifold):
     k = 0.0
 
     def __init__(self, dim: int):
-        if not isinstance(dim, int) or dim < 1:
-            raise GeometryError(f"Euclidean dimension must be a positive integer, got {dim}")
+        if not isinstance(dim, int) or dim not in (1, 2, 3):
+            raise GeometryError(f"Euclidean dimension must be 1, 2 or 3, got {dim}")
         self.dim = dim
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
@@ -321,7 +298,7 @@ class Euclidean(ModelManifold):
 
     def ball_volume(self, r: float) -> float:
         _check_radius(r)
-        return math.pi ** (self.dim / 2.0) / _gamma_half(self.dim + 2) * r ** self.dim
+        return math.pi ** (self.dim / 2.0) / _GAMMA_HALVES[self.dim + 1] * r ** self.dim
 
     def label(self) -> str:
         return f"euclidean(dim={self.dim})"
@@ -348,8 +325,8 @@ class Hyperbolic(ModelManifold):
     """H^dim with curvature -k^2, chart = geodesic normal coordinates at o."""
 
     def __init__(self, dim: int, k: float = 1.0):
-        if not isinstance(dim, int) or dim < 1:
-            raise GeometryError(f"Hyperbolic dimension must be a positive integer, got {dim}")
+        if not isinstance(dim, int) or dim not in (2, 3):
+            raise GeometryError(f"Hyperbolic dimension must be 2 or 3, got {dim}")
         if not 0 < k < math.inf:
             raise GeometryError(f"curvature parameter k must be finite and > 0, got {k}")
         self.dim = dim
@@ -371,7 +348,7 @@ class Hyperbolic(ModelManifold):
         try:
             return unit_sphere_area(self.dim) * (math.sinh(self.k * r) / self.k) ** (self.dim - 1)
         except OverflowError:  # math.sinh and the power raise past the float range
-            return math.inf if self.dim > 1 else unit_sphere_area(1)
+            return math.inf
 
     def log_sphere_area(self, r: float) -> float:
         if r <= 0:
@@ -387,22 +364,18 @@ class Hyperbolic(ModelManifold):
     def ball_volume(self, r: float) -> float:
         _check_radius(r)
         k = self.k
-        if self.dim == 1:
-            return 2.0 * r
         small = k * r < _SMALL_KR
         try:
             if self.dim == 2:
                 if small:  # cosh(kr) - 1 = 2 sinh^2(kr/2)
                     return 4.0 * math.pi * (math.sinh(k * r / 2.0) / k) ** 2
                 return 2.0 * math.pi * (math.cosh(k * r) - 1.0) / k ** 2
-            if self.dim == 3:
-                if small:  # sinh(kr) cosh(kr) - kr = 4 (kr)^3 g(2 kr), g(y) = (sinh y - y) / y^3
-                    z, g = (2.0 * k * r) ** 2, 0.0
-                    for c in _SINH_SERIES:
-                        g = g * z + c
-                    return 8.0 * math.pi * r ** 3 * g
-                return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
-            return super().ball_volume(r)
+            if small:  # sinh(kr) cosh(kr) - kr = 4 (kr)^3 g(2 kr), g(y) = (sinh y - y) / y^3
+                z, g = (2.0 * k * r) ** 2, 0.0
+                for c in _SINH_SERIES:
+                    g = g * z + c
+                return 8.0 * math.pi * r ** 3 * g
+            return 2.0 * math.pi * (math.sinh(k * r) * math.cosh(k * r) - k * r) / k ** 3
         except OverflowError:  # math.cosh and math.sinh raise past k r ~ 710
             return math.inf
 
@@ -457,6 +430,11 @@ class HalfPlane(Hyperbolic):
         z = 1j * (1.0 + w) / (1.0 - w)
         return np.column_stack([z.real, np.maximum(z.imag, 1e-300)])
 
+    def k_functional(self) -> float:
+        from . import busemann  # here: only reports read k; perfbench wraps the module's function
+
+        return busemann.k_functional_and_equality()[0]
+
     def label(self) -> str:
         return "halfplane"
 
@@ -477,6 +455,19 @@ class RotSymSurface(ModelManifold):
     def sphere_area(self, r: float) -> float:
         _check_radius(r)
         return 2.0 * math.pi * float(self.profile.p(r))
+
+    def ball_volume(self, r: float) -> float:
+        # imported here: the catalog spaces have closed forms, so a process
+        # that reads only those loads no quadrature
+        from ._quadpack import nodes, quad
+
+        _check_radius(r)
+        if r == 0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            val, _ = quad(lambda a, b: [self.sphere_area(x) for x in nodes(a, b)], 0.0, r,
+                          epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
+        return val
 
     def label(self) -> str:
         return f"rotsym({self.profile.label})"
@@ -523,6 +514,9 @@ def space_from_json(obj: dict) -> ModelManifold:
     unknown = sorted(set(obj) - keys - {"kind"})
     if unknown:
         raise GeometryError(f"unknown key {unknown[0]!r} in a {kind} space")
+    for key in ("dim", "profile"):  # the keys without a default
+        if key in keys and key not in obj:
+            raise GeometryError(f"a {kind} space needs the key {key!r}")
     if kind == "euclidean":
         return Euclidean(json_int(obj["dim"], "dim"))
     if kind == "hyperbolic":

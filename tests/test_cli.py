@@ -798,6 +798,29 @@ def test_kernel_h2_table_at_a_huge_time_reads_zero(tmp_path):
     assert [ln.split(",")[2] for ln in out.read_text().splitlines()[1:]] == ["0"] * 3
 
 
+@pytest.mark.parametrize("space", ["e3", "h3"])
+def test_kernel_table_at_a_tiny_time_reads_inf_at_the_pole(tmp_path, space):
+    # exp(log q) overflowed with a RuntimeWarning, which the tier-1 configuration makes an error
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--space", space, "--t", "1e-300", "--points", "3",
+                 "--out", str(out)]) == EXIT_OK
+    assert [ln.split(",")[2] for ln in out.read_text().splitlines()[1:]] == ["inf", "0", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "h3", "--kappa", "1e200", "--t", "1"],
+    ["--space", "h2", "--kappa", "1e200", "--t", "1"],
+    ["--space", "e3", "--t", "1e308"],
+], ids=["h3", "h2", "e3"])
+def test_kernel_horizon_past_the_float_range_is_usage_error(tmp_path, capsys, argv):
+    # k^2 t = inf passed the normal-float floor: the h3 table read NaN and exited 0
+    out = tmp_path / "k.csv"
+    assert main(["kernel", *argv, "--points", "3", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: need ") and "finite" in err
+    assert not (tmp_path / "k.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, output", [
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "nan"], "--witness"),
     (["gromov", "--a", "a.json", "--b", "b.json", "--tol", "inf"], "--witness"),

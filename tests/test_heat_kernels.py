@@ -64,15 +64,6 @@ def test_q_hyperbolic_h3_values():
     assert direct == pytest.approx(0.0198757, abs=5e-7)
 
 
-def test_q_hyperbolic_rejects_bad_dims():
-    with pytest.raises(KernelError):
-        kernel_for(Hyperbolic(4, 1.0)).q(1.0, 0.5)
-    with pytest.raises(KernelError):
-        kernel_for(Hyperbolic(1, 1.0)).q(1.0, 0.5)
-    with pytest.raises(KernelError):
-        kernel_for(Euclidean(4))
-
-
 def _radial_mass(space, t):
     ker = kernel_for(space)
 
@@ -619,6 +610,19 @@ def test_curvature_too_small_for_a_normal_k2t_is_refused():
     flat = -math.log(2.0 * math.pi)
     assert float(log_q_hyperbolic(1.0, 2, 1e-150, 0.0)) == pytest.approx(flat, rel=1e-12)
     assert float(log_q_hyperbolic(1.0, 3, 1e-150, 0.0)) == pytest.approx(1.5 * flat, rel=1e-12)
+
+
+def test_horizon_past_the_float_range_is_refused():
+    # 2 pi t = inf read NaN on R^d where r * r is inf, and k^2 t = inf (or 2 pi k^2 t)
+    # on H^3; k^2 t = inf had passed the normal-float floor
+    with pytest.raises(KernelError, match="need 2 pi t to be finite"):
+        log_q_euclidean(1e308, 2, 1e200)
+    for dim, k, t in ((3, 1e200, 1.0), (2, 1e200, 1.0), (3, 1.0, 1e308)):
+        with pytest.raises(KernelError, match=r"with 2 pi k\^2 t finite"):
+            log_q_hyperbolic(t, dim, k, np.array([0.0, 1e200]))
+    # below the ceiling log q is -inf at the far radii, as it was
+    assert log_q_euclidean(2e307, 2, np.array([1e200]))[0] == -math.inf
+    assert log_q_hyperbolic(2e307, 3, 1.0, np.array([1e200]))[0] == -math.inf
 
 
 @pytest.mark.parametrize("call, error, fragment", [

@@ -211,13 +211,13 @@ def test_rotsym_ball_volume_equals_scipy_quad_bitwise(label):
 
 
 def test_gamma_table_is_scipys_bit_for_bit():
-    # math.gamma misses scipy's Gamma(m/2) in the last bit at some m (Gamma(1.5) here)
+    # math.gamma misses scipy's Gamma(m/2) in the last bit at some m (Gamma(1.5) here);
+    # m = dim + 2 <= 5 serves the Euclidean ball volumes of the catalog
     from scipy.special import gamma
 
-    from rdl.model_spaces import _GAMMA_HALVES, _gamma_half
+    from rdl.model_spaces import _GAMMA_HALVES
 
-    ms = range(1, len(_GAMMA_HALVES) + 3)  # the table, then scipy past it
-    assert [_gamma_half(m).hex() for m in ms] == [float(gamma(m / 2)).hex() for m in ms]
+    assert [v.hex() for v in _GAMMA_HALVES] == [float(gamma(m / 2)).hex() for m in range(1, 6)]
 
 
 # --------------------------------------------------------- volume growth
@@ -376,12 +376,33 @@ def test_rotsym_json_dicts():
     {"kind": "rotsym", "profile": "kaimanovich", "label": "x"},
     {"kind": "rotsym", "profile": "kaimanovich", "k": 5},  # loaded, and k dropped
     {"kind": "rotsym", "profile": "euclid", "k": -3},
+    # these raised a bare KeyError; the error names the missing key
+    {"kind": "euclidean"},
+    {"kind": "hyperbolic", "k": 2.0},
+    {"kind": "rotsym"},
 ], ids=["dim-fractional", "dim-true", "dim-string", "k-nan", "k-inf", "k-zero", "rotsym-k-nan",
         "k-true", "k-string", "rotsym-k-string", "unknown-kk", "euclidean-k", "halfplane-dim", "rotsym-label",
-        "kaimanovich-k", "euclid-k"])
+        "kaimanovich-k", "euclid-k", "euclidean-no-dim", "hyperbolic-no-dim", "rotsym-no-profile"])
 def test_space_from_json_rejects_bad_fields(obj):
     with pytest.raises(GeometryError):
         space_from_json(obj)
+
+
+def test_dimensions_without_a_kernel_are_refused(tmp_path, capsys):
+    # E^4, H^1 and H^4 were built and refused later by kernel_for; no command computes on them
+    from rdl.cli import EXIT_USAGE, main
+
+    for make, kind, dim in ((Euclidean, "euclidean", 0), (Euclidean, "euclidean", 4),
+                            (Hyperbolic, "hyperbolic", 1), (Hyperbolic, "hyperbolic", 4)):
+        with pytest.raises(GeometryError, match=f"dimension must be .*, got {dim}$"):
+            make(dim)
+        with pytest.raises(GeometryError, match=f"dimension must be .*, got {dim}$"):
+            space_from_json({"kind": kind, "dim": dim})
+        mix = tmp_path / "mix.json"
+        mix.write_text(json.dumps({"components": [{"weight": 1.0, "space": {"kind": kind, "dim": dim}}]}))
+        assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"got {dim}" in err
 
 
 def test_space_from_json_accepts_integral_float_dim():
@@ -389,27 +410,26 @@ def test_space_from_json_accepts_integral_float_dim():
 
 
 @pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich")),
-                                   Hyperbolic(4), HalfPlane()],
-                         ids=["euclidean", "hyperbolic", "rotsym", "hyperbolic-4", "halfplane"])
+                                   HalfPlane()],
+                         ids=["euclidean", "hyperbolic", "rotsym", "halfplane"])
 @pytest.mark.parametrize("method", ["sphere_area", "ball_volume"])
 def test_radial_geometry_rejects_a_negative_radius(space, method):
     # the message carries r itself: rotsym's ball_volume would otherwise fail
     # later, inside its quadrature, at some node between r and 0
     with pytest.raises(GeometryError, match=r"radius must be >= 0, got -1\.0$"):
         getattr(space, method)(-1.0)
-    # NaN passed the guards when they were written r < 0: Hyperbolic(4).ball_volume
-    # gave 0.0, and the other calls gave NaN
+    # NaN passed the guards when they were written r < 0: the calls gave NaN
     with pytest.raises(GeometryError, match=r"radius must be >= 0, got nan$"):
         getattr(space, method)(math.nan)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_hyperbolic_ball_volume_overflow_is_inf(dim):
     # math.cosh and math.sinh raised OverflowError past k r ~ 710
     assert Hyperbolic(dim).ball_volume(800.0) == math.inf
 
 
-@pytest.mark.parametrize("dim, area", [(1, 2.0), (2, math.inf), (3, math.inf), (4, math.inf)])
+@pytest.mark.parametrize("dim, area", [(2, math.inf), (3, math.inf)])
 def test_hyperbolic_sphere_area_overflow_is_inf(dim, area):
     # math.sinh raised OverflowError past k r ~ 710, and the power past the float range
     assert Hyperbolic(dim).sphere_area(800.0) == area
