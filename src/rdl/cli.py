@@ -290,6 +290,8 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     space = _space_from_args(args.space, args.kappa)
     ker = kernel_for(space)
+    for t in times:  # the horizon checks of log_q, before the file is opened
+        ker.log_q(t, ())
     rs = np.linspace(0.0, args.r_max, args.points)
     rows = shared_rows([rs, None])
     digest = _write_csv(args.out, ["t", "r", "q"],

@@ -44,9 +44,27 @@ only the viable bridges in a row or column that it lowered.
 A cross c is admissible iff [[d1, c], [cᵀ, d2]] is a metric: its triangle
 inequalities that mix X1 and X2 are the Lipschitz and lower constraints on c,
 and its positivity is c > 0, so one _check_metric serves both validate
-methods.  It scans the n³ triangle inequalities in slabs of rows sized to
-about _SLAB_ENTRIES floats (1 MB, at least one row), so that a slab stays in
-cache; the error names the first worst triple whatever the slab size.
+methods.  Its triangle check first clears what a min-plus bound can.  The
+exact value is V[i,j,k] = fl(fl(d(i,j) - d(i,k)) - d(k,j)); the bound is
+B(i,j) = fl(d(i,j) - min_k fl(d(i,k) + d(k,j))), one add and one min-reduce
+per entry, in one reused buffer of at most max(_SLAB_ENTRIES, n + 1) floats
+that takes a tile of whole rows i, or one row and a block of its columns j.
+With u = 2^-53 and M = max|d|, the two roundings of V are off by at most
+2u·M and 3u·M, and those of B too, so V[i,j,k] <= B(i,j) + 10u·M for every
+k, to first order in u.  A pair with B(i,j) <= fl(tol - 12u·M) thus has
+every V[i,j,k] < tol + u·tol, below tol + ulp(tol), the next float above
+tol: the spare 2u·M covers the terms in u²M and the rounding of the cut.  A
+row whose pairs are all cleared holds no violation.  When d == dᵀ exactly,
+B(j,i) has the bits of B(i,j), since fl(a + b) = fl(b + a), so a tile that
+starts at row i forms only the columns j >= i; a d symmetric only within tol
+takes every j.  Both rows i and j of a pair that the bound does not clear
+are flagged, and the exact scan runs over the flagged rows in increasing
+order, in slabs of rows sized to about _SLAB_ENTRIES floats (1 MB, at least
+one row), so that a slab stays in cache.  A violation lies only in a flagged
+row, so the error names the first worst triple of the full scan, whatever
+the slab size.  Where 12u·M >= tol (M past about 700 at _METRIC_TOL) every
+row is flagged and the exact scan is the whole check; a valid metric below
+that flags no row.
 
 chain_glue gives scipy's Floyd–Warshall a sparse graph: from a dense array
 scipy drops entries within 1e-8 of zero as missing edges, identity_cross's
@@ -119,28 +137,60 @@ def _check_metric(d: np.ndarray, tol: float) -> None:
         if d[mask].min() <= 0:
             i, j = np.argwhere((d <= 0) & mask)[0]
             raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
-    # V[i,j,k] = d(i,j) - d(i,k) - d(k,j), a slab of rows i at a time in one
-    # reused buffer of about _SLAB_ENTRIES floats (one row of n^2 at least), so
-    # that it stays in cache; the strict > keeps the first maximum, as argmax
-    # would, whatever the slab size
+    # V[i,j,k] = d(i,j) - d(i,k) - d(k,j) over the rows that the bound does not
+    # clear, a slab of rows at a time in one reused buffer of about
+    # _SLAB_ENTRIES floats (one row of n^2 at least), so that it stays in cache;
+    # the strict > keeps the first maximum, as argmax would, whatever the slab size
+    dT = d.T.copy()
+    rows = _uncleared_rows(d, dT, tol)
     worst, at = -np.inf, None
     slab = max(1, _SLAB_ENTRIES // d.size)
-    buf, dT = np.empty((slab,) + d.shape), d.T.copy()
-    for s in range(0, d.shape[0], slab):
-        rows = d[s : s + slab]
-        viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
+    buf = np.empty((min(slab, rows.size),) + d.shape)
+    for s in range(0, rows.size, slab):
+        idx = rows[s : s + slab]
+        block = d[idx]
+        viol = np.subtract(block[:, :, None], block[:, None, :], out=buf[: idx.size])
         viol -= dT
         flat = np.argmax(viol)
         if viol.flat[flat] > worst:
             worst = viol.flat[flat]
             i, j, k = np.unravel_index(flat, viol.shape)
-            at = (s + i, j, k)
+            at = (idx[i], j, k)
     if worst > tol:
         i, j, k = at
         raise MetricError(
             f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
             f"d({i},{j}) > d({i},{k}) + d({k},{j})"
         )
+
+
+def _uncleared_rows(d: np.ndarray, dT: np.ndarray, tol: float) -> np.ndarray:
+    """The rows, in increasing order, that the min-plus bound of the module
+    docstring cannot clear of a triangle violation past tol; dT is d.T."""
+    n = d.shape[0]
+    slack = 12 * 2.0**-53 * max(d.max(), -d.min())  # 12u·M
+    if slack >= tol:
+        return np.arange(n)
+    cut = tol - slack
+    sym = np.array_equal(d, dT)  # then B(j,i) = B(i,j), so j >= i only
+    # tiles of rows i and columns j in one buffer of <= max(_SLAB_ENTRIES, n + 1)
+    # floats: several whole rows at a time, or one row and a block of its columns
+    cols = min(n, max(1, _SLAB_ENTRIES // (n + 1)))
+    rows = min(n, max(1, _SLAB_ENTRIES // (cols * (n + 1))))
+    sums, low = np.empty((rows, cols, n)), np.empty((rows, cols))
+    flag = np.zeros(n, dtype=bool)
+    for i in range(0, n, rows):
+        r = d[i : i + rows]
+        for j in range(i if sym else 0, n, cols):
+            m = min(cols, n - j)
+            s = np.add(r[:, None, :], dT[None, j : j + m], out=sums[: r.shape[0], :m])  # d(i,k) + d(k,j)
+            b = np.minimum.reduce(s, axis=2, out=low[: r.shape[0], :m])
+            np.subtract(r[:, j : j + m], b, out=b)
+            if b.max() > cut:
+                bi, bj = np.nonzero(b > cut)
+                flag[i + bi] = True
+                flag[j + bj] = True
+    return np.flatnonzero(flag)
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,7 @@ class Euclidean(ModelManifold):
     k = 0.0
 
     def __init__(self, dim: int):
-        if not isinstance(dim, int) or dim not in (1, 2, 3):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2, 3):
             raise GeometryError(f"Euclidean dimension must be 1, 2 or 3, got {dim}")
         self.dim = dim
 
@@ -325,7 +325,7 @@ class Hyperbolic(ModelManifold):
     """H^dim with curvature -k^2, chart = geodesic normal coordinates at o."""
 
     def __init__(self, dim: int, k: float = 1.0):
-        if not isinstance(dim, int) or dim not in (2, 3):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
             raise GeometryError(f"Hyperbolic dimension must be 2 or 3, got {dim}")
         if not 0 < k < math.inf:
             raise GeometryError(f"curvature parameter k must be finite and > 0, got {k}")

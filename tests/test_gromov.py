@@ -113,6 +113,138 @@ def test_space_triangle_error_does_not_depend_on_slab_size(monkeypatch, rows):
                               "d(2,20) > d(2,0) + d(0,20)")
 
 
+def _full_scan_check_metric(d, tol):
+    """_check_metric as it stood before the min-plus bound: the same axiom
+    checks, then every row of the n^3 triangle values, in slabs."""
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
+        raise MetricError(f"distance matrix must be square, got {d.shape}")
+    if not np.isfinite(d).all():
+        raise MetricError("distance matrix has non-finite entries")
+    if np.abs(np.diag(d)).max(initial=0.0) > tol:
+        raise MetricError("diagonal must be zero")
+    if np.abs(d - d.T).max(initial=0.0) > tol:
+        raise MetricError("distance matrix must be symmetric")
+    if d.shape[0] > 1:
+        mask = ~np.eye(d.shape[0], dtype=bool)
+        if d[mask].min() <= 0:
+            i, j = np.argwhere((d <= 0) & mask)[0]
+            raise MetricError(f"non-positive off-diagonal distance at ({i},{j})")
+    worst, at = -np.inf, None
+    slab = max(1, rdl.gromov._SLAB_ENTRIES // d.size)
+    buf, dT = np.empty((slab,) + d.shape), d.T.copy()
+    for s in range(0, d.shape[0], slab):
+        rows = d[s : s + slab]
+        viol = np.subtract(rows[:, :, None], rows[:, None, :], out=buf[: rows.shape[0]])
+        viol -= dT
+        flat = np.argmax(viol)
+        if viol.flat[flat] > worst:
+            worst = viol.flat[flat]
+            i, j, k = np.unravel_index(flat, viol.shape)
+            at = (s + i, j, k)
+    if worst > tol:
+        i, j, k = at
+        raise MetricError(
+            f"triangle inequality violated by {worst:.3g} at (i={i}, j={j}, k={k}): "
+            f"d({i},{j}) > d({i},{k}) + d({k},{j})"
+        )
+
+
+def _verdict(check, d, tol):
+    try:
+        check(d, tol)
+    except MetricError as e:
+        return str(e)
+    return None
+
+
+def _raised(d, rng, factor, tol):
+    """d with one random pair (both entries) raised by factor * tol."""
+    d = d.copy()
+    p, q = rng.choice(d.shape[0], 2, replace=False)
+    d[p, q] = d[q, p] = d[p, q] + factor * tol
+    return d
+
+
+def _triangle_family(name, tol, rng):
+    """Seeded matrices of one family, valid and refused, for the oracle test."""
+    cloud = lambda n, scale: _space_from_points(rng.uniform(-scale, scale, (n, 2))).dist
+    line = lambda n, scale: _space_from_points(rng.uniform(-scale, scale, (n, 1))).dist
+    if name == "clouds":  # scales 1e-3 to 1e3
+        return [cloud(n, scale) for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3) for n in (2, 37, 61)]
+    if name == "raised-pair":  # tight collinear triples, so a small raise is a violation
+        return [_raised(base, rng, f, tol) for base in (line(37, 1.0), line(61, 3.0), cloud(37, 1.0))
+                for f in (0.5, 1.0, 2.0, 10.0) for _ in range(3)]
+    if name == "asymmetric":  # symmetric within tol only: the bound takes every column
+        out = []
+        for base in (line(37, 1.0), cloud(61, 1.0), line(61, 1.0)):
+            for f in (0.0, 0.5, 2.0, 10.0):
+                # noise on one side; below the diagonal, a violation in row i
+                # may lie only in a column j < i, which the j >= i half skips
+                for upper, scale in ((True, 0.25), (False, 0.25), (False, 0.9)):
+                    d = _raised(base, rng, f, tol)
+                    noise = rng.uniform(-scale * tol, scale * tol, d.shape)
+                    d += np.triu(noise, 1) if upper else np.tril(noise, -1)
+                    out.append(d)
+        return out
+    if name == "discrete-ties":  # every k ties; equal worst violations in two rows
+        out = []
+        for n in (5, 43):
+            for f in (0.5, 1.0, 2.0, 10.0, 3.0 / tol):
+                d = 1.0 - np.eye(n)
+                for p, q in (rng.choice(n, 2, replace=False), rng.choice(n, 2, replace=False)):
+                    d[p, q] = d[q, p] = 2.0 + f * tol
+                out.append(d)
+        return out
+    if name == "collinear":  # many triples exactly tight, some off by the last bit
+        return [line(n, scale) for n in (3, 40, 64) for scale in (1e-2, 1.0, 1e2)]
+    assert name == "near-1e4"  # at _METRIC_TOL, 12u·M >= tol: every row goes to the exact scan
+    base = [1e4 + line(37, 1.0), 1e4 * (1.0 - np.eye(37)) + cloud(37, 1.0)]
+    return base + [_raised(b, rng, f, tol) for b in base for f in (1.0, 10.0, 1e4)]
+
+
+@pytest.mark.parametrize("slab", [1 << 17, 700])  # 700: one row, and column blocks
+@pytest.mark.parametrize("tol", [rdl.gromov._METRIC_TOL, 1e-9])
+@pytest.mark.parametrize("family", ["clouds", "raised-pair", "asymmetric", "discrete-ties",
+                                    "collinear", "near-1e4"])
+def test_triangle_check_matches_full_scan_oracle(monkeypatch, family, tol, slab):
+    monkeypatch.setattr(rdl.gromov, "_SLAB_ENTRIES", slab)
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for d in _triangle_family(family, tol, rng):
+        want = _verdict(_full_scan_check_metric, d, tol)
+        assert _verdict(rdl.gromov._check_metric, d, tol) == want
+        verdicts.append(want)
+    refused = sum(v is not None for v in verdicts)
+    if family in ("clouds", "collinear"):
+        assert refused == 0
+    else:  # both verdicts occur
+        assert 0 < refused < len(verdicts), verdicts
+
+
+def test_triangle_bound_leaves_only_the_rows_it_cannot_clear():
+    rng = np.random.default_rng(12)
+    d = _space_from_points(rng.uniform(-1, 1, (120, 2))).dist
+    assert rdl.gromov._uncleared_rows(d, d.T.copy(), rdl.gromov._METRIC_TOL).size == 0
+    bad = d.copy()
+    bad[7, 90] = bad[90, 7] = d[7, 90] + 5.0  # the corrupted pair of the benchmark's check
+    assert rdl.gromov._uncleared_rows(bad, bad.T.copy(), rdl.gromov._METRIC_TOL).tolist() == [7, 90]
+    far = 1e3 * d  # 12u·M >= tol
+    assert rdl.gromov._uncleared_rows(far, far.T.copy(), rdl.gromov._METRIC_TOL).tolist() == list(range(120))
+
+
+def test_triangle_bound_buffer_is_one_slab():
+    d = _space_from_points(np.random.default_rng(13).uniform(-1, 1, (300, 2))).dist
+    dT = d.T.copy()
+    tracemalloc.start()
+    try:
+        rdl.gromov._uncleared_rows(d, dT, rdl.gromov._METRIC_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer, the n^2 bool of the exact symmetry test, and small change
+    assert peak <= 8 * rdl.gromov._SLAB_ENTRIES + d.size + 64 * 1024
+
+
 def test_admissible_extension_validator():
     a = _space_from_points([[0.0], [1.0]])
     b = _space_from_points([[0.0]])

@@ -324,15 +324,19 @@ def test_profile_stable_drift_and_clock():
 
 
 def test_json_round_trip():
-    spaces = [
+    spaces = [  # every kind and dimension that constructs
+        Euclidean(1),
+        Euclidean(2),
         Euclidean(3),
         Hyperbolic(2, 2.0),
+        Hyperbolic(3, 0.37),
         HalfPlane(),
-        RotSymSurface(builtin_profile("kaimanovich")),
+        *(RotSymSurface(builtin_profile(p)) for p in ("euclid", "hyperbolic", "kaimanovich")),
     ]
     for sp in spaces:
-        clone = space_from_json(sp.to_json_dict())
-        assert clone.label() == sp.label()
+        clone = space_from_json(json.loads(json.dumps(sp.to_json_dict())))
+        assert type(clone) is type(sp)
+        assert clone.label() == sp.label() and clone.to_json_dict() == sp.to_json_dict()
     rotsym_k = RotSymSurface(builtin_profile("hyperbolic", 2.0))
     assert space_from_json(rotsym_k.to_json_dict()).label() == rotsym_k.label()
     assert space_from_json({"kind": "hyperbolic", "dim": 2, "k": 1.0}).k == 1.0
@@ -403,6 +407,14 @@ def test_dimensions_without_a_kernel_are_refused(tmp_path, capsys):
         assert main(["report", "--ensemble-file", str(mix)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"got {dim}" in err
+
+
+@pytest.mark.parametrize("make", [Euclidean, Hyperbolic])
+@pytest.mark.parametrize("dim", [True, False])
+def test_bool_dimension_is_refused(make, dim):
+    # Euclidean(True) was E^1, and its JSON "dim": true was refused by space_from_json
+    with pytest.raises(GeometryError, match=f"dimension must be .*, got {dim}$"):
+        make(dim)
 
 
 def test_space_from_json_accepts_integral_float_dim():
