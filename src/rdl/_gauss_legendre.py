@@ -161,10 +161,11 @@ HALVES = {
 
 # The positive abscissae xgk(1..10) of QUADPACK's 21-point Gauss-Kronrod rule
 # (dqk21; Piessens et al., QUADPACK, 1983), descending; xgk(11) = 0 is the
-# panel centre and the even entries are the 10-point Gauss nodes.  QAGS (rdl's
-# _quadpack, and the routine behind scipy.integrate.quad on a finite interval)
-# evaluates a panel at its centre, then at centre -/+ half-length * xgk(j) for
-# j = 2, 4, ..., 10 and then j = 1, 3, ..., 9.  The values are the positive
+# panel centre and the even entries are the 10-point Gauss nodes.  QAGS (the
+# routine behind scipy.integrate.quad on a finite interval) and rdl's
+# _quadpack (its bisection without the extrapolation) evaluate a panel at its
+# centre, then at centre -/+ half-length * xgk(j) for j = 2, 4, ..., 10 and
+# then j = 1, 3, ..., 9.  The values are the positive
 # points that scipy's quad visits for a constant on [-1, 1]; the tests check
 # them against scipy.
 KRONROD_21 = """

@@ -23,8 +23,8 @@ estimators, each on top of the model spaces.  No scipy loads at start-up
 either: each scipy function is imported by its first call, so simulate,
 gromov, and kernel and report on the catalog spaces and ensembles run without
 it (the H^2 kernel's Gauss-Legendre rule and Gamma(m/2) are stored in the
-package, and the quadrature is rdl's QAGS).  Each output is hashed as it is
-written, so the manifest reads no file back.
+package, and the quadrature is rdl's own Gauss-Kronrod bisection).  Each
+output is hashed as it is written, so the manifest reads no file back.
 
 Exit codes: 0 ok, 2 usage/input error (an OSError too, such as a full
 disk or an --out that names a directory), 3 non-converged estimator or a
@@ -262,6 +262,9 @@ def _cmd_gromov(args) -> tuple[int, dict]:
     if args.witness:
         if res.witness is None:
             print("no witness at the final bracket (distance = 1/2)", file=sys.stderr)
+            # a witness from an earlier run must not stand beside this result
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(args.witness)
         else:
             outputs[args.witness] = _write_json(
                 args.witness, {"schema": "v1", "eps": res.hi, "cross": res.witness.tolist()})

@@ -9,11 +9,12 @@ Estimator conventions (all for the transition density q(t) = p(t/2)):
 
 A report reads ell_t and h_t from one moment table: one radial quadrature
 call per horizon, ell_t at every horizon and h_t (with the kernel mass) at
-the last three.  The radial quadrature is QUADPACK's QAGS, ported in
-_quadpack (scipy's quad bit for bit, without importing scipy), fed a whole
-21-node panel of kernel values from one array call of the kernel, bit for
-bit the values of one call per radius.  Two drift estimates
-are reported: the subadditive ratio ell_t/t (an upper bound, non-increasing
+the last three.  The radial quadrature is the adaptive 21-point
+Gauss-Kronrod bisection of QUADPACK's QAGS without its extrapolation, in
+_quadpack (on these integrands scipy's quad bit for bit, without importing
+scipy), fed a whole 21-node panel of kernel values from one array call of
+the kernel, bit for bit the values of one call per radius.  Two drift
+estimates are reported: the subadditive ratio ell_t/t (an upper bound, non-increasing
 in t) and the increment (ell_T - ell_S) / (T - S) over the last step S < T
 of the horizon grid, 1/k^2 on the default grid of a curved space and 50 on
 R^d (converges exponentially fast on the hyperbolic family; this is the
@@ -85,14 +86,14 @@ def _surprisal(r, lq):
 def _radial_integral(space: ModelManifold, t: float, weights: tuple,
                      r_hi: float | None = None) -> tuple[float, ...]:
     """int_0^R w(r, log_q(r)) exp(log_q + log_area) dr for each w in weights,
-    split at the ridge, by QUADPACK's QAGS (_quadpack.quad, scipy's quad bit
-    for bit).
+    split at the ridge, by QAGS's Gauss-Kronrod bisection (_quadpack.quad,
+    scipy's quad bit for bit on these integrands).
 
-    QAGS asks for the integrand a panel at a time.  A panel's 21 nodes go to
-    the kernel in one array call, whose values are the bits of one call per
-    radius, and the panel's (r, log q, exp(log q + log area)) rows are kept
-    by its ends, local to this call, so the moments share the kernel values
-    of the panels their quads have in common.
+    The quadrature asks for the integrand a panel at a time.  A panel's 21
+    nodes go to the kernel in one array call, whose values are the bits of
+    one call per radius, and the panel's (r, log q, exp(log q + log area))
+    rows are kept by its ends, local to this call, so the moments share the
+    kernel values of the panels their quads have in common.
     """
     ker = kernel_for(space)
     rows_by_panel = {}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -458,7 +459,8 @@ class RotSymSurface(ModelManifold):
 
     def ball_volume(self, r: float) -> float:
         # imported here: the catalog spaces have closed forms, so a process
-        # that reads only those loads no quadrature
+        # that reads only those loads no quadrature.  rdl's Gauss-Kronrod
+        # bisection gives scipy's quad bit for bit on these smooth profiles
         from ._quadpack import nodes, quad
 
         _check_radius(r)
@@ -479,12 +481,13 @@ class RotSymSurface(ModelManifold):
 
 
 def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
-    """An integer field read from JSON: an integral number, never a bool
-    (True == 1 in Python), a string or a fractional number."""
+    """An integer field read from JSON or passed to a config: an integral
+    number (numpy's integers too), never a bool (True == 1 in Python), a
+    string or a fractional number."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     raise error(f"{name!r} must be an integer, got {value!r}")
 
 

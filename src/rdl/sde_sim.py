@@ -54,7 +54,7 @@ from functools import cache
 
 import numpy as np
 
-from .model_spaces import KAIMANOVICH_R_CAP, ProfileFunction, builtin_profile
+from .model_spaces import KAIMANOVICH_R_CAP, ProfileFunction, builtin_profile, json_int
 
 __all__ = [
     "SimConfig",
@@ -100,6 +100,10 @@ class SimConfig:
     threads: int | None = None   # worker cap; None becomes the usable core count
 
     def __post_init__(self):
+        for name in ("seed", "n_paths", "record_stride", "threads"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, json_int(value, name, ValueError))
         if not (0 <= self.seed < 2 ** 63):
             raise ValueError("seed must fit in a 63-bit nonnegative integer")
         if self.n_paths < 1:

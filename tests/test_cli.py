@@ -697,6 +697,21 @@ def test_gromov_cli_witness_roundtrip(tmp_path):
     AdmissibleExtension(np.array(blob["cross"])).validate(sa.dist, sb.dist)
 
 
+def test_gromov_cli_without_a_witness_removes_an_earlier_one(tmp_path, capsys):
+    # at d = 1/2 there is no witness; the file an earlier run wrote at
+    # --witness must not stay behind beside this run's result
+    a, b, w = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "w.json"
+    _write_space(a, [[0.0], [0.5]])
+    _write_space(b, [[0.0], [0.6]])
+    assert main(["gromov", "--a", str(a), "--b", str(b), "--witness", str(w)]) == EXIT_OK
+    assert w.exists() and (tmp_path / "w.json.manifest.json").exists()
+    _write_space(a, [[0.0]])
+    b.write_text(json.dumps({"dist": [[0, 1.5], [1.5, 0]]}))
+    assert main(["gromov", "--a", str(a), "--b", str(b), "--witness", str(w)]) == EXIT_OK
+    assert "no witness at the final bracket" in capsys.readouterr().err
+    assert not w.exists() and not (tmp_path / "w.json.manifest.json").exists()
+
+
 def test_gromov_cli_invalid_matrix_lists_triangle(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -352,6 +352,46 @@ def test_radial_integral_equals_the_scalar_oracle_bitwise(space):
         assert _hex(_radial_integral(space, t, weights)) == _hex(_scalar_radial_integral(space, t, weights))
 
 
+_SWEEP_SPACES = [Euclidean(d) for d in (1, 2, 3)] + [HalfPlane()]
+_SWEEP_SPACES += [Hyperbolic(d, k) for d in (2, 3)
+                  for k in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1000.0)]
+
+
+def _sweep_horizons(space):
+    """The default grid, then 12 horizons log-spaced from 1e-4 to 100 times
+    its last, those of them inside the report's horizon cut."""
+    from rdl.estimators import _check_resolvable
+
+    grid = default_t_grid(space)
+    out = list(grid)
+    for t in np.geomspace(1e-4 * grid[-1], 100.0 * grid[-1], 12).tolist():
+        try:
+            _check_resolvable(space, t)
+        except EstimatorInputError:
+            continue
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("space", _SWEEP_SPACES, ids=lambda sp: sp.label())
+def test_radial_integral_equals_the_scalar_oracle_bitwise_over_a_horizon_sweep(space):
+    # the mass, ell_t and h_t of the moment table, at horizons well off the
+    # default grid and at k from 1e-3 to 1e3, are the floats of scipy's quad
+    # on one kernel call per radius; so is the mass up to a cut r_hi below the
+    # truncation radius, as zero_two_defect asks for it
+    from rdl.estimators import _dist, _mass, _radial_integral, _surprisal
+
+    weights = (_mass, _dist, _surprisal)
+    ts = _sweep_horizons(space)
+    assert len(ts) > len(default_t_grid(space))
+    for t in ts:
+        assert _hex(_radial_integral(space, t, weights)) == _hex(_scalar_radial_integral(space, t, weights)), t
+    t = ts[0]
+    r_hi = 0.5 * truncation_radius(space, t)
+    assert _hex(_radial_integral(space, t, (_mass,), r_hi)) == _hex(
+        _scalar_radial_integral(space, t, (_mass,), r_hi))
+
+
 @pytest.mark.parametrize("space", _CHAINS_SPACES, ids=lambda sp: sp.label())
 def test_radial_integral_equals_the_scalar_oracle_on_the_zero_two_cut(space, monkeypatch):
     # zero_two_defect integrates the mass up to the kernels' crossing r*

@@ -41,6 +41,24 @@ def test_config_validation():
             SimConfig(seed=1, n_paths=1, t_max=t_max, dt=dt)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 0.5), ("seed", True), ("n_paths", True), ("n_paths", 2.5), ("record_stride", 1.5),
+    ("record_stride", "2"), ("threads", 1.5), ("threads", False),
+])
+def test_config_refuses_bools_and_fractions(field, value):
+    # seed 0.5 ran seed 0's paths, seed True seed 1's and n_paths True one path;
+    # n_paths 2.5 died in range() and record_stride 1.5 in indexing
+    base = {"seed": 1, "n_paths": 2, "t_max": 1.0, "dt": 0.1, "record_stride": 1, "threads": 1}
+    with pytest.raises(ValueError, match=f"^'{field}' must be an integer, got {value!r}$"):
+        SimConfig(**{**base, field: value})
+
+
+def test_config_takes_integral_numbers_as_ints():
+    cfg = SimConfig(seed=np.int64(3), n_paths=4.0, t_max=1.0, dt=0.1, record_stride=np.uint8(2), threads=1)
+    assert [type(v) for v in (cfg.seed, cfg.n_paths, cfg.record_stride, cfg.threads)] == [int] * 4
+    assert (cfg.seed, cfg.n_paths, cfg.record_stride) == (3, 4, 2)
+
+
 @pytest.mark.parametrize("stride, steps", [
     (20, [0, 20, 40, 60, 80, 100]),  # the last step falls on the stride: not repeated
     (30, [0, 30, 60, 90, 100]),
