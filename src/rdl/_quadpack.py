@@ -4,10 +4,13 @@ sort dqpsrt, without dqagse's epsilon extrapolation (Wynn's algorithm, dqelg).
 
 The loop bisects the panel with the largest error estimate until the summed
 estimates meet max(epsabs, epsrel |I|), and returns the sum of the panels.
+Its error estimate is QUADPACK's running sum errsum, except where that
+update cancels below 0 (scipy returns it negative): there it is the
+panels' estimates summed afresh in index order.
 Each float operation is QUADPACK's, in QUADPACK's order, so on a finite
 interval a < b `quad` returns scipy.integrate.quad's value and error estimate
 bit for bit wherever the extrapolation would not decide the result or the
-panel bisected next.  That includes every integral rdl computes; the tests
+panel bisected next, and errsum ends >= 0.  That includes every integral rdl computes; the tests
 compare the two.  Where scipy may take the extrapolated value (endpoint
 singularities, sharp peaks, fast oscillation) the sum of the panels meets
 the tolerance or warns.  The arrays keep QUADPACK's 1-based indices.
@@ -200,6 +203,10 @@ def quad(panel, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     result = 0.0
     for k in range(1, last + 1):
         result += rlist[k]
+    if errsum < 0.0:  # the running update cancelled below 0: sum the estimates afresh
+        errsum = 0.0
+        for k in range(1, last + 1):
+            errsum += elist[k]
     return _done(result, errsum, ier, limit)
 
 

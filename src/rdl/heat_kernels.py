@@ -313,6 +313,11 @@ def _ridge(space: ModelManifold, t: float) -> float:
     return max(space.drift_scale() * t, math.sqrt(t))
 
 
+_GRID_T, _GRID_R = 40, 400
+_BLOCK = math.isqrt(_GRID_R)  # radii per block: 20 heads, and 20 radii per live block
+_MARGIN = 1e-6  # in log q: far above a computed log q's distance from the true one
+
+
 @dataclass(frozen=True)
 class GaussianBoundResult:
     constant: float
@@ -328,7 +333,38 @@ def gaussian_bound_constant(
 
     The true constant is existential; this reports a grid supremum only,
     never a certified bound.  Overflow on the grid is reported as
-    unbounded-at-resolution.
+    unbounded-at-resolution.  Where r_max^2 / (D t_lo) is past the float
+    range, L below would read -inf + inf = NaN at the kernel's underflow,
+    and KernelError is raised.
+
+    The result is the full scan's: at each t in turn, L = log q + g with
+    g = r * r / (D t) on all 400 radii, and its first argmax where that is
+    strictly above the running max `best`.  This scan reads few of those
+    radii.  They fall in sqrt(400) = 20 blocks of 20, so that a row costs
+    20 heads plus 20 radii per live block.  At each t one call of log_q on
+    the block heads r_h bounds each block by
+
+        U = log q(t, r_h) + _MARGIN + g(t, r_e),   r_e the block's last radius,
+
+    and a second call evaluates only the radii of the blocks with U > best.
+    Why this is the full scan's result, bit for bit:
+      * Premise: the computed log q(t, .) is non-increasing in r up to
+        _MARGIN = 1e-6.  The true one is non-increasing (a Gaussian on E^d;
+        on H^d, Davies & Mandouvalos, Proc. LMS 57, 1988), and rounding
+        (about 1e-16 |log q|) and the H^2 rule's error (below 1e-10) keep
+        the computed one far inside _MARGIN of it while |log q| < 1e9; past
+        that, where _MARGIN rounds away, the computed log q itself must not
+        rise.  g rises with r through monotone float operations.  So no L
+        of a block exceeds its U, and a block with U <= best holds no value
+        that could update best.
+      * Every radius that attains a row's max above best lies in a live
+        block, so the argmax over the live radii, in index order, is the
+        full scan's.
+      * A kernel value is the bits of a one-radius call, and g is
+        elementwise, so each evaluated L has the full scan's bits.
+    No value is NaN: g is finite on the grid, and log q finite or -inf.
+    The tests check the premise on the catalog and keep the full scan as
+    the oracle.
     """
     if not 2 < D < math.inf:
         raise KernelError(f"the Gaussian bound needs D > 2 and finite, got {D}")
@@ -339,14 +375,24 @@ def gaussian_bound_constant(
         raise KernelError(f"need t_lo <= t_hi < inf, got t_lo = {t_lo}, t_hi = {t_hi}")
     if not 0 < r_max < math.inf:
         raise KernelError(f"need 0 < r_max < inf, got r_max = {r_max}")
+    if not r_max * r_max / (D * t_lo) < math.inf:  # the largest g on the grid
+        raise KernelError(f"r_max^2 / (D t_lo) is past the float range: r_max = {r_max}, "
+                          f"D = {D}, t_lo = {t_lo}")
     ker = kernel_for(space)
     best, bt, br = -math.inf, t_lo, 0.0
-    r = np.linspace(0.0, r_max, 400)
-    for t in np.linspace(t_lo, t_hi, 40):
-        log_vals = np.asarray(ker.log_q(t, r)) + r * r / (D * t)
+    r = np.linspace(0.0, r_max, _GRID_R)
+    rr = r * r
+    heads, rr_ends = r[::_BLOCK], rr[_BLOCK - 1::_BLOCK]
+    for t in np.linspace(t_lo, t_hi, _GRID_T):
+        bound = np.asarray(ker.log_q(t, heads)) + _MARGIN + rr_ends / (D * t)
+        live = np.repeat(bound > best, _BLOCK)
+        if not live.any():
+            continue
+        r_live = r[live]
+        log_vals = np.asarray(ker.log_q(t, r_live)) + rr[live] / (D * t)
         i = int(np.argmax(log_vals))
         if log_vals[i] > best:
-            best, bt, br = float(log_vals[i]), float(t), float(r[i])
+            best, bt, br = float(log_vals[i]), float(t), float(r_live[i])
     if best > 700.0:  # exp would overflow; the grid shows no finite sup
         return GaussianBoundResult(math.inf, bt, br, False)
     return GaussianBoundResult(math.exp(best), bt, br, True)
@@ -530,6 +576,11 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
     if not 0 <= rho < math.inf:
         raise KernelError(f"need 0 <= rho < inf, got rho = {rho}")
     dim, k = space.dim, space.k
+    if k == 0 and dim > 1:
+        raise KernelError(f"no Chapman-Kolmogorov quadrature for {space.label()}")
+    ref = float(ker.q(s + t, rho))
+    if not ref > 0.0:  # the relative error divides by it
+        raise KernelError(f"q(s + t, rho) underflows to 0 at s + t = {s + t:g}, rho = {rho:g}")
     centre = rho * s / (s + t)
     bridge = centre + _CK_BRIDGE * math.sqrt(s * t / (s + t))
 
@@ -537,11 +588,11 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
         return _panels(np.unique(np.clip(np.concatenate([[lo, hi, *cuts], bridge]), lo, hi)),
                        _CK_OUTER_NODES)
 
-    if k == 0 and dim == 1:
+    if k == 0:
         hi = 12.0 * math.sqrt(max(s, t)) + rho
         x, w = outer(-hi, hi, 0.0, centre, rho)
         val = float(np.sum(ker.q(s, np.abs(x)) * ker.q(t, np.abs(x - rho)) * w))
-    elif k > 0:
+    else:
         R = truncation_radius(space, s)
         if k * (R + rho) > 700.0:
             raise KernelError(f"sinh(k (R + rho)) overflows at s = {s}, rho = {rho}")
@@ -551,7 +602,4 @@ def chapman_kolmogorov_residual(space: ModelManifold, s: float, t: float, rho: f
         log_sinh = k * r + np.log1p(-np.exp(-2.0 * k * r)) - math.log(2.0 * k)
         w = w * np.exp(ker.log_q(s, r) + (dim - 1) * log_sinh) * (2.0 * math.pi if dim == 3 else 2.0)
         val = float(np.sum(w * _ck_angular(ker, t, r[:, None], rho)))
-    else:
-        raise KernelError(f"no Chapman-Kolmogorov quadrature for {space.label()}")
-    ref = float(ker.q(s + t, rho))
     return abs(val - ref) / ref

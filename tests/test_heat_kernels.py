@@ -351,6 +351,14 @@ def test_chapman_kolmogorov_rejects_times_outside_its_rule(space, s, t):
         chapman_kolmogorov_residual(space, s, t, 1.0)
 
 
+@pytest.mark.parametrize("space, rho", [(Euclidean(1), 100.0), (Hyperbolic(2, 1.0), 60.0),
+                                        (Hyperbolic(3, 1.0), 60.0)])
+def test_chapman_kolmogorov_refuses_an_underflowed_reference(space, rho):
+    # q(s + t, rho) = 0 there: the relative error divided by it (ZeroDivisionError)
+    with pytest.raises(KernelError, match=rf"underflows to 0 at s \+ t = 2, rho = {rho:g}"):
+        chapman_kolmogorov_residual(space, 1.0, 1.0, rho)
+
+
 # --------------------------------------------------------- Gaussian bound
 
 
@@ -381,6 +389,116 @@ def test_gaussian_bound_domain_checks():
         gaussian_bound_constant(Euclidean(1), 2.0, (1.0, 2.0), 5.0)
     with pytest.raises(KernelError):
         gaussian_bound_constant(Euclidean(1), 3.0, (0.5, 2.0), 5.0)
+
+
+def _full_scan_gaussian_bound(space, D, t_range, r_max):
+    """The scan of gaussian_bound_constant before its block bound, kept as the
+    oracle: every radius at every t."""
+    ker = kernel_for(space)
+    t_lo, t_hi = t_range
+    best, bt, br = -math.inf, t_lo, 0.0
+    r = np.linspace(0.0, r_max, 400)
+    for t in np.linspace(t_lo, t_hi, 40):
+        log_vals = np.asarray(ker.log_q(t, r)) + r * r / (D * t)
+        i = int(np.argmax(log_vals))
+        if log_vals[i] > best:
+            best, bt, br = float(log_vals[i]), float(t), float(r[i])
+    if best > 700.0:  # exp would overflow; the grid shows no finite sup
+        return heat_kernels.GaussianBoundResult(math.inf, bt, br, False)
+    return heat_kernels.GaussianBoundResult(math.exp(best), bt, br, True)
+
+
+def _assert_full_scan(space, D, t_range, r_max):
+    got = gaussian_bound_constant(space, D, t_range, r_max)
+    want = _full_scan_gaussian_bound(space, D, t_range, r_max)
+    case = (space.label(), D, t_range, r_max)
+    assert got.constant.hex() == want.constant.hex(), case
+    assert (got.t_at, got.r_at, got.bounded) == (want.t_at, want.r_at, want.bounded), case
+
+
+_CATALOG = [Euclidean(1), Euclidean(2), Euclidean(3),
+            *(Hyperbolic(d, k) for d in (2, 3) for k in (0.5, 1.0, 2.0)), HalfPlane()]
+
+
+@pytest.mark.parametrize("space", _CATALOG, ids=lambda sp: sp.label())
+def test_gaussian_bound_equals_the_full_scan(space):
+    # the block bound skips radii, never a grid max: the constant's bits, t_at,
+    # r_at and bounded are the full scan's, on fixed t ranges ([1, 1], [1, 1e3])
+    # and seeded ones, with r_max from 1e-3 to 1e3
+    rng = np.random.default_rng(39)
+    for D in (2.01, 2.5, 3.0, 4.0, 50.0):
+        t_lo = float(10.0 ** rng.uniform(0.0, 2.0))
+        cases = [((1.0, 1.0), 1e-3), ((1.0, 1e3), 1e3), ((t_lo, t_lo), float(10.0 ** rng.uniform(-3.0, 3.0))),
+                 ((t_lo, t_lo * 10.0 ** rng.uniform(0.0, 1.0)), float(10.0 ** rng.uniform(-3.0, 3.0)))]
+        for t_range, r_max in cases:
+            _assert_full_scan(space, D, t_range, r_max)
+
+
+def _premise_kernels(rng, count):
+    """(log_q, D, t_range, r_max) drawn from the seed: log q(t, r) = a log t
+    - s floor(r / w) + e frac(f r), non-increasing in r up to e <= 4e-7, half
+    the bound's margin.  Within a plateau r^2 / D t and the sawtooth rise, so
+    rows take their max off the block heads, and a small a lets a later t
+    overtake the running max by less than the sawtooth's height."""
+    out = []
+    for _ in range(count):
+        r_max = float(10.0 ** rng.uniform(-3.0, 3.0))
+        a, s, e = (float(10.0 ** rng.uniform(-12.0, 0.0)), float(10.0 ** rng.uniform(-9.0, 1.0)),
+                   float(rng.uniform(0.0, 4e-7)))
+        w, f = r_max * float(rng.uniform(0.02, 0.4)), float(10.0 ** rng.uniform(0.0, 3.0)) / r_max
+        t_lo = float(10.0 ** rng.uniform(0.0, 3.0))
+        t_range = (t_lo, t_lo * (1.0 + float(10.0 ** rng.uniform(-10.0, 1.0))))
+        D = float(rng.choice([2.01, 3.0, 50.0, 1e12]))
+
+        def log_q(self, t, dist, a=a, s=s, e=e, w=w, f=f):
+            r = np.asarray(dist, dtype=float)
+            return a * math.log(t) - s * np.floor(r / w) + e * ((f * r) % 1.0)
+
+        out.append((log_q, D, t_range, r_max))
+    return out
+
+
+def test_gaussian_bound_equals_the_full_scan_on_any_kernel_of_the_premise(monkeypatch):
+    # the catalog's sup sits at r = 0, t = t_lo, a block head of the first row;
+    # these kernels meet only the bound's premise and put the sup anywhere
+    rng = np.random.default_rng(39)
+    for log_q, D, t_range, r_max in _premise_kernels(rng, 300):
+        monkeypatch.setattr(KernelEval, "log_q", log_q)
+        _assert_full_scan(Euclidean(1), D, t_range, r_max)
+
+
+def test_gaussian_bound_reads_few_radii(monkeypatch):
+    # the benchmark's H^2 case: the full scan read 40 x 400 = 16,000 radii
+    radii = []
+    log_q = KernelEval.log_q
+
+    def counted(self, t, dist):
+        radii.append(np.size(dist))
+        return log_q(self, t, dist)
+
+    monkeypatch.setattr(KernelEval, "log_q", counted)
+    gaussian_bound_constant(Hyperbolic(2, 1.0), 3.0, (1.0, 10.0), 30.0)
+    assert sum(radii) <= 2000, sum(radii)
+
+
+@pytest.mark.parametrize("space", _CATALOG, ids=lambda sp: sp.label())
+def test_log_q_is_non_increasing_in_r(space):
+    # the block bound's premise, on the computed values: a step of 0.01 over [0, 60]
+    r = np.linspace(0.0, 60.0, 6001)
+    for t in (1.0, 10.0, 1e3):
+        steps = np.diff(np.asarray(kernel_for(space).log_q(t, r)))
+        assert steps.max() <= 0.0, (t, steps.max())
+
+
+def test_gaussian_bound_refuses_an_exponent_past_the_float_range():
+    # r^2 overflowed to inf, -inf + inf read NaN, and argmax took the NaN:
+    # constant 0.0, bounded=True, where the grid's sup is finite (about 0.135 on H^2)
+    for args in ((Hyperbolic(2), 3.0, (1.0, 2.0), 1e300), (Euclidean(1), 2.0000001, (1.0, 2.0), 1e200)):
+        with pytest.raises(KernelError, match=r"r_max\^2 / \(D t_lo\) is past the float range"):
+            gaussian_bound_constant(*args)
+    # just inside the range the sup stays at r = 0, t = t_lo
+    res = gaussian_bound_constant(Euclidean(1), 3.0, (1.0, 2.0), 1e154)
+    assert (res.constant, res.t_at, res.r_at, res.bounded) == ((2 * math.pi) ** -0.5, 1.0, 0.0, True)
 
 
 # -------------------------------------------------------- zero-two defect

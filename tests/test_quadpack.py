@@ -74,6 +74,20 @@ def test_quadpack_equals_scipy_on_smooth_integrands_and_meets_the_tolerance_else
     assert smooth == 80 and iers == {1, 2}, iers
 
 
+def test_quadpack_abserr_is_never_negative():
+    # errsum's running update (errsum + erro12 - errmax) cancelled below 0 on a
+    # peaked case of the seed-27 draw (epsabs 2.587e-10, epsrel 0, limit 50):
+    # abserr read -5.94e-11 (scipy -6.30e-11) where the true error is 2.0e-11
+    rng = np.random.default_rng(27)
+    for family, f, a, b, exact in _integrands(rng, 80):
+        limit = int(rng.choice([7, 50, 300]))
+        tol = 10.0 ** rng.uniform(-12.0, -4.0)
+        epsabs, epsrel = [(tol, tol), (tol, 0.0), (0.0, tol)][rng.integers(3)]
+        (value, abserr), _ = _recorded(lambda: quad(lambda lo, hi: [f(x) for x in nodes(lo, hi)], a, b,
+                                                    epsabs=epsabs, epsrel=epsrel, limit=limit))
+        assert abserr >= 0.0, (family, epsabs, epsrel, limit, abserr, value - exact)
+
+
 def test_quadpack_bisects_tied_panels_in_dqpsrts_order():
     # a peak on the bisection point 1/4 of [0, 1/2]: the halves' error estimates
     # tie, and picking the first largest (max over the panels) in place of
