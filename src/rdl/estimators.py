@@ -33,7 +33,7 @@ import numpy as np
 
 from ._quadpack import nodes, quad
 from .heat_kernels import _ridge, kernel_for, truncation_radius
-from .model_spaces import ModelManifold, json_number, space_from_json
+from .model_spaces import ModelManifold, json_number, json_object, space_from_json
 
 __all__ = [
     "EstimatorError",
@@ -262,24 +262,14 @@ class Ensemble:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Ensemble":
+        entries = json_object(obj, "an ensemble", ("components",), (), EstimatorInputError)["components"]
+        if not isinstance(entries, list):
+            raise EstimatorInputError(f"an ensemble's 'components' is a list, got {type(entries).__name__}")
         comps, weights = [], []
-        try:
-            entries = obj["components"] if isinstance(obj, dict) else None
-            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-                raise EstimatorInputError("an ensemble is an object with a 'components' list of objects")
-            unknown = sorted(set(obj) - {"components"})
-            if unknown:
-                raise EstimatorInputError(f"unknown key {unknown[0]!r} in an ensemble")
-            for entry in entries:
-                weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
-                comps.append(space_from_json(entry["space"]))
-                unknown = sorted(set(entry) - {"weight", "space"})
-                if unknown:
-                    raise EstimatorInputError(f"unknown key {unknown[0]!r} in an ensemble component")
-        except KeyError as e:
-            raise EstimatorInputError(f"ensemble is missing the key {e}") from e
-        except TypeError as e:
-            raise EstimatorInputError(f"ensemble field of the wrong type: {e}") from e
+        for entry in entries:
+            json_object(entry, "an ensemble component", ("weight", "space"), (), EstimatorInputError)
+            weights.append(json_number(entry["weight"], "weight", EstimatorInputError))
+            comps.append(space_from_json(entry["space"]))
         return cls(components=tuple(comps), weights=tuple(weights))
 
 

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_spaces import GeometryError, ModelManifold, json_int, json_number
+from .model_spaces import GeometryError, ModelManifold, json_int, json_number, json_object
 
 __all__ = [
     "MetricError",
@@ -218,12 +218,7 @@ class FinitePointedSpace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FinitePointedSpace":
-        if not isinstance(obj, dict) or "dist" not in obj:
-            raise MetricError("a pointed space is a JSON object with a 'dist' matrix")
-        unknown = sorted(set(obj) - {"n", "basepoint", "dist"})
-        if unknown:
-            raise MetricError(f"unknown key {unknown[0]!r} in a pointed space")
-        rows = obj["dist"]
+        rows = json_object(obj, "a pointed space", ("dist",), ("n", "basepoint"), MetricError)["dist"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise MetricError("'dist' must be a matrix: a list of rows of numbers")
         entries = [[json_number(x, "dist", MetricError) for x in row] for row in rows]

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gauss_legendre import HALVES
-from .model_spaces import ModelManifold, ProfileFunction
+from .model_spaces import ModelManifold, ProfileFunction, json_int
 
 __all__ = [
     "KernelEval",
@@ -329,22 +329,24 @@ class GaussianBoundResult:
 def gaussian_bound_constant(
     space: ModelManifold, D: float, t_range: tuple[float, float], r_max: float
 ) -> GaussianBoundResult:
-    """Empirical constant C = sup over a 40 x 400 (t, r) grid of q(t, r) exp(r^2 / D t).
+    """Empirical C of the bound q(t, r) <= C t^{-n/2} exp(-r^2 / D t), n = space.dim:
+    the sup of q(t, r) t^{n/2} exp(r^2 / D t) over a 40 x 400 (t, r) grid.
 
     The true constant is existential; this reports a grid supremum only,
     never a certified bound.  Overflow on the grid is reported as
     unbounded-at-resolution.  Where r_max^2 / (D t_lo) is past the float
     range, L below would read -inf + inf = NaN at the kernel's underflow,
-    and KernelError is raised.
+    and KernelError is raised.  On E^n each row's max is (2 pi)^{-n/2} at
+    r = 0 up to rounding, so t_at is arbitrary there.
 
-    The result is the full scan's: at each t in turn, L = log q + g with
-    g = r * r / (D t) on all 400 radii, and its first argmax where that is
-    strictly above the running max `best`.  This scan reads few of those
-    radii.  They fall in sqrt(400) = 20 blocks of 20, so that a row costs
-    20 heads plus 20 radii per live block.  At each t one call of log_q on
-    the block heads r_h bounds each block by
+    The result is the full scan's: at each t in turn, L = log q + s + g
+    with s = (n/2) log t and g = r * r / (D t) on all 400 radii, and its
+    first argmax where that is strictly above the running max `best`.
+    This scan reads few of those radii.  They fall in sqrt(400) = 20 blocks
+    of 20, so that a row costs 20 heads plus 20 radii per live block.  At
+    each t one call of log_q on the block heads r_h bounds each block by
 
-        U = log q(t, r_h) + _MARGIN + g(t, r_e),   r_e the block's last radius,
+        U = log q(t, r_h) + s + _MARGIN + g(t, r_e),   r_e the block's last radius,
 
     and a second call evaluates only the radii of the blocks with U > best.
     Why this is the full scan's result, bit for bit:
@@ -354,15 +356,15 @@ def gaussian_bound_constant(
         (about 1e-16 |log q|) and the H^2 rule's error (below 1e-10) keep
         the computed one far inside _MARGIN of it while |log q| < 1e9; past
         that, where _MARGIN rounds away, the computed log q itself must not
-        rise.  g rises with r through monotone float operations.  So no L
-        of a block exceeds its U, and a block with U <= best holds no value
-        that could update best.
+        rise.  s is constant along a row and g rises with r, both through
+        monotone float operations.  So no L of a block exceeds its U, and a
+        block with U <= best holds no value that could update best.
       * Every radius that attains a row's max above best lies in a live
         block, so the argmax over the live radii, in index order, is the
         full scan's.
       * A kernel value is the bits of a one-radius call, and g is
         elementwise, so each evaluated L has the full scan's bits.
-    No value is NaN: g is finite on the grid, and log q finite or -inf.
+    No value is NaN: s and g are finite on the grid, and log q finite or -inf.
     The tests check the premise on the catalog and keep the full scan as
     the oracle.
     """
@@ -384,12 +386,13 @@ def gaussian_bound_constant(
     rr = r * r
     heads, rr_ends = r[::_BLOCK], rr[_BLOCK - 1::_BLOCK]
     for t in np.linspace(t_lo, t_hi, _GRID_T):
-        bound = np.asarray(ker.log_q(t, heads)) + _MARGIN + rr_ends / (D * t)
+        s = 0.5 * space.dim * math.log(t)  # log t^{n/2}: 0.0 at t = 1, where q keeps its bits
+        bound = np.asarray(ker.log_q(t, heads)) + s + _MARGIN + rr_ends / (D * t)
         live = np.repeat(bound > best, _BLOCK)
         if not live.any():
             continue
         r_live = r[live]
-        log_vals = np.asarray(ker.log_q(t, r_live)) + rr[live] / (D * t)
+        log_vals = np.asarray(ker.log_q(t, r_live)) + s + rr[live] / (D * t)
         i = int(np.argmax(log_vals))
         if log_vals[i] > best:
             best, bt, br = float(log_vals[i]), float(t), float(r_live[i])
@@ -439,6 +442,7 @@ def radial_fokker_planck(
     is enforced up front.  r0 <= dr is treated as a pole start (the initial
     delta goes in the first cell).
     """
+    n_snapshots = json_int(n_snapshots, "n_snapshots", KernelError)
     if not 0 < dt <= 0.4 * dr * dr:
         raise KernelError(f"CFL violation: need 0 < dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
     if not 0 < dr <= r_max < math.inf:

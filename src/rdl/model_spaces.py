@@ -79,6 +79,11 @@ _SINH_SERIES = tuple(1.0 / math.factorial(2 * n + 1) for n in range(6, 0, -1))
 # (3.8e-7 at r = 22 over 2e6 angles; 1.1e-6 at r = 23).
 _HALFPLANE_R_MAX = 22.0
 
+# The JSON keys of each space kind besides "kind": (required, optional).  space_from_json
+# checks a space's keys against them, and ModelManifold.to_json_dict writes them in this order.
+_SPACE_KINDS = {"euclidean": (("dim",), ()), "hyperbolic": (("dim",), ("k",)), "halfplane": ((), ()),
+                "rotsym": (("profile",), ("k",))}
+
 
 class GeometryError(ValueError):
     """Invalid coordinates or an operation outside a chart's domain."""
@@ -196,6 +201,8 @@ class ModelManifold:
         v = np.asarray(pt, dtype=float).reshape(-1)
         if v.shape != (self.dim,):
             raise GeometryError(f"expected a point in R^{self.dim}, got shape {v.shape}")
+        if not np.isfinite(v).all():  # a NaN or inf coordinate gives a NaN or inf distance
+            raise GeometryError(f"point coordinates must be finite, got {v.tolist()}")
         return v
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
@@ -274,10 +281,14 @@ class ModelManifold:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """The object space_from_json reads back: the kind, then its keys in
+        _SPACE_KINDS order, each read off the attribute of its name."""
+        required, optional = _SPACE_KINDS[self.kind]
+        return {"kind": self.kind, **{key: getattr(self, key) for key in required + optional}}
 
 
 class Euclidean(ModelManifold):
+    kind = "euclidean"
     k = 0.0
 
     def __init__(self, dim: int):
@@ -304,9 +315,6 @@ class Euclidean(ModelManifold):
     def label(self) -> str:
         return f"euclidean(dim={self.dim})"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "euclidean", "dim": self.dim}
-
 
 def _hyperbolic_dist(k: float, r1, r2, cos_angle):
     """Hyperbolic law of cosines, curvature -k^2; a GeometryError where it
@@ -324,6 +332,8 @@ def _hyperbolic_dist(k: float, r1, r2, cos_angle):
 
 class Hyperbolic(ModelManifold):
     """H^dim with curvature -k^2, chart = geodesic normal coordinates at o."""
+
+    kind = "hyperbolic"
 
     def __init__(self, dim: int, k: float = 1.0):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
@@ -383,9 +393,6 @@ class Hyperbolic(ModelManifold):
     def label(self) -> str:
         return f"hyperbolic(dim={self.dim},k={self.k:g})"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "hyperbolic", "dim": self.dim, "k": self.k}
-
 
 class HalfPlane(Hyperbolic):
     """Upper half-plane {(x, y): y > 0}, ds^2 = y^-2 (dx^2 + dy^2), curvature -1.
@@ -394,6 +401,7 @@ class HalfPlane(Hyperbolic):
     only the chart methods are overridden.
     """
 
+    kind = "halfplane"
     dim = 2
     k = 1.0  # also read on the class, by the CLI's --kappa check
 
@@ -405,9 +413,7 @@ class HalfPlane(Hyperbolic):
         return np.array([0.0, 1.0])
 
     def validate_point(self, pt) -> np.ndarray:
-        v = np.asarray(pt, dtype=float).reshape(-1)
-        if v.shape != (2,):
-            raise GeometryError(f"expected (x, y), got shape {v.shape}")
+        v = super().validate_point(pt)
         if not v[1] > 0:
             raise GeometryError(f"half-plane needs y > 0, got y = {v[1]}")
         return v
@@ -439,14 +445,12 @@ class HalfPlane(Hyperbolic):
     def label(self) -> str:
         return "halfplane"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "halfplane"}
-
 
 class RotSymSurface(ModelManifold):
     """Surface ds^2 = dr^2 + p(r)^2 dtheta^2 about a pole, known through its
     radial geometry; it has no pairwise distances."""
 
+    kind = "rotsym"
     dim = 2
     k = None
 
@@ -476,8 +480,8 @@ class RotSymSurface(ModelManifold):
 
     def to_json_dict(self) -> dict:
         if self.profile.k:  # a hyperbolic profile; euclid's k is 0
-            return {"kind": "rotsym", "profile": "hyperbolic", "k": self.profile.k}
-        return {"kind": "rotsym", "profile": self.profile.label}
+            return {"kind": self.kind, "profile": "hyperbolic", "k": self.profile.k}
+        return {"kind": self.kind, "profile": self.profile.label}
 
 
 def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
@@ -502,24 +506,29 @@ def json_number(value, name: str, error: type[ValueError] = GeometryError) -> fl
     raise error(f"{name!r} must be a number, got {value!r}")
 
 
-# The keys besides "kind" that space_from_json reads, per kind.
-_SPACE_KEYS = {"euclidean": {"dim"}, "hyperbolic": {"dim", "k"}, "halfplane": set(), "rotsym": {"profile", "k"}}
+def json_object(obj, what: str, required: tuple, optional: tuple | None,
+                error: type[ValueError] = GeometryError) -> dict:
+    """An object read from JSON: a dict with every key of required and none outside
+    required and optional (None admits any, for a caller that learns the rest of
+    the keys from a field).  A missing key is reported before an unknown one."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} is a JSON object with the keys {list(required)}, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{what} is missing the key {key!r}")
+    unknown = [] if optional is None else sorted(set(obj).difference(required, optional))
+    if unknown:
+        raise error(f"unknown key {unknown[0]!r} in {what}")
+    return obj
 
 
 def space_from_json(obj: dict) -> ModelManifold:
     """Inverse of ModelManifold.to_json_dict."""
-    if not isinstance(obj, dict):
-        raise GeometryError(f"a space is a JSON object with a 'kind', got {obj!r}")
-    kind = obj.get("kind")
-    keys = _SPACE_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    kind = json_object(obj, "a space", ("kind",), None)["kind"]
+    if not isinstance(kind, str) or kind not in _SPACE_KINDS:
         raise GeometryError(f"unknown space kind {kind!r}")
-    unknown = sorted(set(obj) - keys - {"kind"})
-    if unknown:
-        raise GeometryError(f"unknown key {unknown[0]!r} in a {kind} space")
-    for key in ("dim", "profile"):  # the keys without a default
-        if key in keys and key not in obj:
-            raise GeometryError(f"a {kind} space needs the key {key!r}")
+    required, optional = _SPACE_KINDS[kind]
+    json_object(obj, f"a {kind} space", required, ("kind", *optional))
     if kind == "euclidean":
         return Euclidean(json_int(obj["dim"], "dim"))
     if kind == "hyperbolic":
@@ -527,6 +536,6 @@ def space_from_json(obj: dict) -> ModelManifold:
     if kind == "halfplane":
         return HalfPlane()
     profile = obj["profile"]
-    if "k" in obj and profile != "hyperbolic":
-        raise GeometryError(f"key 'k' is not read by the rotsym profile {profile!r}")
+    if profile != "hyperbolic":  # the one profile that reads k
+        json_object(obj, f"a rotsym space of profile {profile!r}", required, ("kind",))
     return RotSymSurface(builtin_profile(profile, json_number(obj.get("k", 1.0), "k")))

@@ -521,6 +521,7 @@ def kaimanovich_tail_limit(cfg: SimConfig, n_trajectories: int = 0) -> TailLimit
     per_unit = 1.0 / cfg.dt
     if abs(per_unit - round(per_unit)) > 1e-9 * per_unit:
         raise ValueError(f"1/dt must be an integer number of steps, got {per_unit}")
+    n_trajectories = json_int(n_trajectories, "n_trajectories", ValueError)
     if not 0 <= n_trajectories <= cfg.n_paths:
         raise ValueError(f"n_trajectories must be in [0, {cfg.n_paths}], got {n_trajectories}")
     run = _simulate_radial_block(builtin_profile("kaimanovich"), cfg, 1.0, KAIMANOVICH_R_CAP,

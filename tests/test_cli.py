@@ -485,6 +485,38 @@ def test_report_ambiguous_ensemble_component_is_usage_error(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, content, message", [
+    ("report", [1], "an ensemble is a JSON object with the keys ['components'], got list"),
+    ("report", {"zz": 1}, "an ensemble is missing the key 'components'"),
+    ("report", {"components": [{"weight": 1, "space": _H2}], "zz": 1}, "unknown key 'zz' in an ensemble"),
+    ("report", {"components": 5}, "an ensemble's 'components' is a list, got int"),
+    ("report", {"components": [5]}, "an ensemble component is a JSON object with the keys ['weight', 'space'], got int"),
+    ("report", {"components": [{"weight": 1, "zz": 1}]}, "an ensemble component is missing the key 'space'"),
+    ("report", {"components": [{"weight": 1, "space": _H2, "zz": 1}]}, "unknown key 'zz' in an ensemble component"),
+    ("report", {"components": [{"weight": 1, "space": [1]}]}, "a space is a JSON object with the keys ['kind'], got list"),
+    ("report", {"components": [{"weight": 1, "space": {"kind": "euclidean", "zz": 1}}]},
+     "a euclidean space is missing the key 'dim'"),
+    ("gromov", [[0]], "a pointed space is a JSON object with the keys ['dist'], got list"),
+    ("gromov", {"n": 1, "zz": 1}, "a pointed space is missing the key 'dist'"),
+    ("gromov", {"dist": [[0]], "zz": 1}, "unknown key 'zz' in a pointed space"),
+], ids=["ensemble-list", "ensemble-missing", "ensemble-unknown", "components-int", "component-int",
+        "component-missing", "component-unknown", "space-list", "space-missing", "pointed-list",
+        "pointed-missing", "pointed-unknown"])
+def test_json_object_faults_name_the_object_and_exit_2(tmp_path, capsys, command, content, message):
+    # every object a command reads goes through one reader: a non-object, then
+    # a missing key, then an unknown key, each named with the object's kind
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    if command == "report":
+        argv = ["report", "--ensemble-file", str(path)]
+    else:
+        other = tmp_path / "b.json"
+        _write_space(other, [[0.0]])
+        argv = ["gromov", "--a", str(path), "--b", str(other)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("content", [
     [1, 2],
     {"components": 5},

@@ -363,12 +363,23 @@ def test_chapman_kolmogorov_refuses_an_underflowed_reference(space, rho):
 
 
 def test_gaussian_bound_euclidean_analytic_sup():
-    # sup over t in [1,10], r of (2 pi t)^{-1/2} exp(-r^2(1/2t - 1/3t)) is at r=0, t=1
+    # sup over t in [1,10], r of t^{1/2} (2 pi t)^{-1/2} exp(-r^2(1/2t - 1/3t)) is
+    # (2 pi)^{-1/2}, at r=0 on every row: t_at is whichever row rounds highest
     res = gaussian_bound_constant(Euclidean(1), D=3.0, t_range=(1.0, 10.0), r_max=20.0)
     assert res.bounded
     assert res.constant == pytest.approx((2 * math.pi) ** -0.5, rel=1e-6)
     assert res.r_at == pytest.approx(0.0, abs=1e-9)
-    assert res.t_at == pytest.approx(1.0, abs=1e-9)
+    assert 1.0 <= res.t_at <= 10.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_bound_on_euclidean_space_is_the_gaussian_constant(n):
+    # q <= C t^{-n/2} exp(-r^2 / D t) holds on E^n with C = (2 pi)^{-n/2}; without
+    # the t^{n/2} the scan read q(t_lo, 0) = (8 pi)^{-1/2} on E^1 at t_lo = 4.
+    # E^3's max over the 40 rows rounds 1.5e-15 above C
+    res = gaussian_bound_constant(Euclidean(n), D=3.0, t_range=(4.0, 10.0), r_max=20.0)
+    assert res.bounded and res.r_at == 0.0
+    assert res.constant == pytest.approx((2 * math.pi) ** (-n / 2), rel=2e-15, abs=0.0)
 
 
 def test_gaussian_bound_h2_finite_anchor():
@@ -393,13 +404,13 @@ def test_gaussian_bound_domain_checks():
 
 def _full_scan_gaussian_bound(space, D, t_range, r_max):
     """The scan of gaussian_bound_constant before its block bound, kept as the
-    oracle: every radius at every t."""
+    oracle: every radius at every t, each row shifted by log t^{n/2}."""
     ker = kernel_for(space)
     t_lo, t_hi = t_range
     best, bt, br = -math.inf, t_lo, 0.0
     r = np.linspace(0.0, r_max, 400)
     for t in np.linspace(t_lo, t_hi, 40):
-        log_vals = np.asarray(ker.log_q(t, r)) + r * r / (D * t)
+        log_vals = np.asarray(ker.log_q(t, r)) + 0.5 * space.dim * math.log(t) + r * r / (D * t)
         i = int(np.argmax(log_vals))
         if log_vals[i] > best:
             best, bt, br = float(log_vals[i]), float(t), float(r[i])
@@ -435,11 +446,12 @@ def test_gaussian_bound_equals_the_full_scan(space):
 
 
 def _premise_kernels(rng, count):
-    """(log_q, D, t_range, r_max) drawn from the seed: log q(t, r) = a log t
+    """(log_q, D, t_range, r_max) drawn from the seed: log q(t, r) = (a - 1/2) log t
     - s floor(r / w) + e frac(f r), non-increasing in r up to e <= 4e-7, half
     the bound's margin.  Within a plateau r^2 / D t and the sawtooth rise, so
-    rows take their max off the block heads, and a small a lets a later t
-    overtake the running max by less than the sawtooth's height."""
+    rows take their max off the block heads.  The scan adds log t^{1/2} on
+    E^1, so the rows rise by a log t, and a small a lets a later t overtake
+    the running max by less than the sawtooth's height."""
     out = []
     for _ in range(count):
         r_max = float(10.0 ** rng.uniform(-3.0, 3.0))
@@ -452,7 +464,7 @@ def _premise_kernels(rng, count):
 
         def log_q(self, t, dist, a=a, s=s, e=e, w=w, f=f):
             r = np.asarray(dist, dtype=float)
-            return a * math.log(t) - s * np.floor(r / w) + e * ((f * r) % 1.0)
+            return (a - 0.5) * math.log(t) - s * np.floor(r / w) + e * ((f * r) % 1.0)
 
         out.append((log_q, D, t_range, r_max))
     return out
@@ -478,7 +490,7 @@ def test_gaussian_bound_reads_few_radii(monkeypatch):
 
     monkeypatch.setattr(KernelEval, "log_q", counted)
     gaussian_bound_constant(Hyperbolic(2, 1.0), 3.0, (1.0, 10.0), 30.0)
-    assert sum(radii) <= 2000, sum(radii)
+    assert sum(radii) <= 2000, sum(radii)  # 1,660
 
 
 @pytest.mark.parametrize("space", _CATALOG, ids=lambda sp: sp.label())
@@ -659,6 +671,21 @@ def test_fp_k1_matches_unit_kernel():
     )
     dr = grid.r_centers[1] - grid.r_centers[0]
     assert np.sum(np.abs(rho - marg)) * dr <= 2e-2
+
+
+_FP_EUCLID = dict(r0=0.01, dt=4e-4, dr=0.04, t_max=0.2, r_max=2.0)
+
+
+@pytest.mark.parametrize("n_snapshots", [2.5, True, "3"])
+def test_fp_refuses_a_snapshot_count_that_is_not_an_integer(n_snapshots):
+    # 2.5 stored snapshots at t = 0, 0.1332 and 0.2, and True stored two
+    with pytest.raises(KernelError, match="'n_snapshots' must be an integer"):
+        radial_fokker_planck(builtin_profile("euclid"), **_FP_EUCLID, n_snapshots=n_snapshots)
+
+
+def test_fp_reads_an_integral_float_snapshot_count():
+    grid = radial_fokker_planck(builtin_profile("euclid"), **_FP_EUCLID, n_snapshots=3.0)
+    assert grid.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
 
 
 def test_fp_rejects_cfl_violation():

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdl import model_spaces
 from rdl.model_spaces import (
     _SMALL_KR,
     Euclidean,
@@ -419,6 +421,63 @@ def test_bool_dimension_is_refused(make, dim):
 
 def test_space_from_json_accepts_integral_float_dim():
     assert space_from_json({"kind": "euclidean", "dim": 3.0}).dim == 3
+
+
+# At least one space of each kind in model_spaces._SPACE_KINDS; the test below fails until
+# a new kind is added here.
+_SPACES_OF_EVERY_KIND = [Euclidean(1), Euclidean(3), Hyperbolic(2), Hyperbolic(3, 0.5), HalfPlane(),
+                         RotSymSurface(builtin_profile("euclid")), RotSymSurface(builtin_profile("kaimanovich")),
+                         RotSymSurface(builtin_profile("hyperbolic", 2.0))]
+
+
+@pytest.mark.parametrize("space", _SPACES_OF_EVERY_KIND, ids=lambda sp: sp.label())
+def test_every_space_kind_round_trips_and_names_its_faults(space):
+    kinds = model_spaces._SPACE_KINDS
+    assert {sp.kind for sp in _SPACES_OF_EVERY_KIND} == set(kinds)
+    kind, blob = space.kind, space.to_json_dict()
+    clone = space_from_json(json.loads(json.dumps(blob)))
+    assert type(clone) is type(space) and clone.to_json_dict() == blob and clone.label() == space.label()
+    required, optional = kinds[kind]
+    assert blob["kind"] == kind and set(required) <= set(blob) <= {"kind", *required, *optional}
+    for key in required:
+        without = {k: v for k, v in blob.items() if k != key}
+        with pytest.raises(GeometryError, match=f"^a {kind} space is missing the key '{key}'$"):
+            space_from_json(without)
+        # a missing key is named before an unknown one
+        with pytest.raises(GeometryError, match=f"^a {kind} space is missing the key '{key}'$"):
+            space_from_json({**without, "zz": 1})
+    with pytest.raises(GeometryError, match=f"^unknown key 'zz' in a {kind} space$"):
+        space_from_json({**blob, "zz": 1})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1], "a space is a JSON object with the keys ['kind'], got list"),
+    ({"dim": 2}, "a space is missing the key 'kind'"),
+    ({"kind": "torus"}, "unknown space kind 'torus'"),
+    ({"kind": ["euclidean"], "dim": 2}, "unknown space kind ['euclidean']"),
+    # only a hyperbolic profile reads k
+    ({"kind": "rotsym", "profile": "euclid", "k": 0.0}, "unknown key 'k' in a rotsym space of profile 'euclid'"),
+])
+def test_space_from_json_names_a_space_it_cannot_read(obj, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        space_from_json(obj)
+
+
+@pytest.mark.parametrize("space, a, b", [
+    (Euclidean(2), [math.nan, 0.0], [0.0, 0.0]),  # the distance was nan
+    (Hyperbolic(2), [math.nan, 0.0], [0.0, 0.0]),  # nan
+    (HalfPlane(), [math.inf, 1.0], [0.0, 1.0]),  # inf
+    (HalfPlane(), [0.0, math.inf], [0.0, 1.0]),
+    (Euclidean(1), [0.0], [-math.inf]),
+    (Hyperbolic(3, 2.0), [0.0, 0.0, 0.0], [0.0, math.inf, 0.0]),
+], ids=["euclidean-nan", "hyperbolic-nan", "halfplane-x-inf", "halfplane-y-inf", "euclidean-b-inf",
+        "hyperbolic-b-inf"])
+def test_non_finite_coordinates_are_refused(space, a, b):
+    bad = a if not np.isfinite(a).all() else b
+    with pytest.raises(GeometryError, match=re.escape(f"point coordinates must be finite, got {bad}")):
+        space.distance(a, b)
+    with pytest.raises(GeometryError, match="must be finite"):
+        space.pairwise_distances([a, b])
 
 
 @pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich")),

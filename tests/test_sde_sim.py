@@ -372,6 +372,18 @@ def test_kaimanovich_tail_limit_needs_whole_steps_per_unit():
             kaimanovich_tail_limit(SimConfig(seed=1, n_paths=3, t_max=t_max, dt=dt))
 
 
+@pytest.mark.parametrize("n_trajectories", [True, 1.5, "2"])
+def test_kaimanovich_tail_limit_refuses_a_trajectory_count_that_is_not_an_integer(n_trajectories):
+    # True returned one figure path
+    with pytest.raises(ValueError, match="'n_trajectories' must be an integer"):
+        kaimanovich_tail_limit(SimConfig(seed=1, n_paths=3, t_max=2.0, dt=0.01), n_trajectories=n_trajectories)
+
+
+def test_kaimanovich_tail_limit_reads_an_integral_float_trajectory_count():
+    res = kaimanovich_tail_limit(SimConfig(seed=1, n_paths=3, t_max=2.0, dt=0.01), n_trajectories=2.0)
+    assert len(res.trajectories) == 2
+
+
 def test_kaimanovich_trajectory_dump():
     cfg = SimConfig(seed=1, n_paths=12, t_max=2.0, dt=1e-3, record_stride=100)
     res = kaimanovich_tail_limit(cfg, n_trajectories=10)
