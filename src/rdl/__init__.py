@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # The public names of the package, by the submodule that defines them.
 _EXPORTS = {
     "model_spaces": ("Euclidean", "GeometryError", "HalfPlane", "Hyperbolic", "ModelManifold",
-                     "ProfileFunction", "RotSymSurface", "builtin_profile", "space_from_json"),
+                     "RotSymSurface", "builtin_profile", "space_from_json"),
     "heat_kernels": ("KernelError", "KernelEval", "gaussian_bound_constant", "kernel_for",
                      "radial_fokker_planck", "zero_two_defect"),
     "sde_sim": ("SimConfig", "kaimanovich_tail_limit", "simulate_halfplane", "simulate_radial"),

@@ -194,12 +194,12 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         blocks = halfplane_blocks(cfg, lambda lo, x, y: "".join(
             csv_block(f"{lo + i},", [x[i], y[i]], rows) for i in range(len(x))).encode())
     else:
-        profile = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
-        _check_kappa(args.kappa, profile.k, f"--profile {args.profile}")
+        surface = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
+        _check_kappa(args.kappa, surface.curvature, f"--profile {args.profile}")
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
         if r_cap is None:
             _check_default(args.r_cap, KAIMANOVICH_R_CAP, "--r-cap", f"--profile {args.profile}")
-        paths = simulate_radial(profile, cfg, r0=args.r0, r_cap=r_cap)
+        paths = simulate_radial(surface, cfg, r0=args.r0, r_cap=r_cap)
         columns = ("r", "h_minus_t", "theta")
         rows = shared_rows([paths[0].times, None, None, None])  # every path has the same times
         blocks = (csv_block(f"{i},", [getattr(p, c) for c in columns], rows).encode()

@@ -132,15 +132,15 @@ def _check_mass(space: ModelManifold, t: float, mass: float) -> None:
 
 
 def _check_resolvable(space: ModelManifold, t: float) -> None:
-    """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius.
-
-    R = 3 v t + S + 5, S = sqrt(9 v^2 t^2 + 120 t), v the drift_scale.  sqrt(t)/R
-    falls as t grows where R < 2 t R', that is where S (5 - 3 v t) < 9 v^2 t^2
-    (never on R^d): there the horizon is too large, elsewhere too small."""
+    """Reject a horizon with sqrt(t) < _MIN_SPREAD R, R the truncation radius:
+    too large where sqrt(t)/R falls as t grows (read off R at t (1 + 2^-20);
+    never on R^d), too small elsewhere.  Past the float range (v t above ~1e153,
+    v the drift_scale) R is inf at both, and sqrt(t)/R falls wherever v > 0."""
     big = truncation_radius(space, t)
     if math.sqrt(t) < _MIN_SPREAD * big:
-        vt = space.drift_scale() * t
-        falling = math.sqrt(9.0 * vt * vt + 120.0 * t) * (5.0 - 3.0 * vt) < 9.0 * vt * vt
+        later = t * (1.0 + 2.0 ** -20)
+        falling = (big == math.inf and space.drift_scale() > 0
+                   or math.sqrt(later) / truncation_radius(space, later) < math.sqrt(t) / big)
         raise EstimatorInputError(
             f"horizon t = {t:.6g} is too {'large' if falling else 'small'} on {space.label()}: "
             f"sqrt(t) = {math.sqrt(t):.3g} is below {_MIN_SPREAD:g} R = {_MIN_SPREAD * big:.3g}, "

@@ -227,8 +227,6 @@ class FinitePointedSpace:
         except ValueError as e:  # ragged rows
             raise MetricError(f"'dist' must be a square matrix: {e}") from e
         fields = {key: json_int(obj[key], key, MetricError) for key in ("n", "basepoint") if key in obj}
-        if d.ndim != 2:
-            raise MetricError(f"'dist' must be a square matrix, got shape {d.shape}")
         if fields.get("n", d.shape[0]) != d.shape[0]:
             raise MetricError(f"n = {fields['n']} does not match matrix size {d.shape[0]}")
         if fields.get("basepoint", 0) != 0:

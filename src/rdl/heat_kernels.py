@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gauss_legendre import HALVES
-from .model_spaces import ModelManifold, ProfileFunction, json_int
+from .model_spaces import ModelManifold, RotSymSurface, json_int
 
 __all__ = [
     "KernelEval",
@@ -427,7 +427,7 @@ class RadialDensityGrid:
 
 
 def radial_fokker_planck(
-    profile: ProfileFunction,
+    profile: RotSymSurface,
     r0: float,
     dt: float,
     dr: float,
@@ -435,14 +435,17 @@ def radial_fokker_planck(
     r_max: float,
     n_snapshots: int = 51,
 ) -> RadialDensityGrid:
-    """Solve d_t rho = (1/2) d_rr rho - d_r(f rho), f = p'/(2p), conservatively.
+    """Solve d_t rho = (1/2) d_rr rho - d_r(f rho), f = profile.drift = p'/(2p), conservatively.
 
     Explicit finite volume, upwind advection (f > 0 for all catalog profiles),
     zero-flux at r = 0, absorbing at r_max.  The diffusion CFL dt <= 0.4 dr^2
     is enforced up front.  r0 <= dr is treated as a pole start (the initial
-    delta goes in the first cell).
+    delta goes in the first cell).  The density is stored at t = 0 and t_max,
+    and every n_steps // (n_snapshots - 1) steps between (n_snapshots >= 2).
     """
     n_snapshots = json_int(n_snapshots, "n_snapshots", KernelError)
+    if n_snapshots < 2:
+        raise KernelError(f"need n_snapshots >= 2 (t = 0 and t_max), got {n_snapshots}")
     if not 0 < dt <= 0.4 * dr * dr:
         raise KernelError(f"CFL violation: need 0 < dt <= 0.4 dr^2 = {0.4 * dr * dr:.3g}, got {dt}")
     if not 0 < dr <= r_max < math.inf:
@@ -468,7 +471,7 @@ def radial_fokker_planck(
     rho = np.zeros(n_cells)
     rho[min(int(r0 / dr), n_cells - 1)] = 1.0 / dr
 
-    snap_every = max(1, n_steps // max(n_snapshots - 1, 1))
+    snap_every = max(1, n_steps // (n_snapshots - 1))
     times = [0.0]
     snaps = [rho.copy()]  # rho is stepped in place
     masses = [float(rho.sum() * dr)]

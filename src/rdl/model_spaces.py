@@ -2,12 +2,13 @@
 
 The catalog covers flat space, constant-curvature hyperbolic space (curvature
 -k^2), the hyperbolic upper half-plane in its own chart, and rotationally
-symmetric surfaces ds^2 = dr^2 + p(r)^2 dtheta^2 given by a profile p.
+symmetric surfaces ds^2 = dr^2 + p(r)^2 dtheta^2, each given by its profile.
 
 Every homogeneous catalog space carries its curvature parameter k
 (curvature -k^2): 0 on R^d, 1 on the half-plane, the given k on H^d.  The
 kernel, drift-scale and horizon code reads (dim, k) and nothing else;
-RotSymSurface has k = None, which keeps it out of the kernel catalog.
+RotSymSurface has k = None, which keeps it out of the kernel catalog; its
+profile's curvature parameter is its `curvature`.
 Construction admits only the dimensions with a closed-form kernel (R^1-R^3,
 H^2-H^3): any other dimension raises GeometryError.
 
@@ -47,7 +48,6 @@ _GAMMA_HALVES = tuple(float.fromhex(v) for v in """
 
 __all__ = [
     "GeometryError",
-    "ProfileFunction",
     "builtin_profile",
     "ModelManifold",
     "Euclidean",
@@ -105,46 +105,16 @@ def _check_radius(r: float) -> None:
         raise GeometryError(f"radius must be >= 0, got {r}")
 
 
-@dataclass(frozen=True)
-class ProfileFunction:
-    """Warping profile of a rotationally symmetric surface.
-
-    p, drift and inv_p_sq must accept floats or numpy arrays.  drift is the
-    radial SDE drift p'/(2p) and inv_p_sq the angular clock integrand 1/p^2,
-    both in numerically stable forms (the plain quotients overflow for
-    rapidly growing profiles).  Smoothness at the pole requires p(0) = 0 and
-    p'(0) = 1, with p'(0+) read as 2 p drift.  k is the curvature parameter
-    of a constant-curvature profile (0 on 'euclid'), None on any other.
-    """
-
-    label: str
-    k: float | None
-    p: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray], np.ndarray]
-    inv_p_sq: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        eps = 1e-7
-        p0 = float(self.p(eps))
-        dp0 = 2.0 * p0 * float(self.drift(eps))
-        if abs(p0) > 10 * eps or abs(dp0 - 1.0) > 1e-4:
-            raise GeometryError(
-                f"profile {self.label!r} violates p(0)=0, p'(0)=1 "
-                f"(p({eps})={p0:.3g}, p'({eps})={dp0:.3g})"
-            )
-
-
 # Beyond this radius the H(r)-t increments of the Kaimanovich profile are below
 # 1e-2 per unit time and a path's state is frozen (sde_sim.kaimanovich_tail_limit).
 KAIMANOVICH_R_CAP = 200.0
 
 
-def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
-    """Built-in profiles: 'euclid', 'hyperbolic' (curvature -k^2), 'kaimanovich'."""
+def builtin_profile(label: str, k: float = 1.0) -> RotSymSurface:
+    """Surfaces of the built-in profiles: 'euclid', 'hyperbolic' (curvature -k^2), 'kaimanovich'."""
     if label == "euclid":
-        return ProfileFunction(
-            label="euclid",
-            k=0.0,
+        return RotSymSurface(
+            name="euclid", curvature=0.0,
             p=lambda r: np.asarray(r, dtype=float),
             drift=lambda r: 1.0 / (2.0 * r),
             inv_p_sq=lambda r: 1.0 / np.asarray(r, dtype=float) ** 2,
@@ -152,9 +122,8 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
     if label == "hyperbolic":
         if not 0 < k < math.inf:
             raise GeometryError(f"hyperbolic profile needs a finite k > 0, got {k}")
-        return ProfileFunction(
-            label=f"hyperbolic(k={k:g})",
-            k=k,
+        return RotSymSurface(
+            name=f"hyperbolic(k={k:g})", curvature=k,
             p=lambda r: np.sinh(k * np.asarray(r, dtype=float)) / k,
             # (k/2) coth(kr), stable at large r
             drift=lambda r: (k / 2.0)
@@ -167,9 +136,8 @@ def builtin_profile(label: str, k: float = 1.0) -> ProfileFunction:
             with np.errstate(over="ignore", divide="ignore"):
                 return np.exp(-(r * r) - 2.0 * np.log(r))
 
-        return ProfileFunction(
-            label="kaimanovich",
-            k=None,
+        return RotSymSurface(
+            name="kaimanovich", curvature=None,
             p=lambda r: np.asarray(r, dtype=float) * np.exp(0.5 * np.asarray(r, dtype=float) ** 2),
             drift=lambda r: 0.5 * (np.asarray(r, dtype=float) + 1.0 / np.asarray(r, dtype=float)),
             inv_p_sq=_inv_p_sq,
@@ -197,16 +165,22 @@ class ModelManifold:
     def basepoint(self):
         return np.zeros(self.dim)
 
+    def _in_chart(self, points) -> np.ndarray:
+        """points as a float array of rows, each in the chart: dim finite coordinates.
+        Checked as a whole; the first bad row is looked up only for the message."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise GeometryError(f"expected a point in R^{self.dim}, got shape {pts.shape[1:]}")
+        if not np.isfinite(pts).all():  # a NaN or inf coordinate gives a NaN or inf distance
+            bad = pts[~np.isfinite(pts).all(axis=1)][0]
+            raise GeometryError(f"point coordinates must be finite, got {bad.tolist()}")
+        return pts
+
     def validate_point(self, pt) -> np.ndarray:
-        v = np.asarray(pt, dtype=float).reshape(-1)
-        if v.shape != (self.dim,):
-            raise GeometryError(f"expected a point in R^{self.dim}, got shape {v.shape}")
-        if not np.isfinite(v).all():  # a NaN or inf coordinate gives a NaN or inf distance
-            raise GeometryError(f"point coordinates must be finite, got {v.tolist()}")
-        return v
+        return self._in_chart(np.reshape(pt, (1, -1)))[0]
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
-        """Exact distances from each row of points to pt."""
+        """Exact distances from each row of points to pt, all of them in the chart (_in_chart)."""
         raise GeometryError(f"{self.label()} has no exact pairwise distances")
 
     def distance(self, a, b) -> float:
@@ -226,7 +200,8 @@ class ModelManifold:
 
     def pairwise_distances(self, points) -> np.ndarray:
         """Symmetrized dist_to_many rows with a zero diagonal."""
-        pts = np.array([self.validate_point(p) for p in points])
+        pts = np.asarray(points, dtype=float)
+        pts = pts[:, None] if pts.ndim == 1 else pts  # scalar points on the line
         dist = np.zeros((len(pts), len(pts)))
         for i, p in enumerate(pts):
             dist[i] = self.dist_to_many(pts, p)
@@ -297,7 +272,7 @@ class Euclidean(ModelManifold):
         self.dim = dim
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
-        return np.linalg.norm(np.asarray(points, dtype=float) - self.validate_point(pt), axis=1)
+        return np.linalg.norm(self._in_chart(points) - self.validate_point(pt), axis=1)
 
     def sphere_area(self, r: float) -> float:
         _check_radius(r)
@@ -344,7 +319,7 @@ class Hyperbolic(ModelManifold):
         self.k = float(k)
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+        pts = self._in_chart(points)
         p = self.validate_point(pt)
         r1 = np.linalg.norm(pts, axis=1)
         r2 = np.linalg.norm(p)
@@ -412,14 +387,14 @@ class HalfPlane(Hyperbolic):
     def basepoint(self):
         return np.array([0.0, 1.0])
 
-    def validate_point(self, pt) -> np.ndarray:
-        v = super().validate_point(pt)
-        if not v[1] > 0:
-            raise GeometryError(f"half-plane needs y > 0, got y = {v[1]}")
-        return v
+    def _in_chart(self, points) -> np.ndarray:
+        pts = super()._in_chart(points)  # finite, so y <= 0 finds the bad row
+        if not (pts[:, 1] > 0).all():
+            raise GeometryError(f"half-plane needs y > 0, got y = {pts[pts[:, 1] <= 0, 1][0]}")
+        return pts
 
     def dist_to_many(self, points: np.ndarray, pt) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
+        pts = self._in_chart(points)
         p = self.validate_point(pt)
         arg = 1.0 + ((pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2) / (2.0 * pts[:, 1] * p[1])
         return np.arccosh(np.maximum(arg, 1.0))
@@ -446,20 +421,40 @@ class HalfPlane(Hyperbolic):
         return "halfplane"
 
 
+@dataclass(frozen=True, eq=False)
 class RotSymSurface(ModelManifold):
-    """Surface ds^2 = dr^2 + p(r)^2 dtheta^2 about a pole, known through its
-    radial geometry; it has no pairwise distances."""
+    """Surface ds^2 = dr^2 + p(r)^2 dtheta^2 about a pole, given by its profile:
+    p, the radial SDE drift p'/(2p) and the angular clock integrand 1/p^2, each
+    taking floats or numpy arrays, the last two in numerically stable forms
+    (the plain quotients overflow for rapidly growing profiles).  Smoothness at
+    the pole requires p(0) = 0 and p'(0) = 1, with p'(0+) read as 2 p drift.
+    curvature is the k of a constant-curvature profile (0 on 'euclid'), None on
+    any other.  Only the radial geometry is defined: no pairwise distances.
+    """
 
     kind = "rotsym"
     dim = 2
     k = None
 
-    def __init__(self, profile: ProfileFunction):
-        self.profile = profile
+    name: str
+    curvature: float | None
+    p: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
+    inv_p_sq: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        eps = 1e-7
+        p0 = float(self.p(eps))
+        dp0 = 2.0 * p0 * float(self.drift(eps))
+        if abs(p0) > 10 * eps or abs(dp0 - 1.0) > 1e-4:
+            raise GeometryError(
+                f"profile {self.name!r} violates p(0)=0, p'(0)=1 "
+                f"(p({eps})={p0:.3g}, p'({eps})={dp0:.3g})"
+            )
 
     def sphere_area(self, r: float) -> float:
         _check_radius(r)
-        return 2.0 * math.pi * float(self.profile.p(r))
+        return 2.0 * math.pi * float(self.p(r))
 
     def ball_volume(self, r: float) -> float:
         # imported here: the catalog spaces have closed forms, so a process
@@ -476,12 +471,12 @@ class RotSymSurface(ModelManifold):
         return val
 
     def label(self) -> str:
-        return f"rotsym({self.profile.label})"
+        return f"rotsym({self.name})"
 
     def to_json_dict(self) -> dict:
-        if self.profile.k:  # a hyperbolic profile; euclid's k is 0
-            return {"kind": self.kind, "profile": "hyperbolic", "k": self.profile.k}
-        return {"kind": self.kind, "profile": self.profile.label}
+        if self.curvature:  # a hyperbolic profile; euclid's curvature is 0
+            return {"kind": self.kind, "profile": "hyperbolic", "k": self.curvature}
+        return {"kind": self.kind, "profile": self.name}
 
 
 def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
@@ -538,4 +533,4 @@ def space_from_json(obj: dict) -> ModelManifold:
     profile = obj["profile"]
     if profile != "hyperbolic":  # the one profile that reads k
         json_object(obj, f"a rotsym space of profile {profile!r}", required, ("kind",))
-    return RotSymSurface(builtin_profile(profile, json_number(obj.get("k", 1.0), "k")))
+    return builtin_profile(profile, json_number(obj.get("k", 1.0), "k"))

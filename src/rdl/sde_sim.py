@@ -6,10 +6,10 @@ dx = y dB1, dy = y dB2):
   the y-update is exact in law per step, y_{n+1} = y_n exp(dB2 - dt/2),
   which forbids y <= 0; the x-update uses y at the step midpoint.
 
-Radial SDE on a surface with profile p:
-  dr_t = dX_t + f(r_t) dt,  f = p'/(2p),
-with the angular clock tau_t = int_0^t p(r_s)^-2 ds and theta_t = Y_{tau_t}
-for an independent driving motion Y.  One integrator,
+Radial SDE on a RotSymSurface with profile p:
+  dr_t = dX_t + f(r_t) dt,  f = p'/(2p) (its drift),
+with the angular clock tau_t = int_0^t p(r_s)^-2 ds (its inv_p_sq) and
+theta_t = Y_{tau_t} for an independent driving motion Y.  One integrator,
 _simulate_radial_block, advances all paths together in one run.  It records
 every path's r every stride-th step, and traces the first `angles` paths:
 they also carry tau and theta and are recorded every cfg.record_stride
@@ -54,7 +54,7 @@ from functools import cache
 
 import numpy as np
 
-from .model_spaces import KAIMANOVICH_R_CAP, ProfileFunction, builtin_profile, json_int
+from .model_spaces import KAIMANOVICH_R_CAP, RotSymSurface, builtin_profile, json_int
 
 __all__ = [
     "SimConfig",
@@ -145,7 +145,7 @@ def _n_workers(cfg: SimConfig) -> int:
 
 
 # The chunk job of the running pool: set in each forked worker by the pool
-# initializer, so the job (profiles hold lambdas) is inherited, never pickled.
+# initializer, so the job (surfaces hold lambdas) is inherited, never pickled.
 _JOB = None
 
 
@@ -457,7 +457,7 @@ def _advance_clock(profile, dt, r, clock, ang, start, cap_step) -> None:
 
 
 def simulate_radial(
-    profile: ProfileFunction, cfg: SimConfig, r0: float, r_cap: float | None = None
+    profile: RotSymSurface, cfg: SimConfig, r0: float, r_cap: float | None = None
 ) -> list[RadialProcess]:
     """Radial paths (see _simulate_radial_block) recorded every
     cfg.record_stride steps, with their angular clock and angle."""
@@ -475,7 +475,7 @@ class TerminalRadial:
 
 
 def radial_terminal(
-    profile: ProfileFunction, cfg: SimConfig, r0: float, r_cap: float | None = None
+    profile: RotSymSurface, cfg: SimConfig, r0: float, r_cap: float | None = None
 ) -> TerminalRadial:
     """Terminal state of simulate_radial's paths, without recording or angles."""
     run = _simulate_radial_block(profile, cfg, r0, r_cap, cfg.n_steps)

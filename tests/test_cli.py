@@ -788,13 +788,15 @@ def test_gromov_cli_space_file_not_an_object_is_usage_error(tmp_path, capsys):
     {"n": True, "basepoint": 0, "dist": [[0]]},
     {"n": 1, "basepoint": False, "dist": [[0]]},
     {"dist": [[0, 1], [1]]},
+    # not a matrix: FinitePointedSpace's metric check refuses it
+    {"dist": []},
     # np.asarray(..., dtype=float) used to read these as [[0, 1], [1, 0]], and d_GS came out
     {"dist": [["0", "1"], ["1", "0"]]},
     {"dist": [[False, True], [True, False]]},
     # a key that is not read was dropped, and d_GS came out
     {"dist": [[0, 1], [1, 0]], "lable": "x"},
 ], ids=["n-list", "dist-scalar", "n-fractional", "basepoint-fractional", "both-fractional",
-        "n-true", "basepoint-false", "dist-ragged", "dist-strings", "dist-bools", "unknown-key"])
+        "n-true", "basepoint-false", "dist-ragged", "dist-empty", "dist-strings", "dist-bools", "unknown-key"])
 def test_gromov_cli_space_file_of_wrong_types_is_usage_error(tmp_path, capsys, content):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(content))
@@ -993,6 +995,15 @@ def test_simulate_bad_start_or_cap_is_usage_error(tmp_path, capsys, argv, fragme
     assert main(_SIM + argv + ["--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {fragment}")
     assert not out.exists()
+
+
+def test_simulate_path_past_the_float_safe_range_exits_4(tmp_path, capsys):
+    # a Kaimanovich path with no effective cap reaches r = 1e100 before t = 500
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--profile", "kaimanovich", "--r-cap", "1e300", "--t-max", "500", "--paths", "1",
+                 "--record-stride", "1000", "--out", str(out)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant failure: path 0 exceeded r = 1e+100 at t = 464.03\n"
+    assert not out.exists() and not os.path.exists(f"{out}.manifest.json")
 
 
 @pytest.mark.parametrize("argv", [

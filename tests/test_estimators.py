@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rdl.estimators import (
     truncation_radius,
 )
 from rdl.heat_kernels import KernelError, _ridge, kernel_for, zero_two_defect
-from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
+from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, builtin_profile
 
 from test_heat_kernels import log_q_h2_scalar
 
@@ -60,6 +61,20 @@ def test_horizon_moments_calls_a_large_unresolvable_horizon_too_large():
         _horizon_moments(Hyperbolic(3, 0.5), [1e6, 2e6, 3e6, 4e6])
     with pytest.raises(EstimatorInputError, match=r"^horizon t = 1e-30 is too small on hyperbolic\(dim=2,k=1\)"):
         _horizon_moments(Hyperbolic(2), [1e-30, 2e-30, 3e-30, 4e-30])
+
+
+@pytest.mark.parametrize("space, t, word", [
+    (Hyperbolic(2), 1e200, "large"),
+    (Hyperbolic(3, 1e-3), 1e160, "large"),
+    (HalfPlane(), 1e300, "large"),
+    (Euclidean(2), 1e307, "small"),
+], ids=["h2", "h3-small-k", "halfplane", "e2"])
+def test_horizon_past_the_float_range_of_the_truncation_radius_keeps_its_word(space, t, word):
+    # R reads inf at t and just past it, so the ratio sqrt(t)/R is 0 at both; on H^d
+    # it falls (R grows like v t), on R^d it rises to 1/sqrt(120)
+    assert truncation_radius(space, t) == math.inf
+    with pytest.raises(EstimatorInputError, match=re.escape(f"horizon t = {t:g} is too {word} on ")):
+        entropy_quadrature(space, t)
 
 
 def test_drift_euclidean_scaling_ratio_sqrt2():
@@ -246,6 +261,18 @@ def test_report_h2_equality_case_other_curvatures(k):
     assert rep.ell == pytest.approx(k / 2.0, rel=2e-2)
     assert 2 * rep.ell ** 2 == pytest.approx(rep.entropy_h, rel=0.05)
     assert rep.all_pass() and rep.converged
+
+
+def test_report_refuses_a_superadditive_drift(monkeypatch):
+    # ell_2 = 2.5 > 2 ell_1: the audit's subadditivity branch, which no report reached
+    import rdl.estimators as estimators
+
+    ell = {1.0: 1.0, 2.0: 2.5, 3.0: 3.0, 4.0: 3.2}
+    assert drift_subadditive_limit(ell).subadditivity_violations == [(1.0, 1.0, 0.5)]
+    h = {2.0: 1.0, 3.0: 1.5, 4.0: 2.0}
+    monkeypatch.setattr(estimators, "_horizon_moments", lambda space, t_grid: (ell, h))
+    with pytest.raises(EstimatorError, match=re.escape("drift audit failed: subadditivity violations [(1.0, 1.0, 0.5)]")):
+        inequality_report(Hyperbolic(2))
 
 
 def test_entropy_quadrature_agrees_with_mc_counterpart():
@@ -525,7 +552,7 @@ def test_ensemble_report_drift_mixes_the_component_reports(components, weights, 
 
 def test_ensemble_report_rejects_an_out_of_catalog_component():
     # in either order
-    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    surf = builtin_profile("kaimanovich")
     for comps in ((Hyperbolic(2), surf), (surf, Hyperbolic(2))):
         with pytest.raises(KernelError, match="no closed-form kernel"):
             inequality_report(Ensemble(components=comps, weights=(0.5, 0.5)))

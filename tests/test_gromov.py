@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from rdl.gromov import (
     identity_cross,
     net_from_manifold,
 )
-from rdl.model_spaces import Euclidean, GeometryError, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
+from rdl.model_spaces import Euclidean, GeometryError, HalfPlane, Hyperbolic, builtin_profile
 
 
 def _space_from_points(pts) -> FinitePointedSpace:
@@ -58,6 +59,12 @@ def test_space_validation_errors():
         FinitePointedSpace(np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
     with pytest.raises(MetricError):
         FinitePointedSpace(np.zeros((2, 2)))  # zero off-diagonal
+
+
+@pytest.mark.parametrize("d", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0))], ids=["vector", "wide", "empty"])
+def test_space_refuses_a_matrix_that_is_not_square(d):
+    with pytest.raises(MetricError, match=re.escape(f"distance matrix must be square, got {d.shape}")):
+        FinitePointedSpace(d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -826,7 +833,7 @@ def test_net_dense_and_separated():
 
 def test_net_rejects_rotsym():
     with pytest.raises(GeometryError):
-        net_from_manifold(RotSymSurface(builtin_profile("kaimanovich")), 1.0, 0.5, 0)
+        net_from_manifold(builtin_profile("kaimanovich"), 1.0, 0.5, 0)
 
 
 def test_net_curvature_trend():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -33,7 +34,7 @@ from rdl.heat_kernels import (
     truncation_radius,
     zero_two_defect,
 )
-from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, ProfileFunction, RotSymSurface, builtin_profile
+from rdl.model_spaces import Euclidean, HalfPlane, Hyperbolic, RotSymSurface, builtin_profile
 from rdl.sde_sim import SimConfig
 
 
@@ -683,6 +684,13 @@ def test_fp_refuses_a_snapshot_count_that_is_not_an_integer(n_snapshots):
         radial_fokker_planck(builtin_profile("euclid"), **_FP_EUCLID, n_snapshots=n_snapshots)
 
 
+@pytest.mark.parametrize("n_snapshots", [1, 0, -3])
+def test_fp_refuses_fewer_than_two_snapshots(n_snapshots):
+    # each stored only t = 0 and t_max
+    with pytest.raises(KernelError, match=re.escape(f"need n_snapshots >= 2 (t = 0 and t_max), got {n_snapshots}")):
+        radial_fokker_planck(builtin_profile("euclid"), **_FP_EUCLID, n_snapshots=n_snapshots)
+
+
 def test_fp_reads_an_integral_float_snapshot_count():
     grid = radial_fokker_planck(builtin_profile("euclid"), **_FP_EUCLID, n_snapshots=3.0)
     assert grid.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
@@ -701,8 +709,8 @@ def test_fp_rejects_coarse_grid_at_interior_start():
 
 
 # p = sin r, the round sphere's profile: its drift cot(r)/2 turns negative past pi/2
-_SPHERE = ProfileFunction(label="sphere", k=None, p=np.sin, drift=lambda r: 0.5 / np.tan(r),
-                          inv_p_sq=lambda r: 1.0 / np.sin(r) ** 2)
+_SPHERE = RotSymSurface(name="sphere", curvature=None, p=np.sin, drift=lambda r: 0.5 / np.tan(r),
+                        inv_p_sq=lambda r: 1.0 / np.sin(r) ** 2)
 
 
 def _small_fp_grid():
@@ -857,10 +865,10 @@ def test_fp_grid_golden_bytes(label, kw, digest):
 
 def test_rotsym_has_no_closed_form_kernel():
     with pytest.raises(KernelError):
-        kernel_for(RotSymSurface(builtin_profile("kaimanovich")))
+        kernel_for(builtin_profile("kaimanovich"))
 
 
-_ROTSYM = RotSymSurface(builtin_profile("hyperbolic", 1.0))
+_ROTSYM = builtin_profile("hyperbolic", 1.0)
 
 
 @pytest.mark.parametrize("call", [

@@ -73,6 +73,31 @@ def test_pairwise_distances_take_scalar_points_on_the_line():
         [0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
 
 
+def test_distance_refuses_a_point_of_the_wrong_dimension():
+    with pytest.raises(GeometryError, match=re.escape("expected a point in R^2, got shape (3,)")):
+        Euclidean(2).distance([1.0, 2.0, 3.0], [0.0, 0.0])
+    # dist_to_many's rows too: the half-plane read their first two columns, H^2 at its
+    # basepoint the norm of all three, and R^2 raised numpy's broadcast error
+    for space, pt in ((HalfPlane(), [0.0, 1.0]), (Hyperbolic(2), [0.0, 0.0]), (Euclidean(2), [0.0, 0.0])):
+        with pytest.raises(GeometryError, match=re.escape("expected a point in R^2, got shape (3,)")):
+            space.dist_to_many(np.ones((1, 3)), pt)
+
+
+@pytest.mark.parametrize("space, points, pt, message", [
+    (Euclidean(2), [[math.nan, 0.0]], [0.0, 0.0], "point coordinates must be finite, got [nan, 0.0]"),  # [nan]
+    (Hyperbolic(2), [[0.0, 0.0], [1.0, math.inf]], [0.0, 0.0], "point coordinates must be finite, got [1.0, inf]"),
+    (HalfPlane(), [[0.0, -1.0]], [0.0, 1.0], "half-plane needs y > 0, got y = -1.0"),  # [0.]
+    (HalfPlane(), [[0.0, 1.0], [2.0, 0.0]], [0.0, 1.0], "half-plane needs y > 0, got y = 0.0"),
+    (HalfPlane(), [[0.0, 1.0], [2.0, math.nan]], [0.0, 1.0], "point coordinates must be finite, got [2.0, nan]"),
+], ids=["euclidean-nan", "hyperbolic-second-row-inf", "halfplane-below", "halfplane-second-row-on-axis",
+        "halfplane-second-row-nan"])
+def test_dist_to_many_checks_every_row(space, points, pt, message):
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        space.dist_to_many(np.array(points), pt)
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        space.pairwise_distances([pt, *points])
+
+
 def test_halfplane_rejects_nonpositive_y():
     hp = HalfPlane()
     with pytest.raises(GeometryError):
@@ -82,7 +107,7 @@ def test_halfplane_rejects_nonpositive_y():
 
 
 def test_rotsym_surface_has_no_pairwise_distances():
-    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    surf = builtin_profile("kaimanovich")
     with pytest.raises(GeometryError):
         surf.pairwise_distances([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
 
@@ -110,14 +135,14 @@ def test_distance_axioms_random_triples(seed):
 def test_sphere_area_values():
     assert Euclidean(2).sphere_area(1.0) == pytest.approx(2 * math.pi, abs=1e-12)
     assert Hyperbolic(2, 1.0).sphere_area(1.0) == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
-    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    surf = builtin_profile("kaimanovich")
     assert surf.sphere_area(1.0) == pytest.approx(2 * math.pi * math.exp(0.5), rel=1e-12)
 
 
 def test_sphere_area_euclidean_small_r_limit():
     # sphere_area / (vol(S^{d-1}) r^{d-1}) -> 1 as r -> 0
     for sp in (Euclidean(3), Hyperbolic(2, 1.0), Hyperbolic(3, 2.0), HalfPlane(),
-               RotSymSurface(builtin_profile("kaimanovich"))):
+               builtin_profile("kaimanovich")):
         r = 1e-6
         ratio = sp.sphere_area(r) / (unit_sphere_area(sp.dim) * r ** (sp.dim - 1))
         assert ratio == pytest.approx(1.0, abs=1e-9)
@@ -191,7 +216,7 @@ def test_hyperbolic_ball_volume_across_the_small_kr_cut(dim):
 
 def test_rotsym_ball_volume_quadrature():
     # 2 pi int_0^r s e^{s^2/2} ds = 2 pi (e^{r^2/2} - 1)
-    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    surf = builtin_profile("kaimanovich")
     assert surf.ball_volume(1.5) == pytest.approx(
         2 * math.pi * (math.exp(1.5 ** 2 / 2) - 1.0), rel=1e-8
     )
@@ -203,7 +228,7 @@ def test_rotsym_ball_volume_equals_scipy_quad_bitwise(label):
     # past the radius where sphere_area overflows (kaimanovich ~38, hyperbolic ~710)
     from scipy.integrate import quad
 
-    surf = RotSymSurface(builtin_profile(label))
+    surf = builtin_profile(label)
     radii = (0.5, 3.0, 40.0, 500.0, 800.0)
     with np.errstate(over="ignore"):
         for r in radii:
@@ -247,7 +272,7 @@ def test_volume_growth_needs_finite_positive_r_max(r_max):
 
 
 def test_volume_growth_kaimanovich_overflows_flagged():
-    surf = RotSymSurface(builtin_profile("kaimanovich"))
+    surf = builtin_profile("kaimanovich")
     est = surf.volume_growth(40.0)
     assert not est.finite
     assert est.value == math.inf
@@ -293,23 +318,24 @@ def test_profile_stable_forms_agree_with_p(label, k, p1, p2):
 
 
 def test_builtin_profiles_carry_k():
-    assert builtin_profile("euclid").k == 0.0
-    assert builtin_profile("hyperbolic", 0.25).k == 0.25
-    assert builtin_profile("kaimanovich").k is None
+    assert builtin_profile("euclid").curvature == 0.0
+    assert builtin_profile("hyperbolic", 0.25).curvature == 0.25
+    assert builtin_profile("kaimanovich").curvature is None
+    for surf in (builtin_profile("euclid"), builtin_profile("hyperbolic", 0.25), builtin_profile("kaimanovich")):
+        assert type(surf) is RotSymSurface and surf.k is None  # out of the kernel catalog
     for k in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(GeometryError):
             builtin_profile("hyperbolic", k)
 
 
 def test_profile_smoothness_at_pole_enforced():
-    from rdl.model_spaces import ProfileFunction
-
-    with pytest.raises(GeometryError):  # p(0) = 1
-        ProfileFunction(label="bad", k=None, p=lambda r: np.asarray(r) + 1.0,
-                        drift=lambda r: 0.5 / np.asarray(r), inv_p_sq=lambda r: 1.0 / (np.asarray(r) + 1.0) ** 2)
-    with pytest.raises(GeometryError):  # p = 2r: p'(0) = 2 p drift = 1 only for drift 1/(2r)
-        ProfileFunction(label="bad", k=None, p=lambda r: 2.0 * np.asarray(r),
-                        drift=lambda r: 1.0 / np.asarray(r), inv_p_sq=lambda r: 0.25 / np.asarray(r) ** 2)
+    bad = re.escape("profile 'bad' violates p(0)=0, p'(0)=1 ")
+    with pytest.raises(GeometryError, match=bad):  # p(0) = 1
+        RotSymSurface(name="bad", curvature=None, p=lambda r: np.asarray(r) + 1.0,
+                      drift=lambda r: 0.5 / np.asarray(r), inv_p_sq=lambda r: 1.0 / (np.asarray(r) + 1.0) ** 2)
+    with pytest.raises(GeometryError, match=bad):  # p = 2r: p'(0) = 2 p drift = 1 only for drift 1/(2r)
+        RotSymSurface(name="bad", curvature=None, p=lambda r: 2.0 * np.asarray(r),
+                      drift=lambda r: 1.0 / np.asarray(r), inv_p_sq=lambda r: 0.25 / np.asarray(r) ** 2)
 
 
 def test_profile_stable_drift_and_clock():
@@ -333,13 +359,13 @@ def test_json_round_trip():
         Hyperbolic(2, 2.0),
         Hyperbolic(3, 0.37),
         HalfPlane(),
-        *(RotSymSurface(builtin_profile(p)) for p in ("euclid", "hyperbolic", "kaimanovich")),
+        *(builtin_profile(p) for p in ("euclid", "hyperbolic", "kaimanovich")),
     ]
     for sp in spaces:
         clone = space_from_json(json.loads(json.dumps(sp.to_json_dict())))
         assert type(clone) is type(sp)
         assert clone.label() == sp.label() and clone.to_json_dict() == sp.to_json_dict()
-    rotsym_k = RotSymSurface(builtin_profile("hyperbolic", 2.0))
+    rotsym_k = builtin_profile("hyperbolic", 2.0)
     assert space_from_json(rotsym_k.to_json_dict()).label() == rotsym_k.label()
     assert space_from_json({"kind": "hyperbolic", "dim": 2, "k": 1.0}).k == 1.0
     with pytest.raises(GeometryError):
@@ -348,20 +374,20 @@ def test_json_round_trip():
 
 def test_rotsym_hyperbolic_k_round_trips_exactly():
     for k in (0.123456789, 1.0):
-        sp = RotSymSurface(builtin_profile("hyperbolic", k))
+        sp = builtin_profile("hyperbolic", k)
         blob = json.loads(json.dumps(sp.to_json_dict()))
         assert blob["k"] == k
         clone = space_from_json(blob)
         assert clone.to_json_dict() == sp.to_json_dict()
         assert clone.label() == sp.label()
-        assert float(clone.profile.drift(0.7)) == float(sp.profile.drift(0.7))
+        assert float(clone.drift(0.7)) == float(sp.drift(0.7))
 
 
 def test_rotsym_json_dicts():
-    assert RotSymSurface(builtin_profile("euclid")).to_json_dict() == {"kind": "rotsym", "profile": "euclid"}
-    assert RotSymSurface(builtin_profile("kaimanovich")).to_json_dict() == {
+    assert builtin_profile("euclid").to_json_dict() == {"kind": "rotsym", "profile": "euclid"}
+    assert builtin_profile("kaimanovich").to_json_dict() == {
         "kind": "rotsym", "profile": "kaimanovich"}
-    assert RotSymSurface(builtin_profile("hyperbolic", 0.5)).to_json_dict() == {
+    assert builtin_profile("hyperbolic", 0.5).to_json_dict() == {
         "kind": "rotsym", "profile": "hyperbolic", "k": 0.5}
 
 
@@ -426,8 +452,8 @@ def test_space_from_json_accepts_integral_float_dim():
 # At least one space of each kind in model_spaces._SPACE_KINDS; the test below fails until
 # a new kind is added here.
 _SPACES_OF_EVERY_KIND = [Euclidean(1), Euclidean(3), Hyperbolic(2), Hyperbolic(3, 0.5), HalfPlane(),
-                         RotSymSurface(builtin_profile("euclid")), RotSymSurface(builtin_profile("kaimanovich")),
-                         RotSymSurface(builtin_profile("hyperbolic", 2.0))]
+                         builtin_profile("euclid"), builtin_profile("kaimanovich"),
+                         builtin_profile("hyperbolic", 2.0)]
 
 
 @pytest.mark.parametrize("space", _SPACES_OF_EVERY_KIND, ids=lambda sp: sp.label())
@@ -480,7 +506,7 @@ def test_non_finite_coordinates_are_refused(space, a, b):
         space.pairwise_distances([a, b])
 
 
-@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), RotSymSurface(builtin_profile("kaimanovich")),
+@pytest.mark.parametrize("space", [Euclidean(2), Hyperbolic(2), builtin_profile("kaimanovich"),
                                    HalfPlane()],
                          ids=["euclidean", "hyperbolic", "rotsym", "halfplane"])
 @pytest.mark.parametrize("method", ["sphere_area", "ball_volume"])

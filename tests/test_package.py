@@ -13,7 +13,7 @@ import rdl
 # Every name the package re-exported when `import rdl` loaded all of it.
 _NAMES = {
     "model_spaces": ["Euclidean", "GeometryError", "HalfPlane", "Hyperbolic", "ModelManifold",
-                     "ProfileFunction", "RotSymSurface", "builtin_profile", "space_from_json"],
+                     "RotSymSurface", "builtin_profile", "space_from_json"],
     "heat_kernels": ["KernelError", "KernelEval", "gaussian_bound_constant", "kernel_for",
                      "radial_fokker_planck", "zero_two_defect"],
     "sde_sim": ["SimConfig", "kaimanovich_tail_limit", "simulate_halfplane", "simulate_radial"],

@@ -12,7 +12,7 @@ import rdl
 from rdl import sde_sim
 from rdl.estimators import _horizon_moments
 from rdl.heat_kernels import radial_fokker_planck
-from rdl.model_spaces import HalfPlane, ProfileFunction, builtin_profile
+from rdl.model_spaces import HalfPlane, RotSymSurface, builtin_profile
 from rdl.sde_sim import (
     KAIMANOVICH_R_CAP,
     SimConfig,
@@ -220,9 +220,9 @@ def test_radial_block_matches_per_path():
         wants.append(want)
         for p, q in zip(got, want, strict=True):
             for key in ("times", "r", "h_minus_t", "tau", "theta"):
-                assert np.array_equal(getattr(p, key), q[key]), (prof.label, key)
+                assert np.array_equal(getattr(p, key), q[key]), (prof.name, key)
             assert (p.n_reflections, p.capped, p.cap_time) == (
-                q["n_reflections"], q["capped"], q["cap_time"]), prof.label
+                q["n_reflections"], q["capped"], q["cap_time"]), prof.name
         term = radial_terminal(prof, cfg, r0=r0, r_cap=r_cap)
         assert np.array_equal(term.r, [q["r"][-1] for q in want])
         assert np.array_equal(term.h_minus_t, [q["h_minus_t"][-1] for q in want])
@@ -470,9 +470,9 @@ def test_threads_must_be_positive():
 
 
 # p = r exp(r^3): drift 1/(2r) + 3r^2/2 explodes in finite time from r0 = 1
-_EXPLOSIVE = ProfileFunction(label="explosive", k=None, p=lambda r: r * np.exp(r ** 3),
-                             drift=lambda r: 0.5 / r + 1.5 * r * r,
-                             inv_p_sq=lambda r: np.exp(-2.0 * r ** 3) / (r * r))
+_EXPLOSIVE = RotSymSurface(name="explosive", curvature=None, p=lambda r: r * np.exp(r ** 3),
+                           drift=lambda r: 0.5 / r + 1.5 * r * r,
+                           inv_p_sq=lambda r: np.exp(-2.0 * r ** 3) / (r * r))
 
 
 @pytest.mark.parametrize("seed, chunk", [(0, 0), (1, 1)])
