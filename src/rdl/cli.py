@@ -194,7 +194,8 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         blocks = halfplane_blocks(cfg, lambda lo, x, y: "".join(
             csv_block(f"{lo + i},", [x[i], y[i]], rows) for i in range(len(x))).encode())
     else:
-        surface = builtin_profile(args.profile, args.kappa if args.kappa is not None else 1.0)
+        # the one profile that reads k; --kappa must repeat the others' fixed curvature
+        surface = builtin_profile(args.profile, args.kappa if args.profile == "hyperbolic" else None)
         _check_kappa(args.kappa, surface.curvature, f"--profile {args.profile}")
         r_cap = args.r_cap if args.profile == "kaimanovich" else None
         if r_cap is None:

@@ -9,37 +9,60 @@ reports its bracket so the strict/non-strict distinction stays below tol.
 
 Feasibility at a given eps: the per-point covering requirements are
 disjunctions ("some partner within eps").  A bridge is a cross entry
-(xs, ys) capped at eps - delta: (p, y) covers a point p of X1, (x, p) a point
-of X2, and (o1, o2) is always one.  For a fixed choice of bridges, the
-remaining conjunctive system has a greatest element
+(xs, ys) capped at cap = eps - delta: (p, y) covers a point p of X1, (x, p) a
+point of X2, and the base (o1, o2) is always one.  For a fixed choice of
+bridges, the remaining conjunctive system has a greatest element
 
     m(x, y) = min over bridges (xs, ys) of d1(x, xs) + (eps - delta) + d2(ys, y)
 
 (the set of cross matrices satisfying the Lipschitz upper constraints and
 bridge caps is closed under pointwise min and max), so the system is
 feasible iff m clears the positivity floor and the lower triangle
-constraints, and then m itself is a witness.  m shrinks as bridges are
-added, so a partial assignment that already fails can be pruned: the
-partner search is exact backtracking.  A node's m is min(parent's m, bridge)
-and the parent's m passed every check, so a constraint can newly fail only
-through an entry the bridge lowered; a node checks those k entries alone, in
-at most k·(n1 + n2) work instead of n1·n2·(n1 + n2).  Candidate partners
-are pruned to the window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is
+constraints, and then m itself is a witness.  In floats m is the min over
+the chosen bridges of their cones (d1[:, [x]] + cap) + d2[[y], :].  m only
+falls as bridges are added, so a partial assignment that already fails can
+be pruned: the partner search is exact backtracking.  Candidate partners are
+pruned to the window |d1(o1,x) - d2(o2,y)| <= 2(eps - delta), which is
 implied by any feasible cross matrix, and capped at the _K_NEAREST radially
 closest; only the cap can lose solutions and results carry an `exact` flag.
 
-Forward checking (Haralick and Elliott, Artif. Intell. 14, 1980): a bridge
-(x, y) of any option list is viable at m while its own cone entry, put at
-(x, y), passes the floor and the lower triangle constraints against m's
-column y and row x.  A node whose m leaves some point still to come
-uncovered, with none of the bridges whose cone covers it viable, is a dead
-end and returns before it branches.  This is safe: a solution below the node
-picks a bridge covering that point, and its m sits below both m and that
-bridge's cone, so its own constraint checks would fail as the bridge's did
-(m only falls down the tree, and the sums are rounded monotonically).  The
-order of the depth-first search is unchanged, so the first witness found is
-the same array, in fewer nodes.  A dead bridge stays dead, so a node rechecks
-only the viable bridges in a row or column that it lowered.
+The search carries the set of chosen bridges, not m, so that a node costs a
+few array operations over the B distinct bridges.  Why its answers are
+those of a search that builds m and checks it in full at every node:
+
+1. Forward checking (Haralick and Elliott, Artif. Intell. 14, 1980): a
+   bridge is viable while its own cone entry, put at its (x, y), passes the
+   floor and the lower triangle constraints against m's column y and row x.
+   That check is the AND of the checks against each chosen cone, exactly in
+   floats, since fl(fl(a + v) - s) is monotone in a.  So a node tests the
+   viable bridges against the cone it adds alone, and a dead bridge stays
+   dead.
+2. On a metric the check against one cone (xc, yc) is tightest at its apex
+   x' = xc, y' = yc, by the triangle inequality.  So bridge k, with own
+   entry v, dies when ((d1[xc,xc] + cap) + d2[yc,yk]) + v - d1(xk, xc) or
+   ((d1[xk,xc] + cap) + d2[yc,yc]) + v - d2(yk, yc) is below -_SEARCH_TOL,
+   d read as the larger of d(i, j) and d(j, i) since validate allows an
+   asymmetry: one vectorised test over the viable bridges.  The apex is one
+   of the entries of the full row and column read, so it kills a subset of
+   what that read kills; the two differ only where a slack lies within
+   2 _METRIC_TOL, plus rounding, of -_SEARCH_TOL.
+3. A child's m, min(m, cone), passes every lower constraint iff its bridge
+   passes against m (in exact arithmetic).  So a child still counts as a
+   node, and is rejected iff its bridge is not viable at its parent.
+4. A point is covered iff some chosen cone covers it.  Rounding is monotone,
+   so the row p of the cone of (x, y) has the minimum
+   (d1[p, x] + cap) + min d2[y, :], and one table, in each cone's own float
+   expression, says which points each cone covers.  A node that leaves a
+   point still to come uncovered, with every bridge that could cover it
+   dead, returns before it branches; a point's own bridges count for it
+   whatever the rounding, since the search picks one when it gets there.
+5. At a leaf, m is built as the np.minimum chain over the chosen cones in
+   order, and the floor and every lower constraint are checked once, over
+   every entry.  A leaf that fails backtracks.  m only falls down the tree
+   and every pruning above is sound, so the first passing leaf in
+   depth-first order is the full-check search's witness, bit for bit.  Node
+   counts can only grow over a full row and column read at every node, and
+   only in the band of (2).
 
 A cross c is admissible iff [[d1, c], [cᵀ, d2]] is a metric: its triangle
 inequalities that mix X1 and X2 are the Lipschitz and lower constraints on c,
@@ -109,7 +132,7 @@ _METRIC_TOL = 1e-12  # slack of the zero-diagonal, symmetry and triangle checks
 _SLAB_ENTRIES = 1 << 17  # floats per slab of the triangle check in _check_metric, 1 MB
 _K_NEAREST = 4  # partners kept per point, radially closest first
 _SEARCH_TOL = 1e-11  # slack of the lower triangle constraints in feasible()
-_CHECK_BLOCK = 256  # cross entries per block of a search node's check
+_CHECK_BLOCK = 256  # cross entries per block of the full check at a search leaf
 _MAX_NODES = 200000  # search nodes of feasible() before it gives up, inexact
 _MAX_ASSIGNMENTS = 20000  # partner assignments of feasible_lp() before it gives up
 
@@ -268,7 +291,8 @@ def _partner_options(d1, d2, eps, cap):
     truncated says whether that cap dropped one.  options is None when no
     assignment exists: cap < DELTA, below the lower bound DELTA of every cross
     distance (so the basepoint bridge cannot hold), or some point has no
-    partner in its window.
+    partner in its window.  Each side is one gap matrix, its rows sorted at
+    once; a stable sort keeps equal gaps in index order.
     """
     if not (0.0 < eps < 0.5):
         raise MetricError(f"eps must lie in (0, 1/2), got {eps}")
@@ -277,59 +301,46 @@ def _partner_options(d1, d2, eps, cap):
     rho1, rho2 = d1[0], d2[0]
     options, truncated = [], False
     for row, rho_self, rho_other in ((True, rho1, rho2), (False, rho2, rho1)):
-        for p in map(int, np.flatnonzero(rho_self <= 1.0 / eps)):
-            gaps = np.abs(rho_other - rho_self[p])
-            idx = np.where(gaps <= 2.0 * cap + 1e-15)[0]
-            idx = idx[np.argsort(gaps[idx], kind="stable")]
-            if not idx.size:
-                return None, False
-            truncated |= idx.size > _K_NEAREST
-            options.append((row, p, [(p, q) if row else (q, p) for q in idx[:_K_NEAREST]]))
+        points = np.flatnonzero(rho_self <= 1.0 / eps)
+        gaps = np.abs(rho_other - rho_self[points, None])
+        window = gaps <= 2.0 * cap + 1e-15
+        counts = window.sum(axis=1)
+        if not counts.all():
+            return None, False
+        truncated |= bool((counts > _K_NEAREST).any())
+        order = np.argsort(np.where(window, gaps, np.inf), axis=1, kind="stable")[:, :_K_NEAREST]
+        for p, count, partners in zip(points.tolist(), counts.tolist(), order.tolist()):
+            options.append((row, p, [(p, q) if row else (q, p) for q in partners[:count]]))
     return options, truncated
 
 
-def _failing(m, ci, cj, c, d1, d2):
-    """Yield, _CHECK_BLOCK entries at a time, whether the value c[k] at the
-    entry (x, y) = (ci[k], cj[k]) of m is below the floor DELTA or breaks a
-    lower triangle constraint c[k] + m(x', y) >= d1(x, x') or
-    c[k] + m(x, y') >= d2(y, y').  d1 and d2 must be symmetric, so that the
-    pairs (x', x) and (y', y) are covered as well; memory stays
-    O(_CHECK_BLOCK (n1 + n2))."""
-    for s in range(0, len(ci), _CHECK_BLOCK):
-        i, j, v = (a[s : s + _CHECK_BLOCK] for a in (ci, cj, c))
-        v = v[:, None]
-        rows = m[:, j].T  # rows[k, x'] = m[x', j[k]], a fresh array
-        rows += v
-        rows -= d1[i, :]
-        cols = m[i, :]
-        cols += v
-        cols -= d2[j, :]
-        yield ((v[:, 0] < DELTA - 1e-15) | (rows < -_SEARCH_TOL).any(axis=1)
-               | (cols < -_SEARCH_TOL).any(axis=1))
+def _breaks(m, sym1, sym2):
+    """True if an entry of m is below the floor DELTA or breaks a lower
+    triangle constraint m(x, y) + m(x', y) >= d1(x, x') or
+    m(x, y) + m(x, y') >= d2(y, y'), with sym1, sym2 the symmetrized d1, d2.
+    The check takes _CHECK_BLOCK entries (x, y) at a time, so memory stays
+    O(_CHECK_BLOCK (n1 + n2)), and stops at the first block that breaks."""
+    if (m < DELTA - 1e-15).any():
+        return True
+    ci, cj = np.indices(m.shape).reshape(2, -1)
+    for s in range(0, ci.size, _CHECK_BLOCK):
+        i, j = ci[s : s + _CHECK_BLOCK], cj[s : s + _CHECK_BLOCK]
+        v = m[i, j][:, None]
+        if (((m[:, j].T + v) - sym1[i, :] < -_SEARCH_TOL).any()
+                or ((m[i, :] + v) - sym2[j, :] < -_SEARCH_TOL).any()):
+            return True
+    return False
 
 
-def _breaks(m, ci, cj, d1, d2):
-    """True if an entry (ci[k], cj[k]) of m fails _failing against m itself;
-    the check stops at the first block that breaks."""
-    return any(f.any() for f in _failing(m, ci, cj, m[ci, cj], d1, d2))
-
-
-def _bridge_cover(cands, d1, d2, cap):
-    """The distinct bridges (bx, by) of all option lists and covers[b, q]:
-    bridge b covers the point of cands[q].  That is read off b's cone
-    d1[:, [x]] + cap + d2[[y], :], whose row p (column p) has its minimum
-    (d1(p, x) + cap) + min d2(y, :) ((min d1(:, x) + cap) + d2(y, p)) since
-    rounding is monotone; a point's own bridges count whatever the rounding."""
-    index = {b: k for k, b in enumerate(dict.fromkeys(b for _, _, bs in cands for b in bs))}
-    bx, by = np.array(list(index)).T
-    row = np.array([e[0] for e in cands])
-    point = np.array([e[1] for e in cands])
-    covers = np.empty((len(index), len(cands)), dtype=bool)
-    covers[:, row] = (d1[np.ix_(bx, point[row])] + cap) + d2.min(axis=1)[by, None] <= cap + 1e-15
+def _cone_cover(bx, by, row, point, d1, d2, cap):
+    """covers[b, q]: the cone d1[:, [x]] + cap + d2[[y], :] of the bridge
+    (x, y) = (bx[b], by[b]) covers point[q], a row of it if row[q] and a
+    column if not.  Rounding is monotone, so cone row p has the minimum
+    (d1(p, x) + cap) + min d2(y, :), and column p (min d1(:, x) + cap) + d2(y, p)."""
+    covers = np.empty((bx.size, row.size), dtype=bool)
+    covers[:, row] = (d1[np.ix_(point[row], bx)].T + cap) + d2.min(axis=1)[by, None] <= cap + 1e-15
     covers[:, ~row] = (d1.min(axis=0)[bx, None] + cap) + d2[np.ix_(by, point[~row])] <= cap + 1e-15
-    for q, (_, _, bridges) in enumerate(cands):
-        covers[[index[b] for b in bridges], q] = True
-    return covers, bx, by, row, point
+    return covers
 
 
 def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> FeasibilityResult:
@@ -343,60 +354,76 @@ def feasible(a: FinitePointedSpace, b: FinitePointedSpace, eps: float) -> Feasib
     if cands is None:
         return FeasibilityResult(False, None, True, 0, eps)
     cands.sort(key=lambda e: (len(e[2]), e[0], e[1]))  # most constrained first
-    covers, bx, by, prow, pidx = _bridge_cover(cands, d1, d2, cap)
+    # the distinct bridges of all option lists, then the base (0, 0) as bridge len(index)
+    index = {b: k for k, b in enumerate(dict.fromkeys(b for _, _, bs in cands for b in bs))}
+    options = [[index[b] for b in bridges] for _, _, bridges in cands]
+    bx, by = np.array([*index, (0, 0)]).T
+    covers = _cone_cover(bx, by, np.array([e[0] for e in cands]), np.array([e[1] for e in cands]),
+                         d1, d2, cap)
+    # a point's own bridges count for it whatever the rounding: the search
+    # picks one of them when it reaches the point uncovered
+    counts = covers.copy()
+    for q, ks in enumerate(options):
+        counts[ks, q] = True
     own = (d1[bx, bx] + cap) + d2[by, by]  # each bridge's entry of its own cone
 
-    def forward(i, m, lowered, viable, alive):
-        """The bridges still viable at m, and per point how many of them cover
-        it; None if a point of cands[i:] that m leaves uncovered has none.  Only
-        bridges in a row or column that m lowered can newly fail."""
-        rows, cols = np.zeros(m.shape[0], dtype=bool), np.zeros(m.shape[1], dtype=bool)
-        rows[lowered[0]], cols[lowered[1]] = True, True
-        k = np.flatnonzero(viable & (rows[bx] | cols[by]))
-        if not k.size:
-            return viable, alive
-        dead = k[np.concatenate(list(_failing(m, bx[k], by[k], own[k], sym1, sym2)))]
+    def forward(i, c, viable, alive, covered):
+        """The state once the cone of bridge c is chosen: the bridges still
+        viable, per point how many of them count for it, and which points
+        the chosen cones cover; None if a point of cands[i:] is left
+        uncovered with none of the bridges that count for it viable."""
+        x, y = bx[c], by[c]
+        k = np.flatnonzero(viable)
+        kx, ky, v = bx[k], by[k], own[k]
+        dead = k[(v < DELTA - 1e-15)
+                 | ((((d1[x, x] + cap) + d2[y, ky]) + v) - sym1[kx, x] < -_SEARCH_TOL)
+                 | ((((d1[kx, x] + cap) + d2[y, y]) + v) - sym2[ky, y] < -_SEARCH_TOL)]
+        covered = covered | covers[c]
         if not dead.size:
-            return viable, alive
+            return viable, alive, covered
         viable = viable.copy()
         viable[dead] = False
-        lost = covers[dead].sum(axis=0)
+        lost = counts[dead].sum(axis=0)
         alive = alive - lost
-        q = i + np.flatnonzero((alive[i:] == 0) & (lost[i:] > 0))
-        r, c = pidx[q[prow[q]]], pidx[q[~prow[q]]]
-        if (m[r].min(axis=1) > cap + 1e-15).any() or (m[:, c].min(axis=0) > cap + 1e-15).any():
+        if ((alive[i:] == 0) & (lost[i:] > 0) & ~covered[i:]).any():
             return None
-        return viable, alive
+        return viable, alive, covered
 
-    base = d1[:, [0]] + cap + d2[[0], :]
+    def cone(k):
+        return d1[:, [bx[k]]] + cap + d2[[by[k]], :]
+
     nodes = 0
 
-    def search(i, m, lowered, viable, alive):
+    def search(i, c, chosen, state):
+        """The node for cands[i], entered by choosing bridge c, or with c None
+        when cands[i - 1] was already covered; chosen and state are its parent's."""
         nonlocal nodes
         nodes += 1
         if nodes > _MAX_NODES:
             raise _SearchTruncated
-        if _breaks(m, *lowered, sym1, sym2):
-            return None
+        if c is not None:
+            if not state[0][c]:
+                return None
+            chosen += (c,)
+            state = forward(i, c, *state)
+            if state is None:
+                return None
         if i == len(cands):
-            return m
-        state = forward(i, m, lowered, viable, alive)
-        if state is None:
-            return None
-        row, p, bridges = cands[i]
-        if (m[p] if row else m[:, p]).min() <= cap + 1e-15:
-            # already covered, m unchanged: nothing to recheck
-            return search(i + 1, m, ([], []), *state)
-        for x, y in bridges:
-            new = np.minimum(m, d1[:, [x]] + cap + d2[[y], :])
-            res = search(i + 1, new, np.nonzero(new < m), *state)
+            m = cone(chosen[0])
+            for k in chosen[1:]:
+                m = np.minimum(m, cone(k))
+            return None if _breaks(m, sym1, sym2) else m
+        if state[2][i]:  # already covered: no cone to add
+            return search(i + 1, None, chosen, state)
+        for k in options[i]:
+            res = search(i + 1, k, chosen, state)
             if res is not None:
                 return res
         return None
 
+    root = (np.ones(len(bx), dtype=bool), counts.sum(axis=0), np.zeros(len(cands), dtype=bool))
     try:
-        witness = search(0, base, np.nonzero(np.ones(base.shape, dtype=bool)),
-                         np.ones(len(bx), dtype=bool), covers.sum(axis=0))
+        witness = search(0, len(index), (), root)
     except _SearchTruncated:
         return FeasibilityResult(False, None, False, nodes, eps)
     if witness is None:

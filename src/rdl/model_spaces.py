@@ -110,8 +110,12 @@ def _check_radius(r: float) -> None:
 KAIMANOVICH_R_CAP = 200.0
 
 
-def builtin_profile(label: str, k: float = 1.0) -> RotSymSurface:
-    """Surfaces of the built-in profiles: 'euclid', 'hyperbolic' (curvature -k^2), 'kaimanovich'."""
+def builtin_profile(label: str, k: float | None = None) -> RotSymSurface:
+    """Surfaces of the built-in profiles: 'euclid', 'hyperbolic' (curvature -k^2,
+    k = 1 when None) and 'kaimanovich'.  Only 'hyperbolic' reads k; the other
+    two refuse one rather than drop it."""
+    if label in ("euclid", "kaimanovich") and k is not None:
+        raise GeometryError(f"the {label} profile reads no k, got {k}")
     if label == "euclid":
         return RotSymSurface(
             name="euclid", curvature=0.0,
@@ -120,6 +124,7 @@ def builtin_profile(label: str, k: float = 1.0) -> RotSymSurface:
             inv_p_sq=lambda r: 1.0 / np.asarray(r, dtype=float) ** 2,
         )
     if label == "hyperbolic":
+        k = 1.0 if k is None else k
         if not 0 < k < math.inf:
             raise GeometryError(f"hyperbolic profile needs a finite k > 0, got {k}")
         return RotSymSurface(
@@ -474,9 +479,18 @@ class RotSymSurface(ModelManifold):
         return f"rotsym({self.name})"
 
     def to_json_dict(self) -> dict:
-        if self.curvature:  # a hyperbolic profile; euclid's curvature is 0
-            return {"kind": self.kind, "profile": "hyperbolic", "k": self.curvature}
-        return {"kind": self.kind, "profile": self.name}
+        """The built-in profile that space_from_json rebuilds under this name;
+        GeometryError for a surface that none rebuilds."""
+        obj = {"kind": self.kind, "profile": self.name}
+        if self.curvature:  # only a hyperbolic profile reads k; euclid's curvature is 0
+            obj = {"kind": self.kind, "profile": "hyperbolic", "k": self.curvature}
+        try:
+            rebuilt = builtin_profile(obj["profile"], obj.get("k")).name
+        except GeometryError:
+            rebuilt = None
+        if rebuilt != self.name:
+            raise GeometryError(f"surface {self.name!r} is no built-in profile, so JSON cannot hold it")
+        return obj
 
 
 def json_int(value, name: str, error: type[ValueError] = GeometryError) -> int:
@@ -533,4 +547,4 @@ def space_from_json(obj: dict) -> ModelManifold:
     profile = obj["profile"]
     if profile != "hyperbolic":  # the one profile that reads k
         json_object(obj, f"a rotsym space of profile {profile!r}", required, ("kind",))
-    return builtin_profile(profile, json_number(obj.get("k", 1.0), "k"))
+    return builtin_profile(profile, json_number(obj["k"], "k") if "k" in obj else None)

@@ -596,6 +596,167 @@ def test_feasible_search_golden(pair, eps, is_feasible, exact, nodes, digest):
     assert (res.feasible, res.exact, res.nodes, got) == (is_feasible, exact, nodes, digest)
 
 
+def _benchmark_pair(name):
+    """The benchmark's search inputs: an epsilon-net pair (mesh 0.5, net seeds 1
+    and 2), or the Cauchy chain's limit ball against its base net."""
+    if name == "chain":
+        base = net_from_manifold(Hyperbolic(2), 1.8, 0.5, seed=3)
+        return chain_glue([base] * 4, [identity_cross(base)] * 3).limit_ball, base
+    space, radius = {"h2": (Hyperbolic(2), 2.0), "h3": (Hyperbolic(3), 1.0)}[name]
+    return tuple(net_from_manifold(space, radius, 0.5, seed=s) for s in (1, 2))
+
+
+# the benchmark's larger search inputs, in the format of _SEARCH_GOLDEN; a list
+# of their own because the chain pair, at the first step of its bisection, has
+# two spaces of one size, which test_feasible_search_golden refuses
+_BENCH_SEARCH_GOLDEN = [
+    ("h3", 0.49, False, False, 174, None),
+    ("h2", 0.3, False, False, 6, None),
+    ("chain", 0.2499999995, True, True, 93, "4e3e7b0c6be3022de943df9530f6aa5e06b4e87ae0be6cc100589e13c9704dbd"),
+]
+
+
+@pytest.mark.parametrize("pair, eps, is_feasible, exact, nodes, digest", _BENCH_SEARCH_GOLDEN)
+def test_feasible_search_golden_on_benchmark_pairs(pair, eps, is_feasible, exact, nodes, digest):
+    res = feasible(*_benchmark_pair(pair), eps)
+    got = None if res.witness is None else hashlib.sha256(res.witness.tobytes()).hexdigest()
+    assert (res.feasible, res.exact, res.nodes, got) == (is_feasible, exact, nodes, digest)
+
+
+def test_uncapped_search_on_the_euclidean_net_pair(monkeypatch):
+    # with every partner in the window kept the bisection decides each step
+    # exactly; the bracket, the flag and the node total are pinned
+    a, b = (net_from_manifold(Euclidean(2), 1.0, 0.5, seed=s) for s in (1, 2))
+    monkeypatch.setattr(rdl.gromov, "_K_NEAREST", a.n + b.n)
+    nodes = []
+
+    def counted(*args):
+        res = feasible(*args)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(rdl.gromov, "feasible", counted)
+    res = gromov_distance(a, b, tol=1e-3)
+    assert (round(res.lo, 4), round(res.hi, 4), res.exact, sum(nodes)) == (0.2656, 0.2666, True, 5037)
+    assert certify_upper(a, b, AdmissibleExtension(res.witness), res.hi)
+
+
+def _nudged_space(rng, points):
+    """A space on the points that points() draws, its distances moved by up to
+    0.9 _METRIC_TOL per entry, the diagonal and the asymmetry too; drawn again
+    until it validates."""
+    tol = 0.9 * rdl.gromov._METRIC_TOL
+    while True:
+        pts = points()
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        up = rng.uniform(-tol, tol, d.shape)
+        low = np.clip(up.T + rng.uniform(-tol, tol, d.shape), -tol, tol)  # |up - low^T| <= tol
+        try:
+            return FinitePointedSpace(d + np.triu(up) + np.tril(low, -1))
+        except MetricError:  # a tight triangle broken past the tolerance
+            continue
+
+
+def _matches_full_check(a, b, eps):
+    """feasible() against the full-check oracle: the same decision and witness
+    bytes, and a witness that validates; returns (got, want)."""
+    got, want = feasible(a, b, eps), _full_check_search(a, b, eps)
+    assert (got.feasible, got.exact) == (want.feasible, want.exact), (a.dist, b.dist, eps)
+    assert (got.witness is None) == (want.witness is None)
+    if got.feasible:
+        assert got.witness.tobytes() == want.witness.tobytes(), (a.dist, b.dist, eps)
+        AdmissibleExtension(got.witness).validate(a.dist, b.dist)
+        assert certify_upper(a, b, AdmissibleExtension(got.witness), eps)
+    return got, want
+
+
+def test_feasible_matches_full_check_search_on_perturbed_pairs():
+    # cones with a nonzero diagonal and an asymmetric d: the search must read
+    # the larger of d(x, x') and d(x', x), as the oracle does
+    rng = np.random.default_rng(42)
+    seen = set()
+    for _ in range(150):
+        dim = int(rng.integers(2, 4))
+        a, b = (_nudged_space(rng, lambda n=n: np.vstack([np.zeros(dim), rng.uniform(-1, 1, (n - 1, dim))]))
+                for n in rng.integers(1, 9, 2))
+        got, _ = _matches_full_check(a, b, float(rng.uniform(0.02, 0.5)))
+        seen.add((got.feasible, got.exact))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _quarter_grid(rng, n, distinct):
+    """n points of the line at multiples of 1/4 in [-1, 1], 0 first, as a column."""
+    steps = np.delete(np.arange(-4, 5), 4)
+    others = rng.choice(steps, n - 1, replace=False) if distinct else rng.integers(-2, 3, n - 1)
+    return np.concatenate([[0.0], others * 0.25])[:, None]
+
+
+def test_feasible_matches_full_check_search_in_the_tolerance_band():
+    # points of a line, so that nudged triangles break by up to ~3e-12, and eps
+    # set so that 2 cap + d2(y, y') - d1(x, x') lies within 3e-12 above
+    # -_SEARCH_TOL: the forward checks, which read only a cone's apex, then
+    # keep bridges that the full check refuses, and only the check at each
+    # leaf keeps the oracle's answer
+    rng = np.random.default_rng(1)
+    grew = 0
+    for _ in range(400):
+        a, b = (_nudged_space(rng, lambda n=n: _quarter_grid(rng, n, True)) for n in rng.integers(2, 6, 2))
+        eps = DELTA + (0.25 * int(rng.integers(1, 4)) - rdl.gromov._SEARCH_TOL + rng.uniform(0, 3e-12)) / 2
+        got, want = _matches_full_check(a, b, eps)
+        grew += got.nodes > want.nodes
+    assert grew > 0
+
+
+def test_feasible_matches_full_check_search_on_near_twins():
+    # coincident points of a line kept apart by 1e-16 one way and 5e-13 the
+    # other: whether a cone covers a point then depends on which way d1 is read
+    rng = np.random.default_rng(1)
+    for _ in range(400):
+        spaces = []
+        for n in rng.integers(2, 6, 2):
+            pts = _quarter_grid(rng, n, False)
+            d = np.abs(pts - pts.T)
+            twins = (d == 0) & ~np.eye(n, dtype=bool)
+            d[twins] = rng.choice([1e-16, 5e-13], twins.sum())
+            spaces.append(FinitePointedSpace(d))
+        _matches_full_check(*spaces, float(rng.uniform(0.02, 0.49)))
+
+
+def _partner_options_by_point(d1, d2, eps, cap):
+    """_partner_options as it was, one point at a time."""
+    if cap < DELTA:
+        return None, False
+    options, truncated = [], False
+    for row, rho_self, rho_other in ((True, d1[0], d2[0]), (False, d2[0], d1[0])):
+        for p in map(int, np.flatnonzero(rho_self <= 1.0 / eps)):
+            gaps = np.abs(rho_other - rho_self[p])
+            idx = np.where(gaps <= 2.0 * cap + 1e-15)[0]
+            idx = idx[np.argsort(gaps[idx], kind="stable")]
+            if not idx.size:
+                return None, False
+            truncated |= idx.size > rdl.gromov._K_NEAREST
+            options.append((row, p, [(p, int(q)) if row else (int(q), p) for q in idx[:rdl.gromov._K_NEAREST]]))
+    return options, truncated
+
+
+def test_partner_options_match_the_per_point_reference(monkeypatch):
+    # equal gaps (the grid pairs) keep index order; no partner in a window gives None
+    rng = np.random.default_rng(3)
+    pairs = [_benchmark_pair(name) for name in ("h2", "h3")]
+    pairs += [(_space_from_points(np.arange(n)[:, None] * 0.25), _space_from_points(np.arange(7)[:, None] * 0.25))
+              for n in (1, 5, 9)]
+    pairs += [_random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(30)]
+    seen = set()
+    for k_nearest in (rdl.gromov._K_NEAREST, 2, 1000):
+        monkeypatch.setattr(rdl.gromov, "_K_NEAREST", k_nearest)
+        for a, b in pairs:
+            for eps in (2e-9, 0.01, 0.1, 0.3, 0.49):
+                want = _partner_options_by_point(a.dist, b.dist, eps, eps - DELTA)
+                assert rdl.gromov._partner_options(a.dist, b.dist, eps, eps - DELTA) == want
+                seen.add("none" if want[0] is None else f"truncated={want[1]}")
+    assert seen == {"none", "truncated=True", "truncated=False"}
+
+
 def _grid_feasible(a, b, eps, step):
     """Literal brute-force grid search over cross matrices."""
     d1, d2 = a.dist, b.dist

@@ -284,10 +284,10 @@ def test_volume_growth_kaimanovich_overflows_flagged():
 
 # p' and p'' of each built-in profile, written out: (label, k, p', p'')
 _PROFILE_DERIVATIVES = [
-    ("euclid", 1.0, lambda r: np.ones_like(r), lambda r: np.zeros_like(r)),
+    ("euclid", None, lambda r: np.ones_like(r), lambda r: np.zeros_like(r)),
     *[("hyperbolic", k, lambda r, k=k: np.cosh(k * r), lambda r, k=k: k * np.sinh(k * r))
       for k in (0.5, 1.0, 2.0)],
-    ("kaimanovich", 1.0, lambda r: (1.0 + r ** 2) * np.exp(0.5 * r ** 2),
+    ("kaimanovich", None, lambda r: (1.0 + r ** 2) * np.exp(0.5 * r ** 2),
      lambda r: (3.0 * r + r ** 3) * np.exp(0.5 * r ** 2)),
 ]
 
@@ -313,8 +313,9 @@ def test_profile_stable_forms_agree_with_p(label, k, p1, p2):
     p = prof.p(r)
     assert prof.drift(r) == pytest.approx(p1(r) / (2.0 * p), rel=1e-12)
     assert prof.inv_p_sq(r) == pytest.approx(1.0 / p ** 2, rel=1e-12)
-    curvature = {"euclid": 0.0 * r, "hyperbolic": -k * k + 0.0 * r, "kaimanovich": -(3.0 + r ** 2)}
-    assert -p2(r) / p == pytest.approx(curvature[label], rel=1e-12)
+    curvature = (-k * k + 0.0 * r if label == "hyperbolic"
+                 else {"euclid": 0.0 * r, "kaimanovich": -(3.0 + r ** 2)}[label])
+    assert -p2(r) / p == pytest.approx(curvature, rel=1e-12)
 
 
 def test_builtin_profiles_carry_k():
@@ -389,6 +390,25 @@ def test_rotsym_json_dicts():
         "kind": "rotsym", "profile": "kaimanovich"}
     assert builtin_profile("hyperbolic", 0.5).to_json_dict() == {
         "kind": "rotsym", "profile": "hyperbolic", "k": 0.5}
+
+
+def test_builtin_profile_refuses_a_k_it_does_not_read():
+    # euclid and kaimanovich took any k and dropped it
+    for label in ("euclid", "kaimanovich"):
+        for k in (-7, 0.0, 1.0, 2.0):
+            with pytest.raises(GeometryError, match=f"the {label} profile reads no k, got {k}"):
+                builtin_profile(label, k)
+    assert builtin_profile("hyperbolic").curvature == builtin_profile("hyperbolic", None).curvature == 1.0
+
+
+@pytest.mark.parametrize("curvature", [1.0, None])
+def test_rotsym_json_dict_refuses_a_surface_no_profile_rebuilds(curvature):
+    # a sphere of curvature 1.0 was written as the hyperbolic profile, and one of
+    # curvature None under the label 'sphere', which space_from_json refuses
+    sphere = RotSymSurface(name="sphere", curvature=curvature, p=np.sin, drift=lambda r: 0.5 / np.tan(r),
+                           inv_p_sq=lambda r: 1.0 / np.sin(r) ** 2)
+    with pytest.raises(GeometryError, match="surface 'sphere' is no built-in profile"):
+        sphere.to_json_dict()
 
 
 @pytest.mark.parametrize("obj", [
